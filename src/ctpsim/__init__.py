@@ -5,19 +5,20 @@ symmetric kernel yields colored classical noise; memory-kernel Langevin
 dynamics then grow classical order parameters out of unstable quantum modes.
 """
 
-from .core import (DivergenceError, NumericalError, RunConfig, TimeGrid,
-                   derive_seed, make_grid, trapezoid_weights)
+from .core import (ConfigError, DivergenceError, NumericalError, RunConfig,
+                   TimeGrid, derive_seed, make_grid, trapezoid_weights)
 from .kernels import (ADVANCED, RETARDED, SYMMETRIC, ContourMatrix,
                       DeSitterParams, KernelMatrix, build_contour_matrix,
                       build_hadamard, build_retarded, desitter_hadamard,
                       elementwise_power, fluctuation_kernel, keldysh_rotate,
-                      memory_kernel, psd_project)
+                      memory_kernel, psd_project, squeezed_factor)
 from .langevin import (EnsembleStats, PotentialSpec, SpectrumEstimate,
                        Trajectory, aggregate_paths, ensemble_run,
                        estimate_spectrum, integrate_memory,
                        integrate_overdamped_mode, integrate_white,
                        relaxation_rate)
-from .noise import NoiseEnsemble, hs_moment_check, sample_colored, sample_white
+from .noise import (NoiseEnsemble, draw_from_factor, hs_moment_check,
+                    sample_colored, sample_white)
 from .scenarios import (BECConfig, BECReport, SSBConfig, SSBReport,
                         kuiper_statistic, recursion_probability, run_bec,
                         run_inflation, run_ssb, scenario_noise_kernel)
@@ -28,4 +29,4 @@ from .squeeze import (BogolubovCoeffs, PairCoeffs, SqueezeParams,
                       pair_normalization_check, particle_number,
                       quadrature_variances)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import NumericalError, TimeGrid, derive_seed, make_grid
+from .core import ConfigError, NumericalError, TimeGrid, derive_seed, make_grid
 from .kernels import (DeSitterParams, KernelMatrix, build_contour_matrix,
                       build_hadamard, build_retarded, fluctuation_kernel,
                       keldysh_rotate, memory_kernel)
@@ -36,10 +36,6 @@ from .squeeze import (SqueezeParams, bogolubov_coefficients, mode_two_point,
 
 SUBCOMMANDS = ("squeeze", "kernels", "noise", "langevin", "ssb", "bec",
                "inflation", "verify")
-
-
-class ConfigError(ValueError):
-    """Configuration file missing, malformed, or violating the schema."""
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +107,6 @@ _SECTION_SCHEMAS: dict[str, dict] = {
         "gate_threshold": (float, None, _POSITIVE),
         "mass": (float, 1.0, _POSITIVE),
         "hbar": (float, 1.0, _POSITIVE),
-        "clip_tol": (float, 1e-10, _POSITIVE),
         "return_radius": (float, 0.1, _POSITIVE),
         **_grid_keys(30.0, 1501),
     },
@@ -383,7 +378,7 @@ def _scenario_config(cls, cfg: dict, section: str):
                    friction=sec["friction"], gate=sec["gate"],
                    gate_threshold=sec["gate_threshold"],
                    mass=sec["mass"], hbar=sec["hbar"],
-                   clip_tol=sec["clip_tol"], return_radius=sec["return_radius"])
+                   return_radius=sec["return_radius"])
     except ValueError as err:
         raise ConfigError(f"{section}: {err}") from err
 
@@ -585,15 +580,13 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _dispatch(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
-    except NumericalError as err:
+    except (NumericalError, np.linalg.LinAlgError) as err:
+        # LinAlgError subclasses ValueError but is a numerical failure
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
+    except ValueError as err:  # ConfigError and the library's parameter checks
+        print(f"config error: {err}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:  # console-script hook

@@ -14,6 +14,10 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 golden-ratio increment
 
 
+class ConfigError(ValueError):
+    """Configuration missing, malformed, violating the schema, or describing a degenerate run."""
+
+
 class NumericalError(RuntimeError):
     """A simulation failed numerically (divergence, indefinite kernel, ...)."""
 

@@ -4,7 +4,8 @@ Builds the contour propagator matrix from a two-point function, performs the
 rotation into (retarded, advanced, symmetric) components, and assembles the
 fluctuation and memory kernels that drive the classical dynamics.  All kernels
 are dense real matrices on a uniform time grid; the only complex bookkeeping
-lives in :class:`ContourMatrix`.
+lives in :class:`ContourMatrix`.  The squeezed-mode noise kernels also have an
+exact low-rank factor (:func:`squeezed_factor`) that never forms the matrix.
 
 Convention: the retarded kernel is stored as the *real* response function
 (the explicit i of the commutator is absorbed), because the equation of
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import TimeGrid
+from .core import ConfigError, NumericalError, TimeGrid
 from .squeeze import SqueezeParams
 
 RETARDED = "retarded"
@@ -30,6 +31,19 @@ _KINDS = (RETARDED, ADVANCED, SYMMETRIC)
 
 #: relative tolerance for structural (symmetry) validation
 _STRUCT_RTOL = 1e-12
+
+
+def _require_finite(what: str, grid: TimeGrid, vals: np.ndarray) -> None:
+    """Raise NumericalError naming the first (t, t') where vals is inf or NaN.
+
+    NaN slips through every structural check (comparisons with it are False),
+    so it is rejected here before any of them runs.
+    """
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        t = grid.times()
+        raise NumericalError(f"{what} is not finite at (t, t') = ({t[i]:g}, {t[j]:g})")
 
 
 @dataclass(frozen=True)
@@ -52,6 +66,7 @@ class KernelMatrix:
         n = self.grid.n_points
         if vals.shape != (n, n):
             raise ValueError(f"kernel values must be ({n}, {n}), got {vals.shape}")
+        _require_finite(f"{self.kind} kernel", self.grid, vals)
         if self.kind == RETARDED:
             if np.any(vals[np.triu_indices(n, k=1)] != 0.0):
                 raise ValueError("retarded kernel must vanish above the diagonal")
@@ -96,6 +111,7 @@ class ContourMatrix:
             block = np.array(getattr(self, name), dtype=complex, copy=True)
             if block.shape != (n, n):
                 raise ValueError(f"{name} must be ({n}, {n}), got {block.shape}")
+            _require_finite(f"contour block {name}", self.grid, block)
             block.setflags(write=False)
             object.__setattr__(self, name, block)
         scale = max(1.0, float(np.max(np.abs(self.g_plus))))
@@ -219,6 +235,50 @@ def fluctuation_kernel(coupling: float, g_c: KernelMatrix) -> KernelMatrix:
     v = g_c.values
     vals = coupling**2 * (v + v**2 + v**3)
     return KernelMatrix(g_c.grid, vals, SYMMETRIC)
+
+
+def squeezed_factor(params: SqueezeParams, grid: TimeGrid,
+                    coupling: float | None = None) -> np.ndarray:
+    """Exact (n, r) factor F of a squeezed-mode noise kernel, F F^T = kernel.
+
+    With c = cos(2 phi), A = pref (1 - c)/2 and B = pref (1 + c)/2 the hadamard
+    kernel is A e^{w(t+t')} + B e^{-w(t+t')}: rank 2.  Entrywise powers of a
+    low-rank kernel are the face-splitting powers of its factor, so the
+    fluctuation kernel lam^2 (G_C + G_C^2 + G_C^3) is
+    sum_{k=-3..3} c_k e^{kwt} e^{kwt'} with every c_k >= 0: rank <= 7.
+    Column k of F is sqrt(c_k) e^{kwt}, in the fixed order k = 3, ..., -3;
+    columns with c_k = 0 are dropped (at c = +-1 the hadamard factor has
+    rank 1).  coupling None gives the hadamard kernel, a number the
+    fluctuation kernel with that coupling.  Unlike an eigendecomposition of
+    the dense kernel this keeps the decaying modes however far the growing
+    ones outrun them, and it costs O(n r) memory.
+    """
+    pref = params.hbar / (params.mass * params.omega)
+    c = math.cos(2.0 * params.phi)
+    a = 0.5 * pref * (1.0 - c)
+    b = 0.5 * pref * (1.0 + c)
+    if coupling is None:
+        coeffs = {1: a, -1: b}
+    else:
+        lam2 = coupling**2
+        coeffs = {3: a**3, 2: a**2, 1: a + 3.0 * a * a * b, 0: 2.0 * a * b,
+                  -1: b + 3.0 * a * b * b, -2: b**2, -3: b**3}
+        coeffs = {k: lam2 * ck for k, ck in coeffs.items()}
+    kept = [(k, ck) for k, ck in coeffs.items() if ck > 0.0]
+    if not kept:
+        raise ConfigError(f"rank-0 noise: every coefficient of the kernel vanishes "
+                          f"(coupling {coupling!r})")
+    t = grid.times()
+    wt = params.omega * t
+    with np.errstate(over="ignore"):
+        factor = np.stack([math.sqrt(ck) * np.exp(k * wt) for k, ck in kept], axis=1)
+    bad = ~np.isfinite(factor).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(
+            f"noise factor overflows at t = {t[i]:g} (w t = {wt[i]:g}, "
+            f"e^(k w t) for |k| <= {max(abs(k) for k, _ in kept)}); shorten the grid")
+    return factor
 
 
 def memory_kernel(coupling: float, g_r: KernelMatrix, g_c: KernelMatrix) -> KernelMatrix:

@@ -1,9 +1,12 @@
 """Gaussian noise on a time grid: white, and colored with prescribed covariance.
 
-The colored sampler factorizes a (projected) positive-semidefinite kernel by
-symmetric eigendecomposition, which stays robust on the rank-deficient
-kernels this library produces; plain triangular factorization would fail
-there.  :func:`hs_moment_check` is the operational statement of the noise
+Colored noise is drawn over a factor F with F F^T = covariance
+(:func:`draw_from_factor`).  For a kernel known only as a dense matrix the
+factor comes from a symmetric eigendecomposition with eigenvalue clipping,
+which stays robust on rank-deficient kernels where plain triangular
+factorization would fail; the squeezed-mode kernels of the scenarios have an
+exact closed-form factor instead (:func:`ctpsim.kernels.squeezed_factor`).
+:func:`hs_moment_check` is the operational statement of the noise
 factorization: averaging exp(i xi . v) over the ensemble must reproduce
 exp(-v^T K v / 2).
 """
@@ -82,6 +85,29 @@ def _factor(kernel: KernelMatrix, clip_tol: float) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(w[keep])
 
 
+def draw_from_factor(factor: np.ndarray, seed: int, n_realizations: int) -> np.ndarray:
+    """(M, n) Gaussian rows F z_i with covariance F F^T, for a factor F of shape (n, r).
+
+    z_i = standard_normal(r) from default_rng(derive_seed(seed, i)).  Rows are
+    accumulated as sum_k z[:, k] F[:, k] in column order with elementwise
+    operations, not a matrix product whose blocking may depend on M, so row i
+    is bit-identical for every ensemble size and a larger ensemble only
+    appends rows.
+    """
+    if n_realizations < 1:
+        raise ValueError("n_realizations must be >= 1")
+    n, rank = factor.shape
+    z = np.empty((n_realizations, rank))
+    for i in range(n_realizations):
+        z[i] = np.random.default_rng(derive_seed(seed, i)).standard_normal(rank)
+    rows = np.zeros((n_realizations, n))
+    term = np.empty_like(rows)
+    for k in range(rank):
+        np.multiply(z[:, k, None], factor[:, k], out=term)
+        rows += term
+    return rows
+
+
 def sample_colored(kernel: KernelMatrix, seed: int, n_realizations: int,
                    clip_tol: float = DEFAULT_CLIP_TOL) -> NoiseEnsemble:
     """Gaussian process with covariance equal to the given symmetric kernel.
@@ -90,14 +116,7 @@ def sample_colored(kernel: KernelMatrix, seed: int, n_realizations: int,
     the ensemble covariance converges to the kernel at the 1/sqrt(M) rate.
     Indefiniteness beyond clip_tol is an error, not a silent repair.
     """
-    if n_realizations < 1:
-        raise ValueError("n_realizations must be >= 1")
-    factor = _factor(kernel, clip_tol)
-    rank = factor.shape[1]
-    rows = np.empty((n_realizations, kernel.n))
-    for i in range(n_realizations):
-        rng = np.random.default_rng(derive_seed(seed, i))
-        rows[i] = factor @ rng.standard_normal(rank)
+    rows = draw_from_factor(_factor(kernel, clip_tol), seed, n_realizations)
     return NoiseEnsemble(kernel.grid, rows, seed, covariance_ref=kernel.describe())
 
 

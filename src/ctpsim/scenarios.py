@@ -18,11 +18,12 @@ import numpy as np
 
 from .core import DivergenceError, NumericalError, TimeGrid, derive_seed
 from .kernels import (DeSitterParams, KernelMatrix, build_hadamard,
-                      desitter_hadamard, fluctuation_kernel)
+                      desitter_hadamard, fluctuation_kernel, squeezed_factor)
 from .langevin import (DIVERGENCE_GUARD, EnsembleStats, SpectrumEstimate,
                        aggregate_paths, estimate_spectrum,
                        integrate_overdamped_mode, relaxation_rate)
-from .noise import sample_colored, sample_white
+from .noise import draw_from_factor, sample_white
+from .noise import sample_colored  # noqa: F401  (perfbench traces it through this module)
 from .squeeze import SqueezeParams
 
 #: scaled Kuiper-statistic critical value at the 1 percent level
@@ -58,7 +59,6 @@ class SSBConfig:
     gate_threshold: float | None = None  # |x|^2 latch level; None -> -2 m2 / lam
     mass: float = 1.0
     hbar: float = 1.0
-    clip_tol: float = 1e-10
     return_radius: float = 0.1
 
     def __post_init__(self):
@@ -212,10 +212,17 @@ class BECReport:
         }
 
 
+def _squeeze_params(cfg: SSBConfig) -> SqueezeParams:
+    return SqueezeParams(mass=cfg.mass, omega=math.sqrt(-cfg.m2), hbar=cfg.hbar)
+
+
 def scenario_noise_kernel(cfg: SSBConfig) -> KernelMatrix:
-    """Noise covariance for a scenario: free hadamard kernel or the composed one."""
-    params = SqueezeParams(mass=cfg.mass, omega=math.sqrt(-cfg.m2), hbar=cfg.hbar)
-    g_c = build_hadamard(params, cfg.grid)
+    """Dense noise covariance of a scenario: free hadamard kernel or the composed one.
+
+    The scenarios sample from its exact factor instead; this n x n matrix is
+    the reference that factor is checked against.
+    """
+    g_c = build_hadamard(_squeeze_params(cfg), cfg.grid)
     if cfg.noise_kernel == "hadamard":
         return g_c
     return fluctuation_kernel(cfg.coupling, g_c)
@@ -224,9 +231,10 @@ def scenario_noise_kernel(cfg: SSBConfig) -> KernelMatrix:
 def _sample_scenario_noise(cfg: SSBConfig, n_components: int) -> np.ndarray:
     """(M, d, n) noise array; component c of run i uses ensemble row i*d + c."""
     m = cfg.n_realizations
-    kernel = scenario_noise_kernel(cfg)
-    ens = sample_colored(kernel, cfg.master_seed, m * n_components, cfg.clip_tol)
-    rows = cfg.noise_amplitude * ens.realizations
+    coupling = cfg.coupling if cfg.noise_kernel == "fluctuation" else None
+    factor = squeezed_factor(_squeeze_params(cfg), cfg.grid, coupling)
+    rows = draw_from_factor(factor, cfg.master_seed, m * n_components)
+    rows *= cfg.noise_amplitude
     return rows.reshape(m, n_components, cfg.grid.n_points)
 
 

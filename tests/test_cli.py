@@ -47,6 +47,10 @@ class TestLoadConfig:
         path = write_config(tmp_path, {"ssb": {"lambdaa": 0.5}})
         with pytest.raises(ConfigError, match="ssb.*lambdaa"):
             load_config(path, "ssb")
+        # the scenarios sample an exact factor: nothing to clip
+        path = write_config(tmp_path, {"bec": {"clip_tol": 1e-10}})
+        with pytest.raises(ConfigError, match="bec.*clip_tol"):
+            load_config(path, "bec")
 
     def test_negative_coupling_rejected(self, tmp_path):
         path = write_config(tmp_path, {"ssb": {"lambda": -1.0}})
@@ -108,6 +112,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "realization" in err
+
+    def test_rank_zero_noise_is_config_error(self, tmp_path, capsys):
+        cfg = {"bec": {"noise_kernel": "fluctuation", "coupling": 0.0}}
+        path = write_config(tmp_path, cfg)
+        code = main(["bec", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "rank-0 noise" in capsys.readouterr().err
+
+    def test_noise_factor_overflow_is_numerical_failure(self, tmp_path, capsys):
+        cfg = {"ssb": {"noise_kernel": "fluctuation", "t_end": 300.0,
+                       "n_points": 31}}
+        path = write_config(tmp_path, cfg)
+        code = main(["ssb", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "overflows at t = 240" in err
+
+    def test_linalg_error_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        import ctpsim.cli as cli_mod
+
+        def singular(cfg):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli_mod, "_verify_checks", singular)
+        assert main(["verify", "--out", str(tmp_path / "v")]) == 2
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_verify_passes(self, tmp_path):
         out = tmp_path / "verify"
@@ -217,6 +248,19 @@ class TestOutputs:
         assert main(["ssb", "--config", str(path), "--out", str(out)]) == 0
         leftovers = [p for p in out.iterdir() if ".tmp" in p.name]
         assert leftovers == []
+
+    @pytest.mark.parametrize("scenario", ["ssb", "bec"])
+    def test_fluctuation_kernel_scenarios_run(self, tmp_path, scenario):
+        # default [0, 30] grid; verdicts are statistical, so only the run is checked
+        cfg = {"master_seed": 1, "n_realizations": 40,
+               scenario: {"noise_kernel": "fluctuation"}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main([scenario, "--config", str(path), "--out", str(out)]) == 0
+        finals = np.loadtxt(out / "finals.csv", delimiter=",", skiprows=1)
+        assert finals.size > 0 and np.all(np.isfinite(finals))
+        report = json.loads((out / "report.json").read_text())
+        assert report["noise_kernel"] == "fluctuation"
 
     def test_bec_and_inflation_pipelines(self, tmp_path):
         cfg = {"master_seed": 5, "n_realizations": 40,

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ctpsim.core import make_grid
+from ctpsim.core import ConfigError, NumericalError, make_grid
 from ctpsim.kernels import (ADVANCED, RETARDED, SYMMETRIC, ContourMatrix,
                             DeSitterParams, KernelMatrix,
                             build_contour_matrix, build_hadamard,
                             build_retarded, desitter_hadamard,
                             elementwise_power, fluctuation_kernel,
-                            keldysh_rotate, memory_kernel, psd_project)
+                            keldysh_rotate, memory_kernel, psd_project,
+                            squeezed_factor)
 from ctpsim.squeeze import SqueezeParams, mode_two_point
 
 UNIT = SqueezeParams()
@@ -50,6 +51,16 @@ class TestKernelMatrixStructure:
         grid = make_grid(0.0, 1.0, 4)
         with pytest.raises(ValueError, match="kind"):
             KernelMatrix(grid, np.eye(4), "weird")
+
+    def test_non_finite_values_rejected(self):
+        # cosh and sinh overflow to inf at w (t + t') ~ 710; inf - c inf is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="not finite"):
+                build_hadamard(UNIT, make_grid(0.0, 400.0, 9))
+        vals = np.eye(4)
+        vals[2, 2] = np.nan
+        with pytest.raises(NumericalError, match=r"\(t, t'\) = \(0.666667, 0.666667\)"):
+            KernelMatrix(make_grid(0.0, 1.0, 4), vals, SYMMETRIC)
 
 
 class TestBuildRetarded:
@@ -132,6 +143,15 @@ class TestContourMatrix:
         good = build_contour_matrix(stable_two_point(), grid)
         with pytest.raises(ValueError, match="ordering identity"):
             ContourMatrix(grid, g_f=good.g_f + 1.0, g_plus=good.g_plus,
+                          g_minus=good.g_minus, g_fbar=good.g_fbar)
+
+    def test_non_finite_block_rejected(self):
+        grid = make_grid(0.0, 1.0, 4)
+        good = build_contour_matrix(stable_two_point(), grid)
+        g_plus = good.g_plus.copy()
+        g_plus[1, 3] = complex(0.0, np.inf)
+        with pytest.raises(NumericalError, match="g_plus is not finite"):
+            ContourMatrix(grid, g_f=good.g_f, g_plus=g_plus,
                           g_minus=good.g_minus, g_fbar=good.g_fbar)
 
 
@@ -220,6 +240,39 @@ class TestFluctuationKernel:
         out = fluctuation_kernel(0.5, g_c)
         w = np.linalg.eigvalsh(out.values)
         assert w[0] >= -1e-10 * w[-1]
+
+
+class TestSqueezedFactor:
+    @pytest.mark.parametrize("phi", [-math.pi / 4, 0.3, 0.0, math.pi / 2])
+    @pytest.mark.parametrize("coupling", [None, 0.7])
+    def test_factor_reproduces_dense_kernel(self, phi, coupling):
+        params = SqueezeParams(mass=1.3, omega=0.8, phi=phi, hbar=0.9)
+        grid = make_grid(-0.5, 3.0, 41)
+        g_c = build_hadamard(params, grid)
+        dense = g_c if coupling is None else fluctuation_kernel(coupling, g_c)
+        f = squeezed_factor(params, grid, coupling)
+        # near c = +-1 the dense cosh - c sinh cancels, so its error is
+        # relative to the largest entry, not to each entry
+        scale = np.max(np.abs(dense.values))
+        assert np.allclose(f @ f.T, dense.values, rtol=1e-12, atol=1e-13 * scale)
+
+    def test_rank(self):
+        grid = make_grid(0.0, 1.0, 8)
+        assert squeezed_factor(UNIT, grid).shape == (8, 2)
+        assert squeezed_factor(UNIT, grid, 0.5).shape == (8, 7)
+        # c = cos(2 phi) = 1 leaves only the decaying modes
+        assert squeezed_factor(SqueezeParams(phi=0.0), grid).shape == (8, 1)
+        assert squeezed_factor(SqueezeParams(phi=0.0), grid, 0.5).shape == (8, 3)
+
+    def test_rank_zero_rejected(self):
+        with pytest.raises(ConfigError, match="rank-0 noise"):
+            squeezed_factor(UNIT, make_grid(0.0, 1.0, 8), 0.0)
+
+    def test_overflow_names_first_bad_time(self):
+        grid = make_grid(0.0, 300.0, 31)  # e^{3 w t} leaves the float range past w t ~ 236.6
+        squeezed_factor(UNIT, grid)
+        with pytest.raises(NumericalError, match="t = 240"):
+            squeezed_factor(UNIT, grid, 0.5)
 
 
 class TestMemoryKernel:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,12 +6,13 @@ import numpy as np
 import pytest
 
 from ctpsim.core import NumericalError, make_grid
-from ctpsim.kernels import DeSitterParams
+from ctpsim.kernels import DeSitterParams, squeezed_factor
 from ctpsim.langevin import aggregate_paths
 from ctpsim.scenarios import (BECConfig, SSBConfig, kuiper_statistic,
                               recursion_probability, run_bec, run_inflation,
                               run_ssb, scenario_noise_kernel,
                               _integrate_gated, _sample_scenario_noise)
+from ctpsim.squeeze import SqueezeParams
 
 GRID = make_grid(0.0, 30.0, 1501)
 
@@ -57,6 +59,46 @@ class TestConfigs:
                        coupling=0.5))
         v = free.values
         assert np.allclose(composed.values, 0.25 * (v + v**2 + v**3), rtol=1e-13)
+
+
+class TestScenarioNoise:
+    """The sampled noise matches its kernel on the grid the scenarios run on.
+
+    On [0, 30] the growing mode outruns the decaying one by e^60, far past any
+    eigenvalue clipping tolerance, so this is where a truncated factor shows.
+    """
+
+    GRID = make_grid(0.0, 30.0, 301)
+
+    @pytest.mark.parametrize("noise_kernel,coupling",
+                             [("hadamard", None), ("fluctuation", 0.5)])
+    def test_factor_matches_dense_kernel(self, noise_kernel, coupling):
+        cfg = ssb_config(grid=self.GRID, noise_kernel=noise_kernel, coupling=0.5)
+        f = squeezed_factor(SqueezeParams(), self.GRID, coupling)
+        assert np.allclose(f @ f.T, scenario_noise_kernel(cfg).values,
+                           rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("noise_kernel", ["hadamard", "fluctuation"])
+    def test_sample_covariance_in_onset_window(self, noise_kernel):
+        m = 4000
+        cfg = ssb_config(grid=self.GRID, noise_kernel=noise_kernel,
+                         noise_amplitude=1.0, n_realizations=m, master_seed=303)
+        idx = [0, 5, 10, 50]  # t = 0, 0.5, 1, 5
+        assert np.array_equal(self.GRID.times()[idx], [0.0, 0.5, 1.0, 5.0])
+        xi = _sample_scenario_noise(cfg, 1)[:, 0, idx]
+        k = scenario_noise_kernel(cfg).values[np.ix_(idx, idx)]
+        sample_cov = xi.T @ xi / m
+        se = np.sqrt((np.outer(np.diag(k), np.diag(k)) + k**2) / m)
+        assert np.max(np.abs(sample_cov - k) / se) < 5.0
+
+    @pytest.mark.parametrize("n_components", [1, 2])
+    def test_larger_ensemble_only_appends(self, n_components):
+        cfg = ssb_config(grid=self.GRID, noise_kernel="fluctuation")
+        small = _sample_scenario_noise(dataclasses.replace(cfg, n_realizations=5),
+                                       n_components)
+        big = _sample_scenario_noise(dataclasses.replace(cfg, n_realizations=12),
+                                     n_components)
+        assert big[:5].tobytes() == small.tobytes()
 
 
 class TestSSB:
