@@ -16,7 +16,7 @@ from .langevin import (EnsembleStats, PotentialSpec, SpectrumEstimate,
                        Trajectory, aggregate_paths, ensemble_run,
                        estimate_spectrum, integrate_memory,
                        integrate_overdamped_mode, integrate_white,
-                       relaxation_rate)
+                       relaxation_rate, step_exponential, step_semi_implicit)
 from .noise import (NoiseEnsemble, draw_from_factor, hs_moment_check,
                     sample_colored, sample_white)
 from .scenarios import (BECConfig, BECReport, SSBConfig, SSBReport,

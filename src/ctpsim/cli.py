@@ -1,9 +1,10 @@
 """Command-line front end: config ingestion, dispatch and bit-stable exports.
 
 One JSON document configures every subcommand; each subcommand reads its own
-section plus the shared reproducibility keys (master_seed, n_realizations,
-threads).  The schema is strict: unknown keys and duplicate keys are fatal,
-so a misspelled physical parameter can never fall back to a default silently.
+section plus the shared reproducibility keys (master_seed, n_realizations;
+threads is accepted and recorded but has no effect).  The schema is strict:
+unknown keys and duplicate keys are fatal, so a misspelled physical parameter
+can never fall back to a default silently.
 All outputs are written atomically (temp file + rename) and every run leaves
 a manifest sufficient to reproduce it bit-exactly.
 
@@ -28,7 +29,8 @@ from .core import ConfigError, NumericalError, TimeGrid, derive_seed, make_grid
 from .kernels import (DeSitterParams, KernelMatrix, build_contour_matrix,
                       build_hadamard, build_retarded, fluctuation_kernel,
                       keldysh_rotate, memory_kernel)
-from .langevin import PotentialSpec, ensemble_run, integrate_white
+from .langevin import PotentialSpec, aggregate_paths, step_semi_implicit
+from .langevin import ensemble_run  # noqa: F401  (perfbench traces it through this module)
 from .noise import hs_moment_check, sample_colored, sample_white
 from .scenarios import BECConfig, SSBConfig, run_bec, run_inflation, run_ssb
 from .squeeze import (SqueezeParams, bogolubov_coefficients, mode_two_point,
@@ -341,20 +343,17 @@ def _cmd_langevin(cfg: dict, out: Path) -> list[str]:
     sec = cfg["langevin"]
     grid = _grid_from(sec)
     pot = _langevin_potential(sec)
-    std = math.sqrt(sec["sigma2"] / grid.dt)
-    n = grid.n_points
-
-    def run_one(seed: int):
-        xi = std * np.random.default_rng(seed).standard_normal(n)
-        return integrate_white(pot, sec["gamma"], grid, xi, sec["x0"], sec["v0"])
-
-    stats = ensemble_run(run_one, cfg["master_seed"], cfg["n_realizations"],
-                         n_threads=cfg["threads"])
+    noise = sample_white(sec["sigma2"], grid, cfg["master_seed"],
+                         cfg["n_realizations"]).realizations
+    paths, _, v_first = step_semi_implicit(noise[:, None, :], pot.vprime, sec["gamma"],
+                                           grid, sec["x0"], sec["v0"])
+    del noise  # not kept alive through the aggregation
+    paths = paths[:, 0, :]
+    stats = aggregate_paths(grid, paths)
     _write_csv(out / "ensemble.csv", ["t", "mean", "variance"],
                zip(grid.times(), stats.mean, stats.variance))
-    traj0 = run_one(derive_seed(cfg["master_seed"], 0))
     _write_csv(out / "trajectory0.csv", ["t", "x", "xdot"],
-               zip(grid.times(), traj0.x, traj0.xdot))
+               zip(grid.times(), paths[0], v_first[0]))
     tail = slice((grid.n_points * 3) // 4, None)
     summary = {
         "potential": sec["potential"],
@@ -524,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--realizations", type=int, default=None,
                        help="override n_realizations")
         p.add_argument("--threads", type=int, default=None,
-                       help="override ensemble concurrency degree")
+                       help="accepted for compatibility; has no effect "
+                            "(ensembles are stepped as one batch)")
     return parser
 
 

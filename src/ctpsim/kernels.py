@@ -153,7 +153,8 @@ def build_retarded(params: SqueezeParams, grid: TimeGrid) -> KernelMatrix:
     t = grid.times()
     pref = params.hbar / (params.mass * params.omega)
     diff = params.omega * (t[:, None] - t[None, :])
-    vals = np.where(_lower_mask(grid.n_points), pref * np.sinh(diff), 0.0)
+    with np.errstate(over="ignore"):  # KernelMatrix rejects inf
+        vals = np.where(_lower_mask(grid.n_points), pref * np.sinh(diff), 0.0)
     return KernelMatrix(grid, vals, RETARDED)
 
 
@@ -167,7 +168,8 @@ def build_hadamard(params: SqueezeParams, grid: TimeGrid) -> KernelMatrix:
     t = grid.times()
     pref = params.hbar / (params.mass * params.omega)
     s = params.omega * (t[:, None] + t[None, :])
-    vals = pref * (np.cosh(s) - math.cos(2.0 * params.phi) * np.sinh(s))
+    with np.errstate(over="ignore", invalid="ignore"):  # KernelMatrix rejects inf/NaN
+        vals = pref * (np.cosh(s) - math.cos(2.0 * params.phi) * np.sinh(s))
     return KernelMatrix(grid, vals, SYMMETRIC)
 
 
@@ -233,7 +235,8 @@ def fluctuation_kernel(coupling: float, g_c: KernelMatrix) -> KernelMatrix:
     if g_c.kind != SYMMETRIC:
         raise ValueError("fluctuation kernel requires a symmetric input")
     v = g_c.values
-    vals = coupling**2 * (v + v**2 + v**3)
+    with np.errstate(over="ignore", invalid="ignore"):  # KernelMatrix rejects inf/NaN
+        vals = coupling**2 * (v + v**2 + v**3)
     return KernelMatrix(g_c.grid, vals, SYMMETRIC)
 
 
@@ -293,7 +296,8 @@ def memory_kernel(coupling: float, g_r: KernelMatrix, g_c: KernelMatrix) -> Kern
         raise ValueError("memory kernel requires a symmetric G_C")
     if g_r.grid != g_c.grid:
         raise ValueError("G_R and G_C live on different grids")
-    vals = 2.0 * g_r.values * (1.0 + coupling**2 * g_c.values**2)
+    with np.errstate(over="ignore", invalid="ignore"):  # KernelMatrix rejects inf/NaN
+        vals = 2.0 * g_r.values * (1.0 + coupling**2 * g_c.values**2)
     return KernelMatrix(g_r.grid, vals, RETARDED)
 
 

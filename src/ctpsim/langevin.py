@@ -10,11 +10,16 @@ The stepping scheme is fixed: semi-implicit Euler with the damping folded in
 implicitly, v' = (v + dt f)/(1 + gamma dt), x' = x + dt v'.  It is symplectic
 in the frictionless limit and stable for stiff friction.  The overdamped
 equation uses an exponential-integrator step that is exact for linear decay.
+
+Ensembles are stepped all realizations at once by :func:`step_semi_implicit`
+and :func:`step_exponential`; they apply the same elementwise operations in
+the same order as the single-path :func:`integrate_white` and
+:func:`integrate_overdamped_mode`, so every row is bit-identical to the
+single-path result and does not depend on the ensemble size.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -25,6 +30,10 @@ from .kernels import RETARDED, DeSitterParams, KernelMatrix
 
 #: abort a realization once |x| exceeds this many natural units
 DIVERGENCE_GUARD = 1e12
+
+#: time steps per block of the batched steppers; a block's noise is read in
+#: time-major order and its paths are written back in one transposed copy
+_BLOCK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -223,6 +232,108 @@ def integrate_overdamped_mode(dp: DeSitterParams, noise_amp: float, grid: TimeGr
     return Trajectory(grid, phi, rhs)
 
 
+def _time_blocks(n_steps: int):
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        yield start, min(start + _BLOCK_STEPS, n_steps)
+
+
+def _time_major(a: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Contiguous copy of a[..., start:stop] with the time axis moved first."""
+    return np.ascontiguousarray(np.moveaxis(a[..., start:stop], -1, 0))
+
+
+def step_semi_implicit(noise: np.ndarray, vprime: Callable[[np.ndarray], np.ndarray],
+                       gamma: float, grid: TimeGrid, x0=0.0, v0=0.0,
+                       gate_threshold: float | None = None
+                       ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Step M realizations of xdd = -gamma xd - V'(x) + g xi at once.
+
+    noise has shape (M, d, n); vprime maps positions (M, d) to the gradient
+    V'(x) (M, d), e.g. PotentialSpec.vprime.  x0 and v0 broadcast to (M, d).
+    Each step is the scheme of :func:`integrate_white`,
+    f = g xi_i - V'(x), v' = (v + dt f)/(1 + gamma dt), x' = x + dt v',
+    applied elementwise (g xi - V' is bit-identical to -V' + g xi), so with
+    the same V' every row equals integrate_white on that row bit for bit.
+
+    Without a gate_threshold the gate g is 1.  With one, g starts at 1 per
+    realization and latches to 0 the first time sum_a x_a^2 exceeds the
+    threshold; it never reopens.
+
+    Returns (paths (M, d, n), gates (M, n) or None when there is no gate,
+    velocities of realization 0 (d, n)).  A step at which some |x_a| exceeds
+    DIVERGENCE_GUARD or is not finite raises DivergenceError for the earliest
+    such step and, among ties, the lowest realization index.
+    """
+    noise = np.asarray(noise, dtype=float)
+    m, d, n = noise.shape
+    if n != grid.n_points:
+        raise ValueError(f"noise must have {grid.n_points} time points, got {n}")
+    dt = grid.dt
+    denom = 1.0 + gamma * dt
+    x = np.empty((m, d))
+    v = np.empty((m, d))
+    x[...] = x0
+    v[...] = v0
+    paths = np.empty((m, d, n))
+    paths[:, :, 0] = x
+    v_first = np.empty((n, d))
+    v_first[0] = v[0]
+    gated = gate_threshold is not None
+    gate = np.ones(m)
+    gates = np.ones((m, n)) if gated else None
+    # x and v are written straight into the block buffers
+    xs = np.empty((_BLOCK_STEPS, m, d))
+    vs = np.empty((_BLOCK_STEPS, m, d))
+    gs = np.empty((_BLOCK_STEPS, m))
+    for start, stop in _time_blocks(n - 1):
+        xi = _time_major(noise, start, stop)
+        size = stop - start
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(size):
+                drive = gate[:, None] * xi[j] if gated else xi[j]
+                v = np.divide(v + dt * (drive - vprime(x)), denom, out=vs[j])
+                x = np.add(x, dt * v, out=xs[j])
+                if gated:
+                    r2 = np.einsum("md,md->m", x, x)
+                    gate = np.where(r2 > gate_threshold, 0.0, gate)
+                    gs[j] = gate
+        bad = ~(np.abs(xs[:size]) <= DIVERGENCE_GUARD).all(axis=2)
+        if bad.any():
+            j = int(np.argmax(bad.any(axis=1)))
+            idx = int(np.argmax(bad[j]))
+            step = start + j + 1
+            raise DivergenceError(
+                f"realization {idx}: trajectory diverged at step {step} "
+                f"(t = {grid.t_start + step * dt:g}): |x| exceeded "
+                f"{DIVERGENCE_GUARD:g}", step=step, realization=idx)
+        paths[:, :, start + 1:stop + 1] = xs[:size].transpose(1, 2, 0)
+        v_first[start + 1:stop + 1] = vs[:size, 0]
+        if gated:
+            gates[:, start + 1:stop + 1] = gs[:size].T
+    return paths, gates, v_first.T
+
+
+def step_exponential(drive: np.ndarray, q: float, phi0=0.0) -> np.ndarray:
+    """(M, n) paths of phi_{i+1} = q phi_i + (1 - q) drive_i, all rows at once.
+
+    The step of :func:`integrate_overdamped_mode` (with drive = amp xi),
+    applied elementwise, so each row equals the single-path result bit for bit.
+    """
+    drive = np.asarray(drive, dtype=float)
+    m, n = drive.shape
+    w = 1.0 - q
+    paths = np.empty((m, n))
+    paths[:, 0] = phi0
+    phi = paths[:, 0].copy()
+    block = np.empty((_BLOCK_STEPS, m))
+    for start, stop in _time_blocks(n - 1):
+        d = _time_major(drive, start, stop)
+        for j in range(stop - start):
+            phi = np.add(q * phi, w * d[j], out=block[j])
+        paths[:, start + 1:stop + 1] = block[:stop - start].T
+    return paths
+
+
 def _sorted_reduce_mean(values: np.ndarray) -> np.ndarray:
     # canonical (sorted) summation order: permutation-invariant reductions
     return np.sort(values, axis=0).sum(axis=0) / values.shape[0]
@@ -251,11 +362,13 @@ def aggregate_paths(grid: TimeGrid, paths: np.ndarray, keep_paths: bool = False,
 def ensemble_run(run_one: Callable[[int], Trajectory], master_seed: int,
                  n_realizations: int, keep_paths: bool = False,
                  n_threads: int = 1) -> EnsembleStats:
-    """Run M independent trajectories with seeds derive_seed(master, i).
+    """Run M independent trajectories with seeds derive_seed(master, i), one by one.
 
     run_one maps a derived seed to a Trajectory.  Results depend only on
-    master_seed, never on scheduling; integrator failures are re-raised with
-    the offending realization index attached.
+    master_seed; integrator failures are re-raised with the offending
+    realization index attached.  n_threads is accepted for compatibility and
+    has no effect: ensembles that need speed are stepped as one batch by
+    :func:`step_semi_implicit` or :func:`step_exponential`.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
@@ -271,14 +384,8 @@ def ensemble_run(run_one: Callable[[int], Trajectory], master_seed: int,
     first = run_indexed(0)
     paths = np.empty((n_realizations, first.grid.n_points))
     paths[0] = first.x
-    remaining = range(1, n_realizations)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for i, traj in zip(remaining, pool.map(run_indexed, remaining)):
-                paths[i] = traj.x
-    else:
-        for i in remaining:
-            paths[i] = run_indexed(i).x
+    for i in range(1, n_realizations):
+        paths[i] = run_indexed(i).x
     return aggregate_paths(first.grid, paths, keep_paths=keep_paths)
 
 

@@ -22,6 +22,9 @@ from .kernels import SYMMETRIC, KernelMatrix
 
 DEFAULT_CLIP_TOL = 1e-10
 
+#: float64 values per row block of draw_from_factor's accumulation (128 KB)
+_DRAW_BLOCK_VALUES = 16384
+
 
 @dataclass(frozen=True)
 class NoiseEnsemble:
@@ -92,7 +95,8 @@ def draw_from_factor(factor: np.ndarray, seed: int, n_realizations: int) -> np.n
     accumulated as sum_k z[:, k] F[:, k] in column order with elementwise
     operations, not a matrix product whose blocking may depend on M, so row i
     is bit-identical for every ensemble size and a larger ensemble only
-    appends rows.
+    appends rows.  The sum runs over blocks of rows that fit in cache
+    (_DRAW_BLOCK_VALUES values); the per-element order is the same.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
@@ -100,11 +104,16 @@ def draw_from_factor(factor: np.ndarray, seed: int, n_realizations: int) -> np.n
     z = np.empty((n_realizations, rank))
     for i in range(n_realizations):
         z[i] = np.random.default_rng(derive_seed(seed, i)).standard_normal(rank)
+    columns = np.ascontiguousarray(factor.T)
     rows = np.zeros((n_realizations, n))
-    term = np.empty_like(rows)
-    for k in range(rank):
-        np.multiply(z[:, k, None], factor[:, k], out=term)
-        rows += term
+    block = max(1, _DRAW_BLOCK_VALUES // n)
+    term = np.empty((min(block, n_realizations), n))
+    for start in range(0, n_realizations, block):
+        acc = rows[start:start + block]
+        tmp = term[:acc.shape[0]]
+        for k in range(rank):
+            np.multiply(z[start:start + block, k, None], columns[k], out=tmp)
+            acc += tmp
     return rows
 
 

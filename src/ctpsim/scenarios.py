@@ -19,9 +19,9 @@ import numpy as np
 from .core import DivergenceError, NumericalError, TimeGrid, derive_seed
 from .kernels import (DeSitterParams, KernelMatrix, build_hadamard,
                       desitter_hadamard, fluctuation_kernel, squeezed_factor)
-from .langevin import (DIVERGENCE_GUARD, EnsembleStats, SpectrumEstimate,
-                       aggregate_paths, estimate_spectrum,
-                       integrate_overdamped_mode, relaxation_rate)
+from .langevin import (EnsembleStats, SpectrumEstimate, aggregate_paths,
+                       estimate_spectrum, relaxation_rate, step_exponential,
+                       step_semi_implicit)
 from .noise import draw_from_factor, sample_white
 from .noise import sample_colored  # noqa: F401  (perfbench traces it through this module)
 from .squeeze import SqueezeParams
@@ -239,40 +239,28 @@ def _sample_scenario_noise(cfg: SSBConfig, n_components: int) -> np.ndarray:
 
 
 def _integrate_gated(cfg: SSBConfig, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Step all realizations at once; returns (paths (M,d,n), gate (M,n)).
+    """Step all realizations at once from x = 0; returns (paths (M,d,n), gate (M,n)).
 
     The gate starts at 1, multiplies the noise, and latches to 0 the first
     time |x|^2 crosses the threshold; it never reopens.  The radial force is
     -(m2 + lam |x|^2 / 6) x_a, identical to the scalar double well at d = 1.
     """
-    m, d, n = noise.shape
-    dt = cfg.grid.dt
     c1 = cfg.m2
     c3 = cfg.lam / 6.0
-    denom = 1.0 + cfg.friction * dt
-    threshold = cfg.gate_threshold_sq
-    x = np.zeros((m, d))
-    v = np.zeros((m, d))
-    gate = np.ones(m)
-    paths = np.zeros((m, d, n))
-    gates = np.ones((m, n))
-    for i in range(n - 1):
-        r2 = np.einsum("md,md->m", x, x)
-        force = -(c1 + c3 * r2)[:, None] * x + gate[:, None] * noise[:, :, i]
-        v = (v + dt * force) / denom
-        x = x + dt * v
-        bad = ~np.isfinite(x).all(axis=1) | (np.abs(x) > DIVERGENCE_GUARD).any(axis=1)
-        if bad.any():
-            idx = int(np.argmax(bad))
-            raise DivergenceError(
-                f"realization {idx}: scenario trajectory diverged at step {i + 1} "
-                f"(dt = {dt:g} too coarse for the curvature |m2| = {abs(c1):g})",
-                step=i + 1, realization=idx)
-        if cfg.gate:
-            r2 = np.einsum("md,md->m", x, x)
-            gate = np.where(r2 > threshold, 0.0, gate)
-        paths[:, :, i + 1] = x
-        gates[:, i + 1] = gate
+
+    def vprime(x):
+        return (c1 + c3 * np.einsum("md,md->m", x, x))[:, None] * x
+
+    try:
+        paths, gates, _ = step_semi_implicit(
+            noise, vprime, cfg.friction, cfg.grid,
+            gate_threshold=cfg.gate_threshold_sq if cfg.gate else None)
+    except DivergenceError as err:
+        raise DivergenceError(
+            f"{err} (dt = {cfg.grid.dt:g} too coarse for the curvature "
+            f"|m2| = {abs(c1):g})", step=err.step, realization=err.realization) from err
+    if gates is None:
+        gates = np.ones((noise.shape[0], noise.shape[2]))
     return paths, gates
 
 
@@ -376,15 +364,9 @@ def recursion_probability(stats: EnsembleStats, leave_radius: float,
         raise ValueError("recursion probability needs retained paths "
                          "(aggregate with keep_paths=True)")
     a = np.abs(stats.paths)
-    m = a.shape[0]
-    recursed = 0
-    for row in a:
-        outside = np.nonzero(row > leave_radius)[0]
-        if outside.size == 0:
-            continue
-        if np.any(row[outside[0]:] < return_radius):
-            recursed += 1
-    return recursed / m
+    has_left = np.logical_or.accumulate(a > leave_radius, axis=1)
+    recursed = np.count_nonzero((has_left & (a < return_radius)).any(axis=1))
+    return recursed / a.shape[0]
 
 
 def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
@@ -422,13 +404,14 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
             f"non-stationary tail: only {rate * t_settle:.2f} relaxation times "
             f"elapse before the tail window; extend the grid or raise the rate")
 
+    q = np.exp(-rate * grid.dt)
     pairs = []
     for mode_idx, dp in enumerate(sorted(modes, key=lambda d: d.k)):
         amp = math.sqrt(desitter_hadamard(dp, 0.0, 0.0))
         ens = sample_white(1.0, grid, derive_seed(master_seed, mode_idx), n_realizations)
+        phi = step_exponential(amp * ens.realizations, q)
         acc = 0.0
-        for xi in ens.realizations:
-            traj = integrate_overdamped_mode(dp, amp, grid, xi, 0.0)
-            acc += float(np.mean(traj.x[tail_start:] ** 2))
+        for row in phi:
+            acc += float(np.mean(row[tail_start:] ** 2))
         pairs.append((dp.k, acc / n_realizations))
     return estimate_spectrum(pairs)

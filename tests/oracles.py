@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: flows come from
 scipy's matrix exponential, stationary moments from the Lyapunov solver, and
-the memory-scheme reference from a dense simultaneous solve.
+the memory-scheme reference from a dense simultaneous solve.  The gated
+scenario stepper and the recursion count are checked against plain loops.
 """
 
 import numpy as np
@@ -103,3 +104,48 @@ def collocation_memory_oracle(omega, kernel_values, grid, x0, v0):
         a[row, n + i + 1] = -dt
     z = np.linalg.solve(a, b)
     return z[:n]
+
+
+def gated_loop_oracle(cfg, noise):
+    """Per-step loop of the gated scenario stepper: (paths (M,d,n), gates (M,n)).
+
+    The original implementation, kept as the reference for the batched
+    stepper: one step at a time over all realizations, force
+    -(m2 + lam |x|^2 / 6) x + gate xi, semi-implicit update, then the gate
+    latch on the new |x|^2.
+    """
+    m, d, n = noise.shape
+    dt = cfg.grid.dt
+    c1 = cfg.m2
+    c3 = cfg.lam / 6.0
+    denom = 1.0 + cfg.friction * dt
+    threshold = cfg.gate_threshold_sq
+    x = np.zeros((m, d))
+    v = np.zeros((m, d))
+    gate = np.ones(m)
+    paths = np.zeros((m, d, n))
+    gates = np.ones((m, n))
+    for i in range(n - 1):
+        r2 = np.einsum("md,md->m", x, x)
+        force = -(c1 + c3 * r2)[:, None] * x + gate[:, None] * noise[:, :, i]
+        v = (v + dt * force) / denom
+        x = x + dt * v
+        if cfg.gate:
+            r2 = np.einsum("md,md->m", x, x)
+            gate = np.where(r2 > threshold, 0.0, gate)
+        paths[:, :, i + 1] = x
+        gates[:, i + 1] = gate
+    return paths, gates
+
+
+def recursion_loop_oracle(paths, leave_radius, return_radius):
+    """Row-by-row recursion fraction: rows re-entering |x| < return after first |x| > leave."""
+    a = np.abs(paths)
+    recursed = 0
+    for row in a:
+        outside = np.nonzero(row > leave_radius)[0]
+        if outside.size == 0:
+            continue
+        if np.any(row[outside[0]:] < return_radius):
+            recursed += 1
+    return recursed / a.shape[0]

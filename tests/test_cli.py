@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +132,19 @@ class TestExitCodes:
         assert "numerical failure" in err
         assert "overflows at t = 240" in err
 
+    @pytest.mark.parametrize("kind,t_end", [("hadamard", 400.0), ("fluctuation", 300.0),
+                                             ("memory", 300.0), ("retarded", 800.0)])
+    def test_kernel_overflow_fails_without_warnings(self, tmp_path, capsys, kind, t_end):
+        path = write_config(tmp_path, {"kernels": {"kind": kind, "t_end": t_end}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["kernels", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not finite" in err
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught] == []
+
     def test_linalg_error_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
         import ctpsim.cli as cli_mod
 
@@ -209,6 +224,39 @@ class TestOutputs:
         for name in ("ensemble.csv", "trajectory0.csv", "summary.json",
                      "manifest.json"):
             assert (out / name).is_file()
+
+    @pytest.mark.parametrize("potential", ["quadratic", "double_well"])
+    def test_langevin_trajectory0_is_realization_zero(self, tmp_path, potential):
+        from ctpsim.core import derive_seed, make_grid
+        from ctpsim.langevin import PotentialSpec, integrate_white
+        cfg = {"master_seed": 7, "n_realizations": 3, "threads": 4,
+               "langevin": {"potential": potential, "t_end": 5.0, "n_points": 301,
+                            "x0": 0.5, "v0": -0.25}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["langevin", "--config", str(path), "--out", str(out)]) == 0
+        grid = make_grid(0.0, 5.0, 301)
+        pot = (PotentialSpec.quadratic(1.0) if potential == "quadratic"
+               else PotentialSpec.double_well(-1.0, 0.6))
+        xi = (math.sqrt(1.0 / grid.dt)
+              * np.random.default_rng(derive_seed(7, 0)).standard_normal(301))
+        ref = integrate_white(pot, 0.5, grid, xi, 0.5, -0.25)
+        table = np.loadtxt(out / "trajectory0.csv", delimiter=",", skiprows=1)
+        assert table[:, 1].tobytes() == ref.x.tobytes()
+        assert table[:, 2].tobytes() == ref.xdot.tobytes()
+        assert json.loads((out / "manifest.json").read_text())["threads"] == 4
+
+    def test_langevin_divergence_names_realization(self, tmp_path, capsys):
+        cfg = {"n_realizations": 3,
+               "langevin": {"potential": "inverted", "omega": 3.0, "t_end": 40.0,
+                            "n_points": 401, "x0": 1.0}}
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["langevin", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "realization 0: trajectory diverged at step" in err
 
     def test_manifest_echoes_defaults(self, tmp_path):
         path = write_config(tmp_path, SSB_FAST)

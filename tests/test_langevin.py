@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctpsim.core import DivergenceError, make_grid
 from ctpsim.kernels import (RETARDED, DeSitterParams, KernelMatrix,
@@ -9,7 +12,9 @@ from ctpsim.kernels import (RETARDED, DeSitterParams, KernelMatrix,
 from ctpsim.langevin import (PotentialSpec, Trajectory, aggregate_paths,
                              ensemble_run, estimate_spectrum,
                              integrate_memory, integrate_overdamped_mode,
-                             integrate_white, relaxation_rate)
+                             integrate_white, relaxation_rate,
+                             step_exponential, step_semi_implicit)
+from ctpsim.noise import sample_white
 from ctpsim.squeeze import SqueezeParams
 
 from oracles import collocation_memory_oracle
@@ -275,6 +280,119 @@ class TestEnsemble:
             ensemble_run(run_one, master_seed=1, n_realizations=4)
         assert info.value.realization == 0
         assert "realization 0" in str(info.value)
+
+
+POTENTIALS = st.one_of(
+    st.floats(0.2, 2.0).map(PotentialSpec.quadratic),
+    st.floats(0.2, 1.0).map(PotentialSpec.inverted),
+    st.tuples(st.floats(-2.0, -0.2), st.floats(0.1, 2.0)).map(
+        lambda p: PotentialSpec.double_well(*p)))
+STARTS = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+class TestBatchedSteppers:
+    """The batched steppers reproduce the single-path integrators bit for bit.
+
+    Grids run up to 600 points so the 256-step time blocks are crossed.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(pot=POTENTIALS, gamma=st.floats(0.0, 2.0), m=st.integers(1, 4),
+           n=st.integers(2, 600), seed=st.integers(0, 2**32),
+           starts=st.lists(st.tuples(STARTS, STARTS), min_size=4, max_size=4))
+    def test_rows_equal_integrate_white(self, pot, gamma, m, n, seed, starts):
+        grid = make_grid(0.0, 3.0, n)
+        xi = sample_white(1.0, grid, seed, m).realizations
+        x0 = np.array([[s[0]] for s in starts[:m]])
+        v0 = np.array([[s[1]] for s in starts[:m]])
+        paths, gates, v_first = step_semi_implicit(xi[:, None, :], pot.vprime,
+                                                   gamma, grid, x0, v0)
+        assert gates is None
+        for i in range(m):
+            ref = integrate_white(pot, gamma, grid, xi[i], starts[i][0], starts[i][1])
+            assert paths[i, 0].tobytes() == ref.x.tobytes()
+            if i == 0:
+                assert v_first[0].tobytes() == ref.xdot.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.floats(0.5, 20.0), coupling=st.floats(0.5, 12.0), m=st.integers(1, 4),
+           n=st.integers(2, 600), seed=st.integers(0, 2**32),
+           phi0=st.lists(STARTS, min_size=4, max_size=4))
+    def test_rows_equal_integrate_overdamped_mode(self, k, coupling, m, n, seed, phi0):
+        dp = DeSitterParams(hubble=1.0, k=k, coupling=coupling, background=1.0)
+        grid = make_grid(0.0, 10.0, n)
+        amp = k ** -1.5
+        xi = sample_white(1.0, grid, seed, m).realizations
+        q = np.exp(-relaxation_rate(dp) * grid.dt)
+        phi = step_exponential(amp * xi, q, np.array(phi0[:m]))
+        for i in range(m):
+            ref = integrate_overdamped_mode(dp, amp, grid, xi[i], phi0[i])
+            assert phi[i].tobytes() == ref.x.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(1, 5), extra=st.integers(1, 5), seed=st.integers(0, 2**64 - 1))
+    def test_larger_ensemble_only_appends(self, k, extra, seed):
+        grid = make_grid(0.0, 20.0, 401)
+        pot = PotentialSpec.double_well(-1.0, 0.6)
+        runs = []
+        for m in (k, k + extra):
+            xi = sample_white(1.0, grid, seed, m).realizations
+            paths, _, v_first = step_semi_implicit(xi[:, None, :], pot.vprime, 0.5, grid)
+            runs.append((paths, v_first, step_exponential(0.3 * xi, 0.9)))
+        (small, v_small, phi_small), (big, v_big, phi_big) = runs
+        assert big[:k].tobytes() == small.tobytes()
+        assert v_big.tobytes() == v_small.tobytes()
+        assert phi_big[:k].tobytes() == phi_small.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 6), d=st.integers(1, 3), n=st.integers(2, 600),
+           threshold=st.floats(0.05, 4.0), seed=st.integers(0, 2**32))
+    def test_gate_latches_and_never_reopens(self, m, d, n, threshold, seed):
+        grid = make_grid(0.0, 10.0, n)
+        noise = np.random.default_rng(seed).standard_normal((m, d, n))
+        paths, gates, _ = step_semi_implicit(noise, PotentialSpec.quadratic(1.0).vprime,
+                                             0.5, grid, gate_threshold=threshold)
+        assert set(np.unique(gates)) <= {0.0, 1.0}
+        assert np.all(np.diff(gates, axis=1) <= 0.0)
+        crossed = np.maximum.accumulate(np.einsum("mdn,mdn->mn", paths, paths) > threshold,
+                                        axis=1)
+        assert np.array_equal(gates == 0.0, crossed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 6), n=st.integers(30, 700), seed=st.integers(0, 2**32),
+           ties=st.booleans())
+    def test_divergence_names_earliest_step_then_lowest_realization(self, m, n, seed,
+                                                                     ties):
+        # inverted potential with omega 4 on [0, 12]: growth e^48 from |x0| ~ 1e-9..1e3
+        grid = make_grid(0.0, 12.0, n)
+        pot = PotentialSpec.inverted(4.0)
+        rng = np.random.default_rng(seed)
+        x0 = 10.0 ** rng.uniform(-9.0, 3.0, m)
+        if ties and m > 1:
+            x0[-1] = x0[0]
+        xi = np.zeros((m, 1, n))
+        expected = []
+        for i in range(m):
+            try:
+                integrate_white(pot, 0.0, grid, xi[i, 0], x0[i], 0.0)
+            except DivergenceError as err:
+                expected.append((err.step, i))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not expected:
+                step_semi_implicit(xi, pot.vprime, 0.0, grid, x0[:, None], 0.0)
+                return
+            with pytest.raises(DivergenceError) as info:
+                step_semi_implicit(xi, pot.vprime, 0.0, grid, x0[:, None], 0.0)
+        step, realization = min(expected)
+        assert (info.value.step, info.value.realization) == (step, realization)
+        assert f"realization {realization}:" in str(info.value)
+
+    def test_noise_must_match_grid(self):
+        grid = make_grid(0.0, 1.0, 11)
+        with pytest.raises(ValueError, match="11 time points"):
+            step_semi_implicit(np.zeros((2, 1, 10)), PotentialSpec.quadratic(1.0).vprime,
+                               0.0, grid)
 
 
 class TestEstimateSpectrum:

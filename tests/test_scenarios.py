@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ctpsim.core import NumericalError, make_grid
 from ctpsim.kernels import DeSitterParams, squeezed_factor
@@ -13,6 +16,8 @@ from ctpsim.scenarios import (BECConfig, SSBConfig, kuiper_statistic,
                               run_ssb, scenario_noise_kernel,
                               _integrate_gated, _sample_scenario_noise)
 from ctpsim.squeeze import SqueezeParams
+
+from oracles import gated_loop_oracle, recursion_loop_oracle
 
 GRID = make_grid(0.0, 30.0, 1501)
 
@@ -129,6 +134,32 @@ class TestSSB:
         _, gates = _integrate_gated(cfg, noise)
         assert np.all(np.diff(gates, axis=1) <= 0.0)
 
+    @pytest.mark.parametrize("n_components", [1, 2])
+    @pytest.mark.parametrize("overrides", [
+        {}, {"gate": False, "grid": make_grid(0.0, 10.0, 501)},
+        {"noise_kernel": "fluctuation"},
+        {"gate_threshold": 0.5, "friction": 0.0, "noise_amplitude": 1.0}])
+    def test_batched_stepper_matches_loop_oracle(self, n_components, overrides):
+        cfg = ssb_config(n_realizations=37, **overrides)
+        noise = _sample_scenario_noise(cfg, n_components)
+        paths, gates = _integrate_gated(cfg, noise)
+        ref_paths, ref_gates = gated_loop_oracle(cfg, noise)
+        assert paths.tobytes() == ref_paths.tobytes()
+        assert gates.tobytes() == ref_gates.tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(k=st.integers(1, 6), extra=st.integers(1, 6), n_components=st.integers(1, 2),
+           seed=st.integers(0, 2**64 - 1))
+    def test_larger_ensemble_only_appends_paths(self, k, extra, n_components, seed):
+        cfg = ssb_config(grid=make_grid(0.0, 20.0, 1001), master_seed=seed)
+        runs = []
+        for m in (k, k + extra):
+            sized = dataclasses.replace(cfg, n_realizations=m)
+            runs.append(_integrate_gated(sized, _sample_scenario_noise(sized, n_components)))
+        (small, small_gates), (big, big_gates) = runs
+        assert big[:k].tobytes() == small.tobytes()
+        assert big_gates[:k].tobytes() == small_gates.tobytes()
+
     def test_report_reproducible(self):
         a = run_ssb(ssb_config(n_realizations=25))
         b = run_ssb(ssb_config(n_realizations=25))
@@ -148,6 +179,18 @@ class TestRecursionProbability:
         paths = 0.1 * np.ones((4, 401))
         stats = aggregate_paths(grid, paths, keep_paths=True)
         assert recursion_probability(stats, 2.0, 0.5) == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(paths=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=2,
+                                                    max_side=40),
+                            elements=st.integers(-3000, 3000).map(lambda k: k / 1000)),
+           damp=st.integers(0, 40))
+    def test_matches_row_loop_oracle(self, paths, damp):
+        paths = paths.copy()
+        paths[:damp] *= 0.5  # rows that never leave |x| > 2
+        stats = aggregate_paths(make_grid(0.0, 1.0, paths.shape[1]), paths, keep_paths=True)
+        assert (recursion_probability(stats, 2.0, 0.5)
+                == recursion_loop_oracle(paths, 2.0, 0.5))
 
     def test_requires_paths(self):
         grid = make_grid(0.0, 20.0, 401)
