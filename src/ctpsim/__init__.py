@@ -5,8 +5,8 @@ symmetric kernel yields colored classical noise; memory-kernel Langevin
 dynamics then grow classical order parameters out of unstable quantum modes.
 """
 
-from .core import (ConfigError, DivergenceError, NumericalError, RunConfig,
-                   TimeGrid, derive_seed, make_grid, trapezoid_weights)
+from .core import (ConfigError, DivergenceError, NumericalError, TimeGrid,
+                   derive_seed, make_grid, trapezoid_history)
 from .kernels import (ADVANCED, RETARDED, SYMMETRIC, ContourMatrix,
                       DeSitterParams, KernelMatrix, build_contour_matrix,
                       build_hadamard, build_retarded, desitter_hadamard,

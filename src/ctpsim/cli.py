@@ -31,10 +31,10 @@ from .kernels import (DeSitterParams, KernelMatrix, build_contour_matrix,
                       keldysh_rotate, memory_kernel)
 from .langevin import PotentialSpec, aggregate_paths, step_semi_implicit
 from .langevin import ensemble_run  # noqa: F401  (perfbench traces it through this module)
-from .noise import hs_moment_check, sample_colored, sample_white
+from .noise import DEFAULT_CLIP_TOL, hs_moment_check, sample_colored, sample_white
 from .scenarios import BECConfig, SSBConfig, run_bec, run_inflation, run_ssb
-from .squeeze import (SqueezeParams, bogolubov_coefficients, mode_two_point,
-                      particle_number, quadrature_variances)
+from .squeeze import (DEFAULT_SQUEEZE_ANGLE, SqueezeParams, bogolubov_coefficients,
+                      mode_two_point, particle_number, quadrature_variances)
 
 SUBCOMMANDS = ("squeeze", "kernels", "noise", "langevin", "ssb", "bec",
                "inflation", "verify")
@@ -66,7 +66,7 @@ def _grid_keys(t_end: float, n_points: int) -> dict:
 _SQUEEZE_MODE_KEYS = {
     "mass": (float, 1.0, _POSITIVE),
     "omega": (float, 1.0, _POSITIVE),
-    "phi": (float, -math.pi / 4.0, None),
+    "phi": (float, DEFAULT_SQUEEZE_ANGLE, None),
     "hbar": (float, 1.0, _POSITIVE),
 }
 
@@ -82,7 +82,7 @@ _SECTION_SCHEMAS: dict[str, dict] = {
         "kind": (str, "white", _choice("white", "hadamard", "fluctuation")),
         "sigma2": (float, 1.0, _POSITIVE),
         "coupling": (float, 0.5, _NONNEG),
-        "clip_tol": (float, 1e-10, _POSITIVE),
+        "clip_tol": (float, DEFAULT_CLIP_TOL, _POSITIVE),
         **_SQUEEZE_MODE_KEYS,
         **_grid_keys(1.0, 33),
     },
@@ -147,6 +147,9 @@ def _coerce(where: str, key: str, want, value):
     if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}{key} must be a number")
+        # json accepts NaN, +-Infinity and integers beyond the float range
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{where}{key} must be finite")
         return float(value)
     if want is str:
         if not isinstance(value, str):
@@ -231,33 +234,25 @@ def _grid_from(sec: dict) -> TimeGrid:
 # ---------------------------------------------------------------------------
 # bit-stable output helpers
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     tmp.write_text(text)
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _write_table(path: Path, first_line: str, values, sep: str = ",") -> None:
+    """first_line, then one line per row of a float matrix, each value as repr(float).
+
+    Rows are converted to Python floats one at a time: a whole-table tolist()
+    would add its boxed copy to the peak memory of the run.
+    """
+    lines = [first_line]
+    lines.extend(sep.join(map(repr, row.tolist())) for row in np.asarray(values, dtype=float))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2) + "\n")
-
-
-def _write_matrix(path: Path, kernel: KernelMatrix) -> None:
-    # header row: n and dt, then n rows of n values
-    lines = [f"{kernel.n} {kernel.grid.dt!r}"]
-    lines.extend(" ".join(repr(float(v)) for v in row) for row in kernel.values)
-    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +267,11 @@ def _cmd_squeeze(cfg: dict, out: Path) -> list[str]:
     sec = cfg["squeeze"]
     grid = _grid_from(sec)
     params = _squeeze_mode_params(sec)
-    rows = []
-    for t in grid.times():
-        var_s, var_a = quadrature_variances(params, float(t))
-        rows.append((t, particle_number(params, float(t)), var_s, var_a))
-    _write_csv(out / "squeeze.csv", ["t", "particle_number", "var_squeezed",
-                                     "var_antisqueezed"], rows)
+    times = grid.times()
+    columns = [(particle_number(params, t), *quadrature_variances(params, t))
+               for t in times.tolist()]
+    _write_table(out / "squeeze.csv", "t,particle_number,var_squeezed,var_antisqueezed",
+                 np.column_stack([times, columns]))
     return ["squeeze.csv"]
 
 
@@ -298,7 +292,8 @@ def _cmd_kernels(cfg: dict, out: Path) -> list[str]:
     sec = cfg["kernels"]
     grid = _grid_from(sec)
     kernel = _build_kernel(sec, grid)
-    _write_matrix(out / "kernel.txt", kernel)
+    # header row: n and dt, then n rows of n values
+    _write_table(out / "kernel.txt", f"{kernel.n} {grid.dt!r}", kernel.values, sep=" ")
     return ["kernel.txt"]
 
 
@@ -310,11 +305,9 @@ def _cmd_noise(cfg: dict, out: Path) -> list[str]:
     if sec["kind"] == "white":
         ens = sample_white(sec["sigma2"], grid, seed, m)
     else:
-        kernel_sec = dict(sec, kind=sec["kind"])
-        kernel = _build_kernel(kernel_sec, grid)
-        ens = sample_colored(kernel, seed, m, sec["clip_tol"])
-    _write_csv(out / "noise.csv",
-               [f"xi_{i}" for i in range(grid.n_points)], ens.realizations)
+        ens = sample_colored(_build_kernel(sec, grid), seed, m, sec["clip_tol"])
+    _write_table(out / "noise.csv", ",".join(f"xi_{i}" for i in range(grid.n_points)),
+                 ens.realizations)
     summary = {
         "n_realizations": m,
         "n_points": grid.n_points,
@@ -350,10 +343,10 @@ def _cmd_langevin(cfg: dict, out: Path) -> list[str]:
     del noise  # not kept alive through the aggregation
     paths = paths[:, 0, :]
     stats = aggregate_paths(grid, paths)
-    _write_csv(out / "ensemble.csv", ["t", "mean", "variance"],
-               zip(grid.times(), stats.mean, stats.variance))
-    _write_csv(out / "trajectory0.csv", ["t", "x", "xdot"],
-               zip(grid.times(), paths[0], v_first[0]))
+    _write_table(out / "ensemble.csv", "t,mean,variance",
+                 np.column_stack([grid.times(), stats.mean, stats.variance]))
+    _write_table(out / "trajectory0.csv", "t,x,xdot",
+                 np.column_stack([grid.times(), paths[0], v_first[0]]))
     tail = slice((grid.n_points * 3) // 4, None)
     summary = {
         "potential": sec["potential"],
@@ -386,18 +379,18 @@ def _cmd_ssb(cfg: dict, out: Path) -> list[str]:
     report = run_ssb(_scenario_config(SSBConfig, cfg, "ssb"))
     _write_json(out / "report.json", report.to_dict())
     grid = report.config.grid
-    _write_csv(out / "mean_trajectory.csv", ["t", "mean", "variance"],
-               zip(grid.times(), report.stats.mean, report.stats.variance))
-    _write_csv(out / "finals.csv", ["x_final"],
-               ((v,) for v in report.stats.per_run_finals))
+    _write_table(out / "mean_trajectory.csv", "t,mean,variance",
+                 np.column_stack([grid.times(), report.stats.mean, report.stats.variance]))
+    _write_table(out / "finals.csv", "x_final",
+                 np.column_stack([report.stats.per_run_finals]))
     return ["report.json", "mean_trajectory.csv", "finals.csv"]
 
 
 def _cmd_bec(cfg: dict, out: Path) -> list[str]:
     report = run_bec(_scenario_config(BECConfig, cfg, "bec"))
     _write_json(out / "report.json", report.to_dict())
-    _write_csv(out / "finals.csv", ["modulus", "phase"],
-               zip(report.final_modulus, report.final_phase))
+    _write_table(out / "finals.csv", "modulus,phase",
+                 np.column_stack([report.final_modulus, report.final_phase]))
     return ["report.json", "finals.csv"]
 
 
@@ -411,7 +404,7 @@ def _cmd_inflation(cfg: dict, out: Path) -> list[str]:
                             background=sec["phi0"]) for k in ks]
     est = run_inflation(modes, grid, cfg["n_realizations"], cfg["master_seed"],
                         sec["tail_fraction"])
-    _write_csv(out / "spectrum.csv", ["k", "variance"], zip(est.k, est.variances))
+    _write_table(out / "spectrum.csv", "k,variance", np.column_stack([est.k, est.variances]))
     report = {
         "scenario": "inflation",
         "master_seed": cfg["master_seed"],
@@ -586,6 +579,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as err:  # ConfigError and the library's parameter checks
         print(f"config error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:  # numpy names the bytes it could not allocate
+        print(f"config error: run too large for memory: {err}", file=sys.stderr)
         return 1
 
 

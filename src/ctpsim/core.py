@@ -1,4 +1,4 @@
-"""Time grids, deterministic seed derivation and shared run metadata.
+"""Time grids, deterministic seed derivation and the trapezoidal history sum.
 
 Everything downstream (kernels, noise ensembles, trajectories) lives on a
 uniform :class:`TimeGrid`; reproducibility rests on :func:`derive_seed`.
@@ -66,21 +66,18 @@ def make_grid(t_start: float, t_end: float, n_points: int) -> TimeGrid:
     return TimeGrid(float(t_start), float(t_end), int(n_points))
 
 
-def trapezoid_weights(last_index: int, dt: float) -> np.ndarray:
-    """Trapezoidal quadrature weights on the grid prefix 0..last_index.
+def trapezoid_history(row: np.ndarray, x: np.ndarray, i: int, dt: float) -> float:
+    """Trapezoidal history sum dt * sum'_{j <= i} row[j] x[j] on the grid prefix 0..i.
 
-    For last_index == 0 the integral is over a zero-length interval and all
-    weights vanish.
+    Both end points carry half weight; for i == 0 the interval has zero length
+    and the sum is 0.  This is the discretized retarded integral
+    int_{t_0}^{t_i} K(t_i, s) x(s) ds shared by the memory force and the
+    coherent shift.
     """
-    if last_index < 0:
-        raise ValueError("last_index must be >= 0")
-    w = np.full(last_index + 1, dt, dtype=float)
-    if last_index == 0:
-        w[0] = 0.0
-        return w
-    w[0] = 0.5 * dt
-    w[last_index] = 0.5 * dt
-    return w
+    if i == 0:
+        return 0.0
+    seg = row[: i + 1] * x[: i + 1]
+    return dt * (seg.sum() - 0.5 * seg[0] - 0.5 * seg[i])
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -96,17 +93,3 @@ def derive_seed(master_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Reproducibility envelope shared by every ensemble run."""
-
-    master_seed: int
-    n_realizations: int
-
-    def __post_init__(self):
-        if not 0 <= self.master_seed <= _MASK64:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be >= 1")

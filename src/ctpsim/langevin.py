@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import DivergenceError, TimeGrid, derive_seed
+from .core import DivergenceError, TimeGrid, derive_seed, trapezoid_history
 from .kernels import RETARDED, DeSitterParams, KernelMatrix
 
 #: abort a realization once |x| exceeds this many natural units
@@ -169,11 +169,11 @@ def integrate_memory(omega: float, mem_kernel: KernelMatrix, xi: np.ndarray,
                      x0: float, v0: float) -> Trajectory:
     """Integrate Xdd = w^2 X - sum_{j<=i} w_j M(t_i,t_j) X(t_j) - xi(t_i).
 
-    The memory sum uses trapezoidal weights over the history prefix; the
-    stepping is the same semi-implicit scheme with zero friction, so with a
-    vanishing kernel this reproduces the white integrator on the inverted
-    potential (with the noise sign flipped, as the equation is written with
-    -xi on the right-hand side).
+    The memory sum is :func:`ctpsim.core.trapezoid_history` over the history
+    prefix; the stepping is the same semi-implicit scheme with zero friction,
+    so with a vanishing kernel this reproduces the white integrator on the
+    inverted potential (with the noise sign flipped, as the equation is
+    written with -xi on the right-hand side).
     """
     if mem_kernel.kind != RETARDED:
         raise ValueError("memory kernel must be retarded")
@@ -188,12 +188,7 @@ def integrate_memory(omega: float, mem_kernel: KernelMatrix, xi: np.ndarray,
     xs[0] = float(x0)
     vs[0] = float(v0)
     for i in range(n - 1):
-        if i == 0:
-            mem = 0.0
-        else:
-            seg = rows[i, : i + 1] * xs[: i + 1]
-            mem = dt * (seg.sum() - 0.5 * seg[0] - 0.5 * seg[i])
-        a = om2 * xs[i] - mem - xi[i]
+        a = om2 * xs[i] - trapezoid_history(rows[i], xs, i, dt) - xi[i]
         vs[i + 1] = vs[i] + dt * a
         x_new = xs[i] + dt * vs[i + 1]
         if not abs(x_new) <= DIVERGENCE_GUARD:

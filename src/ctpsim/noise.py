@@ -54,6 +54,18 @@ class NoiseEnsemble:
         return self.realizations.shape[0]
 
 
+def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
+    """(M, k) standard normals: row i is drawn by default_rng(derive_seed(seed, i)).
+
+    The one place a generator is built: every random stream of the package is
+    these rows, so row i depends only on (seed, i, k), never on M.
+    """
+    rows = np.empty((n_realizations, k))
+    for i in range(n_realizations):
+        rows[i] = np.random.default_rng(derive_seed(seed, i)).standard_normal(k)
+    return rows
+
+
 def sample_white(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int) -> NoiseEnsemble:
     """Delta-correlated noise: i.i.d. Gaussians with per-sample variance sigma2/dt.
 
@@ -64,12 +76,8 @@ def sample_white(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int) 
         raise ValueError("sigma2 must be positive")
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    n = grid.n_points
-    std = np.sqrt(sigma2 / grid.dt)
-    rows = np.empty((n_realizations, n))
-    for i in range(n_realizations):
-        rng = np.random.default_rng(derive_seed(seed, i))
-        rows[i] = std * rng.standard_normal(n)
+    rows = _standard_normals(seed, n_realizations, grid.n_points)
+    rows *= np.sqrt(sigma2 / grid.dt)
     return NoiseEnsemble(grid, rows, seed, covariance_ref=f"white[sigma2={sigma2!r}]")
 
 
@@ -91,7 +99,7 @@ def _factor(kernel: KernelMatrix, clip_tol: float) -> np.ndarray:
 def draw_from_factor(factor: np.ndarray, seed: int, n_realizations: int) -> np.ndarray:
     """(M, n) Gaussian rows F z_i with covariance F F^T, for a factor F of shape (n, r).
 
-    z_i = standard_normal(r) from default_rng(derive_seed(seed, i)).  Rows are
+    z_i is row i of :func:`_standard_normals` with k = r.  Rows are
     accumulated as sum_k z[:, k] F[:, k] in column order with elementwise
     operations, not a matrix product whose blocking may depend on M, so row i
     is bit-identical for every ensemble size and a larger ensemble only
@@ -101,9 +109,7 @@ def draw_from_factor(factor: np.ndarray, seed: int, n_realizations: int) -> np.n
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     n, rank = factor.shape
-    z = np.empty((n_realizations, rank))
-    for i in range(n_realizations):
-        z[i] = np.random.default_rng(derive_seed(seed, i)).standard_normal(rank)
+    z = _standard_normals(seed, n_realizations, rank)
     columns = np.ascontiguousarray(factor.T)
     rows = np.zeros((n_realizations, n))
     block = max(1, _DRAW_BLOCK_VALUES // n)

@@ -104,6 +104,24 @@ class BECConfig(SSBConfig):
     """
 
 
+def _config_echo(cfg: SSBConfig) -> dict:
+    """The run parameters every ssb/bec report starts with, in report order."""
+    return {
+        "master_seed": cfg.master_seed,
+        "n_realizations": cfg.n_realizations,
+        "m2": cfg.m2,
+        "lambda": cfg.lam,
+        "noise_kernel": cfg.noise_kernel,
+        "coupling": cfg.coupling,
+        "noise_amplitude": cfg.noise_amplitude,
+        "friction": cfg.friction,
+        "gate": cfg.gate,
+        "gate_threshold": cfg.gate_threshold_sq,
+        "grid": {"t_start": cfg.grid.t_start, "t_end": cfg.grid.t_end,
+                 "n_points": cfg.grid.n_points},
+    }
+
+
 @dataclass(frozen=True)
 class SSBReport:
     config: SSBConfig
@@ -120,18 +138,7 @@ class SSBReport:
         cfg = self.config
         return {
             "scenario": "ssb",
-            "master_seed": cfg.master_seed,
-            "n_realizations": cfg.n_realizations,
-            "m2": cfg.m2,
-            "lambda": cfg.lam,
-            "noise_kernel": cfg.noise_kernel,
-            "coupling": cfg.coupling,
-            "noise_amplitude": cfg.noise_amplitude,
-            "friction": cfg.friction,
-            "gate": cfg.gate,
-            "gate_threshold": cfg.gate_threshold_sq,
-            "grid": {"t_start": cfg.grid.t_start, "t_end": cfg.grid.t_end,
-                     "n_points": cfg.grid.n_points},
+            **_config_echo(cfg),
             "target_abs_final": cfg.minimum_radius,
             "fraction_plus": self.fraction_plus,
             "fraction_minus": self.fraction_minus,
@@ -179,18 +186,7 @@ class BECReport:
         cfg = self.config
         return {
             "scenario": "bec",
-            "master_seed": cfg.master_seed,
-            "n_realizations": cfg.n_realizations,
-            "m2": cfg.m2,
-            "lambda": cfg.lam,
-            "noise_kernel": cfg.noise_kernel,
-            "coupling": cfg.coupling,
-            "noise_amplitude": cfg.noise_amplitude,
-            "friction": cfg.friction,
-            "gate": cfg.gate,
-            "gate_threshold": cfg.gate_threshold_sq,
-            "grid": {"t_start": cfg.grid.t_start, "t_end": cfg.grid.t_end,
-                     "n_points": cfg.grid.n_points},
+            **_config_echo(cfg),
             "target_modulus": cfg.minimum_radius,
             "mean_modulus": self.mean_modulus,
             "kuiper_v": self.kuiper_v,

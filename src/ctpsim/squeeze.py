@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import TimeGrid, trapezoid_weights
+from .core import TimeGrid, trapezoid_history
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernels import KernelMatrix
@@ -192,9 +192,5 @@ def accumulate_coherent_shift(grid: TimeGrid, response: "KernelMatrix",
     if drive.shape != (n,):
         raise ValueError(f"drive must have shape ({n},), got {drive.shape}")
     dt = grid.dt
-    shift = np.zeros(n)
     vals = response.values
-    for i in range(1, n):
-        w = trapezoid_weights(i, dt)
-        shift[i] = float(w @ (vals[i, : i + 1] * drive[: i + 1]))
-    return shift
+    return np.array([trapezoid_history(vals[i], drive, i, dt) for i in range(n)])

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: flows come from
 scipy's matrix exponential, stationary moments from the Lyapunov solver, and
 the memory-scheme reference from a dense simultaneous solve.  The gated
-scenario stepper and the recursion count are checked against plain loops.
+scenario stepper, the memory integrator's history sum and the recursion count
+are checked against plain loops.
 """
 
 import numpy as np
@@ -104,6 +105,32 @@ def collocation_memory_oracle(omega, kernel_values, grid, x0, v0):
         a[row, n + i + 1] = -dt
     z = np.linalg.solve(a, b)
     return z[:n]
+
+
+def memory_loop_oracle(omega, kernel_values, grid, xi, x0, v0):
+    """(x, v) of the memory integrator with its history sum written inline.
+
+    The original loop of integrate_memory, kept as the bit reference for the
+    shared trapezoidal history sum: seg = M[i, :i+1] * x[:i+1], summed with
+    half weight on both end points.
+    """
+    n = grid.n_points
+    dt = grid.dt
+    om2 = omega * omega
+    xs = np.zeros(n)
+    vs = np.zeros(n)
+    xs[0] = float(x0)
+    vs[0] = float(v0)
+    for i in range(n - 1):
+        if i == 0:
+            mem = 0.0
+        else:
+            seg = kernel_values[i, : i + 1] * xs[: i + 1]
+            mem = dt * (seg.sum() - 0.5 * seg[0] - 0.5 * seg[i])
+        a = om2 * xs[i] - mem - xi[i]
+        vs[i + 1] = vs[i] + dt * a
+        xs[i + 1] = xs[i] + dt * vs[i + 1]
+    return xs, vs
 
 
 def gated_loop_oracle(cfg, noise):

@@ -155,6 +155,39 @@ class TestExitCodes:
         assert main(["verify", "--out", str(tmp_path / "v")]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub,section,key,literal", [
+        ("squeeze", "squeeze", "phi", "NaN"),
+        ("squeeze", "squeeze", "t_start", "-Infinity"),
+        ("ssb", "ssb", "gate_threshold", "Infinity"),
+        ("langevin", "langevin", "x0", "NaN"),
+        pytest.param("langevin", "langevin", "v0", "1" + "0" * 400,
+                     id="langevin-langevin-v0-int-beyond-float-range"),
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, sub, section,
+                                               key, literal):
+        path = write_config(tmp_path, f'{{"{section}": {{"{key}": {literal}}}}}')
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([sub, "--config", str(path), "--out", str(out)]) == 1
+        assert f"{section}.{key} must be finite" in capsys.readouterr().err
+        assert list(out.glob("*.csv")) == []
+
+    def test_out_of_memory_is_config_error(self, tmp_path, monkeypatch, capsys):
+        import ctpsim.cli as cli_mod
+        message = ("Unable to allocate 65.5 TiB for an array with shape "
+                   "(3000000, 3000000) and data type float64")
+
+        def too_large(params, grid):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli_mod, "build_retarded", too_large)
+        path = write_config(tmp_path, {"kernels": {"n_points": 8}})
+        assert main(["kernels", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_verify_passes(self, tmp_path):
         out = tmp_path / "verify"
         assert main(["verify", "--out", str(out)]) == 0
@@ -180,6 +213,19 @@ class TestExitCodes:
 
 
 class TestOutputs:
+    def test_table_values_are_float_reprs(self, tmp_path):
+        from ctpsim.cli import _write_table
+        values = [-0.0, 5e-324, 1e308, math.inf, 0.1 + 0.2]
+        _write_table(tmp_path / "t.csv", "a,b", np.column_stack([values, values[::-1]]))
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines[0] == "a,b"
+        assert lines[1:] == [f"{float(a)!r},{float(b)!r}"
+                             for a, b in zip(values, values[::-1])]
+        assert lines[1] == "-0.0,0.30000000000000004"
+        _write_table(tmp_path / "m.txt", "1 0.5", np.array([values]), sep=" ")
+        assert (tmp_path / "m.txt").read_text() == (
+            "1 0.5\n" + " ".join(repr(float(v)) for v in values) + "\n")
+
     def test_squeeze_table(self, tmp_path):
         path = write_config(tmp_path, {"squeeze": {"t_end": 1.0, "n_points": 5}})
         out = tmp_path / "out"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctpsim.core import (RunConfig, derive_seed, make_grid, trapezoid_weights)
+from ctpsim.core import derive_seed, make_grid, trapezoid_history
 
 
 class TestMakeGrid:
@@ -38,14 +38,19 @@ class TestMakeGrid:
         assert np.array_equal(grid.times(), expected)
 
 
-class TestTrapezoidWeights:
+class TestTrapezoidHistory:
     def test_zero_length_prefix(self):
-        assert list(trapezoid_weights(0, 0.1)) == [0.0]
+        assert trapezoid_history(np.ones(5), np.ones(5), 0, 0.1) == 0.0
 
-    def test_weights_sum_to_interval(self):
-        w = trapezoid_weights(8, 0.125)
-        assert w[0] == w[8] == 0.0625
-        assert np.isclose(w.sum(), 1.0, rtol=0, atol=1e-15)
+    def test_constant_inputs_integrate_to_interval(self):
+        # half weight on both end points: dt * (i + 1 - 1/2 - 1/2) = dt * i
+        for i in (1, 2, 8, 63):
+            assert trapezoid_history(np.ones(64), np.ones(64), i, 0.125) == 0.125 * i
+
+    def test_only_the_prefix_counts(self):
+        row = np.array([2.0, 4.0, 6.0, 1e300])
+        x = np.array([1.0, 0.5, 1.0, 1e300])
+        assert trapezoid_history(row, x, 2, 0.5) == 0.5 * (1.0 + 2.0 + 3.0)
 
 
 class TestDeriveSeed:
@@ -70,19 +75,3 @@ class TestDeriveSeed:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             derive_seed(42, -1)
-
-
-class TestRunConfig:
-    def test_valid(self):
-        cfg = RunConfig(master_seed=7, n_realizations=3)
-        assert cfg.n_realizations == 3
-
-    def test_invalid_realizations(self):
-        with pytest.raises(ValueError):
-            RunConfig(master_seed=7, n_realizations=0)
-
-    def test_seed_range(self):
-        with pytest.raises(ValueError):
-            RunConfig(master_seed=2**64, n_realizations=1)
-        with pytest.raises(ValueError):
-            RunConfig(master_seed=-1, n_realizations=1)

@@ -17,7 +17,7 @@ from ctpsim.langevin import (PotentialSpec, Trajectory, aggregate_paths,
 from ctpsim.noise import sample_white
 from ctpsim.squeeze import SqueezeParams
 
-from oracles import collocation_memory_oracle
+from oracles import collocation_memory_oracle, memory_loop_oracle
 
 UNIT = SqueezeParams()
 
@@ -178,6 +178,19 @@ class TestIntegrateMemory:
         sym = build_hadamard(UNIT, grid)
         with pytest.raises(ValueError, match="retarded"):
             integrate_memory(1.0, sym, zero(grid), 0.0, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 64), omega=st.floats(0.1, 2.0), seed=st.integers(0, 2**32),
+           x0=st.floats(-2.0, 2.0), v0=st.floats(-2.0, 2.0))
+    def test_equals_inline_history_loop_bytewise(self, n, omega, seed, x0, v0):
+        grid = make_grid(0.0, 2.0, n)
+        rng = np.random.default_rng(seed)
+        kernel = KernelMatrix(grid, np.tril(rng.normal(0.0, 2.0, (n, n))), RETARDED)
+        xi = rng.standard_normal(n)
+        traj = integrate_memory(omega, kernel, xi, x0, v0)
+        xs, vs = memory_loop_oracle(omega, kernel.values, grid, xi, x0, v0)
+        assert traj.x.tobytes() == xs.tobytes()
+        assert traj.xdot.tobytes() == vs.tobytes()
 
 
 class TestOverdampedMode:

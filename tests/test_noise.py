@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ctpsim.core import NumericalError, make_grid
+from ctpsim.core import NumericalError, derive_seed, make_grid
 from ctpsim.kernels import SYMMETRIC, KernelMatrix, build_hadamard, fluctuation_kernel
 from ctpsim.noise import hs_moment_check, sample_colored, sample_white
 from ctpsim.squeeze import SqueezeParams
@@ -40,6 +40,15 @@ class TestSampleWhite:
         small = sample_white(1.0, grid, seed=5, n_realizations=4)
         big = sample_white(1.0, grid, seed=5, n_realizations=8)
         assert np.array_equal(big.realizations[:4], small.realizations)
+
+    def test_row_is_its_own_generator_scaled(self):
+        # the stream rule: row i = std * default_rng(derive_seed(seed, i)).standard_normal(n)
+        grid = make_grid(0.0, 1.0, 9)
+        ens = sample_white(2.0, grid, seed=77, n_realizations=5)
+        std = np.sqrt(2.0 / grid.dt)
+        for i in range(5):
+            row = std * np.random.default_rng(derive_seed(77, i)).standard_normal(9)
+            assert ens.realizations[i].tobytes() == row.tobytes()
 
     def test_rejects_bad_intensity(self):
         grid = make_grid(0.0, 1.0, 7)

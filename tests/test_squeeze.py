@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctpsim.core import make_grid
-from ctpsim.kernels import build_hadamard, build_retarded
+from ctpsim.kernels import KernelMatrix, build_hadamard, build_retarded
 from ctpsim.noise import sample_white
 from ctpsim.squeeze import (PairCoeffs, SqueezeParams,
                             accumulate_coherent_shift, bogolubov_coefficients,
@@ -205,6 +205,22 @@ class TestCoherentShift:
         shift = accumulate_coherent_shift(self.grid, self._step_response(), drive)
         t = self.grid.times()
         assert np.max(np.abs(shift - c * (t - self.grid.t_start))) < 1e-12
+
+    def test_matches_rederived_trapezoid_weights(self):
+        # a random causal response with a nonzero diagonal, so both end weights count
+        n = self.grid.n_points
+        rng = np.random.default_rng(4)
+        response = KernelMatrix(self.grid, np.tril(rng.standard_normal((n, n))), "retarded")
+        drive = sample_white(1.0, self.grid, seed=3, n_realizations=1).realizations[0]
+        shift = accumulate_coherent_shift(self.grid, response, drive)
+        dt = self.grid.dt
+        expected = np.zeros(n)
+        for i in range(1, n):
+            w = np.full(i + 1, dt)
+            w[0] = w[i] = 0.5 * dt
+            expected[i] = np.sum(w * response.values[i, : i + 1] * drive[: i + 1])
+        assert shift[0] == 0.0
+        assert np.max(np.abs(shift - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_requires_retarded_kernel(self):
         params = UNIT
