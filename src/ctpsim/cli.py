@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ConfigError, NumericalError, TimeGrid, derive_seed, make_grid
+from .core import (ConfigError, NumericalError, TimeGrid, derive_seed, make_grid,
+                   require_memory)
 from .kernels import (DeSitterParams, KernelMatrix, build_contour_matrix,
                       build_hadamard, build_retarded, fluctuation_kernel,
                       keldysh_rotate, memory_kernel)
@@ -336,8 +337,10 @@ def _cmd_langevin(cfg: dict, out: Path) -> list[str]:
     sec = cfg["langevin"]
     grid = _grid_from(sec)
     pot = _langevin_potential(sec)
-    noise = sample_white(sec["sigma2"], grid, cfg["master_seed"],
-                         cfg["n_realizations"]).realizations
+    m = cfg["n_realizations"]
+    require_memory(2 * m * grid.n_points * 8,
+                   f"noise and paths ({m}, {grid.n_points}) each")
+    noise = sample_white(sec["sigma2"], grid, cfg["master_seed"], m).realizations
     paths, _, v_first = step_semi_implicit(noise[:, None, :], pot.vprime, sec["gamma"],
                                            grid, sec["x0"], sec["v0"])
     del noise  # not kept alive through the aggregation

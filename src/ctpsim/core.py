@@ -6,6 +6,7 @@ uniform :class:`TimeGrid`; reproducibility rests on :func:`derive_seed`.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ class TimeGrid:
     """Uniform grid t_i = t_start + i*dt with dt = (t_end - t_start)/(n_points - 1).
 
     dt is always derived, never stored, so a grid can never be inconsistent.
-    Instances are immutable and safe to share across parallel workers.
+    Instances are immutable; equal grids give equal times() bit for bit.
     """
 
     t_start: float
@@ -59,6 +60,21 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         """Grid points, computed exactly as t_start + i*dt."""
         return self.t_start + self.dt * np.arange(self.n_points)
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise ConfigError if nbytes exceed the host's physical memory.
+
+    Called before a run allocates its large arrays, so a run the host cannot
+    hold exits 1 with a message instead of being granted by overcommit and
+    killed when the pages are touched.  what names the arrays.
+    """
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > physical:
+        raise ConfigError(
+            f"run too large for memory: {what} need {nbytes} bytes "
+            f"({nbytes / 2**30:.3g} GiB), physical memory is {physical} bytes "
+            f"({physical / 2**30:.3g} GiB)")
 
 
 def make_grid(t_start: float, t_end: float, n_points: int) -> TimeGrid:

@@ -307,6 +307,12 @@ def desitter_hadamard(dp: DeSitterParams, eta: float, eta_prime: float) -> float
     (H^2/k^3) ((1 + k^2 eta eta') cos(k eta) + k eta sin(k eta)), implemented
     exactly as printed (eta enters the trig arguments, eta' only the product).
     The superhorizon limit eta, eta' -> 0^- is H^2/k^3.
+
+    The printed form is not symmetric in (eta, eta').  The mode kernel
+    (H^2/k^3) Re[u(eta) u*(eta')] with u = (1 + i k eta) e^{-i k eta} is
+    (H^2/k^3) ((1 + k^2 eta eta') cos(k (eta - eta')) + k (eta - eta') sin(k (eta - eta'))),
+    and the printed form equals its value at eta' = 0 plus
+    (H^2/k^3) k^2 eta eta' cos(k eta).
     """
     k = dp.k
     x = k * eta

@@ -334,6 +334,14 @@ def _sorted_reduce_mean(values: np.ndarray) -> np.ndarray:
     return np.sort(values, axis=0).sum(axis=0) / values.shape[0]
 
 
+def _sorted_variance(values: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """_sorted_reduce_mean((values - mean)**2), bit for bit, in one (M, n) buffer."""
+    sq = np.subtract(values, mean)
+    np.multiply(sq, sq, out=sq)
+    sq.sort(axis=0)
+    return sq.sum(axis=0) / sq.shape[0]
+
+
 def aggregate_paths(grid: TimeGrid, paths: np.ndarray, keep_paths: bool = False,
                     histogram_bins: int = 32) -> EnsembleStats:
     """Pointwise mean/variance and final-value histogram of an (M, n) path array.
@@ -345,8 +353,7 @@ def aggregate_paths(grid: TimeGrid, paths: np.ndarray, keep_paths: bool = False,
     if paths.ndim != 2 or paths.shape[1] != grid.n_points:
         raise ValueError(f"paths must be (M, {grid.n_points}), got {paths.shape}")
     mean = _sorted_reduce_mean(paths)
-    dev = paths - mean
-    variance = _sorted_reduce_mean(dev * dev)
+    variance = _sorted_variance(paths, mean)
     finals = paths[:, -1].copy()
     counts, edges = np.histogram(finals, bins=histogram_bins)
     return EnsembleStats(grid=grid, mean=mean, variance=variance,

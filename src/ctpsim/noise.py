@@ -31,8 +31,12 @@ class NoiseEnsemble:
     """Seeded realizations of a Gaussian process; rows are realizations.
 
     Regeneration from (seed, covariance_ref, grid) is bit-exact: realization i
-    is drawn from its own generator seeded with derive_seed(seed, i), so the
-    ensemble is independent of worker scheduling.
+    is drawn from its own generator seeded with derive_seed(seed, i), so row i
+    depends only on (seed, i, k) for k normals per row, and growing M only
+    appends rows.
+
+    The ensemble takes ownership of a float64 ``realizations`` array without
+    copying it and makes it read-only; other input is converted to float64.
     """
 
     grid: TimeGrid
@@ -41,7 +45,7 @@ class NoiseEnsemble:
     covariance_ref: str
 
     def __post_init__(self):
-        arr = np.array(self.realizations, dtype=float, copy=True)
+        arr = np.asarray(self.realizations, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.grid.n_points:
             raise ValueError(
                 f"realizations must be (M, {self.grid.n_points}), got {arr.shape}"

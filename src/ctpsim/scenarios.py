@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DivergenceError, NumericalError, TimeGrid, derive_seed
+from .core import (DivergenceError, NumericalError, TimeGrid, derive_seed,
+                   require_memory)
 from .kernels import (DeSitterParams, KernelMatrix, build_hadamard,
                       desitter_hadamard, fluctuation_kernel, squeezed_factor)
 from .langevin import (EnsembleStats, SpectrumEstimate, aggregate_paths,
@@ -267,6 +268,21 @@ def _gate_close_times(cfg: SSBConfig, gates: np.ndarray) -> np.ndarray:
     return np.where(any_closed, first, np.inf)
 
 
+def _simulate(cfg: SSBConfig, n_components: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the noise and step it; returns (paths (M, d, n), gate close times (M,)).
+
+    The noise and the gates die with this call, so the caller's aggregation
+    holds only the paths: the peak is noise, paths and gates together,
+    (2d + 1) M n float64 values, and is checked against physical memory first.
+    """
+    m, n = cfg.n_realizations, cfg.grid.n_points
+    require_memory((2 * n_components + 1) * m * n * 8,
+                   f"noise and paths ({m}, {n_components}, {n}) and gates ({m}, {n})")
+    noise = _sample_scenario_noise(cfg, n_components)
+    paths, gates = _integrate_gated(cfg, noise)
+    return paths, _gate_close_times(cfg, gates)
+
+
 def run_ssb(cfg: SSBConfig) -> SSBReport:
     """Spontaneous symmetry breaking of a scalar order parameter from x = 0.
 
@@ -276,8 +292,7 @@ def run_ssb(cfg: SSBConfig) -> SSBReport:
     fractions, mean settled amplitude, recursion probability, and how
     consistent the ensemble mean is with zero.
     """
-    noise = _sample_scenario_noise(cfg, 1)
-    paths3, gates = _integrate_gated(cfg, noise)
+    paths3, close_times = _simulate(cfg, 1)
     paths = paths3[:, 0, :]
     stats = aggregate_paths(cfg.grid, paths, keep_paths=True)
     finals = stats.per_run_finals
@@ -295,7 +310,7 @@ def run_ssb(cfg: SSBConfig) -> SSBReport:
     return SSBReport(config=cfg, stats=stats, fraction_plus=frac_plus,
                      fraction_minus=frac_minus, fraction_unsettled=frac_unsettled,
                      mean_abs_final=mean_abs, recursion=rec,
-                     gate_close_times=_gate_close_times(cfg, gates),
+                     gate_close_times=close_times,
                      mean_max_z=mean_max_z)
 
 
@@ -328,8 +343,7 @@ def run_bec(cfg: BECConfig) -> BECReport:
     uniform over the circle, which is the off-diagonal long-range order proxy
     emerging with no preferred phase.
     """
-    noise = _sample_scenario_noise(cfg, 2)
-    paths3, gates = _integrate_gated(cfg, noise)
+    paths3, close_times = _simulate(cfg, 2)
     modulus = np.sqrt(np.einsum("mdn,mdn->mn", paths3, paths3))
     stats = aggregate_paths(cfg.grid, modulus, keep_paths=True)
     final_vec = paths3[:, :, -1]
@@ -343,7 +357,7 @@ def run_bec(cfg: BECConfig) -> BECReport:
                      mean_modulus=float(final_modulus.mean()),
                      kuiper_v=kuiper_v, kuiper_scaled=kuiper_scaled,
                      odlro_fraction=odlro,
-                     gate_close_times=_gate_close_times(cfg, gates))
+                     gate_close_times=close_times)
 
 
 def recursion_probability(stats: EnsembleStats, leave_radius: float,
@@ -400,14 +414,18 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
             f"non-stationary tail: only {rate * t_settle:.2f} relaxation times "
             f"elapse before the tail window; extend the grid or raise the rate")
 
+    require_memory(2 * n_realizations * n * 8,
+                   f"one mode's drive and paths ({n_realizations}, {n}) each")
     q = np.exp(-rate * grid.dt)
     pairs = []
     for mode_idx, dp in enumerate(sorted(modes, key=lambda d: d.k)):
         amp = math.sqrt(desitter_hadamard(dp, 0.0, 0.0))
-        ens = sample_white(1.0, grid, derive_seed(master_seed, mode_idx), n_realizations)
-        phi = step_exponential(amp * ens.realizations, q)
+        drive = amp * sample_white(1.0, grid, derive_seed(master_seed, mode_idx),
+                                   n_realizations).realizations
+        phi = step_exponential(drive, q)
         acc = 0.0
         for row in phi:
             acc += float(np.mean(row[tail_start:] ** 2))
         pairs.append((dp.k, acc / n_realizations))
+        del drive, phi, row  # freed (row is a view of phi) before the next mode draws
     return estimate_spectrum(pairs)

@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: flows come from
 scipy's matrix exponential, stationary moments from the Lyapunov solver, and
 the memory-scheme reference from a dense simultaneous solve.  The gated
 scenario stepper, the memory integrator's history sum and the recursion count
-are checked against plain loops.
+are checked against plain loops, and the ensemble statistics against their
+former temporaries-allocating formula.
 """
 
 import numpy as np
@@ -176,3 +177,16 @@ def recursion_loop_oracle(paths, leave_radius, return_radius):
         if np.any(row[outside[0]:] < return_radius):
             recursed += 1
     return recursed / a.shape[0]
+
+
+def aggregate_oracle(paths):
+    """(mean, variance) of an (M, n) path array by the former formula of aggregate_paths.
+
+    Sorted column sums over M, with the deviations and their squares each in a
+    fresh array.
+    """
+    m = paths.shape[0]
+    mean = np.sort(paths, axis=0).sum(axis=0) / m
+    dev = paths - mean
+    variance = np.sort(dev * dev, axis=0).sum(axis=0) / m
+    return mean, variance

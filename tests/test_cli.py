@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -369,3 +370,44 @@ class TestOutputs:
         assert main(["inflation", "--config", str(path), "--out", str(out_inf)]) == 0
         report = json.loads((out_inf / "report.json").read_text())
         assert abs(report["slope"] + 3.0) < 0.3
+
+
+class TestMemory:
+    M = 50
+
+    def _args(self, tmp_path, sub, n, m=M):
+        path = write_config(tmp_path, {"master_seed": 1, "n_realizations": m,
+                                       sub: {"n_points": n}})
+        return [sub, "--config", str(path), "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("sub, n, d, bound", [
+        ("langevin", 4001, 1, 3.0), ("ssb", 2001, 1, 4.5),
+        ("bec", 2001, 2, 3.6), ("inflation", 2001, 1, 3.0)])
+    def test_traced_peak_holds_each_array_once(self, tmp_path, sub, n, d, bound):
+        # peak of one call after a warm-up, in units of one (M, d, n) float64 array
+        args = self._args(tmp_path, sub, n)
+        assert main(args) == 0
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * self.M * d * n * 8
+
+    # arrays: the peak in (M, n) float64 arrays, as the subcommand checks it
+    @pytest.mark.parametrize("sub, arrays", [
+        ("langevin", 2), ("ssb", 3), ("bec", 5), ("inflation", 2)])
+    def test_run_beyond_physical_memory_exits_one(self, tmp_path, physical_memory, capsys,
+                                                  sub, arrays):
+        m, n = 4, 2001
+        need = arrays * m * n * 8
+        args = self._args(tmp_path, sub, n, m)
+        physical_memory(need - 1)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"need {need} bytes" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+        physical_memory(need)
+        assert main(args) == 0

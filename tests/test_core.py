@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
-from ctpsim.core import derive_seed, make_grid, trapezoid_history
+from ctpsim.core import (ConfigError, derive_seed, make_grid, require_memory,
+                         trapezoid_history)
 
 
 class TestMakeGrid:
@@ -75,3 +78,17 @@ class TestDeriveSeed:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             derive_seed(42, -1)
+
+
+class TestRequireMemory:
+    def test_reads_physical_memory(self):
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        require_memory(physical, "arrays")
+        with pytest.raises(ConfigError):
+            require_memory(physical + 1, "arrays")
+
+    def test_limit_is_inclusive(self, physical_memory):
+        physical_memory(1000)
+        require_memory(1000, "arrays")
+        with pytest.raises(ConfigError, match=r"noise \(2, 3\) need 1001 bytes .*1000 bytes"):
+            require_memory(1001, "noise (2, 3)")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ctpsim.core import DivergenceError, make_grid
 from ctpsim.kernels import (RETARDED, DeSitterParams, KernelMatrix,
@@ -17,7 +18,7 @@ from ctpsim.langevin import (PotentialSpec, Trajectory, aggregate_paths,
 from ctpsim.noise import sample_white
 from ctpsim.squeeze import SqueezeParams
 
-from oracles import collocation_memory_oracle, memory_loop_oracle
+from oracles import aggregate_oracle, collocation_memory_oracle, memory_loop_oracle
 
 UNIT = SqueezeParams()
 
@@ -281,6 +282,27 @@ class TestEnsemble:
         b = aggregate_paths(grid, paths[perm])
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.variance, b.variance)
+
+    @settings(max_examples=100, deadline=None)
+    @given(paths=hnp.arrays(float, st.tuples(st.integers(1, 40), st.integers(2, 40)),
+                            elements=st.one_of(st.just(-0.0),
+                                               st.floats(-1e150, 1e150),
+                                               st.floats(-1e-300, 1e-300))),
+           keep=st.booleans())
+    def test_statistics_match_former_formula_bit_for_bit(self, paths, keep):
+        # in-place variance: same values summed in the same order as the oracle.
+        # The final column feeds the histogram, which cannot bin one repeated
+        # large value, so it is kept distinct.
+        paths[:, -1] = np.arange(paths.shape[0])
+        before = paths.tobytes()
+        stats = aggregate_paths(make_grid(0.0, 1.0, paths.shape[1]), paths, keep_paths=keep)
+        mean, variance = aggregate_oracle(paths.copy())
+        assert paths.tobytes() == before
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.variance.tobytes() == variance.tobytes()
+        if keep:
+            assert stats.paths.tobytes() == before
+            assert not np.shares_memory(stats.paths, paths)
 
     def test_divergence_annotated_with_realization(self):
         grid = make_grid(0.0, 40.0, 401)

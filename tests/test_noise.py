@@ -1,14 +1,50 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ctpsim.core import NumericalError, derive_seed, make_grid
 from ctpsim.kernels import SYMMETRIC, KernelMatrix, build_hadamard, fluctuation_kernel
-from ctpsim.noise import hs_moment_check, sample_colored, sample_white
+from ctpsim.noise import NoiseEnsemble, hs_moment_check, sample_colored, sample_white
 from ctpsim.squeeze import SqueezeParams
 
 UNIT = SqueezeParams()
+
+
+class TestNoiseEnsemble:
+    def test_takes_ownership_of_float64_array(self):
+        grid = make_grid(0.0, 1.0, 5)
+        arr = np.arange(15.0).reshape(3, 5)
+        ens = NoiseEnsemble(grid, arr, seed=1, covariance_ref="test")
+        assert np.shares_memory(ens.realizations, arr)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+    def test_converts_other_input(self):
+        grid = make_grid(0.0, 1.0, 3)
+        ens = NoiseEnsemble(grid, [[1, 2, 3]], seed=1, covariance_ref="test")
+        assert ens.realizations.dtype == np.float64
+        assert not ens.realizations.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(3, 4), (5,), (2, 5, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"realizations must be \(M, 5\)"):
+            NoiseEnsemble(make_grid(0.0, 1.0, 5), np.zeros(shape), seed=1,
+                          covariance_ref="test")
+
+    def test_sample_white_holds_one_array(self):
+        # the ensemble takes the sampled rows over: the peak is that one array
+        grid = make_grid(0.0, 1.0, 2001)
+        sample_white(1.0, grid, seed=3, n_realizations=50)
+        tracemalloc.start()
+        try:
+            ens = sample_white(1.0, grid, seed=3, n_realizations=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ens.realizations.nbytes
 
 
 class TestSampleWhite:
