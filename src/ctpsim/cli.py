@@ -276,6 +276,19 @@ def _cmd_squeeze(cfg: dict, out: Path) -> list[str]:
     return ["squeeze.csv"]
 
 
+#: n x n float64 arrays alive at the peak of building one dense kernel, or of
+#: its eigendecomposition in sample_colored: inputs, validated copy, check
+#: temporaries, eigenvectors and LAPACK workspace (ru_maxrss at n = 1500:
+#: 4.7 to 6.1 for the four kernel kinds, 5.3 and 6.3 for colored noise)
+_DENSE_PEAK_MATRICES = 7
+
+
+def _require_dense(grid: TimeGrid, what: str, extra_values: int = 0) -> None:
+    """Check _DENSE_PEAK_MATRICES n x n float64 arrays plus extra_values floats against memory."""
+    n = grid.n_points
+    require_memory((_DENSE_PEAK_MATRICES * n * n + extra_values) * 8, what)
+
+
 def _build_kernel(sec: dict, grid: TimeGrid) -> KernelMatrix:
     params = _squeeze_mode_params(sec)
     kind = sec["kind"]
@@ -292,6 +305,8 @@ def _build_kernel(sec: dict, grid: TimeGrid) -> KernelMatrix:
 def _cmd_kernels(cfg: dict, out: Path) -> list[str]:
     sec = cfg["kernels"]
     grid = _grid_from(sec)
+    n = grid.n_points
+    _require_dense(grid, f"{sec['kind']} kernel ({n}, {n}) and its temporaries")
     kernel = _build_kernel(sec, grid)
     # header row: n and dt, then n rows of n values
     _write_table(out / "kernel.txt", f"{kernel.n} {grid.dt!r}", kernel.values, sep=" ")
@@ -303,9 +318,13 @@ def _cmd_noise(cfg: dict, out: Path) -> list[str]:
     grid = _grid_from(sec)
     m = cfg["n_realizations"]
     seed = cfg["master_seed"]
+    n = grid.n_points
     if sec["kind"] == "white":
+        require_memory(m * n * 8, f"noise ({m}, {n})")
         ens = sample_white(sec["sigma2"], grid, seed, m)
     else:
+        _require_dense(grid, f"{sec['kind']} kernel ({n}, {n}), its eigendecomposition "
+                             f"and noise ({m}, {n})", m * n)
         ens = sample_colored(_build_kernel(sec, grid), seed, m, sec["clip_tol"])
     _write_table(out / "noise.csv", ",".join(f"xi_{i}" for i in range(grid.n_points)),
                  ens.realizations)

@@ -254,10 +254,12 @@ def step_semi_implicit(noise: np.ndarray, vprime: Callable[[np.ndarray], np.ndar
     realization and latches to 0 the first time sum_a x_a^2 exceeds the
     threshold; it never reopens.
 
-    Returns (paths (M, d, n), gates (M, n) or None when there is no gate,
-    velocities of realization 0 (d, n)).  A step at which some |x_a| exceeds
-    DIVERGENCE_GUARD or is not finite raises DivergenceError for the earliest
-    such step and, among ties, the lowest realization index.
+    Returns (paths (M, d, n), close steps (M,) int or None when there is no
+    gate, velocities of realization 0 (d, n)).  A realization's close step is
+    the first grid index at which its gate is 0, or -1 if it never closed.
+    A step at which some |x_a| exceeds DIVERGENCE_GUARD or is not finite
+    raises DivergenceError for the earliest such step and, among ties, the
+    lowest realization index.
     """
     noise = np.asarray(noise, dtype=float)
     m, d, n = noise.shape
@@ -275,7 +277,7 @@ def step_semi_implicit(noise: np.ndarray, vprime: Callable[[np.ndarray], np.ndar
     v_first[0] = v[0]
     gated = gate_threshold is not None
     gate = np.ones(m)
-    gates = np.ones((m, n)) if gated else None
+    close = np.full(m, -1, dtype=np.int64) if gated else None
     # x and v are written straight into the block buffers
     xs = np.empty((_BLOCK_STEPS, m, d))
     vs = np.empty((_BLOCK_STEPS, m, d))
@@ -304,8 +306,10 @@ def step_semi_implicit(noise: np.ndarray, vprime: Callable[[np.ndarray], np.ndar
         paths[:, :, start + 1:stop + 1] = xs[:size].transpose(1, 2, 0)
         v_first[start + 1:stop + 1] = vs[:size, 0]
         if gated:
-            gates[:, start + 1:stop + 1] = gs[:size].T
-    return paths, gates, v_first.T
+            closed = gs[:size] == 0.0
+            new = (close < 0) & closed.any(axis=0)
+            close[new] = start + 1 + np.argmax(closed[:, new], axis=0)
+    return paths, close, v_first.T
 
 
 def step_exponential(drive: np.ndarray, q: float, phi0=0.0) -> np.ndarray:
@@ -342,6 +346,25 @@ def _sorted_variance(values: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return sq.sum(axis=0) / sq.shape[0]
 
 
+def _final_histogram(finals: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.histogram(finals, bins), widening the range only where numpy cannot bin it.
+
+    numpy pads a zero data range by +-0.5, which cannot hold bins distinct
+    edges once |value| >~ 1e15 and raises "Too many bins for data range".
+    Only then is the range padded by 2 bins ulps of its largest magnitude on
+    each side, so every bin spans at least two ulps; any range numpy accepts
+    is binned exactly as numpy bins it.
+    """
+    try:
+        return np.histogram(finals, bins=bins)
+    except ValueError:
+        if not np.isfinite(finals).all():
+            raise
+    lo, hi = float(finals.min()), float(finals.max())
+    pad = 2 * bins * float(np.spacing(max(abs(lo), abs(hi))))
+    return np.histogram(finals, bins=bins, range=(lo - pad, hi + pad))
+
+
 def aggregate_paths(grid: TimeGrid, paths: np.ndarray, keep_paths: bool = False,
                     histogram_bins: int = 32) -> EnsembleStats:
     """Pointwise mean/variance and final-value histogram of an (M, n) path array.
@@ -355,7 +378,7 @@ def aggregate_paths(grid: TimeGrid, paths: np.ndarray, keep_paths: bool = False,
     mean = _sorted_reduce_mean(paths)
     variance = _sorted_variance(paths, mean)
     finals = paths[:, -1].copy()
-    counts, edges = np.histogram(finals, bins=histogram_bins)
+    counts, edges = _final_histogram(finals, histogram_bins)
     return EnsembleStats(grid=grid, mean=mean, variance=variance,
                          final_histogram=(counts, edges), per_run_finals=finals,
                          paths=paths.copy() if keep_paths else None)

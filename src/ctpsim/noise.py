@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
-from .core import NumericalError, TimeGrid, derive_seed
+from .core import NumericalError, TimeGrid, derive_seed, derive_seeds
 from .kernels import SYMMETRIC, KernelMatrix
 
 DEFAULT_CLIP_TOL = 1e-10
@@ -58,15 +60,107 @@ class NoiseEnsemble:
         return self.realizations.shape[0]
 
 
+# numpy's SeedSequence hash: O'Neill's seed_seq_fe with a pool of four 32-bit
+# words (M. E. O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+# Statistically Good Algorithms for Random Number Generation", 2014)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[np.uint32]:
+    """init * mult^j mod 2^32 for j = 0..count: the hash constant before each use."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return [np.uint32(c) for c in out]
+
+
+# 4 pool fills + 12 cross-mixes use the A constants; 8 output words the B ones
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+
+#: rows per block of _standard_normals' seed hashing (~1 MB of temporaries)
+_SEED_BLOCK_ROWS = 4096
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """(M, 4) uint64: row i equals SeedSequence(seeds[i]).generate_state(4, np.uint64).
+
+    numpy's SeedSequence hashes the 32-bit words of its entropy into a pool of
+    four words and hashes the pool out again; every hash constant follows a
+    fixed sequence, so the whole computation runs on uint32 arrays over all
+    rows at once.  A 64-bit seed's entropy is [lo32, hi32]; numpy keeps only
+    [lo32] when hi32 is 0, and the pool pads with zero words either way.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    lo = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    hi = (seeds >> np.uint64(32)).astype(np.uint32)
+    consts = iter(zip(_HASH_A, _HASH_A[1:]))
+
+    def hashmix(value):
+        xor_const, mult_const = next(consts)
+        value = value ^ xor_const
+        value *= mult_const
+        value ^= value >> _XSHIFT
+        return value
+
+    zero = np.zeros_like(lo)
+    pool = [hashmix(word) for word in (lo, hi, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                mixed ^= mixed >> _XSHIFT
+                pool[dst] = mixed
+    state = np.empty((seeds.shape[0], 8), dtype="<u4")
+    for j in range(8):
+        word = pool[j % 4] ^ _HASH_B[j]
+        word *= _HASH_B[j + 1]
+        word ^= word >> _XSHIFT
+        state[:, j] = word
+    # consecutive 32-bit words pair little-endian into 64-bit ones, as in numpy
+    return state.view("<u8").astype(np.uint64)
+
+
+class _Words(ISeedSequence):
+    """Precomputed SeedSequence output for one generator, handed to PCG64 as is."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise NumericalError(
+                f"numpy {np.__version__} asked the seeding of PCG64 for {n_words} words "
+                f"of {np.dtype(dtype)}; ctpsim precomputes 4 uint64 words")
+        return self.words
+
+
 def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
     """(M, k) standard normals: row i is drawn by default_rng(derive_seed(seed, i)).
 
     The one place a generator is built: every random stream of the package is
-    these rows, so row i depends only on (seed, i, k), never on M.
+    these rows, so row i depends only on (seed, i, k), never on M.  The
+    SeedSequence words of all rows are hashed in blocks by :func:`_seed_words`
+    and handed to PCG64, which seeds itself from them; the first and last rows
+    are then redrawn through default_rng, and any difference (numpy changed
+    its seeding) is a NumericalError, never a silent change of streams.
     """
     rows = np.empty((n_realizations, k))
-    for i in range(n_realizations):
-        rows[i] = np.random.default_rng(derive_seed(seed, i)).standard_normal(k)
+    seeds = derive_seeds(seed, n_realizations)
+    for start in range(0, n_realizations, _SEED_BLOCK_ROWS):
+        words = _seed_words(seeds[start:start + _SEED_BLOCK_ROWS])
+        for row, row_words in zip(rows[start:start + _SEED_BLOCK_ROWS], words):
+            Generator(PCG64(_Words(row_words))).standard_normal(out=row)
+    for i in sorted({0, n_realizations - 1}):
+        expected = np.random.default_rng(derive_seed(seed, i)).standard_normal(k)
+        if rows[i].tobytes() != expected.tobytes():
+            raise NumericalError(
+                f"row {i} of seed {seed} differs from default_rng(derive_seed(seed, {i})): "
+                f"numpy {np.__version__} no longer seeds generators as ctpsim assumes")
     return rows
 
 

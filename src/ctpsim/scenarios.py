@@ -236,10 +236,12 @@ def _sample_scenario_noise(cfg: SSBConfig, n_components: int) -> np.ndarray:
 
 
 def _integrate_gated(cfg: SSBConfig, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Step all realizations at once from x = 0; returns (paths (M,d,n), gate (M,n)).
+    """Step all realizations at once from x = 0; returns (paths (M,d,n), close steps (M,)).
 
     The gate starts at 1, multiplies the noise, and latches to 0 the first
-    time |x|^2 crosses the threshold; it never reopens.  The radial force is
+    time |x|^2 crosses the threshold; it never reopens.  A realization's
+    close step is the grid index at which its gate first reads 0, or -1 if
+    it never closes (always, without a gate).  The radial force is
     -(m2 + lam |x|^2 / 6) x_a, identical to the scalar double well at d = 1.
     """
     c1 = cfg.m2
@@ -249,38 +251,37 @@ def _integrate_gated(cfg: SSBConfig, noise: np.ndarray) -> tuple[np.ndarray, np.
         return (c1 + c3 * np.einsum("md,md->m", x, x))[:, None] * x
 
     try:
-        paths, gates, _ = step_semi_implicit(
+        paths, close, _ = step_semi_implicit(
             noise, vprime, cfg.friction, cfg.grid,
             gate_threshold=cfg.gate_threshold_sq if cfg.gate else None)
     except DivergenceError as err:
         raise DivergenceError(
             f"{err} (dt = {cfg.grid.dt:g} too coarse for the curvature "
             f"|m2| = {abs(c1):g})", step=err.step, realization=err.realization) from err
-    if gates is None:
-        gates = np.ones((noise.shape[0], noise.shape[2]))
-    return paths, gates
+    if close is None:
+        close = np.full(noise.shape[0], -1, dtype=np.int64)
+    return paths, close
 
 
-def _gate_close_times(cfg: SSBConfig, gates: np.ndarray) -> np.ndarray:
-    closed = gates <= 0.0
-    any_closed = closed.any(axis=1)
-    first = np.argmax(closed, axis=1).astype(float) * cfg.grid.dt + cfg.grid.t_start
-    return np.where(any_closed, first, np.inf)
+def _gate_close_times(cfg: SSBConfig, close: np.ndarray) -> np.ndarray:
+    """t_start + step dt per realization, inf where the gate never closed."""
+    first = close.astype(float) * cfg.grid.dt + cfg.grid.t_start
+    return np.where(close >= 0, first, np.inf)
 
 
 def _simulate(cfg: SSBConfig, n_components: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample the noise and step it; returns (paths (M, d, n), gate close times (M,)).
 
-    The noise and the gates die with this call, so the caller's aggregation
-    holds only the paths: the peak is noise, paths and gates together,
-    (2d + 1) M n float64 values, and is checked against physical memory first.
+    The noise dies with this call, so the caller's aggregation holds only the
+    paths: the peak is noise and paths together, 2d M n float64 values, and
+    is checked against physical memory first.
     """
     m, n = cfg.n_realizations, cfg.grid.n_points
-    require_memory((2 * n_components + 1) * m * n * 8,
-                   f"noise and paths ({m}, {n_components}, {n}) and gates ({m}, {n})")
+    require_memory(2 * n_components * m * n * 8,
+                   f"noise and paths ({m}, {n_components}, {n})")
     noise = _sample_scenario_noise(cfg, n_components)
-    paths, gates = _integrate_gated(cfg, noise)
-    return paths, _gate_close_times(cfg, gates)
+    paths, close = _integrate_gated(cfg, noise)
+    return paths, _gate_close_times(cfg, close)
 
 
 def run_ssb(cfg: SSBConfig) -> SSBReport:

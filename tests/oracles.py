@@ -2,14 +2,16 @@
 
 These deliberately avoid the library's own code paths: flows come from
 scipy's matrix exponential, stationary moments from the Lyapunov solver, and
-the memory-scheme reference from a dense simultaneous solve.  The gated
-scenario stepper, the memory integrator's history sum and the recursion count
-are checked against plain loops, and the ensemble statistics against their
-former temporaries-allocating formula.
+the memory-scheme reference from a dense simultaneous solve.  The per-row
+generator seeding, the gated scenario stepper, the memory integrator's
+history sum and the recursion count are checked against plain loops, and the
+ensemble statistics against their former temporaries-allocating formula.
 """
 
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
+
+from ctpsim.core import derive_seed
 
 
 def flow_matrix(params, t):
@@ -166,6 +168,12 @@ def gated_loop_oracle(cfg, noise):
     return paths, gates
 
 
+def first_closed_step(gates):
+    """Per row of an (M, n) gate history, the first column where the gate is 0, or -1."""
+    closed = gates == 0.0
+    return np.where(closed.any(axis=1), np.argmax(closed, axis=1), -1)
+
+
 def recursion_loop_oracle(paths, leave_radius, return_radius):
     """Row-by-row recursion fraction: rows re-entering |x| < return after first |x| > leave."""
     a = np.abs(paths)
@@ -190,3 +198,15 @@ def aggregate_oracle(paths):
     dev = paths - mean
     variance = np.sort(dev * dev, axis=0).sum(axis=0) / m
     return mean, variance
+
+
+def standard_normals_oracle(seed, n_realizations, k):
+    """(M, k) normals with one default_rng(derive_seed(seed, i)) built per row.
+
+    The former loop of noise._standard_normals, kept as the reference for its
+    vectorized seeding: numpy's own SeedSequence hash runs once per row.
+    """
+    rows = np.empty((n_realizations, k))
+    for i in range(n_realizations):
+        rows[i] = np.random.default_rng(derive_seed(seed, i)).standard_normal(k)
+    return rows

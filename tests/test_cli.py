@@ -156,6 +156,16 @@ class TestExitCodes:
         assert main(["verify", "--out", str(tmp_path / "v")]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_changed_generator_seeding_is_numerical_failure(self, tmp_path, flipped_seed_words,
+                                                            capsys):
+        # vectorized seeding that disagrees with numpy's SeedSequence must not pass silently
+        assert main(["verify", "--out", str(tmp_path / "v")]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert f"numpy {np.__version__}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "v" / "verify.json").exists()
+
     @pytest.mark.parametrize("sub,section,key,literal", [
         ("squeeze", "squeeze", "phi", "NaN"),
         ("squeeze", "squeeze", "t_start", "-Infinity"),
@@ -397,12 +407,35 @@ class TestMemory:
 
     # arrays: the peak in (M, n) float64 arrays, as the subcommand checks it
     @pytest.mark.parametrize("sub, arrays", [
-        ("langevin", 2), ("ssb", 3), ("bec", 5), ("inflation", 2)])
+        ("langevin", 2), ("ssb", 2), ("bec", 4), ("inflation", 2)])
     def test_run_beyond_physical_memory_exits_one(self, tmp_path, physical_memory, capsys,
                                                   sub, arrays):
         m, n = 4, 2001
         need = arrays * m * n * 8
         args = self._args(tmp_path, sub, n, m)
+        physical_memory(need - 1)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"need {need} bytes" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+        physical_memory(need)
+        assert main(args) == 0
+
+    # the dense budget: 7 n x n float64 arrays, plus the (M, n) noise for colored noise
+    @pytest.mark.parametrize("sub, section, values", [
+        ("kernels", {"kind": "retarded"}, lambda m, n: 7 * n * n),
+        ("kernels", {"kind": "memory"}, lambda m, n: 7 * n * n),
+        ("noise", {"kind": "hadamard"}, lambda m, n: 7 * n * n + m * n),
+        ("noise", {"kind": "fluctuation"}, lambda m, n: 7 * n * n + m * n),
+        ("noise", {"kind": "white"}, lambda m, n: m * n)])
+    def test_dense_run_beyond_physical_memory_exits_one(self, tmp_path, physical_memory,
+                                                        capsys, sub, section, values):
+        m, n = 3, 40
+        need = values(m, n) * 8
+        path = write_config(tmp_path, {"master_seed": 1, "n_realizations": m,
+                                       sub: dict(section, n_points=n)})
+        args = [sub, "--config", str(path), "--out", str(tmp_path / "out")]
         physical_memory(need - 1)
         assert main(args) == 1
         err = capsys.readouterr().err

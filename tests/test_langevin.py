@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from ctpsim.langevin import (PotentialSpec, Trajectory, aggregate_paths,
 from ctpsim.noise import sample_white
 from ctpsim.squeeze import SqueezeParams
 
-from oracles import aggregate_oracle, collocation_memory_oracle, memory_loop_oracle
+from oracles import (aggregate_oracle, collocation_memory_oracle, first_closed_step,
+                     gated_loop_oracle, memory_loop_oracle)
 
 UNIT = SqueezeParams()
 
@@ -290,10 +292,7 @@ class TestEnsemble:
                                                st.floats(-1e-300, 1e-300))),
            keep=st.booleans())
     def test_statistics_match_former_formula_bit_for_bit(self, paths, keep):
-        # in-place variance: same values summed in the same order as the oracle.
-        # The final column feeds the histogram, which cannot bin one repeated
-        # large value, so it is kept distinct.
-        paths[:, -1] = np.arange(paths.shape[0])
+        # in-place variance: same values summed in the same order as the oracle
         before = paths.tobytes()
         stats = aggregate_paths(make_grid(0.0, 1.0, paths.shape[1]), paths, keep_paths=keep)
         mean, variance = aggregate_oracle(paths.copy())
@@ -303,6 +302,25 @@ class TestEnsemble:
         if keep:
             assert stats.paths.tobytes() == before
             assert not np.shares_memory(stats.paths, paths)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("value", [1e15, -1e15, 1e17, -1e17])
+    def test_histogram_of_one_repeated_large_final(self, m, value):
+        # numpy cannot cut +-0.5 around these into 32 bins; the range is widened
+        stats = aggregate_paths(make_grid(0.0, 1.0, 3), np.full((m, 3), value))
+        counts, edges = stats.final_histogram
+        assert counts.sum() == m
+        assert np.all(np.diff(edges) > 0.0)
+        assert edges[0] < value < edges[-1]
+
+    @pytest.mark.parametrize("finals", [[2.8e14], [2.8e14] * 4, [0.0, 0.0], [1.0, 2.0, 5.0]])
+    def test_histogram_is_numpy_where_numpy_bins(self, finals):
+        paths = np.zeros((len(finals), 3))
+        paths[:, -1] = finals
+        counts, edges = aggregate_paths(make_grid(0.0, 1.0, 3), paths).final_histogram
+        ref_counts, ref_edges = np.histogram(np.array(finals), bins=32)
+        assert counts.tobytes() == ref_counts.tobytes()
+        assert edges.tobytes() == ref_edges.tobytes()
 
     def test_divergence_annotated_with_realization(self):
         grid = make_grid(0.0, 40.0, 401)
@@ -385,13 +403,25 @@ class TestBatchedSteppers:
     def test_gate_latches_and_never_reopens(self, m, d, n, threshold, seed):
         grid = make_grid(0.0, 10.0, n)
         noise = np.random.default_rng(seed).standard_normal((m, d, n))
-        paths, gates, _ = step_semi_implicit(noise, PotentialSpec.quadratic(1.0).vprime,
+        paths, close, _ = step_semi_implicit(noise, PotentialSpec.quadratic(1.0).vprime,
                                              0.5, grid, gate_threshold=threshold)
-        assert set(np.unique(gates)) <= {0.0, 1.0}
-        assert np.all(np.diff(gates, axis=1) <= 0.0)
-        crossed = np.maximum.accumulate(np.einsum("mdn,mdn->mn", paths, paths) > threshold,
-                                        axis=1)
-        assert np.array_equal(gates == 0.0, crossed)
+        # the loop oracle's radial force with lam = 0 is the quadratic force bit for bit
+        cfg = SimpleNamespace(m2=1.0, lam=0.0, friction=0.5, gate=True,
+                              gate_threshold_sq=threshold, grid=grid)
+        ref_paths, ref_gates = gated_loop_oracle(cfg, noise)
+        assert paths.tobytes() == ref_paths.tobytes()
+        assert set(np.unique(ref_gates)) <= {0.0, 1.0}
+        assert np.all(np.diff(ref_gates, axis=1) <= 0.0)
+        assert close.tobytes() == first_closed_step(ref_gates).tobytes()
+        crossed = np.einsum("mdn,mdn->mn", paths, paths) > threshold
+        assert np.array_equal(close, first_closed_step(np.where(crossed, 0.0, 1.0)))
+
+    def test_no_gate_returns_none(self):
+        grid = make_grid(0.0, 1.0, 11)
+        noise = np.random.default_rng(3).standard_normal((2, 1, 11))
+        _, close, _ = step_semi_implicit(noise, PotentialSpec.quadratic(1.0).vprime,
+                                         0.5, grid)
+        assert close is None
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(1, 6), n=st.integers(30, 700), seed=st.integers(0, 2**32),

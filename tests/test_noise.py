@@ -3,11 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctpsim import noise
 from ctpsim.core import NumericalError, derive_seed, make_grid
 from ctpsim.kernels import SYMMETRIC, KernelMatrix, build_hadamard, fluctuation_kernel
 from ctpsim.noise import NoiseEnsemble, hs_moment_check, sample_colored, sample_white
 from ctpsim.squeeze import SqueezeParams
+
+from oracles import standard_normals_oracle
 
 UNIT = SqueezeParams()
 
@@ -45,6 +50,46 @@ class TestNoiseEnsemble:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * ens.realizations.nbytes
+
+
+class TestStandardNormals:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), m=st.integers(1, 64),
+           k=st.sampled_from([1, 2, 7, 8, 301]))
+    def test_equals_one_generator_per_row(self, seed, m, k):
+        expected = standard_normals_oracle(seed, m, k)
+        assert noise._standard_normals(seed, m, k).tobytes() == expected.tobytes()
+
+    def test_crosses_seed_blocks(self, monkeypatch):
+        monkeypatch.setattr(noise, "_SEED_BLOCK_ROWS", 3)
+        expected = standard_normals_oracle(5, 10, 2)
+        assert noise._standard_normals(5, 10, 2).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("s", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_seed_words_equal_seed_sequence(self, s):
+        expected = np.random.SeedSequence(s).generate_state(4, np.uint64)
+        assert noise._seed_words(np.array([s], dtype=np.uint64))[0].tobytes() == \
+            expected.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+    def test_seed_words_equal_seed_sequence_per_row(self, seeds):
+        words = noise._seed_words(np.array(seeds, dtype=np.uint64))
+        assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+        for s, row in zip(seeds, words):
+            expected = np.random.SeedSequence(s).generate_state(4, np.uint64)
+            assert row.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint64), (2, np.uint64)])
+    def test_words_refuse_any_other_request(self, n_words, dtype):
+        words = noise._Words(np.zeros(4, dtype=np.uint64))
+        with pytest.raises(NumericalError, match=f"numpy {np.__version__}"):
+            words.generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("m", [1, 2, 50])
+    def test_changed_seeding_fails_loudly(self, flipped_seed_words, m):
+        with pytest.raises(NumericalError, match=f"row 0 .*numpy {np.__version__}"):
+            noise._standard_normals(9, m, 3)
 
 
 class TestSampleWhite:

@@ -17,7 +17,7 @@ from ctpsim.scenarios import (BECConfig, SSBConfig, kuiper_statistic,
                               _integrate_gated, _sample_scenario_noise)
 from ctpsim.squeeze import SqueezeParams
 
-from oracles import gated_loop_oracle, recursion_loop_oracle
+from oracles import first_closed_step, gated_loop_oracle, recursion_loop_oracle
 
 GRID = make_grid(0.0, 30.0, 1501)
 
@@ -131,8 +131,11 @@ class TestSSB:
     def test_gate_latch_is_monotone(self):
         cfg = ssb_config(n_realizations=20)
         noise = _sample_scenario_noise(cfg, 1)
-        _, gates = _integrate_gated(cfg, noise)
-        assert np.all(np.diff(gates, axis=1) <= 0.0)
+        _, close = _integrate_gated(cfg, noise)
+        _, ref_gates = gated_loop_oracle(cfg, noise)
+        assert np.all(np.diff(ref_gates, axis=1) <= 0.0)
+        assert (close > 0).all()
+        assert close.tobytes() == first_closed_step(ref_gates).tobytes()
 
     @pytest.mark.parametrize("n_components", [1, 2])
     @pytest.mark.parametrize("overrides", [
@@ -142,10 +145,10 @@ class TestSSB:
     def test_batched_stepper_matches_loop_oracle(self, n_components, overrides):
         cfg = ssb_config(n_realizations=37, **overrides)
         noise = _sample_scenario_noise(cfg, n_components)
-        paths, gates = _integrate_gated(cfg, noise)
+        paths, close = _integrate_gated(cfg, noise)
         ref_paths, ref_gates = gated_loop_oracle(cfg, noise)
         assert paths.tobytes() == ref_paths.tobytes()
-        assert gates.tobytes() == ref_gates.tobytes()
+        assert close.tobytes() == first_closed_step(ref_gates).tobytes()
 
     @settings(max_examples=10, deadline=None)
     @given(k=st.integers(1, 6), extra=st.integers(1, 6), n_components=st.integers(1, 2),
@@ -156,9 +159,9 @@ class TestSSB:
         for m in (k, k + extra):
             sized = dataclasses.replace(cfg, n_realizations=m)
             runs.append(_integrate_gated(sized, _sample_scenario_noise(sized, n_components)))
-        (small, small_gates), (big, big_gates) = runs
+        (small, small_close), (big, big_close) = runs
         assert big[:k].tobytes() == small.tobytes()
-        assert big_gates[:k].tobytes() == small_gates.tobytes()
+        assert big_close[:k].tobytes() == small_close.tobytes()
 
     def test_report_reproducible(self):
         a = run_ssb(ssb_config(n_realizations=25))
