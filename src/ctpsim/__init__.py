@@ -11,7 +11,7 @@ from .kernels import (ADVANCED, RETARDED, SYMMETRIC, ContourMatrix,
                       DeSitterParams, KernelMatrix, build_contour_matrix,
                       build_hadamard, build_retarded, desitter_hadamard,
                       elementwise_power, fluctuation_kernel, keldysh_rotate,
-                      memory_kernel, psd_project, squeezed_factor)
+                      memory_kernel, psd_factor, psd_project, squeezed_factor)
 from .langevin import (EnsembleStats, PotentialSpec, SpectrumEstimate,
                        Trajectory, aggregate_paths, ensemble_run,
                        estimate_spectrum, integrate_memory,

@@ -1,10 +1,9 @@
 """Command-line front end: config ingestion, dispatch and bit-stable exports.
 
 One JSON document configures every subcommand; each subcommand reads its own
-section plus the shared reproducibility keys (master_seed, n_realizations;
-threads is accepted and recorded but has no effect).  The schema is strict:
-unknown keys and duplicate keys are fatal, so a misspelled physical parameter
-can never fall back to a default silently.
+section plus the shared reproducibility keys (master_seed, n_realizations).
+The schema is strict: unknown keys and duplicate keys are fatal, so a
+misspelled physical parameter can never fall back to a default silently.
 All outputs are written atomically (temp file + rename) and every run leaves
 a manifest sufficient to reproduce it bit-exactly.
 
@@ -132,7 +131,6 @@ _SECTION_SCHEMAS["bec"] = dict(_SECTION_SCHEMAS["ssb"])
 _TOP_SCHEMA = {
     "master_seed": (int, 0, (lambda v: 0 <= v < 2**64, "must fit in an unsigned 64-bit integer")),
     "n_realizations": (int, 100, _GE1),
-    "threads": (int, 1, _GE1),
 }
 
 
@@ -235,25 +233,37 @@ def _grid_from(sec: dict) -> TimeGrid:
 # ---------------------------------------------------------------------------
 # bit-stable output helpers
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Write an iterable of text chunks to a temp file, then rename it over path.
+
+    The chunks are consumed one at a time, so a table is never held as text;
+    a failure while writing removes the temp file and leaves path untouched.
+    """
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_table(path: Path, first_line: str, values, sep: str = ",") -> None:
     """first_line, then one line per row of a float matrix, each value as repr(float).
 
-    Rows are converted to Python floats one at a time: a whole-table tolist()
-    would add its boxed copy to the peak memory of the run.
+    Rows are converted to Python floats and text one at a time: neither a
+    boxed copy of the table nor its text adds to the peak memory of the run.
     """
-    lines = [first_line]
-    lines.extend(sep.join(map(repr, row.tolist())) for row in np.asarray(values, dtype=float))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    def lines():
+        yield first_line + "\n"
+        for row in np.asarray(values, dtype=float):
+            yield sep.join(map(repr, row.tolist())) + "\n"
+    _atomic_write(path, lines())
 
 
 def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2) + "\n")
+    _atomic_write(path, [json.dumps(obj, indent=2) + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +287,10 @@ def _cmd_squeeze(cfg: dict, out: Path) -> list[str]:
 
 
 #: n x n float64 arrays alive at the peak of building one dense kernel, or of
-#: its eigendecomposition in sample_colored: inputs, validated copy, check
+#: its eigendecomposition in sample_colored: inputs, the kernel, check
 #: temporaries, eigenvectors and LAPACK workspace (ru_maxrss at n = 1500:
-#: 4.7 to 6.1 for the four kernel kinds, 5.3 and 6.3 for colored noise)
-_DENSE_PEAK_MATRICES = 7
+#: 3.7 to 5.1 for the four kernel kinds, 5.2 for both kinds of colored noise)
+_DENSE_PEAK_MATRICES = 6
 
 
 def _require_dense(grid: TimeGrid, what: str, extra_values: int = 0) -> None:
@@ -442,6 +452,10 @@ def _cmd_inflation(cfg: dict, out: Path) -> list[str]:
 
 
 def _verify_checks(cfg: dict) -> list[dict]:
+    # the HS noise (M, 8) peaks next to its normals (M, <= 8) and seeds (M)
+    # while it is drawn, or its phases (5 values a row) after: <= 17 values a row
+    m_hs = cfg["verify"]["hs_realizations"]
+    require_memory(17 * m_hs * 8, f"Hubbard-Stratonovich noise ({m_hs}, 8) and its normals")
     checks = []
 
     # Bogolubov normalization over a (wt, phi) grid
@@ -479,7 +493,6 @@ def _verify_checks(cfg: dict) -> list[dict]:
                    "bound": 1e-10, "passed": bool(worst_cross < 1e-10)})
 
     # Hubbard-Stratonovich moment identity on the hadamard kernel
-    m_hs = cfg["verify"]["hs_realizations"]
     grid_hs = make_grid(0.0, 1.0, 8)
     kernel = build_hadamard(SqueezeParams(), grid_hs)
     v = np.linspace(0.2, -0.3, 8)
@@ -537,9 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override master_seed")
         p.add_argument("--realizations", type=int, default=None,
                        help="override n_realizations")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; has no effect "
-                            "(ensembles are stepped as one batch)")
     return parser
 
 
@@ -556,10 +566,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.realizations < 1:
             raise ConfigError("--realizations must be >= 1")
         cfg["n_realizations"] = args.realizations
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        cfg["threads"] = args.threads
 
     out = Path(args.out)
     try:
@@ -578,7 +584,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         "artifact_version": __version__,
         "master_seed": cfg["master_seed"],
         "n_realizations": cfg["n_realizations"],
-        "threads": cfg["threads"],
         "config": {name: cfg[name]},
         "outputs": outputs,
         "wall_time_s": time.perf_counter() - started,

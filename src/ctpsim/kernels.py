@@ -51,8 +51,9 @@ class KernelMatrix:
     """Dense two-time kernel K(t_i, t_j) on a grid, tagged by causal structure.
 
     retarded kernels vanish strictly above the diagonal, advanced ones below,
-    symmetric ones equal their transpose.  values are frozen read-only so a
-    kernel can be shared across parallel ensemble workers.
+    symmetric ones equal their transpose.  The kernel takes ownership of a
+    float64 ``values`` array without copying it and makes it read-only; other
+    input is converted to float64.
     """
 
     grid: TimeGrid
@@ -62,7 +63,7 @@ class KernelMatrix:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        vals = np.array(self.values, dtype=float, copy=True)
+        vals = np.asarray(self.values, dtype=float)
         n = self.grid.n_points
         if vals.shape != (n, n):
             raise ValueError(f"kernel values must be ({n}, {n}), got {vals.shape}")
@@ -320,24 +321,40 @@ def desitter_hadamard(dp: DeSitterParams, eta: float, eta_prime: float) -> float
                                     + x * math.sin(x))
 
 
-def psd_project(kernel: KernelMatrix, tol: float) -> tuple[KernelMatrix, int]:
-    """Clip eigenvalues below tol * lambda_max to zero; returns the clip count.
+def psd_factor(kernel: KernelMatrix, clip_tol: float) -> np.ndarray:
+    """Factor F of shape (n, rank) with F F^T = kernel after eigenvalue clipping.
 
-    A PSD input passes through unchanged with zero clips.  This is the
-    prerequisite for factorizing a Gaussian weight over a kernel that is
-    singular (the rank-2 hadamard kernel) or carries small negative rounding
-    noise.
+    The symmetric eigendecomposition keeps the eigenvalues w > clip_tol *
+    lambda_max, which stays robust on rank-deficient kernels (the rank-2
+    hadamard kernel) where plain triangular factorization would fail.  A
+    negative eigenvalue beyond clip_tol * lambda_max is a NumericalError, and
+    a kernel that keeps no eigenvalue is rank-0 noise, a ConfigError.
     """
     if kernel.kind != SYMMETRIC:
-        raise ValueError("psd projection requires a symmetric kernel")
+        raise ValueError("noise factorization requires a symmetric kernel")
     w, vecs = np.linalg.eigh(kernel.values)
-    w_max = float(w[-1])
-    cutoff = tol * max(w_max, 0.0)
-    below = w < cutoff
-    n_clipped = int(np.count_nonzero(below))
+    w_max = max(float(w[-1]), 0.0)
+    if float(w[0]) < -clip_tol * w_max:
+        raise NumericalError(
+            f"kernel has negative eigenvalue {w[0]:.3e} beyond clip tolerance "
+            f"{clip_tol:.1e} * lambda_max ({w_max:.3e})"
+        )
+    keep = w > clip_tol * w_max
+    if not keep.any():
+        raise ConfigError(f"rank-0 noise: no eigenvalue of the kernel exceeds clip "
+                          f"tolerance {clip_tol:.1e} * lambda_max ({w_max:.3e})")
+    return vecs[:, keep] * np.sqrt(w[keep])
+
+
+def psd_project(kernel: KernelMatrix, tol: float) -> tuple[KernelMatrix, int]:
+    """The kernel as F F^T over :func:`psd_factor`, and the clip count n - rank.
+
+    A kernel that clips nothing is returned as is with zero clips.  The clip
+    rule is the one the colored-noise sampler draws with, so the projection
+    is the covariance that noise has.
+    """
+    factor = psd_factor(kernel, tol)
+    n_clipped = kernel.n - factor.shape[1]
     if n_clipped == 0:
         return kernel, 0
-    w_clipped = np.where(below, 0.0, w)
-    rebuilt = (vecs * w_clipped) @ vecs.T
-    rebuilt = 0.5 * (rebuilt + rebuilt.T)
-    return KernelMatrix(kernel.grid, rebuilt, SYMMETRIC), n_clipped
+    return KernelMatrix(kernel.grid, factor @ factor.T, SYMMETRIC), n_clipped

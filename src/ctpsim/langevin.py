@@ -94,7 +94,7 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Pointwise ensemble moments plus final-value diagnostics.
+    """Pointwise ensemble moments plus the final value of each realization.
 
     paths (M, n) is retained only on request; it is what trajectory-level
     diagnostics such as the recursion probability need.
@@ -103,7 +103,6 @@ class EnsembleStats:
     grid: TimeGrid
     mean: np.ndarray
     variance: np.ndarray
-    final_histogram: tuple[np.ndarray, np.ndarray]
     per_run_finals: np.ndarray
     paths: np.ndarray | None = None
 
@@ -346,28 +345,8 @@ def _sorted_variance(values: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return sq.sum(axis=0) / sq.shape[0]
 
 
-def _final_histogram(finals: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.histogram(finals, bins), widening the range only where numpy cannot bin it.
-
-    numpy pads a zero data range by +-0.5, which cannot hold bins distinct
-    edges once |value| >~ 1e15 and raises "Too many bins for data range".
-    Only then is the range padded by 2 bins ulps of its largest magnitude on
-    each side, so every bin spans at least two ulps; any range numpy accepts
-    is binned exactly as numpy bins it.
-    """
-    try:
-        return np.histogram(finals, bins=bins)
-    except ValueError:
-        if not np.isfinite(finals).all():
-            raise
-    lo, hi = float(finals.min()), float(finals.max())
-    pad = 2 * bins * float(np.spacing(max(abs(lo), abs(hi))))
-    return np.histogram(finals, bins=bins, range=(lo - pad, hi + pad))
-
-
-def aggregate_paths(grid: TimeGrid, paths: np.ndarray, keep_paths: bool = False,
-                    histogram_bins: int = 32) -> EnsembleStats:
-    """Pointwise mean/variance and final-value histogram of an (M, n) path array.
+def aggregate_paths(grid: TimeGrid, paths: np.ndarray, keep_paths: bool = False) -> EnsembleStats:
+    """Pointwise mean/variance and per-realization final values of an (M, n) path array.
 
     Reductions run in sorted order so the statistics are invariant under any
     reordering of the realizations.
@@ -377,23 +356,19 @@ def aggregate_paths(grid: TimeGrid, paths: np.ndarray, keep_paths: bool = False,
         raise ValueError(f"paths must be (M, {grid.n_points}), got {paths.shape}")
     mean = _sorted_reduce_mean(paths)
     variance = _sorted_variance(paths, mean)
-    finals = paths[:, -1].copy()
-    counts, edges = _final_histogram(finals, histogram_bins)
     return EnsembleStats(grid=grid, mean=mean, variance=variance,
-                         final_histogram=(counts, edges), per_run_finals=finals,
+                         per_run_finals=paths[:, -1].copy(),
                          paths=paths.copy() if keep_paths else None)
 
 
 def ensemble_run(run_one: Callable[[int], Trajectory], master_seed: int,
-                 n_realizations: int, keep_paths: bool = False,
-                 n_threads: int = 1) -> EnsembleStats:
+                 n_realizations: int) -> EnsembleStats:
     """Run M independent trajectories with seeds derive_seed(master, i), one by one.
 
     run_one maps a derived seed to a Trajectory.  Results depend only on
     master_seed; integrator failures are re-raised with the offending
-    realization index attached.  n_threads is accepted for compatibility and
-    has no effect: ensembles that need speed are stepped as one batch by
-    :func:`step_semi_implicit` or :func:`step_exponential`.
+    realization index attached.  Ensembles that need speed are stepped as one
+    batch by :func:`step_semi_implicit` or :func:`step_exponential`.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
@@ -411,7 +386,7 @@ def ensemble_run(run_one: Callable[[int], Trajectory], master_seed: int,
     paths[0] = first.x
     for i in range(1, n_realizations):
         paths[i] = run_indexed(i).x
-    return aggregate_paths(first.grid, paths, keep_paths=keep_paths)
+    return aggregate_paths(first.grid, paths)
 
 
 def estimate_spectrum(per_k_variances: Iterable[tuple[float, float]] | Sequence) -> SpectrumEstimate:

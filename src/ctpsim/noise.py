@@ -2,10 +2,10 @@
 
 Colored noise is drawn over a factor F with F F^T = covariance
 (:func:`draw_from_factor`).  For a kernel known only as a dense matrix the
-factor comes from a symmetric eigendecomposition with eigenvalue clipping,
-which stays robust on rank-deficient kernels where plain triangular
-factorization would fail; the squeezed-mode kernels of the scenarios have an
-exact closed-form factor instead (:func:`ctpsim.kernels.squeezed_factor`).
+factor comes from a clipped symmetric eigendecomposition
+(:func:`ctpsim.kernels.psd_factor`); the squeezed-mode kernels of the
+scenarios have an exact closed-form factor instead
+(:func:`ctpsim.kernels.squeezed_factor`).
 :func:`hs_moment_check` is the operational statement of the noise
 factorization: averaging exp(i xi . v) over the ensemble must reproduce
 exp(-v^T K v / 2).
@@ -20,7 +20,7 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .core import NumericalError, TimeGrid, derive_seed, derive_seeds
-from .kernels import SYMMETRIC, KernelMatrix
+from .kernels import KernelMatrix, psd_factor
 
 DEFAULT_CLIP_TOL = 1e-10
 
@@ -179,21 +179,6 @@ def sample_white(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int) 
     return NoiseEnsemble(grid, rows, seed, covariance_ref=f"white[sigma2={sigma2!r}]")
 
 
-def _factor(kernel: KernelMatrix, clip_tol: float) -> np.ndarray:
-    """Factor L with L L^T = kernel after clipping, shape (n, rank)."""
-    if kernel.kind != SYMMETRIC:
-        raise ValueError("colored sampling requires a symmetric kernel")
-    w, vecs = np.linalg.eigh(kernel.values)
-    w_max = max(float(w[-1]), 0.0)
-    if float(w[0]) < -clip_tol * w_max:
-        raise NumericalError(
-            f"kernel has negative eigenvalue {w[0]:.3e} beyond clip tolerance "
-            f"{clip_tol:.1e} * lambda_max ({w_max:.3e})"
-        )
-    keep = w > clip_tol * w_max
-    return vecs[:, keep] * np.sqrt(w[keep])
-
-
 def draw_from_factor(factor: np.ndarray, seed: int, n_realizations: int) -> np.ndarray:
     """(M, n) Gaussian rows F z_i with covariance F F^T, for a factor F of shape (n, r).
 
@@ -225,11 +210,12 @@ def sample_colored(kernel: KernelMatrix, seed: int, n_realizations: int,
                    clip_tol: float = DEFAULT_CLIP_TOL) -> NoiseEnsemble:
     """Gaussian process with covariance equal to the given symmetric kernel.
 
-    Realization i is L z_i with z_i standard normal in the kept eigenspace;
-    the ensemble covariance converges to the kernel at the 1/sqrt(M) rate.
-    Indefiniteness beyond clip_tol is an error, not a silent repair.
+    Realization i is F z_i over the factor F of :func:`ctpsim.kernels.psd_factor`
+    (z_i standard normal in the kept eigenspace); the ensemble covariance
+    converges to the kernel at the 1/sqrt(M) rate.  Indefiniteness beyond
+    clip_tol is an error, not a silent repair, and so is rank-0 noise.
     """
-    rows = draw_from_factor(_factor(kernel, clip_tol), seed, n_realizations)
+    rows = draw_from_factor(psd_factor(kernel, clip_tol), seed, n_realizations)
     return NoiseEnsemble(kernel.grid, rows, seed, covariance_ref=kernel.describe())
 
 

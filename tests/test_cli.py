@@ -76,6 +76,15 @@ class TestLoadConfig:
         assert cfg["ssb"]["noise_kernel"] == "hadamard"
         assert cfg["ssb"]["gate"] is True
 
+    def test_threads_key_rejected(self, tmp_path, capsys):
+        # ensembles are stepped as one batch: there is no thread count to set
+        path = write_config(tmp_path, {"threads": 2, "ssb": {}})
+        assert main(["ssb", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown key 'threads'" in capsys.readouterr().err
+        assert main(["verify", "--threads", "2", "--out", str(tmp_path / "v")]) == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "v").exists()
+
     def test_other_sections_tolerated(self, tmp_path):
         path = write_config(tmp_path, {"ssb": {}, "bec": {}, "inflation": {}})
         cfg = load_config(path, "ssb")
@@ -122,6 +131,15 @@ class TestExitCodes:
         code = main(["bec", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "rank-0 noise" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", [{"kind": "fluctuation", "coupling": 0.0},
+                                         {"kind": "hadamard", "clip_tol": 2.0}])
+    def test_rank_zero_colored_noise_is_config_error(self, tmp_path, capsys, section):
+        path = write_config(tmp_path, {"noise": section})
+        out = tmp_path / "o"
+        assert main(["noise", "--config", str(path), "--out", str(out)]) == 1
+        assert "rank-0 noise" in capsys.readouterr().err
+        assert not (out / "noise.csv").exists()
 
     def test_noise_factor_overflow_is_numerical_failure(self, tmp_path, capsys):
         cfg = {"ssb": {"noise_kernel": "fluctuation", "t_end": 300.0,
@@ -237,6 +255,12 @@ class TestOutputs:
         assert (tmp_path / "m.txt").read_text() == (
             "1 0.5\n" + " ".join(repr(float(v)) for v in values) + "\n")
 
+    def test_failed_table_write_leaves_nothing(self, tmp_path):
+        from ctpsim.cli import _write_table
+        with pytest.raises(ValueError):
+            _write_table(tmp_path / "t.csv", "a", [[1.0], [1.0, 2.0]])
+        assert list(tmp_path.iterdir()) == []
+
     def test_squeeze_table(self, tmp_path):
         path = write_config(tmp_path, {"squeeze": {"t_end": 1.0, "n_points": 5}})
         out = tmp_path / "out"
@@ -286,7 +310,7 @@ class TestOutputs:
     def test_langevin_trajectory0_is_realization_zero(self, tmp_path, potential):
         from ctpsim.core import derive_seed, make_grid
         from ctpsim.langevin import PotentialSpec, integrate_white
-        cfg = {"master_seed": 7, "n_realizations": 3, "threads": 4,
+        cfg = {"master_seed": 7, "n_realizations": 3,
                "langevin": {"potential": potential, "t_end": 5.0, "n_points": 301,
                             "x0": 0.5, "v0": -0.25}}
         path = write_config(tmp_path, cfg)
@@ -301,7 +325,6 @@ class TestOutputs:
         table = np.loadtxt(out / "trajectory0.csv", delimiter=",", skiprows=1)
         assert table[:, 1].tobytes() == ref.x.tobytes()
         assert table[:, 2].tobytes() == ref.xdot.tobytes()
-        assert json.loads((out / "manifest.json").read_text())["threads"] == 4
 
     def test_langevin_divergence_names_realization(self, tmp_path, capsys):
         cfg = {"n_realizations": 3,
@@ -422,12 +445,12 @@ class TestMemory:
         physical_memory(need)
         assert main(args) == 0
 
-    # the dense budget: 7 n x n float64 arrays, plus the (M, n) noise for colored noise
+    # the dense budget: 6 n x n float64 arrays, plus the (M, n) noise for colored noise
     @pytest.mark.parametrize("sub, section, values", [
-        ("kernels", {"kind": "retarded"}, lambda m, n: 7 * n * n),
-        ("kernels", {"kind": "memory"}, lambda m, n: 7 * n * n),
-        ("noise", {"kind": "hadamard"}, lambda m, n: 7 * n * n + m * n),
-        ("noise", {"kind": "fluctuation"}, lambda m, n: 7 * n * n + m * n),
+        ("kernels", {"kind": "retarded"}, lambda m, n: 6 * n * n),
+        ("kernels", {"kind": "memory"}, lambda m, n: 6 * n * n),
+        ("noise", {"kind": "hadamard"}, lambda m, n: 6 * n * n + m * n),
+        ("noise", {"kind": "fluctuation"}, lambda m, n: 6 * n * n + m * n),
         ("noise", {"kind": "white"}, lambda m, n: m * n)])
     def test_dense_run_beyond_physical_memory_exits_one(self, tmp_path, physical_memory,
                                                         capsys, sub, section, values):
@@ -442,5 +465,20 @@ class TestMemory:
         assert f"need {need} bytes" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "manifest.json").exists()
+        physical_memory(need)
+        assert main(args) == 0
+
+    def test_verify_beyond_physical_memory_exits_one(self, tmp_path, physical_memory, capsys):
+        # 17 float64 values per Hubbard-Stratonovich realization, checked before any draw
+        m = 1000
+        need = 17 * m * 8
+        path = write_config(tmp_path, {"verify": {"hs_realizations": m}})
+        args = ["verify", "--config", str(path), "--out", str(tmp_path / "out")]
+        physical_memory(need - 1)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"need {need} bytes" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "verify.json").exists()
         physical_memory(need)
         assert main(args) == 0

@@ -9,8 +9,8 @@ from ctpsim.kernels import (ADVANCED, RETARDED, SYMMETRIC, ContourMatrix,
                             build_contour_matrix, build_hadamard,
                             build_retarded, desitter_hadamard,
                             elementwise_power, fluctuation_kernel,
-                            keldysh_rotate, memory_kernel, psd_project,
-                            squeezed_factor)
+                            keldysh_rotate, memory_kernel, psd_factor,
+                            psd_project, squeezed_factor)
 from ctpsim.squeeze import SqueezeParams, mode_two_point
 
 UNIT = SqueezeParams()
@@ -46,6 +46,15 @@ class TestKernelMatrixStructure:
         kernel = KernelMatrix(grid, np.eye(4), SYMMETRIC)
         with pytest.raises(ValueError):
             kernel.values[0, 0] = 2.0
+
+    def test_takes_ownership_of_float64_array(self):
+        vals = np.eye(4)
+        kernel = KernelMatrix(make_grid(0.0, 1.0, 4), vals, SYMMETRIC)
+        assert np.shares_memory(kernel.values, vals)
+        assert not vals.flags.writeable
+        ints = np.eye(4, dtype=int)
+        converted = KernelMatrix(make_grid(0.0, 1.0, 4), ints, SYMMETRIC)
+        assert converted.values.dtype == np.float64 and ints.flags.writeable
 
     def test_unknown_kind_rejected(self):
         grid = make_grid(0.0, 1.0, 4)
@@ -375,3 +384,48 @@ class TestPsdProject:
         out, clipped = psd_project(kernel, 1e-5)
         assert clipped == 1
         assert np.linalg.eigvalsh(out.values)[0] >= 0.0
+
+    @staticmethod
+    def _four_by_four():
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        vals = (q * np.array([1.0, 0.5, 0.1, -1e-6])) @ q.T
+        return KernelMatrix(make_grid(0.0, 1.0, 4), 0.5 * (vals + vals.T), SYMMETRIC), 1e-5
+
+    @pytest.mark.parametrize("case", ["identity", "hadamard", "four_by_four"])
+    def test_projection_is_the_sampled_covariance(self, case, monkeypatch):
+        from ctpsim import noise
+        if case == "identity":
+            kernel, tol = KernelMatrix(make_grid(0.0, 1.0, 8), np.eye(8), SYMMETRIC), 1e-10
+        elif case == "hadamard":
+            kernel, tol = build_hadamard(UNIT, make_grid(0.0, 1.0, 64)), 1e-10
+        else:
+            kernel, tol = self._four_by_four()
+        drawn = []
+        real_draw = noise.draw_from_factor
+
+        def spy(factor, seed, n_realizations):
+            drawn.append(factor.shape[1])
+            return real_draw(factor, seed, n_realizations)
+
+        monkeypatch.setattr(noise, "draw_from_factor", spy)
+        noise.sample_colored(kernel, seed=1, n_realizations=2, clip_tol=tol)
+        out, clipped = psd_project(kernel, tol)
+        factor = psd_factor(kernel, tol)
+        assert drawn == [factor.shape[1]] == [kernel.n - clipped]
+        if clipped == 0:
+            assert out is kernel
+        else:
+            assert out.values.tobytes() == (factor @ factor.T).tobytes()
+        assert clipped == {"identity": 0, "hadamard": 62, "four_by_four": 1}[case]
+
+    def test_indefinite_kernel_raises(self):
+        kernel = KernelMatrix(make_grid(0.0, 1.0, 4), np.diag([1.0, 1.0, 1.0, -1e-3]),
+                              SYMMETRIC)
+        with pytest.raises(NumericalError, match="negative eigenvalue"):
+            psd_project(kernel, 1e-5)
+
+    def test_rank_zero_kernel_is_config_error(self):
+        kernel = KernelMatrix(make_grid(0.0, 1.0, 4), np.zeros((4, 4)), SYMMETRIC)
+        with pytest.raises(ConfigError, match="rank-0 noise"):
+            psd_factor(kernel, 1e-10)

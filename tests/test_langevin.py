@@ -251,19 +251,12 @@ class TestEnsemble:
     def test_determinism(self):
         grid = make_grid(0.0, 2.0, 51)
         runner = self._runner(grid, PotentialSpec.quadratic(1.0))
-        a = ensemble_run(runner, master_seed=9, n_realizations=16, keep_paths=True)
-        b = ensemble_run(runner, master_seed=9, n_realizations=16, keep_paths=True)
-        assert np.array_equal(a.paths, b.paths)
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.final_histogram[0], b.final_histogram[0])
-
-    def test_threaded_matches_serial(self):
-        grid = make_grid(0.0, 2.0, 51)
-        runner = self._runner(grid, PotentialSpec.quadratic(1.0))
-        serial = ensemble_run(runner, master_seed=9, n_realizations=16, keep_paths=True)
-        threaded = ensemble_run(runner, master_seed=9, n_realizations=16,
-                                keep_paths=True, n_threads=4)
-        assert np.array_equal(serial.paths, threaded.paths)
+        a = ensemble_run(runner, master_seed=9, n_realizations=16)
+        b = ensemble_run(runner, master_seed=9, n_realizations=16)
+        assert a.per_run_finals.tobytes() == b.per_run_finals.tobytes()
+        assert a.mean.tobytes() == b.mean.tobytes()
+        assert a.variance.tobytes() == b.variance.tobytes()
+        assert np.unique(a.per_run_finals).size == 16
 
     def test_double_well_ensemble_mean_symmetric(self):
         grid = make_grid(0.0, 10.0, 501)
@@ -302,25 +295,6 @@ class TestEnsemble:
         if keep:
             assert stats.paths.tobytes() == before
             assert not np.shares_memory(stats.paths, paths)
-
-    @pytest.mark.parametrize("m", [1, 4])
-    @pytest.mark.parametrize("value", [1e15, -1e15, 1e17, -1e17])
-    def test_histogram_of_one_repeated_large_final(self, m, value):
-        # numpy cannot cut +-0.5 around these into 32 bins; the range is widened
-        stats = aggregate_paths(make_grid(0.0, 1.0, 3), np.full((m, 3), value))
-        counts, edges = stats.final_histogram
-        assert counts.sum() == m
-        assert np.all(np.diff(edges) > 0.0)
-        assert edges[0] < value < edges[-1]
-
-    @pytest.mark.parametrize("finals", [[2.8e14], [2.8e14] * 4, [0.0, 0.0], [1.0, 2.0, 5.0]])
-    def test_histogram_is_numpy_where_numpy_bins(self, finals):
-        paths = np.zeros((len(finals), 3))
-        paths[:, -1] = finals
-        counts, edges = aggregate_paths(make_grid(0.0, 1.0, 3), paths).final_histogram
-        ref_counts, ref_edges = np.histogram(np.array(finals), bins=32)
-        assert counts.tobytes() == ref_counts.tobytes()
-        assert edges.tobytes() == ref_edges.tobytes()
 
     def test_divergence_annotated_with_realization(self):
         grid = make_grid(0.0, 40.0, 401)
