@@ -31,7 +31,8 @@ from .kernels import (DeSitterParams, KernelMatrix, build_contour_matrix,
                       keldysh_rotate, memory_kernel)
 from .langevin import PotentialSpec, aggregate_paths, step_semi_implicit
 from .langevin import ensemble_run  # noqa: F401  (perfbench traces it through this module)
-from .noise import DEFAULT_CLIP_TOL, hs_moment_check, sample_colored, sample_white
+from .noise import (DEFAULT_CLIP_TOL, draw_white, hs_moment_check, sample_colored,
+                    sample_white)
 from .scenarios import BECConfig, SSBConfig, run_bec, run_inflation, run_ssb
 from .squeeze import (DEFAULT_SQUEEZE_ANGLE, SqueezeParams, bogolubov_coefficients,
                       mode_two_point, particle_number, quadrature_variances)
@@ -329,12 +330,13 @@ def _cmd_noise(cfg: dict, out: Path) -> list[str]:
     m = cfg["n_realizations"]
     seed = cfg["master_seed"]
     n = grid.n_points
+    # the summary's var(axis=0) holds the deviations next to the noise: 2 (M, n) arrays
     if sec["kind"] == "white":
-        require_memory(m * n * 8, f"noise ({m}, {n})")
+        require_memory(2 * m * n * 8, f"noise ({m}, {n}) and its deviations")
         ens = sample_white(sec["sigma2"], grid, seed, m)
     else:
-        _require_dense(grid, f"{sec['kind']} kernel ({n}, {n}), its eigendecomposition "
-                             f"and noise ({m}, {n})", m * n)
+        _require_dense(grid, f"{sec['kind']} kernel ({n}, {n}), its eigendecomposition, "
+                             f"noise ({m}, {n}) and its deviations", 2 * m * n)
         ens = sample_colored(_build_kernel(sec, grid), seed, m, sec["clip_tol"])
     _write_table(out / "noise.csv", ",".join(f"xi_{i}" for i in range(grid.n_points)),
                  ens.realizations)
@@ -367,13 +369,11 @@ def _cmd_langevin(cfg: dict, out: Path) -> list[str]:
     grid = _grid_from(sec)
     pot = _langevin_potential(sec)
     m = cfg["n_realizations"]
-    require_memory(2 * m * grid.n_points * 8,
-                   f"noise and paths ({m}, {grid.n_points}) each")
-    noise = sample_white(sec["sigma2"], grid, cfg["master_seed"], m).realizations
-    paths, _, v_first = step_semi_implicit(noise[:, None, :], pot.vprime, sec["gamma"],
-                                           grid, sec["x0"], sec["v0"])
-    del noise  # not kept alive through the aggregation
-    paths = paths[:, 0, :]
+    # the noise is stepped in place into the paths: one (M, n) array at the peak
+    require_memory(m * grid.n_points * 8, f"noise, then paths ({m}, {grid.n_points})")
+    paths = draw_white(sec["sigma2"], grid, cfg["master_seed"], m)
+    _, _, v_first = step_semi_implicit(paths[:, None, :], pot.vprime, sec["gamma"],
+                                       grid, sec["x0"], sec["v0"])
     stats = aggregate_paths(grid, paths)
     _write_table(out / "ensemble.csv", "t,mean,variance",
                  np.column_stack([grid.times(), stats.mean, stats.variance]))

@@ -12,8 +12,9 @@ in the frictionless limit and stable for stiff friction.  The overdamped
 equation uses an exponential-integrator step that is exact for linear decay.
 
 Ensembles are stepped all realizations at once by :func:`step_semi_implicit`
-and :func:`step_exponential`; they apply the same elementwise operations in
-the same order as the single-path :func:`integrate_white` and
+and :func:`step_exponential`, in place: the paths are written over the noise
+array, so an ensemble is held once.  They apply the same elementwise
+operations in the same order as the single-path :func:`integrate_white` and
 :func:`integrate_overdamped_mode`, so every row is bit-identical to the
 single-path result and does not depend on the ensemble size.
 """
@@ -96,8 +97,9 @@ class PotentialSpec:
 class EnsembleStats:
     """Pointwise ensemble moments plus the final value of each realization.
 
-    paths (M, n) is retained only on request; it is what trajectory-level
-    diagnostics such as the recursion probability need.
+    paths (M, n) is retained only on request, as a read-only view of the
+    aggregated array (not a copy); it is what trajectory-level diagnostics
+    such as the recursion probability need.
     """
 
     grid: TimeGrid
@@ -226,24 +228,48 @@ def integrate_overdamped_mode(dp: DeSitterParams, noise_amp: float, grid: TimeGr
     return Trajectory(grid, phi, rhs)
 
 
-def _time_blocks(n_steps: int):
-    for start in range(0, n_steps, _BLOCK_STEPS):
-        yield start, min(start + _BLOCK_STEPS, n_steps)
+def _time_blocks(a: np.ndarray, n_steps: int):
+    """(start, stop, a[..., start:stop] copied time-major) for each block of steps.
+
+    Each block is a contiguous copy with the time axis first, never a view
+    (ascontiguousarray returns one when M is 1), and block b + 1 is copied
+    before block b is yielded: the caller may write block b's paths (columns
+    start + 1 .. stop) over a, as the one column they share with the next
+    block has been read by then.
+    """
+    bounds = [(start, min(start + _BLOCK_STEPS, n_steps))
+              for start in range(0, n_steps, _BLOCK_STEPS)]
+    copies = (np.moveaxis(a[..., start:stop], -1, 0).copy() for start, stop in bounds)
+    ahead = next(copies)
+    for start, stop in bounds:
+        current, ahead = ahead, next(copies, None)
+        yield start, stop, current
 
 
-def _time_major(a: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Contiguous copy of a[..., start:stop] with the time axis moved first."""
-    return np.ascontiguousarray(np.moveaxis(a[..., start:stop], -1, 0))
+def _require_writable(a, name: str) -> np.ndarray:
+    """a itself, if it is a writable float64 array; the steppers write their paths over it."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.writeable):
+        got = (f"{a.dtype}, writeable={a.flags.writeable}" if isinstance(a, np.ndarray)
+               else type(a).__name__)
+        raise ValueError(f"{name} must be a writable float64 array, got {got}: "
+                         f"the paths are written over it, so it is not copied")
+    return a
 
 
 def step_semi_implicit(noise: np.ndarray, vprime: Callable[[np.ndarray], np.ndarray],
                        gamma: float, grid: TimeGrid, x0=0.0, v0=0.0,
                        gate_threshold: float | None = None
                        ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Step M realizations of xdd = -gamma xd - V'(x) + g xi at once.
+    """Step M realizations of xdd = -gamma xd - V'(x) + g xi at once, in place.
 
-    noise has shape (M, d, n); vprime maps positions (M, d) to the gradient
-    V'(x) (M, d), e.g. PotentialSpec.vprime.  x0 and v0 broadcast to (M, d).
+    noise is a writable float64 array of shape (M, d, n); the paths are
+    written over it and it is returned as the path array, so an ensemble is
+    held once.  The caller owns it: pass a copy to keep the noise.  Each
+    256-step block of noise is read into a time-major buffer before any path
+    of the block before it is written back, and slot 0 takes x0 only after
+    the first block is read, so every value is that of a separate path array.
+    vprime maps positions (M, d) to the gradient V'(x) (M, d), e.g.
+    PotentialSpec.vprime.  x0 and v0 broadcast to (M, d).
     Each step is the scheme of :func:`integrate_white`,
     f = g xi_i - V'(x), v' = (v + dt f)/(1 + gamma dt), x' = x + dt v',
     applied elementwise (g xi - V' is bit-identical to -V' + g xi), so with
@@ -253,15 +279,16 @@ def step_semi_implicit(noise: np.ndarray, vprime: Callable[[np.ndarray], np.ndar
     realization and latches to 0 the first time sum_a x_a^2 exceeds the
     threshold; it never reopens.
 
-    Returns (paths (M, d, n), close steps (M,) int or None when there is no
-    gate, velocities of realization 0 (d, n)).  A realization's close step is
-    the first grid index at which its gate is 0, or -1 if it never closed.
-    A step at which some |x_a| exceeds DIVERGENCE_GUARD or is not finite
-    raises DivergenceError for the earliest such step and, among ties, the
-    lowest realization index.
+    Returns (paths (M, d, n), the noise array itself; close steps (M,) int or
+    None when there is no gate; velocities of realization 0 (d, n)).  A
+    realization's close step is the first grid index at which its gate is 0,
+    or -1 if it never closed.  A step at which some |x_a| exceeds
+    DIVERGENCE_GUARD or is not finite raises DivergenceError for the earliest
+    such step and, among ties, the lowest realization index; the noise array
+    then holds a partly written state.
     """
-    noise = np.asarray(noise, dtype=float)
-    m, d, n = noise.shape
+    paths = _require_writable(noise, "noise")
+    m, d, n = paths.shape
     if n != grid.n_points:
         raise ValueError(f"noise must have {grid.n_points} time points, got {n}")
     dt = grid.dt
@@ -270,8 +297,6 @@ def step_semi_implicit(noise: np.ndarray, vprime: Callable[[np.ndarray], np.ndar
     v = np.empty((m, d))
     x[...] = x0
     v[...] = v0
-    paths = np.empty((m, d, n))
-    paths[:, :, 0] = x
     v_first = np.empty((n, d))
     v_first[0] = v[0]
     gated = gate_threshold is not None
@@ -281,8 +306,9 @@ def step_semi_implicit(noise: np.ndarray, vprime: Callable[[np.ndarray], np.ndar
     xs = np.empty((_BLOCK_STEPS, m, d))
     vs = np.empty((_BLOCK_STEPS, m, d))
     gs = np.empty((_BLOCK_STEPS, m))
-    for start, stop in _time_blocks(n - 1):
-        xi = _time_major(noise, start, stop)
+    for start, stop, xi in _time_blocks(paths, n - 1):
+        if start == 0:
+            paths[:, :, 0] = x
         size = stop - start
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(size):
@@ -312,53 +338,82 @@ def step_semi_implicit(noise: np.ndarray, vprime: Callable[[np.ndarray], np.ndar
 
 
 def step_exponential(drive: np.ndarray, q: float, phi0=0.0) -> np.ndarray:
-    """(M, n) paths of phi_{i+1} = q phi_i + (1 - q) drive_i, all rows at once.
+    """(M, n) paths of phi_{i+1} = q phi_i + (1 - q) drive_i, all rows at once, in place.
 
-    The step of :func:`integrate_overdamped_mode` (with drive = amp xi),
-    applied elementwise, so each row equals the single-path result bit for bit.
+    drive is a writable float64 (M, n) array; the paths are written over it
+    in the order of :func:`step_semi_implicit` and it is returned.  The step
+    of :func:`integrate_overdamped_mode` (with drive = amp xi), applied
+    elementwise, so each row equals the single-path result bit for bit.
     """
-    drive = np.asarray(drive, dtype=float)
-    m, n = drive.shape
+    paths = _require_writable(drive, "drive")
+    m, n = paths.shape
     w = 1.0 - q
-    paths = np.empty((m, n))
-    paths[:, 0] = phi0
-    phi = paths[:, 0].copy()
     block = np.empty((_BLOCK_STEPS, m))
-    for start, stop in _time_blocks(n - 1):
-        d = _time_major(drive, start, stop)
+    for start, stop, d in _time_blocks(paths, n - 1):
+        if start == 0:
+            paths[:, 0] = phi0
+            phi = paths[:, 0].copy()
         for j in range(stop - start):
             phi = np.add(q * phi, w * d[j], out=block[j])
         paths[:, start + 1:stop + 1] = block[:stop - start].T
     return paths
 
 
-def _sorted_reduce_mean(values: np.ndarray) -> np.ndarray:
-    # canonical (sorted) summation order: permutation-invariant reductions
-    return np.sort(values, axis=0).sum(axis=0) / values.shape[0]
+#: float64 values per column block of aggregate_paths' sorted reductions (1 MB)
+_AGGREGATE_BLOCK_VALUES = 131072
 
 
-def _sorted_variance(values: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """_sorted_reduce_mean((values - mean)**2), bit for bit, in one (M, n) buffer."""
-    sq = np.subtract(values, mean)
-    np.multiply(sq, sq, out=sq)
-    sq.sort(axis=0)
-    return sq.sum(axis=0) / sq.shape[0]
+def _column_blocks(m: int, n: int):
+    """Column slices of about _AGGREGATE_BLOCK_VALUES values over an (m, n) array.
+
+    No slice is one column wide unless n is 1: numpy sums a single column
+    pairwise, not row after row as it sums wider blocks and the whole array,
+    so a trailing one-column block joins the block before it.
+    """
+    width = max(2, _AGGREGATE_BLOCK_VALUES // m)
+    stops = list(range(width, n, width)) + [n]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        del stops[-2]
+    start = 0
+    for stop in stops:
+        yield slice(start, stop)
+        start = stop
 
 
 def aggregate_paths(grid: TimeGrid, paths: np.ndarray, keep_paths: bool = False) -> EnsembleStats:
     """Pointwise mean/variance and per-realization final values of an (M, n) path array.
 
     Reductions run in sorted order so the statistics are invariant under any
-    reordering of the realizations.
+    reordering of the realizations.  They run over column blocks of about
+    _AGGREGATE_BLOCK_VALUES values: each block is copied into one buffer,
+    sorted and summed for the mean, then its squared deviations are formed,
+    sorted and summed in that buffer.  No (M, n) temporary is allocated, and
+    every column gets the values, in the order, of the whole-array formula.
+    With keep_paths the statistics hold a read-only view of paths, not a copy.
     """
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2 or paths.shape[1] != grid.n_points:
         raise ValueError(f"paths must be (M, {grid.n_points}), got {paths.shape}")
-    mean = _sorted_reduce_mean(paths)
-    variance = _sorted_variance(paths, mean)
+    m, n = paths.shape
+    mean = np.empty(n)
+    variance = np.empty(n)
+    blocks = list(_column_blocks(m, n))
+    buffer = np.empty((m, max(cols.stop - cols.start for cols in blocks)))
+    for cols in blocks:
+        block = buffer[:, :cols.stop - cols.start]
+        np.copyto(block, paths[:, cols])
+        block.sort(axis=0)
+        mean[cols] = block.sum(axis=0) / m
+        np.subtract(paths[:, cols], mean[cols], out=block)
+        np.multiply(block, block, out=block)
+        block.sort(axis=0)
+        variance[cols] = block.sum(axis=0) / m
+    kept = None
+    if keep_paths:
+        kept = paths.view()
+        kept.setflags(write=False)
     return EnsembleStats(grid=grid, mean=mean, variance=variance,
-                         per_run_finals=paths[:, -1].copy(),
-                         paths=paths.copy() if keep_paths else None)
+                         per_run_finals=paths[:, -1].copy(), paths=kept)
 
 
 def ensemble_run(run_one: Callable[[int], Trajectory], master_seed: int,

@@ -164,11 +164,11 @@ def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
     return rows
 
 
-def sample_white(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int) -> NoiseEnsemble:
-    """Delta-correlated noise: i.i.d. Gaussians with per-sample variance sigma2/dt.
+def draw_white(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int) -> np.ndarray:
+    """The (M, n) realizations of :func:`sample_white` as a writable array the caller owns.
 
-    The 1/dt restores <xi(t) xi(t')> = sigma2 delta(t - t') under trapezoidal
-    quadrature on the grid.
+    The ensemble runners step their noise in place (it becomes the path
+    array), so they take the rows without the read-only NoiseEnsemble.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
@@ -176,7 +176,17 @@ def sample_white(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int) 
         raise ValueError("n_realizations must be >= 1")
     rows = _standard_normals(seed, n_realizations, grid.n_points)
     rows *= np.sqrt(sigma2 / grid.dt)
-    return NoiseEnsemble(grid, rows, seed, covariance_ref=f"white[sigma2={sigma2!r}]")
+    return rows
+
+
+def sample_white(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int) -> NoiseEnsemble:
+    """Delta-correlated noise: i.i.d. Gaussians with per-sample variance sigma2/dt.
+
+    The 1/dt restores <xi(t) xi(t')> = sigma2 delta(t - t') under trapezoidal
+    quadrature on the grid.
+    """
+    return NoiseEnsemble(grid, draw_white(sigma2, grid, seed, n_realizations), seed,
+                         covariance_ref=f"white[sigma2={sigma2!r}]")
 
 
 def draw_from_factor(factor: np.ndarray, seed: int, n_realizations: int) -> np.ndarray:

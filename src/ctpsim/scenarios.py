@@ -23,7 +23,7 @@ from .kernels import (DeSitterParams, KernelMatrix, build_hadamard,
 from .langevin import (EnsembleStats, SpectrumEstimate, aggregate_paths,
                        estimate_spectrum, relaxation_rate, step_exponential,
                        step_semi_implicit)
-from .noise import draw_from_factor, sample_white
+from .noise import draw_from_factor, draw_white
 from .noise import sample_colored  # noqa: F401  (perfbench traces it through this module)
 from .squeeze import SqueezeParams
 
@@ -269,16 +269,22 @@ def _gate_close_times(cfg: SSBConfig, close: np.ndarray) -> np.ndarray:
     return np.where(close >= 0, first, np.inf)
 
 
-def _simulate(cfg: SSBConfig, n_components: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the noise and step it; returns (paths (M, d, n), gate close times (M,)).
+#: (M, n) float64 arrays at the peak of an ssb or bec run: ssb's paths, their
+#: |x| and its masks (3 bytes a value) in recursion_probability; bec's two
+#: path components and their modulus
+_PEAK_ARRAYS = 3
 
-    The noise dies with this call, so the caller's aggregation holds only the
-    paths: the peak is noise and paths together, 2d M n float64 values, and
-    is checked against physical memory first.
+
+def _simulate(cfg: SSBConfig, n_components: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the noise and step it in place; returns (paths (M, d, n), gate close times (M,)).
+
+    The noise array becomes the path array, so the ensemble is held once;
+    the run's peak, _PEAK_ARRAYS (M, n) float64 arrays, is checked against
+    physical memory first.
     """
     m, n = cfg.n_realizations, cfg.grid.n_points
-    require_memory(2 * n_components * m * n * 8,
-                   f"noise and paths ({m}, {n_components}, {n})")
+    require_memory(_PEAK_ARRAYS * m * n * 8,
+                   f"paths ({m}, {n_components}, {n}) and the arrays derived from them")
     noise = _sample_scenario_noise(cfg, n_components)
     paths, close = _integrate_gated(cfg, noise)
     return paths, _gate_close_times(cfg, close)
@@ -345,7 +351,8 @@ def run_bec(cfg: BECConfig) -> BECReport:
     emerging with no preferred phase.
     """
     paths3, close_times = _simulate(cfg, 2)
-    modulus = np.sqrt(np.einsum("mdn,mdn->mn", paths3, paths3))
+    modulus = np.einsum("mdn,mdn->mn", paths3, paths3)
+    np.sqrt(modulus, out=modulus)
     stats = aggregate_paths(cfg.grid, modulus, keep_paths=True)
     final_vec = paths3[:, :, -1]
     final_modulus = modulus[:, -1].copy()
@@ -415,18 +422,19 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
             f"non-stationary tail: only {rate * t_settle:.2f} relaxation times "
             f"elapse before the tail window; extend the grid or raise the rate")
 
-    require_memory(2 * n_realizations * n * 8,
-                   f"one mode's drive and paths ({n_realizations}, {n}) each")
+    # each mode's drive is scaled and stepped in place into its paths
+    require_memory(n_realizations * n * 8,
+                   f"one mode's drive, then paths ({n_realizations}, {n})")
     q = np.exp(-rate * grid.dt)
     pairs = []
     for mode_idx, dp in enumerate(sorted(modes, key=lambda d: d.k)):
         amp = math.sqrt(desitter_hadamard(dp, 0.0, 0.0))
-        drive = amp * sample_white(1.0, grid, derive_seed(master_seed, mode_idx),
-                                   n_realizations).realizations
-        phi = step_exponential(drive, q)
+        phi = draw_white(1.0, grid, derive_seed(master_seed, mode_idx), n_realizations)
+        phi *= amp
+        step_exponential(phi, q)
         acc = 0.0
         for row in phi:
             acc += float(np.mean(row[tail_start:] ** 2))
         pairs.append((dp.k, acc / n_realizations))
-        del drive, phi, row  # freed (row is a view of phi) before the next mode draws
+        del phi, row  # freed (row is a view of phi) before the next mode draws
     return estimate_spectrum(pairs)

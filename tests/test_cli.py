@@ -414,8 +414,8 @@ class TestMemory:
         return [sub, "--config", str(path), "--out", str(tmp_path / "out")]
 
     @pytest.mark.parametrize("sub, n, d, bound", [
-        ("langevin", 4001, 1, 3.0), ("ssb", 2001, 1, 4.5),
-        ("bec", 2001, 2, 3.6), ("inflation", 2001, 1, 3.0)])
+        ("langevin", 4001, 1, 2.1), ("ssb", 2001, 1, 2.8),
+        ("bec", 2001, 2, 2.4), ("inflation", 2001, 1, 1.8), ("noise", 4001, 1, 2.3)])
     def test_traced_peak_holds_each_array_once(self, tmp_path, sub, n, d, bound):
         # peak of one call after a warm-up, in units of one (M, d, n) float64 array
         args = self._args(tmp_path, sub, n)
@@ -430,7 +430,7 @@ class TestMemory:
 
     # arrays: the peak in (M, n) float64 arrays, as the subcommand checks it
     @pytest.mark.parametrize("sub, arrays", [
-        ("langevin", 2), ("ssb", 2), ("bec", 4), ("inflation", 2)])
+        ("langevin", 1), ("ssb", 3), ("bec", 3), ("inflation", 1)])
     def test_run_beyond_physical_memory_exits_one(self, tmp_path, physical_memory, capsys,
                                                   sub, arrays):
         m, n = 4, 2001
@@ -445,13 +445,14 @@ class TestMemory:
         physical_memory(need)
         assert main(args) == 0
 
-    # the dense budget: 6 n x n float64 arrays, plus the (M, n) noise for colored noise
+    # the dense budget: 6 n x n float64 arrays; noise adds the (M, n) noise and the
+    # deviations of its summary variance
     @pytest.mark.parametrize("sub, section, values", [
         ("kernels", {"kind": "retarded"}, lambda m, n: 6 * n * n),
         ("kernels", {"kind": "memory"}, lambda m, n: 6 * n * n),
-        ("noise", {"kind": "hadamard"}, lambda m, n: 6 * n * n + m * n),
-        ("noise", {"kind": "fluctuation"}, lambda m, n: 6 * n * n + m * n),
-        ("noise", {"kind": "white"}, lambda m, n: m * n)])
+        ("noise", {"kind": "hadamard"}, lambda m, n: 6 * n * n + 2 * m * n),
+        ("noise", {"kind": "fluctuation"}, lambda m, n: 6 * n * n + 2 * m * n),
+        ("noise", {"kind": "white"}, lambda m, n: 2 * m * n)])
     def test_dense_run_beyond_physical_memory_exits_one(self, tmp_path, physical_memory,
                                                         capsys, sub, section, values):
         m, n = 3, 40

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ctpsim import langevin
 from ctpsim.core import DivergenceError, make_grid
 from ctpsim.kernels import (RETARDED, DeSitterParams, KernelMatrix,
                             build_hadamard, build_retarded, memory_kernel)
@@ -293,8 +294,11 @@ class TestEnsemble:
         assert stats.mean.tobytes() == mean.tobytes()
         assert stats.variance.tobytes() == variance.tobytes()
         if keep:
+            # the caller's array itself, read-only, not a copy
             assert stats.paths.tobytes() == before
-            assert not np.shares_memory(stats.paths, paths)
+            assert np.shares_memory(stats.paths, paths)
+            assert not stats.paths.flags.writeable
+            assert paths.flags.writeable
 
     def test_divergence_annotated_with_realization(self):
         grid = make_grid(0.0, 40.0, 401)
@@ -332,7 +336,8 @@ class TestBatchedSteppers:
         xi = sample_white(1.0, grid, seed, m).realizations
         x0 = np.array([[s[0]] for s in starts[:m]])
         v0 = np.array([[s[1]] for s in starts[:m]])
-        paths, gates, v_first = step_semi_implicit(xi[:, None, :], pot.vprime,
+        # the stepper writes over its noise, and xi (read-only) is the reference's
+        paths, gates, v_first = step_semi_implicit(xi[:, None, :].copy(), pot.vprime,
                                                    gamma, grid, x0, v0)
         assert gates is None
         for i in range(m):
@@ -364,7 +369,8 @@ class TestBatchedSteppers:
         runs = []
         for m in (k, k + extra):
             xi = sample_white(1.0, grid, seed, m).realizations
-            paths, _, v_first = step_semi_implicit(xi[:, None, :], pot.vprime, 0.5, grid)
+            paths, _, v_first = step_semi_implicit(xi[:, None, :].copy(), pot.vprime,
+                                                   0.5, grid)
             runs.append((paths, v_first, step_exponential(0.3 * xi, 0.9)))
         (small, v_small, phi_small), (big, v_big, phi_big) = runs
         assert big[:k].tobytes() == small.tobytes()
@@ -377,12 +383,13 @@ class TestBatchedSteppers:
     def test_gate_latches_and_never_reopens(self, m, d, n, threshold, seed):
         grid = make_grid(0.0, 10.0, n)
         noise = np.random.default_rng(seed).standard_normal((m, d, n))
-        paths, close, _ = step_semi_implicit(noise, PotentialSpec.quadratic(1.0).vprime,
-                                             0.5, grid, gate_threshold=threshold)
-        # the loop oracle's radial force with lam = 0 is the quadratic force bit for bit
+        # the loop oracle's radial force with lam = 0 is the quadratic force bit for bit;
+        # it reads the noise before the stepper writes its paths over it
         cfg = SimpleNamespace(m2=1.0, lam=0.0, friction=0.5, gate=True,
                               gate_threshold_sq=threshold, grid=grid)
         ref_paths, ref_gates = gated_loop_oracle(cfg, noise)
+        paths, close, _ = step_semi_implicit(noise, PotentialSpec.quadratic(1.0).vprime,
+                                             0.5, grid, gate_threshold=threshold)
         assert paths.tobytes() == ref_paths.tobytes()
         assert set(np.unique(ref_gates)) <= {0.0, 1.0}
         assert np.all(np.diff(ref_gates, axis=1) <= 0.0)
@@ -432,6 +439,86 @@ class TestBatchedSteppers:
         with pytest.raises(ValueError, match="11 time points"):
             step_semi_implicit(np.zeros((2, 1, 10)), PotentialSpec.quadratic(1.0).vprime,
                                0.0, grid)
+
+
+def _read_only(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+class TestInPlace:
+    """The steppers write their paths over the array they are given and return it."""
+
+    def test_paths_are_the_noise_array(self):
+        grid = make_grid(0.0, 3.0, 600)
+        noise = np.random.default_rng(5).standard_normal((3, 2, 600))
+        paths, _, _ = step_semi_implicit(noise, PotentialSpec.quadratic(1.0).vprime,
+                                         0.5, grid, gate_threshold=1.0)
+        assert np.shares_memory(paths, noise)
+        drive = np.random.default_rng(6).standard_normal((3, 600))
+        assert np.shares_memory(step_exponential(drive, 0.9), drive)
+
+    @pytest.mark.parametrize("make", [
+        _read_only,
+        lambda a: a.astype(np.float32),
+        lambda a: a.astype(np.int64),
+        lambda a: a.tolist()], ids=["read-only", "float32", "int64", "list"])
+    def test_rejects_what_it_cannot_overwrite(self, make):
+        grid = make_grid(0.0, 1.0, 11)
+        noise = make(np.zeros((2, 1, 11)))
+        with pytest.raises(ValueError, match="noise must be a writable float64 array"):
+            step_semi_implicit(noise, PotentialSpec.quadratic(1.0).vprime, 0.0, grid)
+        drive = make(np.zeros((2, 11)))
+        with pytest.raises(ValueError, match="drive must be a writable float64 array"):
+            step_exponential(drive, 0.9)
+
+    def test_sample_white_stays_read_only(self):
+        grid = make_grid(0.0, 1.0, 11)
+        xi = sample_white(1.0, grid, 3, 2).realizations
+        with pytest.raises(ValueError, match="noise must be a writable float64 array"):
+            step_semi_implicit(xi[:, None, :], PotentialSpec.quadratic(1.0).vprime,
+                               0.0, grid)
+        assert xi.tobytes() == sample_white(1.0, grid, 3, 2).realizations.tobytes()
+
+
+class TestBlockedAggregate:
+    """aggregate_paths reduces in column blocks with the whole-array formula's bits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 12), width=st.integers(1, 6))
+    def test_three_or_more_blocks_match_oracle(self, data, m, width):
+        n = data.draw(st.integers(3 * max(2, width), 40))
+        paths = data.draw(hnp.arrays(float, (m, n), elements=st.one_of(
+            st.just(-0.0), st.floats(-1e150, 1e150), st.floats(-1e-300, 1e-300))))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(langevin, "_AGGREGATE_BLOCK_VALUES", width * m)
+            assert len(list(langevin._column_blocks(m, n))) >= 3
+            stats = aggregate_paths(make_grid(0.0, 1.0, n), paths)
+        mean, variance = aggregate_oracle(paths.copy())
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.variance.tobytes() == variance.tobytes()
+
+    @pytest.mark.parametrize("m, n, values", [
+        (2, 3 * 65536 + 1, langevin._AGGREGATE_BLOCK_VALUES),
+        (5, 3 * 26214 + 2, langevin._AGGREGATE_BLOCK_VALUES),
+        (40, 9, 40)])
+    def test_fixed_shapes_match_oracle(self, m, n, values):
+        # numpy sums a one-column block pairwise, not row after row: a trailing
+        # one-column block joins the block before it (first case), a two-column
+        # one stays (second), and one column asked for gets two (third)
+        rng = np.random.default_rng(n)
+        paths = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-150, 150, (m, n))
+        paths[:, ::7] = -0.0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(langevin, "_AGGREGATE_BLOCK_VALUES", values)
+            blocks = list(langevin._column_blocks(m, n))
+            assert len(blocks) >= 3
+            assert min(b.stop - b.start for b in blocks) >= 2
+            stats = aggregate_paths(make_grid(0.0, 1.0, n), paths)
+        mean, variance = aggregate_oracle(paths)
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.variance.tobytes() == variance.tobytes()
 
 
 class TestEstimateSpectrum:

@@ -131,8 +131,8 @@ class TestSSB:
     def test_gate_latch_is_monotone(self):
         cfg = ssb_config(n_realizations=20)
         noise = _sample_scenario_noise(cfg, 1)
+        _, ref_gates = gated_loop_oracle(cfg, noise)  # before the stepper overwrites noise
         _, close = _integrate_gated(cfg, noise)
-        _, ref_gates = gated_loop_oracle(cfg, noise)
         assert np.all(np.diff(ref_gates, axis=1) <= 0.0)
         assert (close > 0).all()
         assert close.tobytes() == first_closed_step(ref_gates).tobytes()
@@ -145,8 +145,9 @@ class TestSSB:
     def test_batched_stepper_matches_loop_oracle(self, n_components, overrides):
         cfg = ssb_config(n_realizations=37, **overrides)
         noise = _sample_scenario_noise(cfg, n_components)
+        ref_paths, ref_gates = gated_loop_oracle(cfg, noise)  # before noise is overwritten
         paths, close = _integrate_gated(cfg, noise)
-        ref_paths, ref_gates = gated_loop_oracle(cfg, noise)
+        assert paths is noise
         assert paths.tobytes() == ref_paths.tobytes()
         assert close.tobytes() == first_closed_step(ref_gates).tobytes()
 
