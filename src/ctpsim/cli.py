@@ -280,8 +280,14 @@ def _cmd_squeeze(cfg: dict, out: Path) -> list[str]:
     grid = _grid_from(sec)
     params = _squeeze_mode_params(sec)
     times = grid.times()
-    columns = [(particle_number(params, t), *quadrature_variances(params, t))
-               for t in times.tolist()]
+    try:
+        columns = [(particle_number(params, t), *quadrature_variances(params, t))
+                   for t in times.tolist()]
+    except OverflowError:
+        columns = [math.inf]
+    if not np.isfinite(columns).all():
+        raise NumericalError(f"squeeze.omega * squeeze.t_end = {sec['omega'] * grid.t_end:g}"
+                             f": sinh(omega t)^2 overflows float64")
     _write_table(out / "squeeze.csv", "t,particle_number,var_squeezed,var_antisqueezed",
                  np.column_stack([times, columns]))
     return ["squeeze.csv"]
@@ -430,8 +436,15 @@ def _cmd_inflation(cfg: dict, out: Path) -> list[str]:
     sec = cfg["inflation"]
     grid = _grid_from(sec)
     n_modes = sec["n_modes"]
-    ks = [sec["k_min"] * 10.0 ** (sec["decades"] * j / (n_modes - 1))
-          for j in range(n_modes)]
+    try:
+        ks = [sec["k_min"] * 10.0 ** (sec["decades"] * j / (n_modes - 1))
+              for j in range(n_modes)]
+        cubes = [k**3 for k in ks]
+    except OverflowError:
+        cubes = [math.inf]
+    if not all(0.0 < c < math.inf for c in cubes):  # the amplitude is H^2 / k^3
+        raise ConfigError(f"inflation.k_min {sec['k_min']:g} over inflation.decades "
+                          f"{sec['decades']:g} puts k^3 beyond float64")
     modes = [DeSitterParams(hubble=sec["hubble"], k=k, coupling=sec["lambda"],
                             background=sec["phi0"]) for k in ks]
     est = run_inflation(modes, grid, cfg["n_realizations"], cfg["master_seed"],
@@ -599,10 +612,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _dispatch(args)
+        # float64 overflow, invalid or divide-by-zero that no step checks raises
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _dispatch(args)
     except (NumericalError, np.linalg.LinAlgError) as err:
         # LinAlgError subclasses ValueError but is a numerical failure
         print(f"numerical failure: {err}", file=sys.stderr)
+        return 2
+    except ArithmeticError as err:  # OverflowError, ZeroDivisionError, FloatingPointError
+        print(f"numerical failure: {args.subcommand}: float64 arithmetic failed: {err}",
+              file=sys.stderr)
         return 2
     except ValueError as err:  # ConfigError and the library's parameter checks
         print(f"config error: {err}", file=sys.stderr)

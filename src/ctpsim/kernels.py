@@ -153,8 +153,8 @@ def build_retarded(params: SqueezeParams, grid: TimeGrid) -> KernelMatrix:
     """
     t = grid.times()
     pref = params.hbar / (params.mass * params.omega)
-    diff = params.omega * (t[:, None] - t[None, :])
     with np.errstate(over="ignore"):  # KernelMatrix rejects inf
+        diff = params.omega * (t[:, None] - t[None, :])
         vals = np.where(_lower_mask(grid.n_points), pref * np.sinh(diff), 0.0)
     return KernelMatrix(grid, vals, RETARDED)
 
@@ -168,8 +168,8 @@ def build_hadamard(params: SqueezeParams, grid: TimeGrid) -> KernelMatrix:
     """
     t = grid.times()
     pref = params.hbar / (params.mass * params.omega)
-    s = params.omega * (t[:, None] + t[None, :])
     with np.errstate(over="ignore", invalid="ignore"):  # KernelMatrix rejects inf/NaN
+        s = params.omega * (t[:, None] + t[None, :])
         vals = pref * (np.cosh(s) - math.cos(2.0 * params.phi) * np.sinh(s))
     return KernelMatrix(grid, vals, SYMMETRIC)
 

@@ -97,20 +97,13 @@ class PotentialSpec:
 class EnsembleStats:
     """Pointwise ensemble moments plus the final value of each realization.
 
-    paths (M, n) is retained only on request, as a read-only view of the
-    aggregated array (not a copy); it is what trajectory-level diagnostics
-    such as the recursion probability need.
+    The paths themselves are not kept: trajectory-level diagnostics such as
+    the recursion probability read the caller's path array.
     """
 
-    grid: TimeGrid
     mean: np.ndarray
     variance: np.ndarray
     per_run_finals: np.ndarray
-    paths: np.ndarray | None = None
-
-    @property
-    def n_realizations(self) -> int:
-        return self.per_run_finals.shape[0]
 
 
 @dataclass(frozen=True)
@@ -259,7 +252,7 @@ def _require_writable(a, name: str) -> np.ndarray:
 def step_semi_implicit(noise: np.ndarray, vprime: Callable[[np.ndarray], np.ndarray],
                        gamma: float, grid: TimeGrid, x0=0.0, v0=0.0,
                        gate_threshold: float | None = None
-                       ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step M realizations of xdd = -gamma xd - V'(x) + g xi at once, in place.
 
     noise is a writable float64 array of shape (M, d, n); the paths are
@@ -279,10 +272,10 @@ def step_semi_implicit(noise: np.ndarray, vprime: Callable[[np.ndarray], np.ndar
     realization and latches to 0 the first time sum_a x_a^2 exceeds the
     threshold; it never reopens.
 
-    Returns (paths (M, d, n), the noise array itself; close steps (M,) int or
-    None when there is no gate; velocities of realization 0 (d, n)).  A
-    realization's close step is the first grid index at which its gate is 0,
-    or -1 if it never closed.  A step at which some |x_a| exceeds
+    Returns (paths (M, d, n), the noise array itself; close steps (M,) int64;
+    velocities of realization 0 (d, n)).  A realization's close step is the
+    first grid index at which its gate is 0, or -1 if it never closed (every
+    realization, when there is no gate).  A step at which some |x_a| exceeds
     DIVERGENCE_GUARD or is not finite raises DivergenceError for the earliest
     such step and, among ties, the lowest realization index; the noise array
     then holds a partly written state.
@@ -301,7 +294,7 @@ def step_semi_implicit(noise: np.ndarray, vprime: Callable[[np.ndarray], np.ndar
     v_first[0] = v[0]
     gated = gate_threshold is not None
     gate = np.ones(m)
-    close = np.full(m, -1, dtype=np.int64) if gated else None
+    close = np.full(m, -1, dtype=np.int64)
     # x and v are written straight into the block buffers
     xs = np.empty((_BLOCK_STEPS, m, d))
     vs = np.empty((_BLOCK_STEPS, m, d))
@@ -359,7 +352,8 @@ def step_exponential(drive: np.ndarray, q: float, phi0=0.0) -> np.ndarray:
     return paths
 
 
-#: float64 values per column block of aggregate_paths' sorted reductions (1 MB)
+#: float64 values per column block of aggregate_paths' sorted reductions (1 MB),
+#: and per row block of scenarios.recursion_probability
 _AGGREGATE_BLOCK_VALUES = 131072
 
 
@@ -380,7 +374,7 @@ def _column_blocks(m: int, n: int):
         start = stop
 
 
-def aggregate_paths(grid: TimeGrid, paths: np.ndarray, keep_paths: bool = False) -> EnsembleStats:
+def aggregate_paths(grid: TimeGrid, paths: np.ndarray) -> EnsembleStats:
     """Pointwise mean/variance and per-realization final values of an (M, n) path array.
 
     Reductions run in sorted order so the statistics are invariant under any
@@ -389,7 +383,6 @@ def aggregate_paths(grid: TimeGrid, paths: np.ndarray, keep_paths: bool = False)
     sorted and summed for the mean, then its squared deviations are formed,
     sorted and summed in that buffer.  No (M, n) temporary is allocated, and
     every column gets the values, in the order, of the whole-array formula.
-    With keep_paths the statistics hold a read-only view of paths, not a copy.
     """
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2 or paths.shape[1] != grid.n_points:
@@ -408,12 +401,8 @@ def aggregate_paths(grid: TimeGrid, paths: np.ndarray, keep_paths: bool = False)
         np.multiply(block, block, out=block)
         block.sort(axis=0)
         variance[cols] = block.sum(axis=0) / m
-    kept = None
-    if keep_paths:
-        kept = paths.view()
-        kept.setflags(write=False)
-    return EnsembleStats(grid=grid, mean=mean, variance=variance,
-                         per_run_finals=paths[:, -1].copy(), paths=kept)
+    return EnsembleStats(mean=mean, variance=variance,
+                         per_run_finals=paths[:, -1].copy())
 
 
 def ensemble_run(run_one: Callable[[int], Trajectory], master_seed: int,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -20,9 +20,9 @@ from .core import (DivergenceError, NumericalError, TimeGrid, derive_seed,
                    require_memory)
 from .kernels import (DeSitterParams, KernelMatrix, build_hadamard,
                       desitter_hadamard, fluctuation_kernel, squeezed_factor)
-from .langevin import (EnsembleStats, SpectrumEstimate, aggregate_paths,
-                       estimate_spectrum, relaxation_rate, step_exponential,
-                       step_semi_implicit)
+from .langevin import (_AGGREGATE_BLOCK_VALUES, EnsembleStats, SpectrumEstimate,
+                       aggregate_paths, estimate_spectrum, relaxation_rate,
+                       step_exponential, step_semi_implicit)
 from .noise import draw_from_factor, draw_white
 from .noise import sample_colored  # noqa: F401  (perfbench traces it through this module)
 from .squeeze import SqueezeParams
@@ -61,6 +61,7 @@ class SSBConfig:
     mass: float = 1.0
     hbar: float = 1.0
     return_radius: float = 0.1
+    min_realizations: ClassVar[int] = 1
 
     def __post_init__(self):
         if self.m2 >= 0:
@@ -69,8 +70,8 @@ class SSBConfig:
             raise ValueError("lambda must be positive")
         if self.noise_kernel not in _NOISE_KERNELS:
             raise ValueError(f"noise_kernel must be one of {_NOISE_KERNELS}")
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be >= 1")
+        if self.n_realizations < self.min_realizations:
+            raise ValueError(f"n_realizations must be >= {self.min_realizations}")
         if self.noise_amplitude < 0:
             raise ValueError("noise_amplitude must be >= 0")
         if self.friction < 0:
@@ -103,6 +104,8 @@ class BECConfig(SSBConfig):
     lam |phi|^4 / 4!, preserving the U(1) phase symmetry; the noise is
     isotropic over the two components.
     """
+
+    min_realizations: ClassVar[int] = 2  # the phase test compares >= 2 angles
 
 
 def _config_echo(cfg: SSBConfig) -> dict:
@@ -174,7 +177,6 @@ class SSBReport:
 @dataclass(frozen=True)
 class BECReport:
     config: BECConfig
-    stats: EnsembleStats  # statistics of the modulus
     final_modulus: np.ndarray
     final_phase: np.ndarray
     mean_modulus: float
@@ -258,36 +260,23 @@ def _integrate_gated(cfg: SSBConfig, noise: np.ndarray) -> tuple[np.ndarray, np.
         raise DivergenceError(
             f"{err} (dt = {cfg.grid.dt:g} too coarse for the curvature "
             f"|m2| = {abs(c1):g})", step=err.step, realization=err.realization) from err
-    if close is None:
-        close = np.full(noise.shape[0], -1, dtype=np.int64)
     return paths, close
-
-
-def _gate_close_times(cfg: SSBConfig, close: np.ndarray) -> np.ndarray:
-    """t_start + step dt per realization, inf where the gate never closed."""
-    first = close.astype(float) * cfg.grid.dt + cfg.grid.t_start
-    return np.where(close >= 0, first, np.inf)
-
-
-#: (M, n) float64 arrays at the peak of an ssb or bec run: ssb's paths, their
-#: |x| and its masks (3 bytes a value) in recursion_probability; bec's two
-#: path components and their modulus
-_PEAK_ARRAYS = 3
 
 
 def _simulate(cfg: SSBConfig, n_components: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample the noise and step it in place; returns (paths (M, d, n), gate close times (M,)).
 
-    The noise array becomes the path array, so the ensemble is held once;
-    the run's peak, _PEAK_ARRAYS (M, n) float64 arrays, is checked against
-    physical memory first.
+    The noise array becomes the path array, and no diagnostic allocates an
+    array of its size, so the (M, d, n) float64 array is the run's peak; it
+    is checked against physical memory first.
     """
     m, n = cfg.n_realizations, cfg.grid.n_points
-    require_memory(_PEAK_ARRAYS * m * n * 8,
-                   f"paths ({m}, {n_components}, {n}) and the arrays derived from them")
-    noise = _sample_scenario_noise(cfg, n_components)
-    paths, close = _integrate_gated(cfg, noise)
-    return paths, _gate_close_times(cfg, close)
+    require_memory(m * n_components * n * 8,
+                   f"noise, then paths ({m}, {n_components}, {n})")
+    paths, close = _integrate_gated(cfg, _sample_scenario_noise(cfg, n_components))
+    # t_start + step dt per realization, inf where the gate never closed
+    first = close.astype(float) * cfg.grid.dt + cfg.grid.t_start
+    return paths, np.where(close >= 0, first, np.inf)
 
 
 def run_ssb(cfg: SSBConfig) -> SSBReport:
@@ -301,7 +290,7 @@ def run_ssb(cfg: SSBConfig) -> SSBReport:
     """
     paths3, close_times = _simulate(cfg, 1)
     paths = paths3[:, 0, :]
-    stats = aggregate_paths(cfg.grid, paths, keep_paths=True)
+    stats = aggregate_paths(cfg.grid, paths)
     finals = stats.per_run_finals
     settled = np.abs(finals) > cfg.leave_radius
     m = cfg.n_realizations
@@ -309,7 +298,7 @@ def run_ssb(cfg: SSBConfig) -> SSBReport:
     frac_minus = float(np.count_nonzero(settled & (finals < 0)) / m)
     frac_unsettled = float(np.count_nonzero(~settled) / m)
     mean_abs = float(np.abs(finals[settled]).mean()) if settled.any() else 0.0
-    rec = recursion_probability(stats, cfg.leave_radius, cfg.return_radius)
+    rec = recursion_probability(paths, cfg.leave_radius, cfg.return_radius)
     se = np.sqrt(stats.variance / m)
     with np.errstate(invalid="ignore", divide="ignore"):
         z = np.abs(stats.mean) / np.where(se > 0, se, np.inf)
@@ -351,16 +340,13 @@ def run_bec(cfg: BECConfig) -> BECReport:
     emerging with no preferred phase.
     """
     paths3, close_times = _simulate(cfg, 2)
-    modulus = np.einsum("mdn,mdn->mn", paths3, paths3)
-    np.sqrt(modulus, out=modulus)
-    stats = aggregate_paths(cfg.grid, modulus, keep_paths=True)
     final_vec = paths3[:, :, -1]
-    final_modulus = modulus[:, -1].copy()
+    final_modulus = np.sqrt(np.einsum("md,md->m", final_vec, final_vec))
     final_phase = np.arctan2(final_vec[:, 1], final_vec[:, 0])
     kuiper_v, kuiper_scaled = kuiper_statistic(final_phase)
     ratio = final_modulus**2 / cfg.minimum_radius**2
     odlro = float(np.count_nonzero((ratio >= 0.9) & (ratio <= 1.1)) / cfg.n_realizations)
-    return BECReport(config=cfg, stats=stats, final_modulus=final_modulus,
+    return BECReport(config=cfg, final_modulus=final_modulus,
                      final_phase=final_phase,
                      mean_modulus=float(final_modulus.mean()),
                      kuiper_v=kuiper_v, kuiper_scaled=kuiper_scaled,
@@ -368,23 +354,25 @@ def run_bec(cfg: BECConfig) -> BECReport:
                      gate_close_times=close_times)
 
 
-def recursion_probability(stats: EnsembleStats, leave_radius: float,
+def recursion_probability(paths: np.ndarray, leave_radius: float,
                           return_radius: float) -> float:
     """Fraction of runs that re-enter |x| < return_radius after leaving |x| > leave_radius.
 
     A desk-scale irreversibility proxy: settled symmetry-broken ensembles
     should almost never find their way back to the symmetric point.  Runs
-    that never leave contribute zero by convention.
+    that never leave contribute zero by convention.  The (M, n) paths are
+    read in row blocks of about _AGGREGATE_BLOCK_VALUES values.
     """
     if not leave_radius > return_radius > 0:
         raise ValueError("need leave_radius > return_radius > 0")
-    if stats.paths is None:
-        raise ValueError("recursion probability needs retained paths "
-                         "(aggregate with keep_paths=True)")
-    a = np.abs(stats.paths)
-    has_left = np.logical_or.accumulate(a > leave_radius, axis=1)
-    recursed = np.count_nonzero((has_left & (a < return_radius)).any(axis=1))
-    return recursed / a.shape[0]
+    m, n = paths.shape
+    rows = max(1, _AGGREGATE_BLOCK_VALUES // n)
+    recursed = 0
+    for start in range(0, m, rows):
+        a = np.abs(paths[start:start + rows])
+        has_left = np.logical_or.accumulate(a > leave_radius, axis=1)
+        recursed += np.count_nonzero((has_left & (a < return_radius)).any(axis=1))
+    return recursed / m
 
 
 def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
@@ -421,6 +409,9 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
         raise NumericalError(
             f"non-stationary tail: only {rate * t_settle:.2f} relaxation times "
             f"elapse before the tail window; extend the grid or raise the rate")
+    if tail_start >= n:
+        raise ValueError(f"tail_fraction {tail_fraction:g} leaves no grid point "
+                         f"in the tail of {n}")
 
     # each mode's drive is scaled and stepped in place into its paths
     require_memory(n_realizations * n * 8,

@@ -283,22 +283,15 @@ class TestEnsemble:
     @given(paths=hnp.arrays(float, st.tuples(st.integers(1, 40), st.integers(2, 40)),
                             elements=st.one_of(st.just(-0.0),
                                                st.floats(-1e150, 1e150),
-                                               st.floats(-1e-300, 1e-300))),
-           keep=st.booleans())
-    def test_statistics_match_former_formula_bit_for_bit(self, paths, keep):
+                                               st.floats(-1e-300, 1e-300))))
+    def test_statistics_match_former_formula_bit_for_bit(self, paths):
         # in-place variance: same values summed in the same order as the oracle
         before = paths.tobytes()
-        stats = aggregate_paths(make_grid(0.0, 1.0, paths.shape[1]), paths, keep_paths=keep)
+        stats = aggregate_paths(make_grid(0.0, 1.0, paths.shape[1]), paths)
         mean, variance = aggregate_oracle(paths.copy())
         assert paths.tobytes() == before
         assert stats.mean.tobytes() == mean.tobytes()
         assert stats.variance.tobytes() == variance.tobytes()
-        if keep:
-            # the caller's array itself, read-only, not a copy
-            assert stats.paths.tobytes() == before
-            assert np.shares_memory(stats.paths, paths)
-            assert not stats.paths.flags.writeable
-            assert paths.flags.writeable
 
     def test_divergence_annotated_with_realization(self):
         grid = make_grid(0.0, 40.0, 401)
@@ -337,9 +330,9 @@ class TestBatchedSteppers:
         x0 = np.array([[s[0]] for s in starts[:m]])
         v0 = np.array([[s[1]] for s in starts[:m]])
         # the stepper writes over its noise, and xi (read-only) is the reference's
-        paths, gates, v_first = step_semi_implicit(xi[:, None, :].copy(), pot.vprime,
+        paths, close, v_first = step_semi_implicit(xi[:, None, :].copy(), pot.vprime,
                                                    gamma, grid, x0, v0)
-        assert gates is None
+        assert close.tobytes() == np.full(m, -1, dtype=np.int64).tobytes()
         for i in range(m):
             ref = integrate_white(pot, gamma, grid, xi[i], starts[i][0], starts[i][1])
             assert paths[i, 0].tobytes() == ref.x.tobytes()
@@ -397,12 +390,13 @@ class TestBatchedSteppers:
         crossed = np.einsum("mdn,mdn->mn", paths, paths) > threshold
         assert np.array_equal(close, first_closed_step(np.where(crossed, 0.0, 1.0)))
 
-    def test_no_gate_returns_none(self):
+    def test_no_gate_never_closes(self):
         grid = make_grid(0.0, 1.0, 11)
         noise = np.random.default_rng(3).standard_normal((2, 1, 11))
         _, close, _ = step_semi_implicit(noise, PotentialSpec.quadratic(1.0).vprime,
                                          0.5, grid)
-        assert close is None
+        assert close.dtype == np.int64
+        assert close.tolist() == [-1, -1]
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(1, 6), n=st.integers(30, 700), seed=st.integers(0, 2**32),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ctpsim import scenarios
 from ctpsim.core import NumericalError, make_grid
 from ctpsim.kernels import DeSitterParams, squeezed_factor
-from ctpsim.langevin import aggregate_paths
 from ctpsim.scenarios import (BECConfig, SSBConfig, kuiper_statistic,
                               recursion_probability, run_bec, run_inflation,
                               run_ssb, scenario_noise_kernel,
-                              _integrate_gated, _sample_scenario_noise)
+                              _integrate_gated, _sample_scenario_noise, _simulate)
 from ctpsim.squeeze import SqueezeParams
 
 from oracles import first_closed_step, gated_loop_oracle, recursion_loop_oracle
@@ -109,7 +110,9 @@ class TestScenarioNoise:
 class TestSSB:
     def test_noise_off_stays_at_unstable_point(self):
         rep = run_ssb(ssb_config(noise_amplitude=0.0, n_realizations=3))
-        assert np.all(rep.stats.paths == 0.0)
+        assert np.all(rep.stats.mean == 0.0)
+        assert np.all(rep.stats.variance == 0.0)
+        assert np.all(rep.stats.per_run_finals == 0.0)
         assert rep.fraction_unsettled == 1.0
         assert rep.recursion == 0.0
 
@@ -175,38 +178,30 @@ class TestRecursionProbability:
     def test_periodic_crossings_count_as_recursion(self):
         grid = make_grid(0.0, 20.0, 401)
         paths = 2.5 * np.cos(grid.times())[None, :].repeat(3, axis=0)
-        stats = aggregate_paths(grid, paths, keep_paths=True)
-        assert recursion_probability(stats, 2.0, 0.5) == 1.0
+        assert recursion_probability(paths, 2.0, 0.5) == 1.0
 
     def test_never_leaving_counts_zero(self):
-        grid = make_grid(0.0, 20.0, 401)
         paths = 0.1 * np.ones((4, 401))
-        stats = aggregate_paths(grid, paths, keep_paths=True)
-        assert recursion_probability(stats, 2.0, 0.5) == 0.0
+        assert recursion_probability(paths, 2.0, 0.5) == 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(paths=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=2,
                                                     max_side=40),
                             elements=st.integers(-3000, 3000).map(lambda k: k / 1000)),
-           damp=st.integers(0, 40))
-    def test_matches_row_loop_oracle(self, paths, damp):
+           damp=st.integers(0, 40), block_values=st.integers(1, 2000))
+    def test_matches_row_loop_oracle(self, paths, damp, block_values):
+        # small blocks split the rows into many blocks, down to one row a block
         paths = paths.copy()
         paths[:damp] *= 0.5  # rows that never leave |x| > 2
-        stats = aggregate_paths(make_grid(0.0, 1.0, paths.shape[1]), paths, keep_paths=True)
-        assert (recursion_probability(stats, 2.0, 0.5)
-                == recursion_loop_oracle(paths, 2.0, 0.5))
-
-    def test_requires_paths(self):
-        grid = make_grid(0.0, 20.0, 401)
-        stats = aggregate_paths(grid, np.zeros((2, 401)), keep_paths=False)
-        with pytest.raises(ValueError, match="paths"):
-            recursion_probability(stats, 2.0, 0.5)
+        before = paths.tobytes()
+        with mock.patch.object(scenarios, "_AGGREGATE_BLOCK_VALUES", block_values):
+            got = recursion_probability(paths, 2.0, 0.5)
+        assert got == recursion_loop_oracle(paths, 2.0, 0.5)
+        assert paths.tobytes() == before
 
     def test_radius_ordering_enforced(self):
-        grid = make_grid(0.0, 20.0, 401)
-        stats = aggregate_paths(grid, np.zeros((2, 401)), keep_paths=True)
         with pytest.raises(ValueError, match="leave_radius"):
-            recursion_probability(stats, 0.5, 2.0)
+            recursion_probability(np.zeros((2, 401)), 0.5, 2.0)
 
     def test_ssb_recursion_is_rare(self):
         rep = run_ssb(ssb_config(n_realizations=100))
@@ -235,6 +230,30 @@ class TestKuiper:
 
 
 class TestBEC:
+    def test_needs_two_realizations(self):
+        with pytest.raises(ValueError, match="n_realizations"):
+            bec_config(n_realizations=1)
+        assert bec_config(n_realizations=2).n_realizations == 2
+
+    @settings(max_examples=50, deadline=None)
+    @given(paths=hnp.arrays(float, st.tuples(st.integers(1, 20), st.just(2),
+                                             st.integers(1, 20)),
+                            elements=st.one_of(st.just(-0.0),
+                                               st.floats(-1e150, 1e150),
+                                               st.floats(-1e-300, 1e-300))))
+    def test_final_modulus_equals_modulus_path_at_the_end(self, paths):
+        # the final slice alone gives the last column of the (M, n) modulus, bit for bit
+        final_vec = paths[:, :, -1]
+        final = np.sqrt(np.einsum("md,md->m", final_vec, final_vec))
+        full = np.sqrt(np.einsum("mdn,mdn->mn", paths, paths))[:, -1]
+        assert final.tobytes() == full.tobytes()
+
+    def test_final_modulus_is_last_column_of_run_modulus(self):
+        cfg = bec_config(n_realizations=20)
+        paths, _ = _simulate(cfg, 2)
+        full = np.sqrt(np.einsum("mdn,mdn->mn", paths, paths))[:, -1]
+        assert run_bec(cfg).final_modulus.tobytes() == full.tobytes()
+
     def test_noise_off_stays_at_zero(self):
         rep = run_bec(bec_config(noise_amplitude=0.0, n_realizations=3))
         assert np.all(rep.final_modulus == 0.0)
