@@ -29,10 +29,9 @@ from .core import (ConfigError, NumericalError, TimeGrid, derive_seed, make_grid
 from .kernels import (DeSitterParams, KernelMatrix, build_contour_matrix,
                       build_hadamard, build_retarded, fluctuation_kernel,
                       keldysh_rotate, memory_kernel)
-from .langevin import PotentialSpec, aggregate_paths, step_semi_implicit
+from .langevin import PotentialSpec, run_white_ensemble
 from .langevin import ensemble_run  # noqa: F401  (perfbench traces it through this module)
-from .noise import (DEFAULT_CLIP_TOL, draw_white, hs_moment_check, sample_colored,
-                    sample_white)
+from .noise import DEFAULT_CLIP_TOL, hs_moment_check, sample_colored, sample_white
 from .scenarios import BECConfig, SSBConfig, run_bec, run_inflation, run_ssb
 from .squeeze import (DEFAULT_SQUEEZE_ANGLE, SqueezeParams, bogolubov_coefficients,
                       mode_two_point, particle_number, quadrature_variances)
@@ -72,7 +71,9 @@ _SQUEEZE_MODE_KEYS = {
 }
 
 _SECTION_SCHEMAS: dict[str, dict] = {
-    "squeeze": {**_SQUEEZE_MODE_KEYS, **_grid_keys(2.0, 201)},
+    # the squeezed state evolves forward from t = 0
+    "squeeze": {**_SQUEEZE_MODE_KEYS, **_grid_keys(2.0, 201),
+                "t_start": (float, 0.0, _NONNEG)},
     "kernels": {
         "kind": (str, "retarded", _choice("retarded", "hadamard", "fluctuation", "memory")),
         "coupling": (float, 0.5, _NONNEG),
@@ -344,8 +345,7 @@ def _cmd_noise(cfg: dict, out: Path) -> list[str]:
         _require_dense(grid, f"{sec['kind']} kernel ({n}, {n}), its eigendecomposition, "
                              f"noise ({m}, {n}) and its deviations", 2 * m * n)
         ens = sample_colored(_build_kernel(sec, grid), seed, m, sec["clip_tol"])
-    _write_table(out / "noise.csv", ",".join(f"xi_{i}" for i in range(grid.n_points)),
-                 ens.realizations)
+    # every value is computed before the first file is written
     summary = {
         "n_realizations": m,
         "n_points": grid.n_points,
@@ -355,6 +355,8 @@ def _cmd_noise(cfg: dict, out: Path) -> list[str]:
         "max_abs_mean": float(np.max(np.abs(ens.realizations.mean(axis=0)))),
         "mean_sample_variance": float(ens.realizations.var(axis=0).mean()),
     }
+    _write_table(out / "noise.csv", ",".join(f"xi_{i}" for i in range(grid.n_points)),
+                 ens.realizations)
     _write_json(out / "summary.json", summary)
     return ["noise.csv", "summary.json"]
 
@@ -374,17 +376,9 @@ def _cmd_langevin(cfg: dict, out: Path) -> list[str]:
     sec = cfg["langevin"]
     grid = _grid_from(sec)
     pot = _langevin_potential(sec)
-    m = cfg["n_realizations"]
-    # the noise is stepped in place into the paths: one (M, n) array at the peak
-    require_memory(m * grid.n_points * 8, f"noise, then paths ({m}, {grid.n_points})")
-    paths = draw_white(sec["sigma2"], grid, cfg["master_seed"], m)
-    _, _, v_first = step_semi_implicit(paths[:, None, :], pot.vprime, sec["gamma"],
-                                       grid, sec["x0"], sec["v0"])
-    stats = aggregate_paths(grid, paths)
-    _write_table(out / "ensemble.csv", "t,mean,variance",
-                 np.column_stack([grid.times(), stats.mean, stats.variance]))
-    _write_table(out / "trajectory0.csv", "t,x,xdot",
-                 np.column_stack([grid.times(), paths[0], v_first[0]]))
+    stats, first = run_white_ensemble(pot, sec["gamma"], grid, sec["sigma2"],
+                                      cfg["master_seed"], cfg["n_realizations"],
+                                      sec["x0"], sec["v0"])
     tail = slice((grid.n_points * 3) // 4, None)
     summary = {
         "potential": sec["potential"],
@@ -392,6 +386,10 @@ def _cmd_langevin(cfg: dict, out: Path) -> list[str]:
         "sigma2": sec["sigma2"],
         "tail_mean_x_sq": float(np.mean(stats.variance[tail] + stats.mean[tail] ** 2)),
     }
+    _write_table(out / "ensemble.csv", "t,mean,variance",
+                 np.column_stack([grid.times(), stats.mean, stats.variance]))
+    _write_table(out / "trajectory0.csv", "t,x,xdot",
+                 np.column_stack([grid.times(), first.x, first.xdot]))
     _write_json(out / "summary.json", summary)
     return ["ensemble.csv", "trajectory0.csv", "summary.json"]
 

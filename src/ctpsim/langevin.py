@@ -11,12 +11,17 @@ implicitly, v' = (v + dt f)/(1 + gamma dt), x' = x + dt v'.  It is symplectic
 in the frictionless limit and stable for stiff friction.  The overdamped
 equation uses an exponential-integrator step that is exact for linear decay.
 
-Ensembles are stepped all realizations at once by :func:`step_semi_implicit`
-and :func:`step_exponential`, in place: the paths are written over the noise
-array, so an ensemble is held once.  They apply the same elementwise
-operations in the same order as the single-path :func:`integrate_white` and
-:func:`integrate_overdamped_mode`, so every row is bit-identical to the
-single-path result and does not depend on the ensemble size.
+Ensembles are stepped all realizations at once by :class:`SemiImplicitStepper`
+and :class:`ExponentialStepper`, one block of 256 grid columns at a time.
+They apply the same elementwise operations in the same order as the
+single-path :func:`integrate_white` and :func:`integrate_overdamped_mode`, so
+every row is bit-identical to the single-path result and does not depend on
+the ensemble size.  The runners stream (:func:`stream_blocks`): each block's
+noise is drawn into one reused buffer, stepped into paths in place and
+reduced (:class:`ColumnMoments` for the pointwise statistics), so no array of
+the ensemble's size is held.  :func:`step_semi_implicit`,
+:func:`step_exponential` and :func:`aggregate_paths` run the same block code
+over one whole array.
 """
 
 from __future__ import annotations
@@ -26,14 +31,17 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import DivergenceError, TimeGrid, derive_seed, trapezoid_history
+from .core import (DivergenceError, NumericalError, TimeGrid, derive_seed,
+                   require_memory, trapezoid_history)
 from .kernels import RETARDED, DeSitterParams, KernelMatrix
+from .noise import white_source
 
 #: abort a realization once |x| exceeds this many natural units
 DIVERGENCE_GUARD = 1e12
 
-#: time steps per block of the batched steppers; a block's noise is read in
-#: time-major order and its paths are written back in one transposed copy
+#: grid columns per block of the ensemble pipeline and the batched steppers;
+#: a block's noise is read in time-major order and its paths are written back
+#: in one transposed copy
 _BLOCK_STEPS = 256
 
 
@@ -97,8 +105,9 @@ class PotentialSpec:
 class EnsembleStats:
     """Pointwise ensemble moments plus the final value of each realization.
 
-    The paths themselves are not kept: trajectory-level diagnostics such as
-    the recursion probability read the caller's path array.
+    The paths themselves are not kept: the runners reduce them block by
+    block, and trajectory-level diagnostics such as the recursion
+    probability are counted on the way.
     """
 
     mean: np.ndarray
@@ -221,22 +230,26 @@ def integrate_overdamped_mode(dp: DeSitterParams, noise_amp: float, grid: TimeGr
     return Trajectory(grid, phi, rhs)
 
 
-def _time_blocks(a: np.ndarray, n_steps: int):
-    """(start, stop, a[..., start:stop] copied time-major) for each block of steps.
+def _slices(n: int, width: int) -> list[slice]:
+    """Slices of width columns covering n columns; none is one column wide unless n is 1.
 
-    Each block is a contiguous copy with the time axis first, never a view
-    (ascontiguousarray returns one when M is 1), and block b + 1 is copied
-    before block b is yielded: the caller may write block b's paths (columns
-    start + 1 .. stop) over a, as the one column they share with the next
-    block has been read by then.
+    numpy sums a single column pairwise, not row after row as it sums wider
+    blocks and the whole array, so a trailing one-column slice joins the one
+    before it and the sorted column sums keep the whole-array bits.
     """
-    bounds = [(start, min(start + _BLOCK_STEPS, n_steps))
-              for start in range(0, n_steps, _BLOCK_STEPS)]
-    copies = (np.moveaxis(a[..., start:stop], -1, 0).copy() for start, stop in bounds)
-    ahead = next(copies)
-    for start, stop in bounds:
-        current, ahead = ahead, next(copies, None)
-        yield start, stop, current
+    stops = list(range(width, n, width)) + [n]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        del stops[-2]
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+
+
+def _time_blocks(n: int) -> list[slice]:
+    """The column blocks of the pipeline: _BLOCK_STEPS columns, the last up to one more."""
+    return _slices(n, _BLOCK_STEPS)
+
+
+def _block_width(n: int) -> int:
+    return min(n, _BLOCK_STEPS + 1)
 
 
 def _require_writable(a, name: str) -> np.ndarray:
@@ -249,6 +262,188 @@ def _require_writable(a, name: str) -> np.ndarray:
     return a
 
 
+class SemiImplicitStepper:
+    """M realizations of xdd = -gamma xd - V'(x) + g xi, stepped one column block at a time.
+
+    shape is (M, d, n).  :meth:`step` reads the noise of the grid columns
+    cols from a block (M, d, w) and writes the positions of the same columns
+    over it: the block's entry state, then one step from each column to the
+    next.  The position the last step reaches is the next block's entry
+    state, so the last column of the grid is never read as noise.  Each step
+    is the scheme of :func:`integrate_white`, f = g xi_i - V'(x),
+    v' = (v + dt f)/(1 + gamma dt), x' = x + dt v', as elementwise
+    operations into reused buffers (dt (g xi - V') + v is v + dt (g xi - V')
+    bit for bit), so with the same V' every row equals integrate_white on
+    that row and does not depend on M.  vprime maps positions (M, d) to the
+    gradient V'(x) (M, d); x0 and v0 broadcast to (M, d).
+
+    Without a gate_threshold the gate g is 1.  With one, g starts at 1 per
+    realization and latches to 0 the first time sum_a x_a^2 exceeds the
+    threshold; it never reopens.  ``close`` (M,) int64 holds each
+    realization's close step, the first grid index at which its gate is 0, or
+    -1 while it is open (always, without a gate); ``v_first`` (n, d) the
+    velocities of realization 0 up to the last block stepped.  A block in
+    which some |x_a| exceeds DIVERGENCE_GUARD or is not finite raises
+    DivergenceError for the earliest such step and, among ties, the lowest
+    realization index.
+    """
+
+    def __init__(self, shape: tuple[int, int, int], vprime: Callable[[np.ndarray], np.ndarray],
+                 gamma: float, grid: TimeGrid, x0=0.0, v0=0.0,
+                 gate_threshold: float | None = None):
+        m, d, n = shape
+        if n != grid.n_points:
+            raise ValueError(f"noise must have {grid.n_points} time points, got {n}")
+        self.shape = shape
+        self.vprime = vprime
+        self.grid = grid
+        self.denom = 1.0 + gamma * grid.dt
+        self.gate_threshold = gate_threshold
+        rows = _block_width(n)
+        # time-major buffers, each also as a list of its (M, d) rows; row 0 of
+        # xs and vs holds a block's entry state
+        self.xs = np.empty((rows, m, d))
+        self.vs = np.empty((rows, m, d))
+        self.xs[0] = x0
+        self.vs[0] = v0
+        self.noise = np.empty((rows - 1, m, d))
+        self.rows = list(self.xs), list(self.vs), list(self.noise)
+        self.force = np.empty((m, d))
+        self.gate = np.ones(m)
+        self.gates = np.empty((rows - 1, m)) if gate_threshold is not None else None
+        self.close = np.full(m, -1, dtype=np.int64)
+        self.v_first = np.empty((n, d))
+
+    def step(self, block: np.ndarray, cols: slice) -> None:
+        width = cols.stop - cols.start
+        steps = width if cols.stop < self.grid.n_points else width - 1
+        np.copyto(self.noise[:steps], block[..., :steps].transpose(2, 0, 1))
+        xs, vs, f, gate, gates = self.xs, self.vs, self.force, self.gate, self.gates
+        x_rows, v_rows, xi_rows = self.rows
+        dt, denom, vprime, threshold = self.grid.dt, self.denom, self.vprime, self.gate_threshold
+        x, v = x_rows[0], v_rows[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(steps):
+                xi = xi_rows[j]
+                if gates is not None:
+                    np.multiply(xi, gate[:, None], out=xi)
+                np.subtract(xi, vprime(x), out=f)
+                np.multiply(f, dt, out=f)
+                np.add(f, v, out=f)
+                v = np.divide(f, denom, out=v_rows[j + 1])
+                np.multiply(v, dt, out=f)
+                x = np.add(x, f, out=x_rows[j + 1])
+                if gates is not None:
+                    gate[np.einsum("md,md->m", x, x) > threshold] = 0.0
+                    gates[j] = gate
+        new = xs[1:steps + 1]
+        # max and min propagate NaN, so this holds iff every |x| <= DIVERGENCE_GUARD
+        if not (new.max() <= DIVERGENCE_GUARD and new.min() >= -DIVERGENCE_GUARD):
+            bad = ~(np.abs(new) <= DIVERGENCE_GUARD).all(axis=2)
+            j = int(np.argmax(bad.any(axis=1)))
+            idx = int(np.argmax(bad[j]))
+            step = cols.start + j + 1
+            raise DivergenceError(
+                f"realization {idx}: trajectory diverged at step {step} "
+                f"(t = {self.grid.t_start + step * dt:g}): |x| exceeded "
+                f"{DIVERGENCE_GUARD:g}", step=step, realization=idx)
+        block[...] = xs[:width].transpose(1, 2, 0)
+        self.v_first[cols] = vs[:width, 0]
+        if gates is not None:
+            closed = gates[:steps] == 0.0
+            new = (self.close < 0) & closed.any(axis=0)
+            self.close[new] = cols.start + 1 + np.argmax(closed[:, new], axis=0)
+        xs[0] = xs[steps]
+        vs[0] = vs[steps]
+
+
+class ExponentialStepper:
+    """M paths of phi_{i+1} = q phi_i + (1 - q) drive_i, stepped one column block at a time.
+
+    shape is (M, d, n); :meth:`step` reads and writes a block (M, d, w) as
+    :meth:`SemiImplicitStepper.step` does.  Each step is that of
+    :func:`integrate_overdamped_mode` (with drive = amp xi): q phi, then
+    (1 - q) drive, then their sum, elementwise, so each row equals the
+    single-path result bit for bit.  phi0 broadcasts to (M, d).
+    """
+
+    def __init__(self, shape: tuple[int, int, int], q: float, phi0=0.0):
+        m, d, n = shape
+        self.shape = shape
+        self.q = q
+        self.w = 1.0 - q
+        rows = _block_width(n)
+        self.phis = np.empty((rows, m, d))
+        self.phis[0] = phi0
+        self.drive = np.empty((rows - 1, m, d))
+        self.rows = list(self.phis), list(self.drive)
+
+    def step(self, block: np.ndarray, cols: slice) -> None:
+        width = cols.stop - cols.start
+        steps = width if cols.stop < self.shape[2] else width - 1
+        np.copyto(self.drive[:steps], block[..., :steps].transpose(2, 0, 1))
+        phi_rows, drive_rows = self.rows
+        q, w = self.q, self.w
+        for j in range(steps):
+            phi = np.multiply(phi_rows[j], q, out=phi_rows[j + 1])
+            drive = np.multiply(drive_rows[j], w, out=drive_rows[j])
+            np.add(phi, drive, out=phi)
+        phis = self.phis
+        block[...] = phis[:width].transpose(1, 2, 0)
+        phis[0] = phis[steps]
+
+
+def stream_blocks(fill, stepper, reduce) -> None:
+    """Draw, step and reduce an ensemble one column block at a time, in one reused buffer.
+
+    For each block of :func:`_time_blocks`, fill(rows, start) writes the
+    noise of the block's columns into rows (M d, w), stepper.step writes the
+    paths of the same columns over it in place, and reduce(paths, cols)
+    reads the (M, d, w) block.  No array of the ensemble's size is held.
+    When a step fails, the rest of the noise is drawn first, so a failure of
+    the noise itself is reported as it is when the noise is drawn whole
+    before any step.
+    """
+    m, d, n = stepper.shape
+    buffer = np.empty((m, d, _block_width(n)))
+    rows = buffer.reshape(m * d, -1)
+    blocks = _time_blocks(n)
+    for b, cols in enumerate(blocks):
+        width = cols.stop - cols.start
+        fill(rows[:, :width], cols.start)
+        try:
+            stepper.step(buffer[..., :width], cols)
+        except (NumericalError, ArithmeticError):
+            for rest in blocks[b + 1:]:
+                fill(rows[:, :rest.stop - rest.start], rest.start)
+            raise
+        reduce(buffer[..., :width], cols)
+
+
+#: (M, d, block width) float64 slabs of the pipeline at its peak: the block
+#: buffer, the stepper's noise, positions, velocities and gates, the
+#: statistics' sort buffer and a reducer's temporaries (ssb, the largest,
+#: peaks at 7.6 traced at M 400, n 3001)
+_PIPELINE_SLABS = 8
+
+#: bytes a realization's white-noise generator holds (PCG64 and Generator:
+#: 0.93 KB measured)
+GENERATOR_BYTES = 1024
+
+
+def require_pipeline(shape: tuple[int, int, int], extra_bytes: int = 0,
+                     extra: str = "") -> None:
+    """Check the peak of :func:`stream_blocks` on an (M, d, n) ensemble against physical memory.
+
+    The peak is _PIPELINE_SLABS (M, d, w) float64 slabs of block buffers
+    plus extra_bytes of what the run holds beside them, which extra names.
+    """
+    m, d, n = shape
+    width = _block_width(n)
+    require_memory(8 * _PIPELINE_SLABS * m * d * width + extra_bytes,
+                   f"block buffers ({m}, {d}, {width})" + (f" and {extra}" if extra else ""))
+
+
 def step_semi_implicit(noise: np.ndarray, vprime: Callable[[np.ndarray], np.ndarray],
                        gamma: float, grid: TimeGrid, x0=0.0, v0=0.0,
                        gate_threshold: float | None = None
@@ -256,99 +451,31 @@ def step_semi_implicit(noise: np.ndarray, vprime: Callable[[np.ndarray], np.ndar
     """Step M realizations of xdd = -gamma xd - V'(x) + g xi at once, in place.
 
     noise is a writable float64 array of shape (M, d, n); the paths are
-    written over it and it is returned as the path array, so an ensemble is
-    held once.  The caller owns it: pass a copy to keep the noise.  Each
-    256-step block of noise is read into a time-major buffer before any path
-    of the block before it is written back, and slot 0 takes x0 only after
-    the first block is read, so every value is that of a separate path array.
-    vprime maps positions (M, d) to the gradient V'(x) (M, d), e.g.
-    PotentialSpec.vprime.  x0 and v0 broadcast to (M, d).
-    Each step is the scheme of :func:`integrate_white`,
-    f = g xi_i - V'(x), v' = (v + dt f)/(1 + gamma dt), x' = x + dt v',
-    applied elementwise (g xi - V' is bit-identical to -V' + g xi), so with
-    the same V' every row equals integrate_white on that row bit for bit.
-
-    Without a gate_threshold the gate g is 1.  With one, g starts at 1 per
-    realization and latches to 0 the first time sum_a x_a^2 exceeds the
-    threshold; it never reopens.
-
-    Returns (paths (M, d, n), the noise array itself; close steps (M,) int64;
-    velocities of realization 0 (d, n)).  A realization's close step is the
-    first grid index at which its gate is 0, or -1 if it never closed (every
-    realization, when there is no gate).  A step at which some |x_a| exceeds
-    DIVERGENCE_GUARD or is not finite raises DivergenceError for the earliest
-    such step and, among ties, the lowest realization index; the noise array
-    then holds a partly written state.
+    written over it block by block by :class:`SemiImplicitStepper` and it is
+    returned as the path array.  The caller owns it: pass a copy to keep the
+    noise.  Returns (paths (M, d, n), the noise array itself; close steps
+    (M,) int64; velocities of realization 0 (d, n)).  On DivergenceError the
+    noise array holds a partly written state.
     """
     paths = _require_writable(noise, "noise")
-    m, d, n = paths.shape
-    if n != grid.n_points:
-        raise ValueError(f"noise must have {grid.n_points} time points, got {n}")
-    dt = grid.dt
-    denom = 1.0 + gamma * dt
-    x = np.empty((m, d))
-    v = np.empty((m, d))
-    x[...] = x0
-    v[...] = v0
-    v_first = np.empty((n, d))
-    v_first[0] = v[0]
-    gated = gate_threshold is not None
-    gate = np.ones(m)
-    close = np.full(m, -1, dtype=np.int64)
-    # x and v are written straight into the block buffers
-    xs = np.empty((_BLOCK_STEPS, m, d))
-    vs = np.empty((_BLOCK_STEPS, m, d))
-    gs = np.empty((_BLOCK_STEPS, m))
-    for start, stop, xi in _time_blocks(paths, n - 1):
-        if start == 0:
-            paths[:, :, 0] = x
-        size = stop - start
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(size):
-                drive = gate[:, None] * xi[j] if gated else xi[j]
-                v = np.divide(v + dt * (drive - vprime(x)), denom, out=vs[j])
-                x = np.add(x, dt * v, out=xs[j])
-                if gated:
-                    r2 = np.einsum("md,md->m", x, x)
-                    gate = np.where(r2 > gate_threshold, 0.0, gate)
-                    gs[j] = gate
-        bad = ~(np.abs(xs[:size]) <= DIVERGENCE_GUARD).all(axis=2)
-        if bad.any():
-            j = int(np.argmax(bad.any(axis=1)))
-            idx = int(np.argmax(bad[j]))
-            step = start + j + 1
-            raise DivergenceError(
-                f"realization {idx}: trajectory diverged at step {step} "
-                f"(t = {grid.t_start + step * dt:g}): |x| exceeded "
-                f"{DIVERGENCE_GUARD:g}", step=step, realization=idx)
-        paths[:, :, start + 1:stop + 1] = xs[:size].transpose(1, 2, 0)
-        v_first[start + 1:stop + 1] = vs[:size, 0]
-        if gated:
-            closed = gs[:size] == 0.0
-            new = (close < 0) & closed.any(axis=0)
-            close[new] = start + 1 + np.argmax(closed[:, new], axis=0)
-    return paths, close, v_first.T
+    stepper = SemiImplicitStepper(paths.shape, vprime, gamma, grid, x0, v0, gate_threshold)
+    for cols in _time_blocks(grid.n_points):
+        stepper.step(paths[..., cols], cols)
+    return paths, stepper.close, stepper.v_first.T
 
 
 def step_exponential(drive: np.ndarray, q: float, phi0=0.0) -> np.ndarray:
     """(M, n) paths of phi_{i+1} = q phi_i + (1 - q) drive_i, all rows at once, in place.
 
     drive is a writable float64 (M, n) array; the paths are written over it
-    in the order of :func:`step_semi_implicit` and it is returned.  The step
-    of :func:`integrate_overdamped_mode` (with drive = amp xi), applied
-    elementwise, so each row equals the single-path result bit for bit.
+    block by block by :class:`ExponentialStepper` and it is returned.  phi0
+    is a number or an (M,) array.
     """
     paths = _require_writable(drive, "drive")
     m, n = paths.shape
-    w = 1.0 - q
-    block = np.empty((_BLOCK_STEPS, m))
-    for start, stop, d in _time_blocks(paths, n - 1):
-        if start == 0:
-            paths[:, 0] = phi0
-            phi = paths[:, 0].copy()
-        for j in range(stop - start):
-            phi = np.add(q * phi, w * d[j], out=block[j])
-        paths[:, start + 1:stop + 1] = block[:stop - start].T
+    stepper = ExponentialStepper((m, 1, n), q, np.asarray(phi0, dtype=float)[..., None])
+    for cols in _time_blocks(n):
+        stepper.step(paths[:, None, cols], cols)
     return paths
 
 
@@ -357,52 +484,87 @@ def step_exponential(drive: np.ndarray, q: float, phi0=0.0) -> np.ndarray:
 _AGGREGATE_BLOCK_VALUES = 131072
 
 
-def _column_blocks(m: int, n: int):
-    """Column slices of about _AGGREGATE_BLOCK_VALUES values over an (m, n) array.
+def _column_blocks(m: int, n: int) -> list[slice]:
+    """Column slices of about _AGGREGATE_BLOCK_VALUES values over an (m, n) array."""
+    return _slices(n, max(2, _AGGREGATE_BLOCK_VALUES // m))
 
-    No slice is one column wide unless n is 1: numpy sums a single column
-    pairwise, not row after row as it sums wider blocks and the whole array,
-    so a trailing one-column block joins the block before it.
+
+class ColumnMoments:
+    """Pointwise mean and variance of an (M, n) ensemble, reduced column block by column block.
+
+    :meth:`add` takes the paths of some columns (M, w), w >= 2 unless n is
+    1.  Reductions run in sorted order so the statistics are invariant under
+    any reordering of the realizations: each block is copied into one
+    buffer, sorted and summed for the mean, then its squared deviations are
+    formed, sorted and summed in that buffer.  numpy sums a block of two or
+    more columns row after row, so every column gets the values, in the
+    order, of the whole-array formula.
     """
-    width = max(2, _AGGREGATE_BLOCK_VALUES // m)
-    stops = list(range(width, n, width)) + [n]
-    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
-        del stops[-2]
-    start = 0
-    for stop in stops:
-        yield slice(start, stop)
-        start = stop
+
+    def __init__(self, m: int, n: int, width: int):
+        self.mean = np.empty(n)
+        self.variance = np.empty(n)
+        self.buffer = np.empty((m, width))
+
+    def add(self, paths: np.ndarray, cols: slice) -> None:
+        m, width = paths.shape
+        block = self.buffer[:, :width]
+        np.copyto(block, paths)
+        block.sort(axis=0)
+        self.mean[cols] = block.sum(axis=0) / m
+        np.subtract(paths, self.mean[cols], out=block)
+        np.multiply(block, block, out=block)
+        block.sort(axis=0)
+        self.variance[cols] = block.sum(axis=0) / m
 
 
 def aggregate_paths(grid: TimeGrid, paths: np.ndarray) -> EnsembleStats:
     """Pointwise mean/variance and per-realization final values of an (M, n) path array.
 
-    Reductions run in sorted order so the statistics are invariant under any
-    reordering of the realizations.  They run over column blocks of about
-    _AGGREGATE_BLOCK_VALUES values: each block is copied into one buffer,
-    sorted and summed for the mean, then its squared deviations are formed,
-    sorted and summed in that buffer.  No (M, n) temporary is allocated, and
-    every column gets the values, in the order, of the whole-array formula.
+    The statistics of :class:`ColumnMoments` over column blocks of about
+    _AGGREGATE_BLOCK_VALUES values; no (M, n) temporary is allocated.
     """
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2 or paths.shape[1] != grid.n_points:
         raise ValueError(f"paths must be (M, {grid.n_points}), got {paths.shape}")
     m, n = paths.shape
-    mean = np.empty(n)
-    variance = np.empty(n)
-    blocks = list(_column_blocks(m, n))
-    buffer = np.empty((m, max(cols.stop - cols.start for cols in blocks)))
+    blocks = _column_blocks(m, n)
+    moments = ColumnMoments(m, n, max(cols.stop - cols.start for cols in blocks))
     for cols in blocks:
-        block = buffer[:, :cols.stop - cols.start]
-        np.copyto(block, paths[:, cols])
-        block.sort(axis=0)
-        mean[cols] = block.sum(axis=0) / m
-        np.subtract(paths[:, cols], mean[cols], out=block)
-        np.multiply(block, block, out=block)
-        block.sort(axis=0)
-        variance[cols] = block.sum(axis=0) / m
-    return EnsembleStats(mean=mean, variance=variance,
+        moments.add(paths[:, cols], cols)
+    return EnsembleStats(mean=moments.mean, variance=moments.variance,
                          per_run_finals=paths[:, -1].copy())
+
+
+def run_white_ensemble(pot: PotentialSpec, gamma: float, grid: TimeGrid, sigma2: float,
+                       seed: int, n_realizations: int, x0: float = 0.0, v0: float = 0.0
+                       ) -> tuple[EnsembleStats, Trajectory]:
+    """M paths of :func:`integrate_white` driven by :func:`ctpsim.noise.draw_white`'s rows.
+
+    Streamed by :func:`stream_blocks`: returns the ensemble statistics and
+    realization 0's trajectory, each bit for bit those of the whole noise
+    array stepped by :func:`step_semi_implicit` and reduced by
+    :func:`aggregate_paths`.
+    """
+    m, n = n_realizations, grid.n_points
+    # statistics, realization 0's x and v, and the trajectory's copies of them
+    require_pipeline((m, 1, n), 8 * 6 * n + m * GENERATOR_BYTES,
+                     f"6 columns of {n} and {m} generators")
+    stepper = SemiImplicitStepper((m, 1, n), pot.vprime, gamma, grid, x0, v0)
+    moments = ColumnMoments(m, n, _block_width(n))
+    first = np.empty(n)
+    finals = np.empty(m)
+
+    def reduce(paths, cols):
+        x = paths[:, 0]
+        first[cols] = x[0]
+        moments.add(x, cols)
+        if cols.stop == n:
+            finals[:] = x[:, -1]
+
+    stream_blocks(white_source(sigma2, grid, seed, m), stepper, reduce)
+    stats = EnsembleStats(mean=moments.mean, variance=moments.variance, per_run_finals=finals)
+    return stats, Trajectory(grid, first, stepper.v_first[:, 0])
 
 
 def ensemble_run(run_one: Callable[[int], Trajectory], master_seed: int,
@@ -411,8 +573,8 @@ def ensemble_run(run_one: Callable[[int], Trajectory], master_seed: int,
 
     run_one maps a derived seed to a Trajectory.  Results depend only on
     master_seed; integrator failures are re-raised with the offending
-    realization index attached.  Ensembles that need speed are stepped as one
-    batch by :func:`step_semi_implicit` or :func:`step_exponential`.
+    realization index attached.  Ensembles that need speed are streamed as
+    one batch by :func:`stream_blocks`.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")

@@ -6,6 +6,9 @@ factor comes from a clipped symmetric eigendecomposition
 (:func:`ctpsim.kernels.psd_factor`); the squeezed-mode kernels of the
 scenarios have an exact closed-form factor instead
 (:func:`ctpsim.kernels.squeezed_factor`).
+The ensemble runners never hold a whole noise array: :func:`white_source`
+and :func:`factor_source` fill the next block of grid columns of every row
+into a buffer the caller reuses, with the bits of the whole draw.
 :func:`hs_moment_check` is the operational statement of the noise
 factorization: averaging exp(i xi . v) over the ensemble must reproduce
 exp(-v^T K v / 2).
@@ -139,43 +142,91 @@ class _Words(ISeedSequence):
         return self.words
 
 
-def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
-    """(M, k) standard normals: row i is drawn by default_rng(derive_seed(seed, i)).
+def _row_draws(seed: int, n_realizations: int):
+    """The standard_normal method of default_rng(derive_seed(seed, i)) for i < M, built lazily.
 
-    The one place a generator is built: every random stream of the package is
-    these rows, so row i depends only on (seed, i, k), never on M.  The
-    SeedSequence words of all rows are hashed in blocks by :func:`_seed_words`
-    and handed to PCG64, which seeds itself from them; the first and last rows
-    are then redrawn through default_rng, and any difference (numpy changed
-    its seeding) is a NumericalError, never a silent change of streams.
+    The one place a generator is built.  The SeedSequence words of all rows
+    are hashed in blocks by :func:`_seed_words` and handed to PCG64, which
+    seeds itself from them.
     """
-    rows = np.empty((n_realizations, k))
     seeds = derive_seeds(seed, n_realizations)
     for start in range(0, n_realizations, _SEED_BLOCK_ROWS):
-        words = _seed_words(seeds[start:start + _SEED_BLOCK_ROWS])
-        for row, row_words in zip(rows[start:start + _SEED_BLOCK_ROWS], words):
-            Generator(PCG64(_Words(row_words))).standard_normal(out=row)
-    for i in sorted({0, n_realizations - 1}):
-        expected = np.random.default_rng(derive_seed(seed, i)).standard_normal(k)
-        if rows[i].tobytes() != expected.tobytes():
+        for words in _seed_words(seeds[start:start + _SEED_BLOCK_ROWS]):
+            yield Generator(PCG64(_Words(words))).standard_normal
+
+
+def _guards(seed: int, n_realizations: int) -> list[tuple[int, Generator]]:
+    """(i, default_rng(derive_seed(seed, i))) for the first and the last row."""
+    return [(i, np.random.default_rng(derive_seed(seed, i)))
+            for i in sorted({0, n_realizations - 1})]
+
+
+def _fill_normals(rows: np.ndarray, draws, guards, seed: int) -> None:
+    """Fill each row of rows (M, k) with the next k normals of its generator's draw.
+
+    Rows 0 and M - 1 are then compared with the same draw from their guard
+    generators; any difference (numpy changed its seeding) is a
+    NumericalError, never a silent change of streams.
+    """
+    for row, draw in zip(rows, draws):
+        draw(out=row)
+    for i, guard in guards:
+        if rows[i].tobytes() != guard.standard_normal(rows.shape[1]).tobytes():
             raise NumericalError(
                 f"row {i} of seed {seed} differs from default_rng(derive_seed(seed, {i})): "
                 f"numpy {np.__version__} no longer seeds generators as ctpsim assumes")
+
+
+def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
+    """(M, k) standard normals: row i is drawn by default_rng(derive_seed(seed, i)).
+
+    Every random stream of the package is these rows, so row i depends only
+    on (seed, i, k), never on M.  A row's generator is dropped once its row
+    is drawn.
+    """
+    rows = np.empty((n_realizations, k))
+    _fill_normals(rows, _row_draws(seed, n_realizations),
+                  _guards(seed, n_realizations), seed)
     return rows
 
 
-def draw_white(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int) -> np.ndarray:
-    """The (M, n) realizations of :func:`sample_white` as a writable array the caller owns.
+def white_source(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int):
+    """fill(rows, start) writing the columns start.. of :func:`draw_white`'s rows into rows.
 
-    The ensemble runners step their noise in place (it becomes the path
-    array), so they take the rows without the read-only NoiseEnsemble.
+    rows is an (M, w) array whose rows are contiguous; successive calls
+    continue each row's stream, so filling the columns of the grid block by
+    block gives the bits of one whole draw (numpy draws normals one after
+    another).  Each block is checked against the guard generators and then
+    scaled.  The generators are kept between calls only if the first call
+    leaves columns to fill.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    rows = _standard_normals(seed, n_realizations, grid.n_points)
-    rows *= np.sqrt(sigma2 / grid.dt)
+    draws = _row_draws(seed, n_realizations)
+    guards = _guards(seed, n_realizations)
+    scale = np.sqrt(sigma2 / grid.dt)
+
+    def fill(rows: np.ndarray, start: int = 0) -> None:
+        nonlocal draws
+        if start == 0 and rows.shape[1] < grid.n_points:
+            draws = list(draws)
+        _fill_normals(rows, draws, guards, seed)
+        rows *= scale
+    return fill
+
+
+def draw_white(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int) -> np.ndarray:
+    """(M, n) white noise with per-sample variance sigma2/dt, as a writable array the caller owns.
+
+    Row i is default_rng(derive_seed(seed, i)).standard_normal(n) times
+    sqrt(sigma2/dt).  The ensemble runners draw the same rows block by block
+    through :func:`white_source`.
+    """
+    fill = white_source(sigma2, grid, seed, n_realizations)
+    rows = np.empty((n_realizations, grid.n_points))
+    fill(rows)
     return rows
 
 
@@ -189,30 +240,48 @@ def sample_white(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int) 
                          covariance_ref=f"white[sigma2={sigma2!r}]")
 
 
+def factor_source(factor: np.ndarray, seed: int, n_realizations: int):
+    """fill(rows, start) writing the columns start.. of :func:`draw_from_factor`'s rows into rows.
+
+    z is drawn once here; each call sums z[:, k] F[start:start + w, k] over
+    the rank in column order into rows (M, w), in blocks of rows that fit in
+    cache (_DRAW_BLOCK_VALUES values).  Every value is the same elementwise
+    sum whatever the blocks, so filling the grid block by block gives the
+    bits of one whole draw.
+    """
+    if n_realizations < 1:
+        raise ValueError("n_realizations must be >= 1")
+    _, rank = factor.shape
+    z = _standard_normals(seed, n_realizations, rank)
+    columns = np.ascontiguousarray(factor.T)
+
+    def fill(rows: np.ndarray, start: int = 0) -> None:
+        width = rows.shape[1]
+        rows[...] = 0.0
+        block = max(1, _DRAW_BLOCK_VALUES // width)
+        term = np.empty((min(block, n_realizations), width))
+        for first in range(0, n_realizations, block):
+            acc = rows[first:first + block]
+            tmp = term[:acc.shape[0]]
+            for k in range(rank):
+                np.multiply(z[first:first + block, k, None],
+                            columns[k, start:start + width], out=tmp)
+                acc += tmp
+    return fill
+
+
 def draw_from_factor(factor: np.ndarray, seed: int, n_realizations: int) -> np.ndarray:
     """(M, n) Gaussian rows F z_i with covariance F F^T, for a factor F of shape (n, r).
 
     z_i is row i of :func:`_standard_normals` with k = r.  Rows are
     accumulated as sum_k z[:, k] F[:, k] in column order with elementwise
-    operations, not a matrix product whose blocking may depend on M, so row i
-    is bit-identical for every ensemble size and a larger ensemble only
-    appends rows.  The sum runs over blocks of rows that fit in cache
-    (_DRAW_BLOCK_VALUES values); the per-element order is the same.
+    operations (:func:`factor_source`), not a matrix product whose blocking
+    may depend on M, so row i is bit-identical for every ensemble size and a
+    larger ensemble only appends rows.
     """
-    if n_realizations < 1:
-        raise ValueError("n_realizations must be >= 1")
-    n, rank = factor.shape
-    z = _standard_normals(seed, n_realizations, rank)
-    columns = np.ascontiguousarray(factor.T)
-    rows = np.zeros((n_realizations, n))
-    block = max(1, _DRAW_BLOCK_VALUES // n)
-    term = np.empty((min(block, n_realizations), n))
-    for start in range(0, n_realizations, block):
-        acc = rows[start:start + block]
-        tmp = term[:acc.shape[0]]
-        for k in range(rank):
-            np.multiply(z[start:start + block, k, None], columns[k], out=tmp)
-            acc += tmp
+    fill = factor_source(factor, seed, n_realizations)
+    rows = np.empty((n_realizations, factor.shape[0]))
+    fill(rows)
     return rows
 
 

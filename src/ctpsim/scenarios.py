@@ -6,6 +6,12 @@ ensemble selects.  The noise is multiplied by a per-realization gate that
 latches to zero once a run leaves the unstable region |x|^2 > -2 m2 / lambda,
 after which friction relaxes it into a potential minimum; the ensemble stays
 symmetric while every single run breaks the symmetry.
+
+Every ensemble is streamed through blocks of grid columns
+(:func:`ctpsim.langevin.stream_blocks`): what a report needs (pointwise
+statistics, the recursion count, final values, the gate close steps,
+inflation's tails) is reduced block by block, so a run holds block buffers
+and its result columns, never an (M, d, n) array.
 """
 
 from __future__ import annotations
@@ -16,14 +22,14 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .core import (DivergenceError, NumericalError, TimeGrid, derive_seed,
-                   require_memory)
+from .core import DivergenceError, NumericalError, TimeGrid, derive_seed
 from .kernels import (DeSitterParams, KernelMatrix, build_hadamard,
                       desitter_hadamard, fluctuation_kernel, squeezed_factor)
-from .langevin import (_AGGREGATE_BLOCK_VALUES, EnsembleStats, SpectrumEstimate,
-                       aggregate_paths, estimate_spectrum, relaxation_rate,
-                       step_exponential, step_semi_implicit)
-from .noise import draw_from_factor, draw_white
+from .langevin import (_AGGREGATE_BLOCK_VALUES, GENERATOR_BYTES, ColumnMoments,
+                       EnsembleStats, ExponentialStepper, SemiImplicitStepper,
+                       SpectrumEstimate, _block_width, estimate_spectrum,
+                       relaxation_rate, require_pipeline, stream_blocks)
+from .noise import factor_source, white_source
 from .noise import sample_colored  # noqa: F401  (perfbench traces it through this module)
 from .squeeze import SqueezeParams
 
@@ -227,56 +233,55 @@ def scenario_noise_kernel(cfg: SSBConfig) -> KernelMatrix:
     return fluctuation_kernel(cfg.coupling, g_c)
 
 
-def _sample_scenario_noise(cfg: SSBConfig, n_components: int) -> np.ndarray:
-    """(M, d, n) noise array; component c of run i uses ensemble row i*d + c."""
-    m = cfg.n_realizations
+def _scenario_factor(cfg: SSBConfig) -> np.ndarray:
+    """The exact factor of the scenario's noise kernel (:func:`scenario_noise_kernel`)."""
     coupling = cfg.coupling if cfg.noise_kernel == "fluctuation" else None
-    factor = squeezed_factor(_squeeze_params(cfg), cfg.grid, coupling)
-    rows = draw_from_factor(factor, cfg.master_seed, m * n_components)
-    rows *= cfg.noise_amplitude
-    return rows.reshape(m, n_components, cfg.grid.n_points)
+    return squeezed_factor(_squeeze_params(cfg), cfg.grid, coupling)
 
 
-def _integrate_gated(cfg: SSBConfig, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Step all realizations at once from x = 0; returns (paths (M,d,n), close steps (M,)).
-
-    The gate starts at 1, multiplies the noise, and latches to 0 the first
-    time |x|^2 crosses the threshold; it never reopens.  A realization's
-    close step is the grid index at which its gate first reads 0, or -1 if
-    it never closes (always, without a gate).  The radial force is
-    -(m2 + lam |x|^2 / 6) x_a, identical to the scalar double well at d = 1.
-    """
+def _radial_vprime(cfg: SSBConfig):
+    """V'(x) (M, d) of the radial double well: (m2 + lam |x|^2 / 6) x_a, the scalar one at d = 1."""
     c1 = cfg.m2
     c3 = cfg.lam / 6.0
 
     def vprime(x):
         return (c1 + c3 * np.einsum("md,md->m", x, x))[:, None] * x
+    return vprime
 
+
+def _scaled(draw, amplitude: float):
+    """fill(rows, start): the noise draw(rows, start) writes, times amplitude."""
+    def fill(rows, start):
+        draw(rows, start)
+        rows *= amplitude
+    return fill
+
+
+def _simulate(cfg: SSBConfig, n_components: int, reduce) -> np.ndarray:
+    """Stream the scenario's ensemble from x = 0; returns the gate close times (M,).
+
+    Component c of run i is noise row i*d + c of
+    :func:`ctpsim.noise.draw_from_factor` times noise_amplitude.  Each block
+    of paths (M, d, w) goes to reduce(paths, cols) (see
+    :func:`ctpsim.langevin.stream_blocks`).  The gate starts at 1, multiplies
+    the noise, and latches to 0 the first time |x|^2 crosses the threshold;
+    a realization's close time is t_start + dt times its close step, inf
+    where the gate never closed.
+    """
+    m, n = cfg.n_realizations, cfg.grid.n_points
+    draw = factor_source(_scenario_factor(cfg), cfg.master_seed, m * n_components)
+    stepper = SemiImplicitStepper(
+        (m, n_components, n), _radial_vprime(cfg), cfg.friction, cfg.grid,
+        gate_threshold=cfg.gate_threshold_sq if cfg.gate else None)
     try:
-        paths, close, _ = step_semi_implicit(
-            noise, vprime, cfg.friction, cfg.grid,
-            gate_threshold=cfg.gate_threshold_sq if cfg.gate else None)
+        stream_blocks(_scaled(draw, cfg.noise_amplitude), stepper, reduce)
     except DivergenceError as err:
         raise DivergenceError(
             f"{err} (dt = {cfg.grid.dt:g} too coarse for the curvature "
-            f"|m2| = {abs(c1):g})", step=err.step, realization=err.realization) from err
-    return paths, close
-
-
-def _simulate(cfg: SSBConfig, n_components: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the noise and step it in place; returns (paths (M, d, n), gate close times (M,)).
-
-    The noise array becomes the path array, and no diagnostic allocates an
-    array of its size, so the (M, d, n) float64 array is the run's peak; it
-    is checked against physical memory first.
-    """
-    m, n = cfg.n_realizations, cfg.grid.n_points
-    require_memory(m * n_components * n * 8,
-                   f"noise, then paths ({m}, {n_components}, {n})")
-    paths, close = _integrate_gated(cfg, _sample_scenario_noise(cfg, n_components))
-    # t_start + step dt per realization, inf where the gate never closed
+            f"|m2| = {abs(cfg.m2):g})", step=err.step, realization=err.realization) from err
+    close = stepper.close
     first = close.astype(float) * cfg.grid.dt + cfg.grid.t_start
-    return paths, np.where(close >= 0, first, np.inf)
+    return np.where(close >= 0, first, np.inf)
 
 
 def run_ssb(cfg: SSBConfig) -> SSBReport:
@@ -286,19 +291,31 @@ def run_ssb(cfg: SSBConfig) -> SSBReport:
     noise selects a basin, the gate shuts the noise off outside the unstable
     region, and friction settles the run into a minimum.  Reported: basin
     fractions, mean settled amplitude, recursion probability, and how
-    consistent the ensemble mean is with zero.
+    consistent the ensemble mean is with zero.  The pointwise statistics,
+    the recursion count and the finals are reduced block by block.
     """
-    paths3, close_times = _simulate(cfg, 1)
-    paths = paths3[:, 0, :]
-    stats = aggregate_paths(cfg.grid, paths)
-    finals = stats.per_run_finals
+    m, n = cfg.n_realizations, cfg.grid.n_points
+    require_pipeline((m, 1, n), 8 * 2 * n, f"mean and variance ({n},)")
+    moments = ColumnMoments(m, n, _block_width(n))
+    recursion = _RecursionCount(m, cfg.leave_radius, cfg.return_radius)
+    finals = np.empty(m)
+
+    def reduce(paths, cols):
+        x = paths[:, 0]
+        moments.add(x, cols)
+        recursion.add(x)
+        if cols.stop == n:
+            finals[:] = x[:, -1]
+
+    close_times = _simulate(cfg, 1, reduce)
+    stats = EnsembleStats(mean=moments.mean, variance=moments.variance,
+                          per_run_finals=finals)
     settled = np.abs(finals) > cfg.leave_radius
-    m = cfg.n_realizations
     frac_plus = float(np.count_nonzero(settled & (finals > 0)) / m)
     frac_minus = float(np.count_nonzero(settled & (finals < 0)) / m)
     frac_unsettled = float(np.count_nonzero(~settled) / m)
     mean_abs = float(np.abs(finals[settled]).mean()) if settled.any() else 0.0
-    rec = recursion_probability(paths, cfg.leave_radius, cfg.return_radius)
+    rec = recursion.fraction()
     se = np.sqrt(stats.variance / m)
     with np.errstate(invalid="ignore", divide="ignore"):
         z = np.abs(stats.mean) / np.where(se > 0, se, np.inf)
@@ -337,10 +354,16 @@ def run_bec(cfg: BECConfig) -> BECReport:
     Isotropic colored noise over (Re phi, Im phi) with the same gate latch;
     after settling, the moduli sit on the ring of minima while the phases are
     uniform over the circle, which is the off-diagonal long-range order proxy
-    emerging with no preferred phase.
+    emerging with no preferred phase.  Only the final (M, 2) slice is kept.
     """
-    paths3, close_times = _simulate(cfg, 2)
-    final_vec = paths3[:, :, -1]
+    require_pipeline((cfg.n_realizations, 2, cfg.grid.n_points))
+    final_vec = np.empty((cfg.n_realizations, 2))
+
+    def reduce(paths, cols):
+        if cols.stop == cfg.grid.n_points:
+            final_vec[:] = paths[:, :, -1]
+
+    close_times = _simulate(cfg, 2, reduce)
     final_modulus = np.sqrt(np.einsum("md,md->m", final_vec, final_vec))
     final_phase = np.arctan2(final_vec[:, 1], final_vec[:, 0])
     kuiper_v, kuiper_scaled = kuiper_statistic(final_phase)
@@ -352,6 +375,35 @@ def run_bec(cfg: BECConfig) -> BECReport:
                      kuiper_v=kuiper_v, kuiper_scaled=kuiper_scaled,
                      odlro_fraction=odlro,
                      gate_close_times=close_times)
+
+
+class _RecursionCount:
+    """Runs that re-enter |x| < return_radius after leaving |x| > leave_radius, counted block by block.
+
+    :meth:`add` takes the next columns (rows, w) of every run and carries
+    each run's "has left" flag into the next block, so any split of the
+    columns gives the count of the whole rows.
+    """
+
+    def __init__(self, rows: int, leave_radius: float, return_radius: float):
+        self.radii = (leave_radius, return_radius)
+        self.has_left = np.zeros(rows, dtype=bool)
+        self.recursed = np.zeros(rows, dtype=bool)
+
+    def add(self, paths: np.ndarray) -> None:
+        leave_radius, return_radius = self.radii
+        a = np.abs(paths)
+        has_left = np.logical_or.accumulate(a > leave_radius, axis=1)
+        has_left |= self.has_left[:, None]
+        self.recursed |= (has_left & (a < return_radius)).any(axis=1)
+        self.has_left[:] = has_left[:, -1]
+
+    def fraction(self) -> float:
+        """The recursion probability; the radii are checked here, once the runs are done."""
+        leave_radius, return_radius = self.radii
+        if not leave_radius > return_radius > 0:
+            raise ValueError("need leave_radius > return_radius > 0")
+        return np.count_nonzero(self.recursed) / self.recursed.size
 
 
 def recursion_probability(paths: np.ndarray, leave_radius: float,
@@ -369,9 +421,9 @@ def recursion_probability(paths: np.ndarray, leave_radius: float,
     rows = max(1, _AGGREGATE_BLOCK_VALUES // n)
     recursed = 0
     for start in range(0, m, rows):
-        a = np.abs(paths[start:start + rows])
-        has_left = np.logical_or.accumulate(a > leave_radius, axis=1)
-        recursed += np.count_nonzero((has_left & (a < return_radius)).any(axis=1))
+        count = _RecursionCount(min(rows, m - start), leave_radius, return_radius)
+        count.add(paths[start:start + rows])
+        recursed += np.count_nonzero(count.recursed)
     return recursed / m
 
 
@@ -413,19 +465,25 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
         raise ValueError(f"tail_fraction {tail_fraction:g} leaves no grid point "
                          f"in the tail of {n}")
 
-    # each mode's drive is scaled and stepped in place into its paths
-    require_memory(n_realizations * n * 8,
-                   f"one mode's drive, then paths ({n_realizations}, {n})")
+    # per mode: the block pipeline, every run's tail and its generator
+    m, width = n_realizations, n - tail_start
+    require_pipeline((m, 1, n), m * (8 * width + GENERATOR_BYTES),
+                     f"tails ({m}, {width}) and {m} generators")
     q = np.exp(-rate * grid.dt)
+    tail = np.empty((m, width))
+
+    def keep_tail(paths, cols):
+        start = max(cols.start, tail_start)
+        if start < cols.stop:
+            tail[:, start - tail_start:cols.stop - tail_start] = paths[:, 0, start - cols.start:]
+
     pairs = []
     for mode_idx, dp in enumerate(sorted(modes, key=lambda d: d.k)):
         amp = math.sqrt(desitter_hadamard(dp, 0.0, 0.0))
-        phi = draw_white(1.0, grid, derive_seed(master_seed, mode_idx), n_realizations)
-        phi *= amp
-        step_exponential(phi, q)
+        draw = white_source(1.0, grid, derive_seed(master_seed, mode_idx), m)
+        stream_blocks(_scaled(draw, amp), ExponentialStepper((m, 1, n), q), keep_tail)
         acc = 0.0
-        for row in phi:
-            acc += float(np.mean(row[tail_start:] ** 2))
-        pairs.append((dp.k, acc / n_realizations))
-        del phi, row  # freed (row is a view of phi) before the next mode draws
+        for row in tail:  # np.mean(row ** 2), without its per-call overhead
+            acc += float(np.add.reduce(row ** 2) / width)
+        pairs.append((dp.k, acc / m))
     return estimate_spectrum(pairs)

@@ -179,6 +179,26 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (out / "manifest.json").exists()
 
+    def test_negative_squeeze_start_names_its_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"squeeze": {"t_start": -1.0, "n_points": 3}})
+        out = tmp_path / "o"
+        assert main(["squeeze", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "squeeze.t_start must be >= 0" in err
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
+    def test_failed_noise_summary_writes_nothing(self, tmp_path, capsys):
+        # the summary's variance overflows after the noise is drawn
+        path = write_config(tmp_path, {"n_realizations": 4, "noise": {
+            "sigma2": 1.7976931348623157e308, "omega": 1e12,
+            "hbar": 1.7976931348623157e308, "n_points": 7}})
+        out = tmp_path / "o"
+        assert main(["noise", "--config", str(path), "--out", str(out)]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (out / "noise.csv").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_float64_failure_names_subcommand(self, tmp_path, capsys):
         # 2 m omega underflows to 0, so the vacuum variance hbar / (2 m omega) divides by 0
         path = write_config(tmp_path, {"squeeze": {"mass": 1e-300, "omega": 5e-324,
@@ -449,6 +469,27 @@ class TestMemory:
         m, n = 400, 3001
         assert self._traced_peak(self._args(tmp_path, sub, n, m)) <= bound * m * d * n * 8
 
+    # the streamed runners hold block buffers, not an (M, d, n) array: at M 400 the
+    # budget they check covers the traced peak, which is below one array (measured:
+    # langevin 0.50, ssb 0.65, bec 0.41, inflation 0.81 of a (M, d, 3001) array,
+    # most of inflation's being its (M, 1500) tails)
+    @pytest.mark.parametrize("sub, d, bound", [
+        ("langevin", 1, 0.55), ("ssb", 1, 0.72), ("bec", 2, 0.46), ("inflation", 1, 0.88)])
+    def test_traced_peak_is_block_buffers(self, tmp_path, sub, d, bound):
+        m, n = 400, 3001
+        peak = self._traced_peak(self._args(tmp_path, sub, n, m))
+        assert peak <= self._budget(sub, m, d, n)
+        assert peak <= bound * m * d * n * 8
+
+    @pytest.mark.parametrize("sub", ["langevin", "ssb", "bec"])
+    def test_traced_peak_does_not_grow_with_n(self, tmp_path, sub):
+        # doubling n adds result columns of n values (measured: 4.0 to 5.6), never
+        # an ensemble array, which at M 400 would add 400 values per grid point
+        m, n = 400, 1501
+        small = self._traced_peak(self._args(tmp_path, sub, n, m))
+        large = self._traced_peak(self._args(tmp_path, sub, 2 * n, m))
+        assert large - small <= 16 * n * 8
+
     @staticmethod
     def _traced_peak(args) -> int:
         """Traced peak bytes of one call after a warm-up call."""
@@ -460,13 +501,27 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    # arrays: the peak in (M, n) float64 arrays, as the subcommand checks it
-    @pytest.mark.parametrize("sub, arrays", [
+    @staticmethod
+    def _budget(sub, m, d, n) -> int:
+        """The bytes a streamed run checks against physical memory.
+
+        8 (M, d, 257) float64 slabs of block buffers (fewer columns when n is
+        smaller), plus what each run holds beside them: langevin 6 result
+        columns of n and a 1 KB generator per realization, ssb its mean and
+        variance, inflation every realization's tail of n // 2 points and its
+        generator.
+        """
+        slabs = 8 * m * d * min(n, 257) * 8
+        return slabs + {"langevin": 6 * n * 8 + m * 1024, "ssb": 2 * n * 8, "bec": 0,
+                        "inflation": m * ((n - 1) // 2 * 8 + 1024)}[sub]
+
+    # d: the components of the run's (M, d, n) ensemble
+    @pytest.mark.parametrize("sub, d", [
         ("langevin", 1), ("ssb", 1), ("bec", 2), ("inflation", 1)])
     def test_run_beyond_physical_memory_exits_one(self, tmp_path, physical_memory, capsys,
-                                                  sub, arrays):
+                                                  sub, d):
         m, n = 4, 2001
-        need = arrays * m * n * 8
+        need = self._budget(sub, m, d, n)
         args = self._args(tmp_path, sub, n, m)
         physical_memory(need - 1)
         assert main(args) == 1

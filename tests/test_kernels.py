@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctpsim.core import ConfigError, NumericalError, make_grid
 from ctpsim.kernels import (ADVANCED, RETARDED, SYMMETRIC, ContourMatrix,
@@ -198,6 +200,45 @@ class TestKeldyshRotate:
             build_contour_matrix(mode_two_point(params), grid))
         assert np.max(np.abs(g_r.values - build_retarded(params, grid).values)) < 1e-10
         assert np.max(np.abs(g_c.values - build_hadamard(params, grid).values)) < 1e-10
+
+
+# (amplitude a, frequency w, occupation n) of independent stable oscillators
+STABLE_MODES = st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(0.05, 20.0),
+                                  st.floats(0.0, 5.0)), min_size=1, max_size=4)
+
+
+def thermal_two_point(modes):
+    """<x(t) x(t')> = sum a ((n + 1) e^{-i w (t - t')} + n e^{i w (t - t')}) over the modes."""
+    def f(t, tp):
+        return sum(a * ((occ + 1.0) * np.exp(-1j * w * (t - tp))
+                        + occ * np.exp(1j * w * (t - tp))) for a, w, occ in modes)
+    return f
+
+
+class TestRandomStableTwoPoint:
+    """The contour algebra on random stable (thermal oscillator) two-point functions."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(modes=STABLE_MODES, t_end=st.floats(0.1, 10.0), n=st.integers(2, 24))
+    def test_ordering_identity_and_zero_block(self, modes, t_end, n):
+        grid = make_grid(0.0, t_end, n)
+        cm = build_contour_matrix(thermal_two_point(modes), grid)
+        # g_f and g_fbar hold f(t_i, t_j) and f(t_j, t_i) in some order, so the
+        # ordering identity holds exactly
+        assert np.array_equal(cm.g_f + cm.g_fbar, cm.g_plus + cm.g_minus)
+        g_r, g_a, g_c, residual = keldysh_rotate(cm)
+        # the zero block is the identity minus itself: rounding only, at most
+        # 1.5 ulp of |g| per component, times 1/4
+        assert residual <= np.finfo(float).eps * np.max(np.abs(cm.g_plus))
+        assert np.array_equal(g_a.values, g_r.values.T)
+        t = grid.times()
+        tau = t[:, None] - t[None, :]
+        scale = sum(a * (2.0 * occ + 1.0) for a, _, occ in modes)
+        retarded = sum(2.0 * a * np.sin(w * tau) for a, w, _ in modes)
+        assert np.max(np.abs(g_r.values - np.where(tau >= 0, retarded, 0.0))) <= 1e-12 * scale
+        anticommutator = sum(2.0 * a * (2.0 * occ + 1.0) * np.cos(w * tau)
+                             for a, w, occ in modes)
+        assert np.max(np.abs(g_c.values - anticommutator)) <= 1e-12 * scale
 
 
 class TestElementwisePower:

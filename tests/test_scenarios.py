@@ -14,11 +14,11 @@ from ctpsim.core import NumericalError, make_grid
 from ctpsim.kernels import DeSitterParams, squeezed_factor
 from ctpsim.scenarios import (BECConfig, SSBConfig, kuiper_statistic,
                               recursion_probability, run_bec, run_inflation,
-                              run_ssb, scenario_noise_kernel,
-                              _integrate_gated, _sample_scenario_noise, _simulate)
+                              run_ssb, scenario_noise_kernel)
 from ctpsim.squeeze import SqueezeParams
 
 from oracles import first_closed_step, gated_loop_oracle, recursion_loop_oracle
+from whole_array import integrate_gated, scenario_noise
 
 GRID = make_grid(0.0, 30.0, 1501)
 
@@ -91,7 +91,7 @@ class TestScenarioNoise:
                          noise_amplitude=1.0, n_realizations=m, master_seed=303)
         idx = [0, 5, 10, 50]  # t = 0, 0.5, 1, 5
         assert np.array_equal(self.GRID.times()[idx], [0.0, 0.5, 1.0, 5.0])
-        xi = _sample_scenario_noise(cfg, 1)[:, 0, idx]
+        xi = scenario_noise(cfg, 1)[:, 0, idx]
         k = scenario_noise_kernel(cfg).values[np.ix_(idx, idx)]
         sample_cov = xi.T @ xi / m
         se = np.sqrt((np.outer(np.diag(k), np.diag(k)) + k**2) / m)
@@ -100,9 +100,9 @@ class TestScenarioNoise:
     @pytest.mark.parametrize("n_components", [1, 2])
     def test_larger_ensemble_only_appends(self, n_components):
         cfg = ssb_config(grid=self.GRID, noise_kernel="fluctuation")
-        small = _sample_scenario_noise(dataclasses.replace(cfg, n_realizations=5),
+        small = scenario_noise(dataclasses.replace(cfg, n_realizations=5),
                                        n_components)
-        big = _sample_scenario_noise(dataclasses.replace(cfg, n_realizations=12),
+        big = scenario_noise(dataclasses.replace(cfg, n_realizations=12),
                                      n_components)
         assert big[:5].tobytes() == small.tobytes()
 
@@ -133,9 +133,9 @@ class TestSSB:
 
     def test_gate_latch_is_monotone(self):
         cfg = ssb_config(n_realizations=20)
-        noise = _sample_scenario_noise(cfg, 1)
+        noise = scenario_noise(cfg, 1)
         _, ref_gates = gated_loop_oracle(cfg, noise)  # before the stepper overwrites noise
-        _, close = _integrate_gated(cfg, noise)
+        _, close = integrate_gated(cfg, noise)
         assert np.all(np.diff(ref_gates, axis=1) <= 0.0)
         assert (close > 0).all()
         assert close.tobytes() == first_closed_step(ref_gates).tobytes()
@@ -147,9 +147,9 @@ class TestSSB:
         {"gate_threshold": 0.5, "friction": 0.0, "noise_amplitude": 1.0}])
     def test_batched_stepper_matches_loop_oracle(self, n_components, overrides):
         cfg = ssb_config(n_realizations=37, **overrides)
-        noise = _sample_scenario_noise(cfg, n_components)
+        noise = scenario_noise(cfg, n_components)
         ref_paths, ref_gates = gated_loop_oracle(cfg, noise)  # before noise is overwritten
-        paths, close = _integrate_gated(cfg, noise)
+        paths, close = integrate_gated(cfg, noise)
         assert paths is noise
         assert paths.tobytes() == ref_paths.tobytes()
         assert close.tobytes() == first_closed_step(ref_gates).tobytes()
@@ -162,7 +162,7 @@ class TestSSB:
         runs = []
         for m in (k, k + extra):
             sized = dataclasses.replace(cfg, n_realizations=m)
-            runs.append(_integrate_gated(sized, _sample_scenario_noise(sized, n_components)))
+            runs.append(integrate_gated(sized, scenario_noise(sized, n_components)))
         (small, small_close), (big, big_close) = runs
         assert big[:k].tobytes() == small.tobytes()
         assert big_close[:k].tobytes() == small_close.tobytes()
@@ -198,6 +198,21 @@ class TestRecursionProbability:
             got = recursion_probability(paths, 2.0, 0.5)
         assert got == recursion_loop_oracle(paths, 2.0, 0.5)
         assert paths.tobytes() == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(paths=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=2,
+                                                    max_side=40),
+                            elements=st.integers(-3000, 3000).map(lambda k: k / 1000)),
+           cuts=st.lists(st.integers(1, 39), max_size=5))
+    def test_column_blocks_carry_has_left(self, paths, cuts):
+        # the streamed runs count block by block in time: a run that left in one
+        # block and returns in a later one still counts
+        n = paths.shape[1]
+        stops = sorted({c for c in cuts if c < n} | {n})
+        count = scenarios._RecursionCount(paths.shape[0], 2.0, 0.5)
+        for start, stop in zip([0, *stops], stops):
+            count.add(paths[:, start:stop])
+        assert count.fraction() == recursion_loop_oracle(paths, 2.0, 0.5)
 
     def test_radius_ordering_enforced(self):
         with pytest.raises(ValueError, match="leave_radius"):
@@ -250,7 +265,7 @@ class TestBEC:
 
     def test_final_modulus_is_last_column_of_run_modulus(self):
         cfg = bec_config(n_realizations=20)
-        paths, _ = _simulate(cfg, 2)
+        paths, _ = integrate_gated(cfg, scenario_noise(cfg, 2))
         full = np.sqrt(np.einsum("mdn,mdn->mn", paths, paths))[:, -1]
         assert run_bec(cfg).final_modulus.tobytes() == full.tobytes()
 
