@@ -16,8 +16,8 @@ from .langevin import (EnsembleStats, PotentialSpec, SpectrumEstimate,
                        Trajectory, aggregate_paths, ensemble_run,
                        estimate_spectrum, integrate_memory,
                        integrate_overdamped_mode, integrate_white,
-                       relaxation_rate, step_exponential, step_semi_implicit)
-from .noise import (NoiseEnsemble, draw_from_factor, draw_white, hs_moment_check,
+                       relaxation_rate)
+from .noise import (NoiseEnsemble, draw_from_factor, hs_moment_check,
                     sample_colored, sample_white)
 from .scenarios import (BECConfig, BECReport, SSBConfig, SSBReport,
                         kuiper_statistic, recursion_probability, run_bec,

@@ -280,6 +280,11 @@ def _cmd_squeeze(cfg: dict, out: Path) -> list[str]:
     sec = cfg["squeeze"]
     grid = _grid_from(sec)
     params = _squeeze_mode_params(sec)
+    two_m_omega = 2.0 * params.mass * params.omega
+    if not (two_m_omega > 0 and math.isfinite(params.hbar / two_m_omega)):
+        raise NumericalError(
+            f"squeeze.hbar / (2 squeeze.mass squeeze.omega) = {params.hbar:g} / (2 * "
+            f"{params.mass:g} * {params.omega:g}): the vacuum variance overflows float64")
     times = grid.times()
     try:
         columns = [(particle_number(params, t), *quadrature_variances(params, t))

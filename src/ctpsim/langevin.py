@@ -19,9 +19,8 @@ every row is bit-identical to the single-path result and does not depend on
 the ensemble size.  The runners stream (:func:`stream_blocks`): each block's
 noise is drawn into one reused buffer, stepped into paths in place and
 reduced (:class:`ColumnMoments` for the pointwise statistics), so no array of
-the ensemble's size is held.  :func:`step_semi_implicit`,
-:func:`step_exponential` and :func:`aggregate_paths` run the same block code
-over one whole array.
+the ensemble's size is held.  :func:`aggregate_paths` reduces a whole path
+array over the same blocks.
 """
 
 from __future__ import annotations
@@ -39,9 +38,9 @@ from .noise import white_source
 #: abort a realization once |x| exceeds this many natural units
 DIVERGENCE_GUARD = 1e12
 
-#: grid columns per block of the ensemble pipeline and the batched steppers;
-#: a block's noise is read in time-major order and its paths are written back
-#: in one transposed copy
+#: grid columns per block of the ensemble pipeline, its steppers and its
+#: reductions; a block's noise is read in time-major order and its paths are
+#: written back in one transposed copy
 _BLOCK_STEPS = 256
 
 
@@ -230,36 +229,22 @@ def integrate_overdamped_mode(dp: DeSitterParams, noise_amp: float, grid: TimeGr
     return Trajectory(grid, phi, rhs)
 
 
-def _slices(n: int, width: int) -> list[slice]:
-    """Slices of width columns covering n columns; none is one column wide unless n is 1.
+def _time_blocks(n: int) -> list[slice]:
+    """The column blocks of the pipeline: _BLOCK_STEPS columns, the last up to one more.
 
-    numpy sums a single column pairwise, not row after row as it sums wider
-    blocks and the whole array, so a trailing one-column slice joins the one
-    before it and the sorted column sums keep the whole-array bits.
+    No block is one column wide unless n is 1: numpy sums a single column
+    pairwise, not row after row as it sums wider blocks and the whole array,
+    so a trailing one-column block joins the one before it and the sorted
+    column sums of :class:`ColumnMoments` keep the whole-array bits.
     """
-    stops = list(range(width, n, width)) + [n]
+    stops = list(range(_BLOCK_STEPS, n, _BLOCK_STEPS)) + [n]
     if len(stops) > 1 and stops[-1] - stops[-2] == 1:
         del stops[-2]
     return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
-def _time_blocks(n: int) -> list[slice]:
-    """The column blocks of the pipeline: _BLOCK_STEPS columns, the last up to one more."""
-    return _slices(n, _BLOCK_STEPS)
-
-
 def _block_width(n: int) -> int:
     return min(n, _BLOCK_STEPS + 1)
-
-
-def _require_writable(a, name: str) -> np.ndarray:
-    """a itself, if it is a writable float64 array; the steppers write their paths over it."""
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.writeable):
-        got = (f"{a.dtype}, writeable={a.flags.writeable}" if isinstance(a, np.ndarray)
-               else type(a).__name__)
-        raise ValueError(f"{name} must be a writable float64 array, got {got}: "
-                         f"the paths are written over it, so it is not copied")
-    return a
 
 
 class SemiImplicitStepper:
@@ -423,7 +408,7 @@ def stream_blocks(fill, stepper, reduce) -> None:
 #: (M, d, block width) float64 slabs of the pipeline at its peak: the block
 #: buffer, the stepper's noise, positions, velocities and gates, the
 #: statistics' sort buffer and a reducer's temporaries (ssb, the largest,
-#: peaks at 7.6 traced at M 400, n 3001)
+#: peaks at 6.7 traced at M 400, n 3001)
 _PIPELINE_SLABS = 8
 
 #: bytes a realization's white-noise generator holds (PCG64 and Generator:
@@ -442,51 +427,6 @@ def require_pipeline(shape: tuple[int, int, int], extra_bytes: int = 0,
     width = _block_width(n)
     require_memory(8 * _PIPELINE_SLABS * m * d * width + extra_bytes,
                    f"block buffers ({m}, {d}, {width})" + (f" and {extra}" if extra else ""))
-
-
-def step_semi_implicit(noise: np.ndarray, vprime: Callable[[np.ndarray], np.ndarray],
-                       gamma: float, grid: TimeGrid, x0=0.0, v0=0.0,
-                       gate_threshold: float | None = None
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step M realizations of xdd = -gamma xd - V'(x) + g xi at once, in place.
-
-    noise is a writable float64 array of shape (M, d, n); the paths are
-    written over it block by block by :class:`SemiImplicitStepper` and it is
-    returned as the path array.  The caller owns it: pass a copy to keep the
-    noise.  Returns (paths (M, d, n), the noise array itself; close steps
-    (M,) int64; velocities of realization 0 (d, n)).  On DivergenceError the
-    noise array holds a partly written state.
-    """
-    paths = _require_writable(noise, "noise")
-    stepper = SemiImplicitStepper(paths.shape, vprime, gamma, grid, x0, v0, gate_threshold)
-    for cols in _time_blocks(grid.n_points):
-        stepper.step(paths[..., cols], cols)
-    return paths, stepper.close, stepper.v_first.T
-
-
-def step_exponential(drive: np.ndarray, q: float, phi0=0.0) -> np.ndarray:
-    """(M, n) paths of phi_{i+1} = q phi_i + (1 - q) drive_i, all rows at once, in place.
-
-    drive is a writable float64 (M, n) array; the paths are written over it
-    block by block by :class:`ExponentialStepper` and it is returned.  phi0
-    is a number or an (M,) array.
-    """
-    paths = _require_writable(drive, "drive")
-    m, n = paths.shape
-    stepper = ExponentialStepper((m, 1, n), q, np.asarray(phi0, dtype=float)[..., None])
-    for cols in _time_blocks(n):
-        stepper.step(paths[:, None, cols], cols)
-    return paths
-
-
-#: float64 values per column block of aggregate_paths' sorted reductions (1 MB),
-#: and per row block of scenarios.recursion_probability
-_AGGREGATE_BLOCK_VALUES = 131072
-
-
-def _column_blocks(m: int, n: int) -> list[slice]:
-    """Column slices of about _AGGREGATE_BLOCK_VALUES values over an (m, n) array."""
-    return _slices(n, max(2, _AGGREGATE_BLOCK_VALUES // m))
 
 
 class ColumnMoments:
@@ -521,16 +461,15 @@ class ColumnMoments:
 def aggregate_paths(grid: TimeGrid, paths: np.ndarray) -> EnsembleStats:
     """Pointwise mean/variance and per-realization final values of an (M, n) path array.
 
-    The statistics of :class:`ColumnMoments` over column blocks of about
-    _AGGREGATE_BLOCK_VALUES values; no (M, n) temporary is allocated.
+    The statistics of :class:`ColumnMoments` over the pipeline's column
+    blocks (:func:`_time_blocks`), as every runner reduces them.
     """
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2 or paths.shape[1] != grid.n_points:
         raise ValueError(f"paths must be (M, {grid.n_points}), got {paths.shape}")
     m, n = paths.shape
-    blocks = _column_blocks(m, n)
-    moments = ColumnMoments(m, n, max(cols.stop - cols.start for cols in blocks))
-    for cols in blocks:
+    moments = ColumnMoments(m, n, _block_width(n))
+    for cols in _time_blocks(n):
         moments.add(paths[:, cols], cols)
     return EnsembleStats(mean=moments.mean, variance=moments.variance,
                          per_run_finals=paths[:, -1].copy())
@@ -539,12 +478,11 @@ def aggregate_paths(grid: TimeGrid, paths: np.ndarray) -> EnsembleStats:
 def run_white_ensemble(pot: PotentialSpec, gamma: float, grid: TimeGrid, sigma2: float,
                        seed: int, n_realizations: int, x0: float = 0.0, v0: float = 0.0
                        ) -> tuple[EnsembleStats, Trajectory]:
-    """M paths of :func:`integrate_white` driven by :func:`ctpsim.noise.draw_white`'s rows.
+    """M paths of :func:`integrate_white` driven by :func:`ctpsim.noise.white_source`'s rows.
 
     Streamed by :func:`stream_blocks`: returns the ensemble statistics and
-    realization 0's trajectory, each bit for bit those of the whole noise
-    array stepped by :func:`step_semi_implicit` and reduced by
-    :func:`aggregate_paths`.
+    realization 0's trajectory, each bit for bit those of integrate_white on
+    every row reduced by :func:`aggregate_paths`.
     """
     m, n = n_realizations, grid.n_points
     # statistics, realization 0's x and v, and the trajectory's copies of them

@@ -191,12 +191,13 @@ def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
 
 
 def white_source(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int):
-    """fill(rows, start) writing the columns start.. of :func:`draw_white`'s rows into rows.
+    """fill(rows, start) writing the columns start.. of M white-noise rows into rows.
 
-    rows is an (M, w) array whose rows are contiguous; successive calls
-    continue each row's stream, so filling the columns of the grid block by
-    block gives the bits of one whole draw (numpy draws normals one after
-    another).  Each block is checked against the guard generators and then
+    Row i is default_rng(derive_seed(seed, i)).standard_normal(n) times
+    sqrt(sigma2/dt).  rows is an (M, w) array whose rows are contiguous;
+    successive calls continue each row's stream, so filling the columns of
+    the grid block by block gives the bits of one whole draw (numpy draws
+    normals one after another).  Each block is checked against the guard generators and then
     scaled.  The generators are kept between calls only if the first call
     leaves columns to fill.
     """
@@ -217,27 +218,17 @@ def white_source(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int):
     return fill
 
 
-def draw_white(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int) -> np.ndarray:
-    """(M, n) white noise with per-sample variance sigma2/dt, as a writable array the caller owns.
-
-    Row i is default_rng(derive_seed(seed, i)).standard_normal(n) times
-    sqrt(sigma2/dt).  The ensemble runners draw the same rows block by block
-    through :func:`white_source`.
-    """
-    fill = white_source(sigma2, grid, seed, n_realizations)
-    rows = np.empty((n_realizations, grid.n_points))
-    fill(rows)
-    return rows
-
-
 def sample_white(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int) -> NoiseEnsemble:
     """Delta-correlated noise: i.i.d. Gaussians with per-sample variance sigma2/dt.
 
     The 1/dt restores <xi(t) xi(t')> = sigma2 delta(t - t') under trapezoidal
-    quadrature on the grid.
+    quadrature on the grid.  The rows are those of :func:`white_source`, which
+    the ensemble runners draw block by block.
     """
-    return NoiseEnsemble(grid, draw_white(sigma2, grid, seed, n_realizations), seed,
-                         covariance_ref=f"white[sigma2={sigma2!r}]")
+    fill = white_source(sigma2, grid, seed, n_realizations)
+    rows = np.empty((n_realizations, grid.n_points))
+    fill(rows)
+    return NoiseEnsemble(grid, rows, seed, covariance_ref=f"white[sigma2={sigma2!r}]")
 
 
 def factor_source(factor: np.ndarray, seed: int, n_realizations: int):

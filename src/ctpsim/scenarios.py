@@ -25,9 +25,9 @@ import numpy as np
 from .core import DivergenceError, NumericalError, TimeGrid, derive_seed
 from .kernels import (DeSitterParams, KernelMatrix, build_hadamard,
                       desitter_hadamard, fluctuation_kernel, squeezed_factor)
-from .langevin import (_AGGREGATE_BLOCK_VALUES, GENERATOR_BYTES, ColumnMoments,
-                       EnsembleStats, ExponentialStepper, SemiImplicitStepper,
-                       SpectrumEstimate, _block_width, estimate_spectrum,
+from .langevin import (GENERATOR_BYTES, ColumnMoments, EnsembleStats,
+                       ExponentialStepper, SemiImplicitStepper, SpectrumEstimate,
+                       _block_width, _time_blocks, estimate_spectrum,
                        relaxation_rate, require_pipeline, stream_blocks)
 from .noise import factor_source, white_source
 from .noise import sample_colored  # noqa: F401  (perfbench traces it through this module)
@@ -382,7 +382,9 @@ class _RecursionCount:
 
     :meth:`add` takes the next columns (rows, w) of every run and carries
     each run's "has left" flag into the next block, so any split of the
-    columns gives the count of the whole rows.
+    columns gives the count of the whole rows.  It compares x with +-radius
+    into boolean masks, never forming |x|; NaN fails every comparison, as it
+    fails |x| > radius and |x| < radius.
     """
 
     def __init__(self, rows: int, leave_radius: float, return_radius: float):
@@ -392,11 +394,14 @@ class _RecursionCount:
 
     def add(self, paths: np.ndarray) -> None:
         leave_radius, return_radius = self.radii
-        a = np.abs(paths)
-        has_left = np.logical_or.accumulate(a > leave_radius, axis=1)
+        has_left = paths > leave_radius
+        has_left |= paths < -leave_radius
+        np.logical_or.accumulate(has_left, axis=1, out=has_left)
         has_left |= self.has_left[:, None]
-        self.recursed |= (has_left & (a < return_radius)).any(axis=1)
         self.has_left[:] = has_left[:, -1]
+        has_left &= paths < return_radius
+        has_left &= paths > -return_radius
+        self.recursed |= has_left.any(axis=1)
 
     def fraction(self) -> float:
         """The recursion probability; the radii are checked here, once the runs are done."""
@@ -413,18 +418,13 @@ def recursion_probability(paths: np.ndarray, leave_radius: float,
     A desk-scale irreversibility proxy: settled symmetry-broken ensembles
     should almost never find their way back to the symmetric point.  Runs
     that never leave contribute zero by convention.  The (M, n) paths are
-    read in row blocks of about _AGGREGATE_BLOCK_VALUES values.
+    counted by one :class:`_RecursionCount` over the pipeline's column blocks,
+    as :func:`run_ssb` counts them.
     """
-    if not leave_radius > return_radius > 0:
-        raise ValueError("need leave_radius > return_radius > 0")
-    m, n = paths.shape
-    rows = max(1, _AGGREGATE_BLOCK_VALUES // n)
-    recursed = 0
-    for start in range(0, m, rows):
-        count = _RecursionCount(min(rows, m - start), leave_radius, return_radius)
-        count.add(paths[start:start + rows])
-        recursed += np.count_nonzero(count.recursed)
-    return recursed / m
+    count = _RecursionCount(paths.shape[0], leave_radius, return_radius)
+    for cols in _time_blocks(paths.shape[1]):
+        count.add(paths[:, cols])
+    return count.fraction()
 
 
 def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,

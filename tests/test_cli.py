@@ -168,7 +168,12 @@ class TestExitCodes:
         ("squeeze", {"omega": 1e300}, 2, ["squeeze.omega", "squeeze.t_end"]),
         ("inflation", {"decades": 400.0}, 1, ["inflation.k_min", "inflation.decades"]),
         ("inflation", {"k_min": 1e-300}, 1, ["inflation.k_min", "inflation.decades"]),
-        ("bec", {"n_points": 3}, 1, ["bec", "n_realizations"])])
+        ("bec", {"n_points": 3}, 1, ["bec", "n_realizations"]),
+        # 2 m omega underflows to 0, or to a subnormal that hbar / (2 m omega) overflows
+        ("squeeze", {"mass": 1e-300, "omega": 5e-324}, 2,
+         ["squeeze.hbar", "squeeze.mass", "squeeze.omega"]),
+        ("squeeze", {"mass": 1e-160, "omega": 1e-160}, 2,
+         ["squeeze.hbar", "squeeze.mass", "squeeze.omega"])])
     def test_out_of_range_config_names_its_key(self, tmp_path, capsys, sub, section, code,
                                                names):
         path = write_config(tmp_path, {"n_realizations": 1, sub: dict(section, n_points=3)})
@@ -200,12 +205,12 @@ class TestExitCodes:
         assert not (out / "manifest.json").exists()
 
     def test_float64_failure_names_subcommand(self, tmp_path, capsys):
-        # 2 m omega underflows to 0, so the vacuum variance hbar / (2 m omega) divides by 0
-        path = write_config(tmp_path, {"squeeze": {"mass": 1e-300, "omega": 5e-324,
-                                                   "n_points": 2}})
-        assert main(["squeeze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        # the noise times noise_amplitude overflows, which no step checks
+        path = write_config(tmp_path, {"n_realizations": 2, "ssb": {"noise_amplitude": 1e300,
+                                                                   "n_points": 40}})
+        assert main(["ssb", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: squeeze: float64 arithmetic failed")
+        assert err.startswith("numerical failure: ssb: float64 arithmetic failed")
 
     def test_linalg_error_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
         import ctpsim.cli as cli_mod
@@ -462,16 +467,9 @@ class TestMemory:
     def test_traced_peak_holds_each_array_once(self, tmp_path, sub, n, d, bound):
         assert self._traced_peak(self._args(tmp_path, sub, n)) <= bound * self.M * d * n * 8
 
-    # at M 400 the paths outweigh the 1 MB blocks of the statistics and the
-    # recursion count (measured: ssb 1.56, bec 1.50 arrays)
-    @pytest.mark.parametrize("sub, d, bound", [("ssb", 1, 1.65), ("bec", 2, 1.6)])
-    def test_traced_peak_of_scenario_is_its_paths(self, tmp_path, sub, d, bound):
-        m, n = 400, 3001
-        assert self._traced_peak(self._args(tmp_path, sub, n, m)) <= bound * m * d * n * 8
-
     # the streamed runners hold block buffers, not an (M, d, n) array: at M 400 the
     # budget they check covers the traced peak, which is below one array (measured:
-    # langevin 0.50, ssb 0.65, bec 0.41, inflation 0.81 of a (M, d, 3001) array,
+    # langevin 0.51, ssb 0.57, bec 0.41, inflation 0.82 of a (M, d, 3001) array,
     # most of inflation's being its (M, 1500) tails)
     @pytest.mark.parametrize("sub, d, bound", [
         ("langevin", 1, 0.55), ("ssb", 1, 0.72), ("bec", 2, 0.46), ("inflation", 1, 0.88)])

@@ -12,14 +12,15 @@ from ctpsim import langevin
 from ctpsim.core import DivergenceError, make_grid
 from ctpsim.kernels import (RETARDED, DeSitterParams, KernelMatrix,
                             build_hadamard, build_retarded, memory_kernel)
-from ctpsim.langevin import (PotentialSpec, Trajectory, aggregate_paths,
-                             ensemble_run, estimate_spectrum,
-                             integrate_memory, integrate_overdamped_mode,
-                             integrate_white, relaxation_rate,
-                             step_exponential, step_semi_implicit)
+from ctpsim.langevin import (ExponentialStepper, PotentialSpec, SemiImplicitStepper,
+                             Trajectory, aggregate_paths, ensemble_run,
+                             estimate_spectrum, integrate_memory,
+                             integrate_overdamped_mode, integrate_white,
+                             relaxation_rate)
 from ctpsim.noise import sample_white
 from ctpsim.squeeze import SqueezeParams
 
+import whole_array
 from oracles import (aggregate_oracle, collocation_memory_oracle, first_closed_step,
                      gated_loop_oracle, memory_loop_oracle)
 
@@ -317,7 +318,8 @@ STARTS = st.floats(-2.0, 2.0, allow_nan=False)
 class TestBatchedSteppers:
     """The batched steppers reproduce the single-path integrators bit for bit.
 
-    Grids run up to 600 points so the 256-step time blocks are crossed.
+    Each test steps a whole array block by block (whole_array.step); grids run
+    up to 600 points so the 256-step time blocks are crossed.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -330,8 +332,10 @@ class TestBatchedSteppers:
         x0 = np.array([[s[0]] for s in starts[:m]])
         v0 = np.array([[s[1]] for s in starts[:m]])
         # the stepper writes over its noise, and xi (read-only) is the reference's
-        paths, close, v_first = step_semi_implicit(xi[:, None, :].copy(), pot.vprime,
-                                                   gamma, grid, x0, v0)
+        paths = xi[:, None, :].copy()
+        stepper = SemiImplicitStepper(paths.shape, pot.vprime, gamma, grid, x0, v0)
+        whole_array.step(stepper, paths)
+        close, v_first = stepper.close, stepper.v_first.T
         assert close.tobytes() == np.full(m, -1, dtype=np.int64).tobytes()
         for i in range(m):
             ref = integrate_white(pot, gamma, grid, xi[i], starts[i][0], starts[i][1])
@@ -349,7 +353,9 @@ class TestBatchedSteppers:
         amp = k ** -1.5
         xi = sample_white(1.0, grid, seed, m).realizations
         q = np.exp(-relaxation_rate(dp) * grid.dt)
-        phi = step_exponential(amp * xi, q, np.array(phi0[:m]))
+        phi = amp * xi
+        stepper = ExponentialStepper((m, 1, n), q, np.array(phi0[:m])[:, None])
+        whole_array.step(stepper, phi[:, None, :])
         for i in range(m):
             ref = integrate_overdamped_mode(dp, amp, grid, xi[i], phi0[i])
             assert phi[i].tobytes() == ref.x.tobytes()
@@ -362,9 +368,11 @@ class TestBatchedSteppers:
         runs = []
         for m in (k, k + extra):
             xi = sample_white(1.0, grid, seed, m).realizations
-            paths, _, v_first = step_semi_implicit(xi[:, None, :].copy(), pot.vprime,
-                                                   0.5, grid)
-            runs.append((paths, v_first, step_exponential(0.3 * xi, 0.9)))
+            paths, phi = xi[:, None, :].copy(), 0.3 * xi
+            stepper = SemiImplicitStepper(paths.shape, pot.vprime, 0.5, grid)
+            whole_array.step(stepper, paths)
+            whole_array.step(ExponentialStepper((m, 1, 401), 0.9), phi[:, None, :])
+            runs.append((paths, stepper.v_first.T, phi))
         (small, v_small, phi_small), (big, v_big, phi_big) = runs
         assert big[:k].tobytes() == small.tobytes()
         assert v_big.tobytes() == v_small.tobytes()
@@ -381,8 +389,10 @@ class TestBatchedSteppers:
         cfg = SimpleNamespace(m2=1.0, lam=0.0, friction=0.5, gate=True,
                               gate_threshold_sq=threshold, grid=grid)
         ref_paths, ref_gates = gated_loop_oracle(cfg, noise)
-        paths, close, _ = step_semi_implicit(noise, PotentialSpec.quadratic(1.0).vprime,
-                                             0.5, grid, gate_threshold=threshold)
+        stepper = SemiImplicitStepper(noise.shape, PotentialSpec.quadratic(1.0).vprime,
+                                      0.5, grid, gate_threshold=threshold)
+        whole_array.step(stepper, noise)
+        paths, close = noise, stepper.close
         assert paths.tobytes() == ref_paths.tobytes()
         assert set(np.unique(ref_gates)) <= {0.0, 1.0}
         assert np.all(np.diff(ref_gates, axis=1) <= 0.0)
@@ -393,8 +403,10 @@ class TestBatchedSteppers:
     def test_no_gate_never_closes(self):
         grid = make_grid(0.0, 1.0, 11)
         noise = np.random.default_rng(3).standard_normal((2, 1, 11))
-        _, close, _ = step_semi_implicit(noise, PotentialSpec.quadratic(1.0).vprime,
-                                         0.5, grid)
+        stepper = SemiImplicitStepper(noise.shape, PotentialSpec.quadratic(1.0).vprime,
+                                      0.5, grid)
+        whole_array.step(stepper, noise)
+        close = stepper.close
         assert close.dtype == np.int64
         assert close.tolist() == [-1, -1]
 
@@ -417,13 +429,14 @@ class TestBatchedSteppers:
                 integrate_white(pot, 0.0, grid, xi[i, 0], x0[i], 0.0)
             except DivergenceError as err:
                 expected.append((err.step, i))
+        stepper = SemiImplicitStepper(xi.shape, pot.vprime, 0.0, grid, x0[:, None], 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if not expected:
-                step_semi_implicit(xi, pot.vprime, 0.0, grid, x0[:, None], 0.0)
+                whole_array.step(stepper, xi)
                 return
             with pytest.raises(DivergenceError) as info:
-                step_semi_implicit(xi, pot.vprime, 0.0, grid, x0[:, None], 0.0)
+                whole_array.step(stepper, xi)
         step, realization = min(expected)
         assert (info.value.step, info.value.realization) == (step, realization)
         assert f"realization {realization}:" in str(info.value)
@@ -431,82 +444,40 @@ class TestBatchedSteppers:
     def test_noise_must_match_grid(self):
         grid = make_grid(0.0, 1.0, 11)
         with pytest.raises(ValueError, match="11 time points"):
-            step_semi_implicit(np.zeros((2, 1, 10)), PotentialSpec.quadratic(1.0).vprime,
-                               0.0, grid)
-
-
-def _read_only(a):
-    a = a.copy()
-    a.setflags(write=False)
-    return a
-
-
-class TestInPlace:
-    """The steppers write their paths over the array they are given and return it."""
-
-    def test_paths_are_the_noise_array(self):
-        grid = make_grid(0.0, 3.0, 600)
-        noise = np.random.default_rng(5).standard_normal((3, 2, 600))
-        paths, _, _ = step_semi_implicit(noise, PotentialSpec.quadratic(1.0).vprime,
-                                         0.5, grid, gate_threshold=1.0)
-        assert np.shares_memory(paths, noise)
-        drive = np.random.default_rng(6).standard_normal((3, 600))
-        assert np.shares_memory(step_exponential(drive, 0.9), drive)
-
-    @pytest.mark.parametrize("make", [
-        _read_only,
-        lambda a: a.astype(np.float32),
-        lambda a: a.astype(np.int64),
-        lambda a: a.tolist()], ids=["read-only", "float32", "int64", "list"])
-    def test_rejects_what_it_cannot_overwrite(self, make):
-        grid = make_grid(0.0, 1.0, 11)
-        noise = make(np.zeros((2, 1, 11)))
-        with pytest.raises(ValueError, match="noise must be a writable float64 array"):
-            step_semi_implicit(noise, PotentialSpec.quadratic(1.0).vprime, 0.0, grid)
-        drive = make(np.zeros((2, 11)))
-        with pytest.raises(ValueError, match="drive must be a writable float64 array"):
-            step_exponential(drive, 0.9)
-
-    def test_sample_white_stays_read_only(self):
-        grid = make_grid(0.0, 1.0, 11)
-        xi = sample_white(1.0, grid, 3, 2).realizations
-        with pytest.raises(ValueError, match="noise must be a writable float64 array"):
-            step_semi_implicit(xi[:, None, :], PotentialSpec.quadratic(1.0).vprime,
-                               0.0, grid)
-        assert xi.tobytes() == sample_white(1.0, grid, 3, 2).realizations.tobytes()
+            SemiImplicitStepper((2, 1, 10), PotentialSpec.quadratic(1.0).vprime, 0.0, grid)
 
 
 class TestBlockedAggregate:
-    """aggregate_paths reduces in column blocks with the whole-array formula's bits."""
+    """aggregate_paths reduces over _time_blocks with the whole-array formula's bits."""
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), m=st.integers(1, 12), width=st.integers(1, 6))
+    @given(data=st.data(), m=st.integers(1, 12), width=st.integers(2, 6))
     def test_three_or_more_blocks_match_oracle(self, data, m, width):
-        n = data.draw(st.integers(3 * max(2, width), 40))
+        n = data.draw(st.integers(3 * width, 40))
         paths = data.draw(hnp.arrays(float, (m, n), elements=st.one_of(
             st.just(-0.0), st.floats(-1e150, 1e150), st.floats(-1e-300, 1e-300))))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(langevin, "_AGGREGATE_BLOCK_VALUES", width * m)
-            assert len(list(langevin._column_blocks(m, n))) >= 3
+            mp.setattr(langevin, "_BLOCK_STEPS", width)
+            assert len(langevin._time_blocks(n)) >= 3
             stats = aggregate_paths(make_grid(0.0, 1.0, n), paths)
         mean, variance = aggregate_oracle(paths.copy())
         assert stats.mean.tobytes() == mean.tobytes()
         assert stats.variance.tobytes() == variance.tobytes()
 
+    # values / m columns a block: the 1 MB blocks aggregate_paths once cut
     @pytest.mark.parametrize("m, n, values", [
-        (2, 3 * 65536 + 1, langevin._AGGREGATE_BLOCK_VALUES),
-        (5, 3 * 26214 + 2, langevin._AGGREGATE_BLOCK_VALUES),
-        (40, 9, 40)])
+        (2, 3 * 65536 + 1, 131072),
+        (5, 3 * 26214 + 2, 131072)])
     def test_fixed_shapes_match_oracle(self, m, n, values):
         # numpy sums a one-column block pairwise, not row after row: a trailing
         # one-column block joins the block before it (first case), a two-column
-        # one stays (second), and one column asked for gets two (third)
+        # one stays (second)
         rng = np.random.default_rng(n)
         paths = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-150, 150, (m, n))
         paths[:, ::7] = -0.0
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(langevin, "_AGGREGATE_BLOCK_VALUES", values)
-            blocks = list(langevin._column_blocks(m, n))
+            mp.setattr(langevin, "_BLOCK_STEPS", values // m)
+            blocks = langevin._time_blocks(n)
             assert len(blocks) >= 3
             assert min(b.stop - b.start for b in blocks) >= 2
             stats = aggregate_paths(make_grid(0.0, 1.0, n), paths)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ctpsim import scenarios
+from ctpsim import langevin, scenarios
 from ctpsim.core import NumericalError, make_grid
 from ctpsim.kernels import DeSitterParams, squeezed_factor
 from ctpsim.scenarios import (BECConfig, SSBConfig, kuiper_statistic,
@@ -188,13 +188,13 @@ class TestRecursionProbability:
     @given(paths=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=2,
                                                     max_side=40),
                             elements=st.integers(-3000, 3000).map(lambda k: k / 1000)),
-           damp=st.integers(0, 40), block_values=st.integers(1, 2000))
-    def test_matches_row_loop_oracle(self, paths, damp, block_values):
-        # small blocks split the rows into many blocks, down to one row a block
+           damp=st.integers(0, 40), block_steps=st.integers(1, 40))
+    def test_matches_row_loop_oracle(self, paths, damp, block_steps):
+        # small blocks split the columns into many blocks, down to one column a block
         paths = paths.copy()
         paths[:damp] *= 0.5  # rows that never leave |x| > 2
         before = paths.tobytes()
-        with mock.patch.object(scenarios, "_AGGREGATE_BLOCK_VALUES", block_values):
+        with mock.patch.object(langevin, "_BLOCK_STEPS", block_steps):
             got = recursion_probability(paths, 2.0, 0.5)
         assert got == recursion_loop_oracle(paths, 2.0, 0.5)
         assert paths.tobytes() == before

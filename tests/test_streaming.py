@@ -17,7 +17,7 @@ from ctpsim.core import DivergenceError, make_grid
 from ctpsim.kernels import DeSitterParams
 from ctpsim.langevin import (PotentialSpec, SemiImplicitStepper, run_white_ensemble,
                              stream_blocks)
-from ctpsim.noise import draw_from_factor, draw_white, factor_source, white_source
+from ctpsim.noise import draw_from_factor, factor_source, sample_white, white_source
 from ctpsim.scenarios import BECConfig, SSBConfig, run_bec, run_inflation, run_ssb
 
 REALIZATIONS = st.sampled_from([1, 2, 3, 200])
@@ -131,7 +131,7 @@ class TestNoiseBlocks:
             rows = np.empty((m, stop - start))
             fill(rows, start)
             got[:, start:stop] = rows
-        assert same_bits(got, draw_white(0.7, grid, seed, m))
+        assert same_bits(got, sample_white(0.7, grid, seed, m).realizations)
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(1, 5), n=st.integers(2, 600), rank=st.integers(1, 7), seed=SEEDS,

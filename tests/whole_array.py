@@ -1,8 +1,8 @@
 """Whole-array references of the streamed ensemble runners.
 
 Each function is the algorithm the runners used before they streamed: draw
-the whole (M, d, n) noise array, step it in place into the paths, then
-reduce the paths with aggregate_paths and recursion_probability.  The
+the whole (M, d, n) noise array, step it in place into the paths (:func:`step`),
+then reduce the paths with aggregate_paths and recursion_probability.  The
 streamed runners must reproduce these values bit for bit, failures included.
 """
 
@@ -13,9 +13,15 @@ import numpy as np
 from ctpsim import scenarios
 from ctpsim.core import DivergenceError, derive_seed
 from ctpsim.kernels import desitter_hadamard
-from ctpsim.langevin import (aggregate_paths, estimate_spectrum, relaxation_rate,
-                             step_exponential, step_semi_implicit)
-from ctpsim.noise import draw_from_factor, draw_white
+from ctpsim.langevin import (ExponentialStepper, SemiImplicitStepper, _time_blocks,
+                             aggregate_paths, estimate_spectrum, relaxation_rate)
+from ctpsim.noise import draw_from_factor, sample_white
+
+
+def step(stepper, paths):
+    """Write the paths of the whole (M, d, n) array over it, one pipeline block at a time."""
+    for cols in _time_blocks(paths.shape[2]):
+        stepper.step(paths[..., cols], cols)
 
 
 def scenario_noise(cfg, n_components):
@@ -29,15 +35,16 @@ def scenario_noise(cfg, n_components):
 
 def integrate_gated(cfg, noise):
     """(paths, close steps) of the gated radial stepper, written over noise (M, d, n)."""
+    stepper = SemiImplicitStepper(
+        noise.shape, scenarios._radial_vprime(cfg), cfg.friction, cfg.grid,
+        gate_threshold=cfg.gate_threshold_sq if cfg.gate else None)
     try:
-        paths, close, _ = step_semi_implicit(
-            noise, scenarios._radial_vprime(cfg), cfg.friction, cfg.grid,
-            gate_threshold=cfg.gate_threshold_sq if cfg.gate else None)
+        step(stepper, noise)
     except DivergenceError as err:
         raise DivergenceError(
             f"{err} (dt = {cfg.grid.dt:g} too coarse for the curvature "
             f"|m2| = {abs(cfg.m2):g})", step=err.step, realization=err.realization) from err
-    return paths, close
+    return noise, stepper.close
 
 
 def close_times(cfg, close):
@@ -62,9 +69,10 @@ def bec(cfg):
 
 def langevin(pot, gamma, grid, sigma2, seed, m, x0, v0):
     """(stats, x and v of realization 0) of the white-noise ensemble."""
-    paths = draw_white(sigma2, grid, seed, m)
-    _, _, v_first = step_semi_implicit(paths[:, None, :], pot.vprime, gamma, grid, x0, v0)
-    return aggregate_paths(grid, paths), paths[0].copy(), v_first[0].copy()
+    paths = sample_white(sigma2, grid, seed, m).realizations.copy()
+    stepper = SemiImplicitStepper((m, 1, grid.n_points), pot.vprime, gamma, grid, x0, v0)
+    step(stepper, paths[:, None, :])
+    return aggregate_paths(grid, paths), paths[0].copy(), stepper.v_first[:, 0].copy()
 
 
 def inflation(modes, grid, m, master_seed, tail_fraction=0.5):
@@ -75,9 +83,8 @@ def inflation(modes, grid, m, master_seed, tail_fraction=0.5):
     pairs = []
     for mode_idx, dp in enumerate(sorted(modes, key=lambda d: d.k)):
         amp = math.sqrt(desitter_hadamard(dp, 0.0, 0.0))
-        phi = draw_white(1.0, grid, derive_seed(master_seed, mode_idx), m)
-        phi *= amp
-        step_exponential(phi, q)
+        phi = sample_white(1.0, grid, derive_seed(master_seed, mode_idx), m).realizations * amp
+        step(ExponentialStepper((m, 1, n), q), phi[:, None, :])
         acc = 0.0
         for row in phi:
             acc += float(np.mean(row[tail_start:] ** 2))
