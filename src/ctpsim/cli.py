@@ -569,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _config(args: argparse.Namespace) -> dict:
     name = args.subcommand
     if args.config is None and name != "verify":
         raise ConfigError(f"subcommand {name!r} requires --config <path>")
@@ -582,7 +582,26 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.realizations < 1:
             raise ConfigError("--realizations must be >= 1")
         cfg["n_realizations"] = args.realizations
+    return cfg
 
+
+def _suspect_keys(cfg: dict | None, name: str) -> str:
+    """The keys of name's section a float64 failure may come from, as a message suffix.
+
+    Those with |v| >= 1e100 or 0 < |v| <= 1e-100 if any, else those set away from the default.
+    """
+    section = cfg[name] if cfg else {}
+    extreme = {key: value for key, value in section.items() if isinstance(value, float)
+               and (abs(value) >= 1e100 or 0 < abs(value) <= 1e-100)}
+    changed = {key: value for key, value in section.items()
+               if value != _SECTION_SCHEMAS[name][key][1]}
+    label, keys = ("extreme values", extreme) if extreme else ("non-default keys", changed)
+    listed = ", ".join(f"{name}.{key}={value!r}" for key, value in keys.items())
+    return f" ({label}: {listed})" if keys else ""
+
+
+def _dispatch(args: argparse.Namespace, cfg: dict) -> int:
+    name = args.subcommand
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -614,17 +633,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    cfg = None
     try:
         # float64 overflow, invalid or divide-by-zero that no step checks raises
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _dispatch(args)
+            cfg = _config(args)
+            return _dispatch(args, cfg)
     except (NumericalError, np.linalg.LinAlgError) as err:
         # LinAlgError subclasses ValueError but is a numerical failure
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     except ArithmeticError as err:  # OverflowError, ZeroDivisionError, FloatingPointError
-        print(f"numerical failure: {args.subcommand}: float64 arithmetic failed: {err}",
-              file=sys.stderr)
+        print(f"numerical failure: {args.subcommand}: float64 arithmetic failed: {err}"
+              f"{_suspect_keys(cfg, args.subcommand)}", file=sys.stderr)
         return 2
     except ValueError as err:  # ConfigError and the library's parameter checks
         print(f"config error: {err}", file=sys.stderr)

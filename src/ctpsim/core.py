@@ -1,8 +1,7 @@
 """Time grids, deterministic seed derivation and the trapezoidal history sum.
 
 Everything downstream (kernels, noise ensembles, trajectories) lives on a
-uniform :class:`TimeGrid`; reproducibility rests on :func:`derive_seed`
-(and its array form :func:`derive_seeds`).
+uniform :class:`TimeGrid`; reproducibility rests on :func:`derive_seed`.
 """
 
 from __future__ import annotations
@@ -97,27 +96,16 @@ def trapezoid_history(row: np.ndarray, x: np.ndarray, i: int, dt: float) -> floa
     return dt * (seg.sum() - 0.5 * seg[0] - 0.5 * seg[i])
 
 
-def _splitmix64(master_seed: int, indices: np.ndarray) -> np.ndarray:
-    """splitmix64 of master_seed + (index+1)*gamma for a uint64 index array, wrapping mod 2^64."""
-    with np.errstate(over="ignore"):
-        z = np.uint64(int(master_seed) & _MASK64) + (indices + np.uint64(1)) * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-
-def derive_seeds(master_seed: int, count: int) -> np.ndarray:
-    """(count,) uint64 per-realization seeds: entry i is derive_seed(master_seed, i)."""
-    return _splitmix64(master_seed, np.arange(count, dtype=np.uint64))
-
-
 def derive_seed(master_seed: int, index: int) -> int:
-    """Derive the per-realization seed ``index`` from a 64-bit master seed.
+    """Derive the per-stream seed ``index`` from a 64-bit master seed.
 
-    splitmix64 applied to master_seed + (index+1)*gamma: a pure function,
-    stable across platforms, with distinct outputs for distinct indices in
-    any realistic ensemble size.  The scalar view of :func:`derive_seeds`.
+    splitmix64 applied to master_seed + (index+1)*gamma, mod 2^64: a pure
+    function, stable across platforms, with distinct outputs for distinct
+    indices in any realistic ensemble size.
     """
     if index < 0:
         raise ValueError("index must be >= 0")
-    return int(_splitmix64(master_seed, np.array([int(index) & _MASK64], dtype=np.uint64))[0])
+    z = (int(master_seed) + (int(index) + 1) * _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)

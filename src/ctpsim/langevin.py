@@ -33,7 +33,7 @@ import numpy as np
 from .core import (DivergenceError, NumericalError, TimeGrid, derive_seed,
                    require_memory, trapezoid_history)
 from .kernels import RETARDED, DeSitterParams, KernelMatrix
-from .noise import white_source
+from .noise import white_source, white_source_bytes
 
 #: abort a realization once |x| exceeds this many natural units
 DIVERGENCE_GUARD = 1e12
@@ -366,13 +366,14 @@ class ExponentialStepper:
     def step(self, block: np.ndarray, cols: slice) -> None:
         width = cols.stop - cols.start
         steps = width if cols.stop < self.shape[2] else width - 1
-        np.copyto(self.drive[:steps], block[..., :steps].transpose(2, 0, 1))
+        drive = self.drive[:steps]
+        np.copyto(drive, block[..., :steps].transpose(2, 0, 1))
+        np.multiply(drive, self.w, out=drive)
         phi_rows, drive_rows = self.rows
-        q, w = self.q, self.w
+        q = self.q
         for j in range(steps):
             phi = np.multiply(phi_rows[j], q, out=phi_rows[j + 1])
-            drive = np.multiply(drive_rows[j], w, out=drive_rows[j])
-            np.add(phi, drive, out=phi)
+            np.add(phi, drive_rows[j], out=phi)
         phis = self.phis
         block[...] = phis[:width].transpose(1, 2, 0)
         phis[0] = phis[steps]
@@ -410,10 +411,6 @@ def stream_blocks(fill, stepper, reduce) -> None:
 #: statistics' sort buffer and a reducer's temporaries (ssb, the largest,
 #: peaks at 6.7 traced at M 400, n 3001)
 _PIPELINE_SLABS = 8
-
-#: bytes a realization's white-noise generator holds (PCG64 and Generator:
-#: 0.93 KB measured)
-GENERATOR_BYTES = 1024
 
 
 def require_pipeline(shape: tuple[int, int, int], extra_bytes: int = 0,
@@ -486,8 +483,8 @@ def run_white_ensemble(pot: PotentialSpec, gamma: float, grid: TimeGrid, sigma2:
     """
     m, n = n_realizations, grid.n_points
     # statistics, realization 0's x and v, and the trajectory's copies of them
-    require_pipeline((m, 1, n), 8 * 6 * n + m * GENERATOR_BYTES,
-                     f"6 columns of {n} and {m} generators")
+    draw_bytes, draw = white_source_bytes(m)
+    require_pipeline((m, 1, n), 8 * 6 * n + draw_bytes, f"6 columns of {n} and {draw}")
     stepper = SemiImplicitStepper((m, 1, n), pot.vprime, gamma, grid, x0, v0)
     moments = ColumnMoments(m, n, _block_width(n))
     first = np.empty(n)

@@ -8,7 +8,9 @@ scenarios have an exact closed-form factor instead
 (:func:`ctpsim.kernels.squeezed_factor`).
 The ensemble runners never hold a whole noise array: :func:`white_source`
 and :func:`factor_source` fill the next block of grid columns of every row
-into a buffer the caller reuses, with the bits of the whole draw.
+into a buffer the caller reuses, with the bits of the whole draw.  Every
+normal of the package comes from one rule, :func:`_fill_normals`: rows in
+groups of 64, one generator per group.
 :func:`hs_moment_check` is the operational statement of the noise
 factorization: averaging exp(i xi . v) over the ensemble must reproduce
 exp(-v^T K v / 2).
@@ -19,16 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
 
-from .core import NumericalError, TimeGrid, derive_seed, derive_seeds
+from .core import TimeGrid, derive_seed
 from .kernels import KernelMatrix, psd_factor
 
 DEFAULT_CLIP_TOL = 1e-10
 
-#: float64 values per row block of draw_from_factor's accumulation (128 KB)
+#: float64 values per block of a draw (128 KB): a row group's (256, 64)
+#: normals, and the row blocks of factor_source's accumulation
 _DRAW_BLOCK_VALUES = 16384
+#: rows per row group; group g holds rows [64 g, 64 g + 64) and one generator
+_GROUP_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -36,9 +39,9 @@ class NoiseEnsemble:
     """Seeded realizations of a Gaussian process; rows are realizations.
 
     Regeneration from (seed, covariance_ref, grid) is bit-exact: realization i
-    is drawn from its own generator seeded with derive_seed(seed, i), so row i
-    depends only on (seed, i, k) for k normals per row, and growing M only
-    appends rows.
+    is drawn by row group g = i // 64, whose generator is seeded with
+    derive_seed(seed, g) (:func:`_fill_normals`), so row i depends only on
+    (seed, i, k) for k normals per row, and growing M only appends rows.
 
     The ensemble takes ownership of a float64 ``realizations`` array without
     copying it and makes it read-only; other input is converted to float64.
@@ -63,157 +66,68 @@ class NoiseEnsemble:
         return self.realizations.shape[0]
 
 
-# numpy's SeedSequence hash: O'Neill's seed_seq_fe with a pool of four 32-bit
-# words (M. E. O'Neill, "PCG: A Family of Simple Fast Space-Efficient
-# Statistically Good Algorithms for Random Number Generation", 2014)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
+def white_source_bytes(n_realizations: int) -> tuple[int, str]:
+    """Bytes :func:`white_source` holds for M rows beside the caller's, and what they are.
 
-
-def _hash_constants(init: int, mult: int, count: int) -> list[np.uint32]:
-    """init * mult^j mod 2^32 for j = 0..count: the hash constant before each use."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return [np.uint32(c) for c in out]
-
-
-# 4 pool fills + 12 cross-mixes use the A constants; 8 output words the B ones
-_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16)
-_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
-
-#: rows per block of _standard_normals' seed hashing (~1 MB of temporaries)
-_SEED_BLOCK_ROWS = 4096
-
-
-def _seed_words(seeds: np.ndarray) -> np.ndarray:
-    """(M, 4) uint64: row i equals SeedSequence(seeds[i]).generate_state(4, np.uint64).
-
-    numpy's SeedSequence hashes the 32-bit words of its entropy into a pool of
-    four words and hashes the pool out again; every hash constant follows a
-    fixed sequence, so the whole computation runs on uint32 arrays over all
-    rows at once.  A 64-bit seed's entropy is [lo32, hi32]; numpy keeps only
-    [lo32] when hi32 is 0, and the pool pads with zero words either way.
+    1 KB per row group's generator (PCG64 and Generator: 0.93 KB measured)
+    and one call's _DRAW_BLOCK_VALUES normals.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    lo = (seeds & np.uint64(_MASK32)).astype(np.uint32)
-    hi = (seeds >> np.uint64(32)).astype(np.uint32)
-    consts = iter(zip(_HASH_A, _HASH_A[1:]))
-
-    def hashmix(value):
-        xor_const, mult_const = next(consts)
-        value = value ^ xor_const
-        value *= mult_const
-        value ^= value >> _XSHIFT
-        return value
-
-    zero = np.zeros_like(lo)
-    pool = [hashmix(word) for word in (lo, hi, zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
-                mixed ^= mixed >> _XSHIFT
-                pool[dst] = mixed
-    state = np.empty((seeds.shape[0], 8), dtype="<u4")
-    for j in range(8):
-        word = pool[j % 4] ^ _HASH_B[j]
-        word *= _HASH_B[j + 1]
-        word ^= word >> _XSHIFT
-        state[:, j] = word
-    # consecutive 32-bit words pair little-endian into 64-bit ones, as in numpy
-    return state.view("<u8").astype(np.uint64)
+    groups = -(-n_realizations // _GROUP_ROWS)
+    return (1024 * groups + 8 * _DRAW_BLOCK_VALUES,
+            f"{groups} row groups' generators and {_DRAW_BLOCK_VALUES} drawn normals")
 
 
-class _Words(ISeedSequence):
-    """Precomputed SeedSequence output for one generator, handed to PCG64 as is."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise NumericalError(
-                f"numpy {np.__version__} asked the seeding of PCG64 for {n_words} words "
-                f"of {np.dtype(dtype)}; ctpsim precomputes 4 uint64 words")
-        return self.words
+def _group_generators(seed: int, n_realizations: int):
+    """default_rng(derive_seed(seed, g)) for each row group g of M rows, built lazily."""
+    return (np.random.default_rng(derive_seed(seed, g))
+            for g in range(-(-n_realizations // _GROUP_ROWS)))
 
 
-def _row_draws(seed: int, n_realizations: int):
-    """The standard_normal method of default_rng(derive_seed(seed, i)) for i < M, built lazily.
+def _fill_normals(rows: np.ndarray, generators) -> None:
+    """Fill each row of rows (M, w) with its next w normals: the draw rule of the package.
 
-    The one place a generator is built.  The SeedSequence words of all rows
-    are hashed in blocks by :func:`_seed_words` and handed to PCG64, which
-    seeds itself from them.
+    Each group draws (c, 64) normals per call, c <= 256, and row i takes
+    column i mod 64; the last group's padding columns are discarded.  So the
+    t-th normal of row i is normal 64 t + (i mod 64) of its group's stream,
+    and any split of the w columns gives the same bits (numpy draws normals
+    one after another).
     """
-    seeds = derive_seeds(seed, n_realizations)
-    for start in range(0, n_realizations, _SEED_BLOCK_ROWS):
-        for words in _seed_words(seeds[start:start + _SEED_BLOCK_ROWS]):
-            yield Generator(PCG64(_Words(words))).standard_normal
-
-
-def _guards(seed: int, n_realizations: int) -> list[tuple[int, Generator]]:
-    """(i, default_rng(derive_seed(seed, i))) for the first and the last row."""
-    return [(i, np.random.default_rng(derive_seed(seed, i)))
-            for i in sorted({0, n_realizations - 1})]
-
-
-def _fill_normals(rows: np.ndarray, draws, guards, seed: int) -> None:
-    """Fill each row of rows (M, k) with the next k normals of its generator's draw.
-
-    Rows 0 and M - 1 are then compared with the same draw from their guard
-    generators; any difference (numpy changed its seeding) is a
-    NumericalError, never a silent change of streams.
-    """
-    for row, draw in zip(rows, draws):
-        draw(out=row)
-    for i, guard in guards:
-        if rows[i].tobytes() != guard.standard_normal(rows.shape[1]).tobytes():
-            raise NumericalError(
-                f"row {i} of seed {seed} differs from default_rng(derive_seed(seed, {i})): "
-                f"numpy {np.__version__} no longer seeds generators as ctpsim assumes")
+    width, columns = rows.shape[1], _DRAW_BLOCK_VALUES // _GROUP_ROWS
+    for first, generator in zip(range(0, rows.shape[0], _GROUP_ROWS), generators):
+        group = rows[first:first + _GROUP_ROWS]
+        for start in range(0, width, columns):
+            draws = generator.standard_normal((min(columns, width - start), _GROUP_ROWS))
+            group[:, start:start + len(draws)] = draws[:, :len(group)].T
 
 
 def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
-    """(M, k) standard normals: row i is drawn by default_rng(derive_seed(seed, i)).
+    """(M, k) standard normals: the first k normals of each row by :func:`_fill_normals`.
 
-    Every random stream of the package is these rows, so row i depends only
-    on (seed, i, k), never on M.  A row's generator is dropped once its row
-    is drawn.
+    A group's generator is dropped once its rows are drawn.
     """
     rows = np.empty((n_realizations, k))
-    _fill_normals(rows, _row_draws(seed, n_realizations),
-                  _guards(seed, n_realizations), seed)
+    _fill_normals(rows, _group_generators(seed, n_realizations))
     return rows
 
 
 def white_source(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int):
     """fill(rows, start) writing the columns start.. of M white-noise rows into rows.
 
-    Row i is default_rng(derive_seed(seed, i)).standard_normal(n) times
-    sqrt(sigma2/dt).  rows is an (M, w) array whose rows are contiguous;
-    successive calls continue each row's stream, so filling the columns of
-    the grid block by block gives the bits of one whole draw (numpy draws
-    normals one after another).  Each block is checked against the guard generators and then
-    scaled.  The generators are kept between calls only if the first call
-    leaves columns to fill.
+    Row i is the n normals of :func:`_standard_normals`' row-group rule
+    times sqrt(sigma2/dt).  rows is an (M, w) array; successive calls
+    continue each row's stream, so filling the columns of the grid block by
+    block gives the bits of one whole draw.  The generators of the ceil(M/64)
+    row groups are kept between calls.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    draws = _row_draws(seed, n_realizations)
-    guards = _guards(seed, n_realizations)
+    generators = list(_group_generators(seed, n_realizations))
     scale = np.sqrt(sigma2 / grid.dt)
 
     def fill(rows: np.ndarray, start: int = 0) -> None:
-        nonlocal draws
-        if start == 0 and rows.shape[1] < grid.n_points:
-            draws = list(draws)
-        _fill_normals(rows, draws, guards, seed)
+        _fill_normals(rows, generators)
         rows *= scale
     return fill
 

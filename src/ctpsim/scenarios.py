@@ -25,11 +25,11 @@ import numpy as np
 from .core import DivergenceError, NumericalError, TimeGrid, derive_seed
 from .kernels import (DeSitterParams, KernelMatrix, build_hadamard,
                       desitter_hadamard, fluctuation_kernel, squeezed_factor)
-from .langevin import (GENERATOR_BYTES, ColumnMoments, EnsembleStats,
-                       ExponentialStepper, SemiImplicitStepper, SpectrumEstimate,
-                       _block_width, _time_blocks, estimate_spectrum,
-                       relaxation_rate, require_pipeline, stream_blocks)
-from .noise import factor_source, white_source
+from .langevin import (ColumnMoments, EnsembleStats, ExponentialStepper,
+                       SemiImplicitStepper, SpectrumEstimate, _block_width,
+                       _time_blocks, estimate_spectrum, relaxation_rate,
+                       require_pipeline, stream_blocks)
+from .noise import factor_source, white_source, white_source_bytes
 from .noise import sample_colored  # noqa: F401  (perfbench traces it through this module)
 from .squeeze import SqueezeParams
 
@@ -465,10 +465,10 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
         raise ValueError(f"tail_fraction {tail_fraction:g} leaves no grid point "
                          f"in the tail of {n}")
 
-    # per mode: the block pipeline, every run's tail and its generator
+    # per mode: the block pipeline, every run's tail and the noise generators
     m, width = n_realizations, n - tail_start
-    require_pipeline((m, 1, n), m * (8 * width + GENERATOR_BYTES),
-                     f"tails ({m}, {width}) and {m} generators")
+    draw_bytes, draw = white_source_bytes(m)
+    require_pipeline((m, 1, n), 8 * m * width + draw_bytes, f"tails ({m}, {width}) and {draw}")
     q = np.exp(-rate * grid.dt)
     tail = np.empty((m, width))
 

@@ -2,10 +2,7 @@
 
 import os
 
-import numpy as np
 import pytest
-
-from ctpsim import noise
 
 
 @pytest.fixture
@@ -19,14 +16,3 @@ def physical_memory(monkeypatch):
                             lambda name: fake[name] if name in fake else real(name))
     return set_bytes
 
-
-@pytest.fixture
-def flipped_seed_words(monkeypatch):
-    """Make noise._seed_words disagree with numpy's SeedSequence in one bit of every row."""
-    real = noise._seed_words
-
-    def flipped(seeds):
-        words = real(seeds)
-        words[:, 0] ^= np.uint64(1)
-        return words
-    monkeypatch.setattr(noise, "_seed_words", flipped)

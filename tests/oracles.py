@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own code paths: flows come from
 scipy's matrix exponential, stationary moments from the Lyapunov solver, and
-the memory-scheme reference from a dense simultaneous solve.  The per-row
-generator seeding, the gated scenario stepper, the memory integrator's
+the memory-scheme reference from a dense simultaneous solve.  The row-group
+draw rule, the gated scenario stepper, the memory integrator's
 history sum and the recursion count are checked against plain loops, and the
 ensemble statistics against their former temporaries-allocating formula.
 """
@@ -201,12 +201,15 @@ def aggregate_oracle(paths):
 
 
 def standard_normals_oracle(seed, n_realizations, k):
-    """(M, k) normals with one default_rng(derive_seed(seed, i)) built per row.
+    """(M, k) normals by the row-group rule, each group drawn in one call.
 
-    The former loop of noise._standard_normals, kept as the reference for its
-    vectorized seeding: numpy's own SeedSequence hash runs once per row.
+    Rows [64 g, 64 g + 64) take the columns of one (k, 64) standard_normal
+    draw of default_rng(derive_seed(seed, g)); the last group's padding is
+    dropped.  noise._standard_normals draws at most 256 of the k normals per
+    call, so any k > 256 also checks that the split keeps the bits.
     """
     rows = np.empty((n_realizations, k))
-    for i in range(n_realizations):
-        rows[i] = np.random.default_rng(derive_seed(seed, i)).standard_normal(k)
+    for first in range(0, n_realizations, 64):
+        draws = np.random.default_rng(derive_seed(seed, first // 64)).standard_normal((k, 64))
+        rows[first:first + 64] = draws[:, :n_realizations - first].T
     return rows

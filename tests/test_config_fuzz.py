@@ -2,13 +2,15 @@
 
 Each drawn config passes the schema in ``ctpsim.cli``, so the run must end in
 one of the documented exit codes (0 ok, 1 config, 2 numerical, 3 verify)
-with no traceback and no warning.  Sizes stay tiny, so a call takes
+with no traceback and no warning; a float64 failure names at least one
+``section.key`` it may come from.  Sizes stay tiny, so a call takes
 milliseconds; the values are the extremes of the float range.
 """
 
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 import warnings
@@ -83,3 +85,5 @@ def test_valid_config_ends_in_a_documented_exit_code(case):
     assert rc in (0, 1, 2, 3), err
     assert "Traceback" not in err
     assert "Warning" not in err
+    if rc == 2 and "float64 arithmetic failed" in err:
+        assert re.search(rf"\b{sub}\.\w+=", err), err

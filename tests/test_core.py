@@ -2,11 +2,8 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ctpsim.core import (ConfigError, derive_seed, derive_seeds, make_grid,
-                         require_memory, trapezoid_history)
+from ctpsim.core import ConfigError, derive_seed, make_grid, require_memory, trapezoid_history
 
 
 class TestMakeGrid:
@@ -81,16 +78,9 @@ class TestDeriveSeed:
         with pytest.raises(ValueError):
             derive_seed(42, -1)
 
-    @settings(max_examples=30, deadline=None)
-    @given(master=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
-           count=st.integers(0, 300))
-    def test_array_form_is_the_scalar_rule(self, master, count):
-        seeds = derive_seeds(master, count)
-        assert seeds.dtype == np.uint64 and seeds.shape == (count,)
-        assert [int(s) for s in seeds] == [derive_seed(master, i) for i in range(count)]
-
     def test_scalar_rule_is_splitmix64(self):
-        # splitmix64 written out on Python integers
+        # splitmix64 written out on Python integers; the values are those of every
+        # artifact_version so far
         mask = 2**64 - 1
         for master, index in [(0, 0), (2**64 - 1, 5), (12345, 99_999)]:
             z = (master + (index + 1) * 0x9E3779B97F4A7C15) & mask

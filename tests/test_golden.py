@@ -6,7 +6,7 @@ every digest, so a changed bit fails here, in the test suite, before any
 benchmark or rerun comparison sees it.  The grids are long enough to cross
 the 256-column blocks of the ensemble pipeline.
 
-The digests were recorded with numpy 2.4.6 at artifact_version 0.2.0; on
+The digests were recorded with numpy 2.4.6 at artifact_version 0.3.0; on
 another numpy the test is skipped, since numpy may draw or round differently.
 A deliberate change of the outputs comes with an artifact_version bump, and
 the bump re-records the table: ``python tests/test_golden.py`` prints it.
@@ -36,68 +36,68 @@ CONFIGS = {
 }
 SEEDS = (1, 2)
 
-# recorded at artifact_version 0.2.0 with numpy 2.4.6
+# recorded at artifact_version 0.3.0 with numpy 2.4.6
 GOLDEN = {
     "langevin-1": {
-        "ensemble.csv": "7ca86bc7463794c217c1f6e8c4edb57abf785b3cb04242e685a27ecd78121d8d",
-        "manifest.json": "9ce0c0de764d92279b521c54beb83a70ed7848788c9ac228152dbb8894d5abd7",
-        "summary.json": "bc5ed3813dfb336caf9a6f549d78c0474c2224e9bc7b8a0f6c4b06b8317636e2",
-        "trajectory0.csv": "3245d52fde8adbf15bee2953321c72dec149b6dd5466d07fe083a206dd76d094"
+        "ensemble.csv": "283f3d1b9d30631037b15218032b0e92a880cf5de00d000057e6200588f386ba",
+        "manifest.json": "7c88d4674a5c27760000cff16f24236d003f8504710968299f98eebf3fd4252f",
+        "summary.json": "301e332864dfe0ad96aef01f21af5e4682290f232acd5d8ff807d59cf792050a",
+        "trajectory0.csv": "7a47fe4f359e0b380d656898348ff743e37d68328e0fa86dd502d55a26d45b6d"
     },
     "langevin-2": {
-        "ensemble.csv": "d3eacc3a4bc65e71ec5f003bca02659f87805de6f7b9fd7c7224533e689e0293",
-        "manifest.json": "cac368c059cd85d09500b7f6660d25ffa03dd3f17d46da8265aa6f7ccdb495ed",
-        "summary.json": "644867dae36c419e71cce9c455255bf25c3ab1e6dd9c3ac410ed35e09ca9346c",
-        "trajectory0.csv": "48c0eed81b70ded8c293dcac7d02395fc1d335922a91b1764b88369a7e4802ae"
+        "ensemble.csv": "2cc001f6199042cc06c2ef0dd889cd0090cf7c837ace809df9ded81acc058f05",
+        "manifest.json": "0085ed21d46fec5ab54570288eb3dcf7e51bd7376f02b96141878e9ee21e858b",
+        "summary.json": "5550eb130520372ecca0c094e2f7b1bca581270dda9cd76310b0637fa78a74b3",
+        "trajectory0.csv": "b9dce6d36e1a74c58ce5752700b06d5fcd059cd996cb4c8c27b18e8b1ece7349"
     },
     "ssb-1": {
-        "finals.csv": "4246fc2c46b796a1800abc094fe78fabdb2d4c932d201157fb57e7eb5e2b0b8a",
-        "manifest.json": "f6bf1166397617083d576863ee61980d923051a3d62eb3501f074230e202f924",
-        "mean_trajectory.csv": "26fd66fa1e7c45a61593c07a31367a4ba7a0c4a7cd3d64e61e8a8008cfa2f85e",
-        "report.json": "15ef20e047ba5a7ab67f22e25a2365a2cb7b9a953bcaec4cb328dc4101065d90"
+        "finals.csv": "08bad623469b7377625a224d41cc8958aaa668e575a1b8f7469ecaf009e7ad47",
+        "manifest.json": "02eb388d7cc002def78cc611cd40dc236f1a91abef30cc36d6251a3d039077a3",
+        "mean_trajectory.csv": "23be443b9d89b529351d701cda0942a756d1faae21d2be03a571d16cebf19421",
+        "report.json": "76af987adeaa455b52944daf8aafed9fca385ca94200f67be9b59b1f8a585c4d"
     },
     "ssb-2": {
-        "finals.csv": "5762f2b577cb5cb3f33a49925d72425dadefa2235cca2336b0455fdab34d2c33",
-        "manifest.json": "9490233fa521d512c1be9178d2914ad3953ab3e18f068f773c32f7bbaf3f4223",
-        "mean_trajectory.csv": "ad7e3e9af1642497974f82078fc28d410f27159222868aab58dfcfad7ae3a4d6",
-        "report.json": "25e44e34fa388f512695164c6b5cc153082ba902def442e905b48ad3cd9b8028"
+        "finals.csv": "95c48404ab249204d27e3ff496330bae47d9fe8804de9e3b438e77c08bd19de6",
+        "manifest.json": "877518d3ee8c51de30b99543b3f347f49f7551d2fb38e20380c90b2a5ad5911f",
+        "mean_trajectory.csv": "6af8ad3f1cfa47e7937decddd58212d1a745203542248a1ccb356ee385612474",
+        "report.json": "ccabfa21cd2a206eafe07d42b922570ab23776f316cf9dfa2c691764bc58462f"
     },
     "bec-1": {
-        "finals.csv": "4e25dbc9eb7c0be8c7c446e3fb30f71140ff782809d2c23068892866dbe6bdb7",
-        "manifest.json": "d21c49a7a0526d6fff46733b37dcee791cf809f0cdaad6606862a30dfb207b17",
-        "report.json": "723ebd90c39f23b74f0621b4b47d901226b8ed1a5f546d820a8e18723b00120b"
+        "finals.csv": "3ad813cde7d3a827adad67f1ff12344f2797d681b34bad0912911250ff7b456c",
+        "manifest.json": "5cb19ec4b19e4321281fdd2d9c8f374433ffdefd9199d63f126c4f17dfec2dde",
+        "report.json": "4b576bc4bd1ed3952d830be390afb4f5b02dde6821b822e74036cacf490815f4"
     },
     "bec-2": {
-        "finals.csv": "3653b5948612090eea7ef254fe7b24cdd481223c13550553f55ed8ef9e91ef67",
-        "manifest.json": "530040dd33c7c9afd30f1e806e6b335d7ba78af6143b25fe437fb78b1d353410",
-        "report.json": "36b733b0279121ccfaa405a726f62e04770872fbb32b9f7397953eaa45169e68"
+        "finals.csv": "7dfdeed0adf6e49146978bc57b46fa98d521e3b2c47528195b2bff4222cd54c7",
+        "manifest.json": "b9135f955fcb6138f969710d2102db113acba931a2313d247ae0518d41520734",
+        "report.json": "ffa53af60f5ee72ef12c9fdef1f3440a5f808d6311537e0a56212a424fda7328"
     },
     "inflation-1": {
-        "manifest.json": "349728bb9bf0e87d4612de45e999aeaa9f165492db99b807648c3f8f4e648348",
-        "report.json": "4a4a418e0a0ec4ae4944e48f5936165c481e81fe40932f296dc498c51e5ff452",
-        "spectrum.csv": "0a194cc0423efc8a2998314f040c9c028f80e21773d77484428e226f1892a1e7"
+        "manifest.json": "94184d370a418a6a82e9a58551ec47cb0b6866768632895d306b14b81f6bc26f",
+        "report.json": "747f191660657020450d10090477241502d66853f2ab23cdeb43e1f345e7ec01",
+        "spectrum.csv": "ec20694f947e9ab3c58895b3708028ac60d18d930fd23908920d8c13a81b42e3"
     },
     "inflation-2": {
-        "manifest.json": "6f8c09984b4059f8651f5f62c991840000e127a428acdc3ceb66a9c5a7d2cdd6",
-        "report.json": "dffc7ad1c18df7b8115e3861a3b8dc18dbe9b827184b91b20be8de27239525bb",
-        "spectrum.csv": "318980b8ae90d50c40d8a28cce09bb61a15607939847a79c9e6e901491462e7a"
+        "manifest.json": "12f98fbf9807a175092084a04a2c8685e3c6ccc99673df2a4076259ecf5646aa",
+        "report.json": "3ed7368051acbd44853a9fa316449d0974c57419294a79a4427798d0fa067fbb",
+        "spectrum.csv": "9d3576464484308f2483f564e5e36c57f58e040ec7c84cc24ced5e6470f2e9de"
     },
     "noise-1": {
-        "manifest.json": "8b6fb0ada8bace43bb0197fbb800300a49e340fcdbb6e6049ce64c1a762ceddb",
-        "noise.csv": "46488470327401a8d277e835a2e9aa97998982c4ac97ae74440c915ce3881f16",
-        "summary.json": "9ef28ac121ea7409b4edb20724d005188d59c5d8b0da924981394372b41b3f6e"
+        "manifest.json": "611e18a6293d0475e4f6c2f8f935b829d6e4b91d6895cced423f63848f2f5d90",
+        "noise.csv": "3cdb59a23fcd0f2401c8c5744ab2b61e5d98bc3b7a0e2c78d649abe5396c359b",
+        "summary.json": "23849a174fb30d5e83f1bca5cfbab561d9c6e08d7d88ae9f27f93b2069081ff2"
     },
     "noise-2": {
-        "manifest.json": "c739c8e3144ab457e524d2373c411b9a709e2fe28cc142aaeb535ad92113d398",
-        "noise.csv": "f9395bb4b350e7bae38ee4ba2360843d67d25647407a7d672ffe0269687cebe5",
-        "summary.json": "b49de8651cc1f492963819430ba4bac820fdba571f7ab1b2b21218b041c16af4"
+        "manifest.json": "0969d42b12b32fe801b0cf73c8bef96f606e0acff313d5111a79351282f2946d",
+        "noise.csv": "712007aede99f0e86e9180129db4813c8943a0e2eae38dfdd1e668f2616e0ef6",
+        "summary.json": "2d95adb9a022dbd2fcc1993106bb77e64bb314ac8aa08a65131aa0739ee04ce3"
     },
     "squeeze-1": {
-        "manifest.json": "a6bf54eae8452c3aad30f592aed43cb8c1d4a7075ff156858fa6469ff4e7b212",
+        "manifest.json": "a219cd2fe5a39a33751e95084e3c4794417ca4a91fee70f84e988d71b8eea51e",
         "squeeze.csv": "f19e8fa3417e846d8da76b0253fcf5c3865a4f940f5f8035ce6397c0b453a95b"
     },
     "squeeze-2": {
-        "manifest.json": "6bfda9de63e06d7c6f98dc308efa74834f424981abd1b53c1b86c1f5c2ad975c",
+        "manifest.json": "96ef96ad7ce4828b0c58c69f2c0b359c7af9504eb2027f20e6b0f242b8abf3c5",
         "squeeze.csv": "f19e8fa3417e846d8da76b0253fcf5c3865a4f940f5f8035ce6397c0b453a95b"
     }
 }
