@@ -71,7 +71,11 @@ class PotentialSpec:
     double_well: V = m2 x^2 / 2 + lam x^4 / 4!   (c1 = m2, c3 = lam/6, lam > 0)
 
     vprime is written as x (c1 + c3 x^2) so negating x negates the force
-    exactly in floating point.
+    exactly in floating point.  :meth:`force` is the same law in the
+    contract of :class:`SemiImplicitStepper`, written into out bit for bit:
+    with c3 = 0 it is one multiply by c1 + 0.0, since c3 x x is +0.0 for
+    every |x| <= DIVERGENCE_GUARD and c1 + 0.0 is c1 except that -0.0
+    becomes +0.0 (c1 = -w^2 is -0.0 once w^2 underflows).
     """
 
     kind: str
@@ -94,6 +98,15 @@ class PotentialSpec:
 
     def vprime(self, x):
         return x * (self.c1 + self.c3 * x * x)
+
+    def force(self, x: np.ndarray, norm, out: np.ndarray) -> np.ndarray:
+        """vprime(x) written into out; norm is not read."""
+        if self.c3 == 0.0:
+            return np.multiply(x, self.c1 + 0.0, out=out)
+        np.multiply(x, self.c3, out=out)
+        np.multiply(out, x, out=out)
+        np.add(out, self.c1, out=out)
+        return np.multiply(x, out, out=out)
 
     def v(self, x):
         x2 = x * x
@@ -247,6 +260,20 @@ def _block_width(n: int) -> int:
     return min(n, _BLOCK_STEPS + 1)
 
 
+def _squared_norm(components, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """sum_a x_a^2 (M,) into out from the component views x_a (M,) of positions (M, d).
+
+    One multiply per component and one add per further component, in
+    component order: einsum("md,md->m") bit for bit at d = 1 and d = 2.
+    """
+    first, *rest = components
+    np.multiply(first, first, out=out)
+    for xa in rest:
+        np.multiply(xa, xa, out=scratch)
+        np.add(out, scratch, out=out)
+    return out
+
+
 class SemiImplicitStepper:
     """M realizations of xdd = -gamma xd - V'(x) + g xi, stepped one column block at a time.
 
@@ -259,68 +286,84 @@ class SemiImplicitStepper:
     v' = (v + dt f)/(1 + gamma dt), x' = x + dt v', as elementwise
     operations into reused buffers (dt (g xi - V') + v is v + dt (g xi - V')
     bit for bit), so with the same V' every row equals integrate_white on
-    that row and does not depend on M.  vprime maps positions (M, d) to the
-    gradient V'(x) (M, d); x0 and v0 broadcast to (M, d).
+    that row and does not depend on M.  force(x, norm, out) writes the
+    gradient V'(x) of positions x (M, d) into out (M, d); norm is |x|^2 (M,)
+    when the stepper has formed it (with a gate), else None.  x0 and v0
+    broadcast to (M, d).
 
-    Without a gate_threshold the gate g is 1.  With one, g starts at 1 per
-    realization and latches to 0 the first time sum_a x_a^2 exceeds the
-    threshold; it never reopens.  ``close`` (M,) int64 holds each
-    realization's close step, the first grid index at which its gate is 0, or
-    -1 while it is open (always, without a gate); ``v_first`` (n, d) the
-    velocities of realization 0 up to the last block stepped.  A block in
-    which some |x_a| exceeds DIVERGENCE_GUARD or is not finite raises
-    DivergenceError for the earliest such step and, among ties, the lowest
-    realization index.
+    Without a gate_threshold the gate g is 1 and no |x|^2 is formed.  With
+    one, each step forms |x|^2 once (:func:`_squared_norm`) into the
+    time-major ``norms`` (w, M), whose row j belongs to the block's column j;
+    the force reads it, and g, which starts at 1 per realization, latches to
+    0 the first time |x|^2 exceeds the threshold and never reopens.  ``close``
+    (M,) int64 holds each realization's close step, the first grid index at
+    which its gate is 0, or -1 while it is open (always, without a gate); it
+    is found once per block from ``norms[1:steps + 1] > threshold``.
+    ``v_first`` (n, d) holds the velocities of realization 0 up to the last
+    block stepped.  A block in which some |x_a| exceeds DIVERGENCE_GUARD or
+    is not finite raises DivergenceError for the earliest such step and,
+    among ties, the lowest realization index.
     """
 
-    def __init__(self, shape: tuple[int, int, int], vprime: Callable[[np.ndarray], np.ndarray],
+    def __init__(self, shape: tuple[int, int, int],
+                 force: Callable[[np.ndarray, np.ndarray | None, np.ndarray], np.ndarray],
                  gamma: float, grid: TimeGrid, x0=0.0, v0=0.0,
                  gate_threshold: float | None = None):
         m, d, n = shape
         if n != grid.n_points:
             raise ValueError(f"noise must have {grid.n_points} time points, got {n}")
         self.shape = shape
-        self.vprime = vprime
+        self.force = force
         self.grid = grid
         self.denom = 1.0 + gamma * grid.dt
         self.gate_threshold = gate_threshold
         rows = _block_width(n)
         # time-major buffers, each also as a list of its (M, d) rows; row 0 of
-        # xs and vs holds a block's entry state
+        # xs, vs and norms holds a block's entry state
         self.xs = np.empty((rows, m, d))
         self.vs = np.empty((rows, m, d))
         self.xs[0] = x0
         self.vs[0] = v0
         self.noise = np.empty((rows - 1, m, d))
         self.rows = list(self.xs), list(self.vs), list(self.noise)
-        self.force = np.empty((m, d))
-        self.gate = np.ones(m)
-        self.gates = np.empty((rows - 1, m)) if gate_threshold is not None else None
+        self.f = np.empty((m, d))
         self.close = np.full(m, -1, dtype=np.int64)
         self.v_first = np.empty((n, d))
+        self.norms, self.norm_rows = None, [None] * rows
+        if gate_threshold is not None:
+            self.norms = np.empty((rows, m))
+            self.norm_rows = list(self.norms)
+            self.gate = np.ones(m)
+            self.components = [list(x.T) for x in self.xs]
+            self.scratch = np.empty(m)
+            _squared_norm(self.components[0], self.norms[0], self.scratch)
 
     def step(self, block: np.ndarray, cols: slice) -> None:
         width = cols.stop - cols.start
         steps = width if cols.stop < self.grid.n_points else width - 1
         np.copyto(self.noise[:steps], block[..., :steps].transpose(2, 0, 1))
-        xs, vs, f, gate, gates = self.xs, self.vs, self.force, self.gate, self.gates
+        xs, vs, f, norms, norm_rows = self.xs, self.vs, self.f, self.norms, self.norm_rows
         x_rows, v_rows, xi_rows = self.rows
-        dt, denom, vprime, threshold = self.grid.dt, self.denom, self.vprime, self.gate_threshold
+        dt, denom, force, threshold = self.grid.dt, self.denom, self.force, self.gate_threshold
         x, v = x_rows[0], v_rows[0]
+        if norms is not None:
+            gate, components, scratch = self.gate, self.components, self.scratch
+            gate_col = gate[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(steps):
                 xi = xi_rows[j]
-                if gates is not None:
-                    np.multiply(xi, gate[:, None], out=xi)
-                np.subtract(xi, vprime(x), out=f)
+                if norms is not None:
+                    np.multiply(xi, gate_col, out=xi)
+                force(x, norm_rows[j], f)
+                np.subtract(xi, f, out=f)
                 np.multiply(f, dt, out=f)
                 np.add(f, v, out=f)
                 v = np.divide(f, denom, out=v_rows[j + 1])
                 np.multiply(v, dt, out=f)
                 x = np.add(x, f, out=x_rows[j + 1])
-                if gates is not None:
-                    gate[np.einsum("md,md->m", x, x) > threshold] = 0.0
-                    gates[j] = gate
+                if norms is not None:
+                    norm = _squared_norm(components[j + 1], norm_rows[j + 1], scratch)
+                    gate[norm > threshold] = 0.0
         new = xs[1:steps + 1]
         # max and min propagate NaN, so this holds iff every |x| <= DIVERGENCE_GUARD
         if not (new.max() <= DIVERGENCE_GUARD and new.min() >= -DIVERGENCE_GUARD):
@@ -334,10 +377,11 @@ class SemiImplicitStepper:
                 f"{DIVERGENCE_GUARD:g}", step=step, realization=idx)
         block[...] = xs[:width].transpose(1, 2, 0)
         self.v_first[cols] = vs[:width, 0]
-        if gates is not None:
-            closed = gates[:steps] == 0.0
+        if norms is not None:
+            closed = norms[1:steps + 1] > threshold
             new = (self.close < 0) & closed.any(axis=0)
             self.close[new] = cols.start + 1 + np.argmax(closed[:, new], axis=0)
+            norms[0] = norms[steps]
         xs[0] = xs[steps]
         vs[0] = vs[steps]
 
@@ -407,7 +451,7 @@ def stream_blocks(fill, stepper, reduce) -> None:
 
 
 #: (M, d, block width) float64 slabs of the pipeline at its peak: the block
-#: buffer, the stepper's noise, positions, velocities and gates, the
+#: buffer, the stepper's noise, positions, velocities and norms, the
 #: statistics' sort buffer and a reducer's temporaries (ssb, the largest,
 #: peaks at 6.7 traced at M 400, n 3001)
 _PIPELINE_SLABS = 8
@@ -485,7 +529,7 @@ def run_white_ensemble(pot: PotentialSpec, gamma: float, grid: TimeGrid, sigma2:
     # statistics, realization 0's x and v, and the trajectory's copies of them
     draw_bytes, draw = white_source_bytes(m)
     require_pipeline((m, 1, n), 8 * 6 * n + draw_bytes, f"6 columns of {n} and {draw}")
-    stepper = SemiImplicitStepper((m, 1, n), pot.vprime, gamma, grid, x0, v0)
+    stepper = SemiImplicitStepper((m, 1, n), pot.force, gamma, grid, x0, v0)
     moments = ColumnMoments(m, n, _block_width(n))
     first = np.empty(n)
     finals = np.empty(m)

@@ -27,7 +27,7 @@ from .kernels import (DeSitterParams, KernelMatrix, build_hadamard,
                       desitter_hadamard, fluctuation_kernel, squeezed_factor)
 from .langevin import (ColumnMoments, EnsembleStats, ExponentialStepper,
                        SemiImplicitStepper, SpectrumEstimate, _block_width,
-                       _time_blocks, estimate_spectrum, relaxation_rate,
+                       _squared_norm, _time_blocks, estimate_spectrum, relaxation_rate,
                        require_pipeline, stream_blocks)
 from .noise import factor_source, white_source, white_source_bytes
 from .noise import sample_colored  # noqa: F401  (perfbench traces it through this module)
@@ -239,14 +239,25 @@ def _scenario_factor(cfg: SSBConfig) -> np.ndarray:
     return squeezed_factor(_squeeze_params(cfg), cfg.grid, coupling)
 
 
-def _radial_vprime(cfg: SSBConfig):
-    """V'(x) (M, d) of the radial double well: (m2 + lam |x|^2 / 6) x_a, the scalar one at d = 1."""
+def _radial_force(cfg: SSBConfig, m: int):
+    """force(x, norm, out) of the radial double well: (m2 + lam |x|^2 / 6) x_a into out (M, d).
+
+    The (M,) coefficient is formed in a reused buffer, from the stepper's
+    |x|^2 when it is given (gated runs), else from |x|^2 formed here.
+    """
     c1 = cfg.m2
     c3 = cfg.lam / 6.0
+    coef = np.empty(m)
+    scratch = np.empty(m)
+    coef_col = coef[:, None]
 
-    def vprime(x):
-        return (c1 + c3 * np.einsum("md,md->m", x, x))[:, None] * x
-    return vprime
+    def force(x, norm, out):
+        if norm is None:
+            norm = _squared_norm(x.T, coef, scratch)
+        np.multiply(norm, c3, out=coef)
+        np.add(coef, c1, out=coef)
+        return np.multiply(coef_col, x, out=out)
+    return force
 
 
 def _scaled(draw, amplitude: float):
@@ -271,7 +282,7 @@ def _simulate(cfg: SSBConfig, n_components: int, reduce) -> np.ndarray:
     m, n = cfg.n_realizations, cfg.grid.n_points
     draw = factor_source(_scenario_factor(cfg), cfg.master_seed, m * n_components)
     stepper = SemiImplicitStepper(
-        (m, n_components, n), _radial_vprime(cfg), cfg.friction, cfg.grid,
+        (m, n_components, n), _radial_force(cfg, m), cfg.friction, cfg.grid,
         gate_threshold=cfg.gate_threshold_sq if cfg.gate else None)
     try:
         stream_blocks(_scaled(draw, cfg.noise_amplitude), stepper, reduce)

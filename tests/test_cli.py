@@ -116,14 +116,19 @@ class TestExitCodes:
         assert "lambda must be positive" in capsys.readouterr().err
 
     def test_divergent_dt_is_numerical_failure(self, tmp_path, capsys):
-        cfg = {"master_seed": 3, "n_realizations": 4,
-               "ssb": {"t_end": 40.0, "n_points": 21, "noise_amplitude": 1.0}}
-        path = write_config(tmp_path, cfg)
-        code = main(["ssb", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "numerical failure" in err
-        assert "realization" in err
+        # without friction the dt = 2 step multiplies deviations from the origin and
+        # from the minimum by up to 3 + sqrt(8) ~ 5.8 per step (eigenvalues 3 +- sqrt(8)
+        # and -3 +- sqrt(8)), so every realization diverges whatever the draw
+        for seed in (0, 3, 17, 2**63):
+            cfg = {"master_seed": seed, "n_realizations": 4,
+                   "ssb": {"t_end": 40.0, "n_points": 21, "friction": 0.0}}
+            path = write_config(tmp_path, cfg)
+            code = main(["ssb", "--config", str(path), "--out", str(tmp_path / "o")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "numerical failure" in err
+            assert "realization" in err
+            assert "(dt = 2 too coarse for the curvature |m2| = 1)" in err
 
     def test_rank_zero_noise_is_config_error(self, tmp_path, capsys):
         cfg = {"bec": {"noise_kernel": "fluctuation", "coupling": 0.0}}

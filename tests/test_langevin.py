@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ctpsim import langevin
+from ctpsim import langevin, scenarios
 from ctpsim.core import DivergenceError, make_grid
 from ctpsim.kernels import (RETARDED, DeSitterParams, KernelMatrix,
                             build_hadamard, build_retarded, memory_kernel)
@@ -53,6 +53,32 @@ class TestPotentialSpec:
         dw = PotentialSpec.double_well(-1.0, 0.6)
         x_min = math.sqrt(10.0)
         assert abs(dw.vprime(x_min)) < 1e-14
+
+    @pytest.mark.parametrize("c1", [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324])
+    def test_force_without_quartic_is_the_law_bit_for_bit(self, c1):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e12, -1e12],
+                            rng.standard_normal(20)])[:, None]
+        out = np.empty_like(x)
+        assert PotentialSpec("quadratic", c1).force(x, None, out) is out
+        assert out.tobytes() == (x * (c1 + 0.0 * x * x)).tobytes()
+
+    def test_force_keeps_the_sign_of_zero_when_omega_squared_underflows(self):
+        # c1 = -w^2 is -0.0, so x * c1 would be -0.0 where the law gives +0.0
+        pot = PotentialSpec.inverted(1e-200)
+        assert math.copysign(1.0, pot.c1) == -1.0
+        x = np.array([[1.0], [-1.0]])
+        out = pot.force(x, None, np.empty_like(x))
+        assert out.tobytes() == (x * (pot.c1 + 0.0 * x * x)).tobytes()
+        assert out.tobytes() != (x * pot.c1).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(m2=st.floats(-2.0, 2.0), lam=st.floats(0.1, 2.0),
+           x=hnp.arrays(float, (7, 1), elements=st.floats(-1e12, 1e12)))
+    def test_force_with_quartic_is_the_law_bit_for_bit(self, m2, lam, x):
+        pot = PotentialSpec.double_well(m2, lam)
+        out = pot.force(x, None, np.empty_like(x))
+        assert out.tobytes() == pot.vprime(x).tobytes()
 
 
 class TestIntegrateWhite:
@@ -333,7 +359,7 @@ class TestBatchedSteppers:
         v0 = np.array([[s[1]] for s in starts[:m]])
         # the stepper writes over its noise, and xi (read-only) is the reference's
         paths = xi[:, None, :].copy()
-        stepper = SemiImplicitStepper(paths.shape, pot.vprime, gamma, grid, x0, v0)
+        stepper = SemiImplicitStepper(paths.shape, pot.force, gamma, grid, x0, v0)
         whole_array.step(stepper, paths)
         close, v_first = stepper.close, stepper.v_first.T
         assert close.tobytes() == np.full(m, -1, dtype=np.int64).tobytes()
@@ -369,7 +395,7 @@ class TestBatchedSteppers:
         for m in (k, k + extra):
             xi = sample_white(1.0, grid, seed, m).realizations
             paths, phi = xi[:, None, :].copy(), 0.3 * xi
-            stepper = SemiImplicitStepper(paths.shape, pot.vprime, 0.5, grid)
+            stepper = SemiImplicitStepper(paths.shape, pot.force, 0.5, grid)
             whole_array.step(stepper, paths)
             whole_array.step(ExponentialStepper((m, 1, 401), 0.9), phi[:, None, :])
             runs.append((paths, stepper.v_first.T, phi))
@@ -389,7 +415,7 @@ class TestBatchedSteppers:
         cfg = SimpleNamespace(m2=1.0, lam=0.0, friction=0.5, gate=True,
                               gate_threshold_sq=threshold, grid=grid)
         ref_paths, ref_gates = gated_loop_oracle(cfg, noise)
-        stepper = SemiImplicitStepper(noise.shape, PotentialSpec.quadratic(1.0).vprime,
+        stepper = SemiImplicitStepper(noise.shape, PotentialSpec.quadratic(1.0).force,
                                       0.5, grid, gate_threshold=threshold)
         whole_array.step(stepper, noise)
         paths, close = noise, stepper.close
@@ -400,10 +426,27 @@ class TestBatchedSteppers:
         crossed = np.einsum("mdn,mdn->mn", paths, paths) > threshold
         assert np.array_equal(close, first_closed_step(np.where(crossed, 0.0, 1.0)))
 
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 6), d=st.integers(1, 2), n=st.sampled_from([2, 257, 258, 513]),
+           gate=st.booleans(), amplitude=st.floats(0.1, 3.0), seed=st.integers(0, 2**32))
+    def test_scenario_force_matches_loop_oracle(self, m, d, n, gate, amplitude, seed):
+        # the radial double well with the stepper's |x|^2 (gate on) and with its own
+        # (gate off), against the oracle's einsum norm
+        grid = make_grid(0.0, 10.0, n)
+        noise = amplitude * np.random.default_rng(seed).standard_normal((m, d, n))
+        cfg = SimpleNamespace(m2=-1.0, lam=0.6, friction=0.5, gate=gate,
+                              gate_threshold_sq=-2.0 * -1.0 / 0.6, grid=grid)
+        ref_paths, ref_gates = gated_loop_oracle(cfg, noise)
+        stepper = SemiImplicitStepper(noise.shape, scenarios._radial_force(cfg, m), 0.5, grid,
+                                      gate_threshold=cfg.gate_threshold_sq if gate else None)
+        whole_array.step(stepper, noise)
+        assert noise.tobytes() == ref_paths.tobytes()
+        assert stepper.close.tobytes() == first_closed_step(ref_gates).tobytes()
+
     def test_no_gate_never_closes(self):
         grid = make_grid(0.0, 1.0, 11)
         noise = np.random.default_rng(3).standard_normal((2, 1, 11))
-        stepper = SemiImplicitStepper(noise.shape, PotentialSpec.quadratic(1.0).vprime,
+        stepper = SemiImplicitStepper(noise.shape, PotentialSpec.quadratic(1.0).force,
                                       0.5, grid)
         whole_array.step(stepper, noise)
         close = stepper.close
@@ -429,7 +472,7 @@ class TestBatchedSteppers:
                 integrate_white(pot, 0.0, grid, xi[i, 0], x0[i], 0.0)
             except DivergenceError as err:
                 expected.append((err.step, i))
-        stepper = SemiImplicitStepper(xi.shape, pot.vprime, 0.0, grid, x0[:, None], 0.0)
+        stepper = SemiImplicitStepper(xi.shape, pot.force, 0.0, grid, x0[:, None], 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if not expected:
@@ -444,7 +487,7 @@ class TestBatchedSteppers:
     def test_noise_must_match_grid(self):
         grid = make_grid(0.0, 1.0, 11)
         with pytest.raises(ValueError, match="11 time points"):
-            SemiImplicitStepper((2, 1, 10), PotentialSpec.quadratic(1.0).vprime, 0.0, grid)
+            SemiImplicitStepper((2, 1, 10), PotentialSpec.quadratic(1.0).force, 0.0, grid)
 
 
 class TestBlockedAggregate:

@@ -159,7 +159,7 @@ class TestFailureOrder:
                 raise FloatingPointError("overflow encountered in multiply")
 
         # |x| grows as e^(40 t) from 1: the guard trips in the first block (t < 3)
-        stepper = SemiImplicitStepper((2, 1, 1000), PotentialSpec.inverted(40.0).vprime, 0.0,
+        stepper = SemiImplicitStepper((2, 1, 1000), PotentialSpec.inverted(40.0).force, 0.0,
                                       grid, x0=1.0)
         with pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
             stream_blocks(fill, stepper, lambda paths, cols: None)

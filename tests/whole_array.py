@@ -36,7 +36,7 @@ def scenario_noise(cfg, n_components):
 def integrate_gated(cfg, noise):
     """(paths, close steps) of the gated radial stepper, written over noise (M, d, n)."""
     stepper = SemiImplicitStepper(
-        noise.shape, scenarios._radial_vprime(cfg), cfg.friction, cfg.grid,
+        noise.shape, scenarios._radial_force(cfg, noise.shape[0]), cfg.friction, cfg.grid,
         gate_threshold=cfg.gate_threshold_sq if cfg.gate else None)
     try:
         step(stepper, noise)
@@ -70,7 +70,7 @@ def bec(cfg):
 def langevin(pot, gamma, grid, sigma2, seed, m, x0, v0):
     """(stats, x and v of realization 0) of the white-noise ensemble."""
     paths = sample_white(sigma2, grid, seed, m).realizations.copy()
-    stepper = SemiImplicitStepper((m, 1, grid.n_points), pot.vprime, gamma, grid, x0, v0)
+    stepper = SemiImplicitStepper((m, 1, grid.n_points), pot.force, gamma, grid, x0, v0)
     step(stepper, paths[:, None, :])
     return aggregate_paths(grid, paths), paths[0].copy(), stepper.v_first[:, 0].copy()
 
