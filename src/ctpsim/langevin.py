@@ -17,10 +17,10 @@ They apply the same elementwise operations in the same order as the
 single-path :func:`integrate_white` and :func:`integrate_overdamped_mode`, so
 every row is bit-identical to the single-path result and does not depend on
 the ensemble size.  The runners stream (:func:`stream_blocks`): each block's
-noise is drawn into one reused buffer, stepped into paths in place and
-reduced (:class:`ColumnMoments` for the pointwise statistics), so no array of
-the ensemble's size is held.  :func:`aggregate_paths` reduces a whole path
-array over the same blocks.
+noise is drawn into one reused time-major (w, M, d) buffer, stepped from it
+and its (w, M, d) paths reduced (:class:`ColumnMoments` for the pointwise
+statistics), so no array of the ensemble's size is held.
+:func:`aggregate_paths` reduces a whole path array over the same blocks.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from .noise import white_source, white_source_bytes
 DIVERGENCE_GUARD = 1e12
 
 #: grid columns per block of the ensemble pipeline, its steppers and its
-#: reductions; a block's noise is read in time-major order and its paths are
-#: written back in one transposed copy
+#: reductions; every block is time-major, one row per grid column
 _BLOCK_STEPS = 256
 
 
@@ -278,11 +277,11 @@ class SemiImplicitStepper:
     """M realizations of xdd = -gamma xd - V'(x) + g xi, stepped one column block at a time.
 
     shape is (M, d, n).  :meth:`step` reads the noise of the grid columns
-    cols from a block (M, d, w) and writes the positions of the same columns
-    over it: the block's entry state, then one step from each column to the
-    next.  The position the last step reaches is the next block's entry
-    state, so the last column of the grid is never read as noise.  Each step
-    is the scheme of :func:`integrate_white`, f = g xi_i - V'(x),
+    cols from a time-major block (w, M, d) and returns their positions, a
+    (w, M, d) view of ``xs`` valid until the next call: the entry state, then
+    one step from each column to the next.  The next call starts where the
+    last step ended, so the last column of the grid is never read as noise.
+    Each step is the scheme of :func:`integrate_white`, f = g xi_i - V'(x),
     v' = (v + dt f)/(1 + gamma dt), x' = x + dt v', as elementwise
     operations into reused buffers (dt (g xi - V') + v is v + dt (g xi - V')
     bit for bit), so with the same V' every row equals integrate_white on
@@ -294,11 +293,12 @@ class SemiImplicitStepper:
     Without a gate_threshold the gate g is 1 and no |x|^2 is formed.  With
     one, each step forms |x|^2 once (:func:`_squared_norm`) into the
     time-major ``norms`` (w, M), whose row j belongs to the block's column j;
-    the force reads it, and g, which starts at 1 per realization, latches to
-    0 the first time |x|^2 exceeds the threshold and never reopens.  ``close``
-    (M,) int64 holds each realization's close step, the first grid index at
-    which its gate is 0, or -1 while it is open (always, without a gate); it
-    is found once per block from ``norms[1:steps + 1] > threshold``.
+    the force reads it, and g, which starts at 1 per realization and scales
+    the block's noise, latches to 0 the first time |x|^2 exceeds the
+    threshold and never reopens.  ``close`` (M,) int64 holds each
+    realization's close step, the first grid index at which its gate is 0,
+    or -1 while it is open (always, without a gate); it is found once per
+    block from ``norms[1:steps + 1] > threshold``.
     ``v_first`` (n, d) holds the velocities of realization 0 up to the last
     block stepped.  A block in which some |x_a| exceeds DIVERGENCE_GUARD or
     is not finite raises DivergenceError for the earliest such step and,
@@ -324,34 +324,37 @@ class SemiImplicitStepper:
         self.vs = np.empty((rows, m, d))
         self.xs[0] = x0
         self.vs[0] = v0
-        self.noise = np.empty((rows - 1, m, d))
-        self.rows = list(self.xs), list(self.vs), list(self.noise)
+        self.rows = list(self.xs), list(self.vs)
+        # x, v and |x|^2 where the last block ended, in row carry; row 0 at the start
+        self.state, self.carry = [self.xs, self.vs], 0
         self.f = np.empty((m, d))
         self.close = np.full(m, -1, dtype=np.int64)
         self.v_first = np.empty((n, d))
         self.norms, self.norm_rows = None, [None] * rows
         if gate_threshold is not None:
             self.norms = np.empty((rows, m))
+            self.state.append(self.norms)
             self.norm_rows = list(self.norms)
             self.gate = np.ones(m)
             self.components = [list(x.T) for x in self.xs]
             self.scratch = np.empty(m)
             _squared_norm(self.components[0], self.norms[0], self.scratch)
 
-    def step(self, block: np.ndarray, cols: slice) -> None:
+    def step(self, block: np.ndarray, cols: slice) -> np.ndarray:
         width = cols.stop - cols.start
         steps = width if cols.stop < self.grid.n_points else width - 1
-        np.copyto(self.noise[:steps], block[..., :steps].transpose(2, 0, 1))
         xs, vs, f, norms, norm_rows = self.xs, self.vs, self.f, self.norms, self.norm_rows
-        x_rows, v_rows, xi_rows = self.rows
+        carry, self.carry = self.carry, steps
+        for state in self.state:
+            state[0] = state[carry]
+        x_rows, v_rows = self.rows
         dt, denom, force, threshold = self.grid.dt, self.denom, self.force, self.gate_threshold
         x, v = x_rows[0], v_rows[0]
         if norms is not None:
             gate, components, scratch = self.gate, self.components, self.scratch
             gate_col = gate[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(steps):
-                xi = xi_rows[j]
+            for j, xi in enumerate(block[:steps]):
                 if norms is not None:
                     np.multiply(xi, gate_col, out=xi)
                 force(x, norm_rows[j], f)
@@ -375,22 +378,20 @@ class SemiImplicitStepper:
                 f"realization {idx}: trajectory diverged at step {step} "
                 f"(t = {self.grid.t_start + step * dt:g}): |x| exceeded "
                 f"{DIVERGENCE_GUARD:g}", step=step, realization=idx)
-        block[...] = xs[:width].transpose(1, 2, 0)
         self.v_first[cols] = vs[:width, 0]
         if norms is not None:
             closed = norms[1:steps + 1] > threshold
             new = (self.close < 0) & closed.any(axis=0)
             self.close[new] = cols.start + 1 + np.argmax(closed[:, new], axis=0)
-            norms[0] = norms[steps]
-        xs[0] = xs[steps]
-        vs[0] = vs[steps]
+        return xs[:width]
 
 
 class ExponentialStepper:
     """M paths of phi_{i+1} = q phi_i + (1 - q) drive_i, stepped one column block at a time.
 
-    shape is (M, d, n); :meth:`step` reads and writes a block (M, d, w) as
-    :meth:`SemiImplicitStepper.step` does.  Each step is that of
+    shape is (M, d, n); :meth:`step` reads a block (w, M, d), scaled by 1 - q
+    in place, and returns a view of ``phis`` as :meth:`SemiImplicitStepper.step`
+    does.  Each step is that of
     :func:`integrate_overdamped_mode` (with drive = amp xi): q phi, then
     (1 - q) drive, then their sum, elementwise, so each row equals the
     single-path result bit for bit.  phi0 broadcasts to (M, d).
@@ -404,57 +405,52 @@ class ExponentialStepper:
         rows = _block_width(n)
         self.phis = np.empty((rows, m, d))
         self.phis[0] = phi0
-        self.drive = np.empty((rows - 1, m, d))
-        self.rows = list(self.phis), list(self.drive)
+        self.rows, self.carry = list(self.phis), 0  # carry as in SemiImplicitStepper
 
-    def step(self, block: np.ndarray, cols: slice) -> None:
+    def step(self, block: np.ndarray, cols: slice) -> np.ndarray:
         width = cols.stop - cols.start
         steps = width if cols.stop < self.shape[2] else width - 1
-        drive = self.drive[:steps]
-        np.copyto(drive, block[..., :steps].transpose(2, 0, 1))
-        np.multiply(drive, self.w, out=drive)
-        phi_rows, drive_rows = self.rows
-        q = self.q
-        for j in range(steps):
+        phis, phi_rows, q = self.phis, self.rows, self.q
+        carry, self.carry = self.carry, steps
+        phis[0] = phis[carry]
+        drive = np.multiply(block[:steps], self.w, out=block[:steps])
+        for j, drive_row in enumerate(drive):
             phi = np.multiply(phi_rows[j], q, out=phi_rows[j + 1])
-            np.add(phi, drive_rows[j], out=phi)
-        phis = self.phis
-        block[...] = phis[:width].transpose(1, 2, 0)
-        phis[0] = phis[steps]
+            np.add(phi, drive_row, out=phi)
+        return phis[:width]
 
 
 def stream_blocks(fill, stepper, reduce) -> None:
     """Draw, step and reduce an ensemble one column block at a time, in one reused buffer.
 
     For each block of :func:`_time_blocks`, fill(rows, start) writes the
-    noise of the block's columns into rows (M d, w), stepper.step writes the
-    paths of the same columns over it in place, and reduce(paths, cols)
-    reads the (M, d, w) block.  No array of the ensemble's size is held.
+    noise of the block's columns into the time-major rows (w, M d),
+    stepper.step(block, cols) returns their paths (w, M, d), and
+    reduce(paths, cols) reads them.  No array of the ensemble's size is held.
     When a step fails, the rest of the noise is drawn first, so a failure of
     the noise itself is reported as it is when the noise is drawn whole
     before any step.
     """
     m, d, n = stepper.shape
-    buffer = np.empty((m, d, _block_width(n)))
-    rows = buffer.reshape(m * d, -1)
+    buffer = np.empty((_block_width(n), m, d))
+    rows = buffer.reshape(len(buffer), m * d)
     blocks = _time_blocks(n)
     for b, cols in enumerate(blocks):
         width = cols.stop - cols.start
-        fill(rows[:, :width], cols.start)
+        fill(rows[:width], cols.start)
         try:
-            stepper.step(buffer[..., :width], cols)
+            paths = stepper.step(buffer[:width], cols)
         except (NumericalError, ArithmeticError):
             for rest in blocks[b + 1:]:
-                fill(rows[:, :rest.stop - rest.start], rest.start)
+                fill(rows[:rest.stop - rest.start], rest.start)
             raise
-        reduce(buffer[..., :width], cols)
+        reduce(paths, cols)
 
 
 #: (M, d, block width) float64 slabs of the pipeline at its peak: the block
-#: buffer, the stepper's noise, positions, velocities and norms, the
-#: statistics' sort buffer and a reducer's temporaries (ssb, the largest,
-#: peaks at 6.7 traced at M 400, n 3001)
-_PIPELINE_SLABS = 8
+#: buffer, the stepper's positions, velocities and norms, the statistics'
+#: sort buffer and a reducer's temporaries (two slabs)
+_PIPELINE_SLABS = 7
 
 
 def require_pipeline(shape: tuple[int, int, int], extra_bytes: int = 0,
@@ -473,13 +469,13 @@ def require_pipeline(shape: tuple[int, int, int], extra_bytes: int = 0,
 class ColumnMoments:
     """Pointwise mean and variance of an (M, n) ensemble, reduced column block by column block.
 
-    :meth:`add` takes the paths of some columns (M, w), w >= 2 unless n is
-    1.  Reductions run in sorted order so the statistics are invariant under
-    any reordering of the realizations: each block is copied into one
-    buffer, sorted and summed for the mean, then its squared deviations are
-    formed, sorted and summed in that buffer.  numpy sums a block of two or
-    more columns row after row, so every column gets the values, in the
-    order, of the whole-array formula.
+    :meth:`add` takes the paths of some columns time-major, (w, M), w >= 2
+    unless n is 1.  Reductions run in sorted order so the statistics are
+    invariant under any reordering of the realizations: each block is copied
+    transposed into one (M, w) buffer, sorted and summed for the mean, then
+    its squared deviations are formed, sorted and summed in that buffer.
+    numpy sums a block of two or more columns row after row, so every column
+    gets the values, in the order, of the whole-array formula.
     """
 
     def __init__(self, m: int, n: int, width: int):
@@ -488,12 +484,12 @@ class ColumnMoments:
         self.buffer = np.empty((m, width))
 
     def add(self, paths: np.ndarray, cols: slice) -> None:
-        m, width = paths.shape
+        width, m = paths.shape
         block = self.buffer[:, :width]
-        np.copyto(block, paths)
+        np.copyto(block, paths.T)
         block.sort(axis=0)
         self.mean[cols] = block.sum(axis=0) / m
-        np.subtract(paths, self.mean[cols], out=block)
+        np.subtract(paths.T, self.mean[cols], out=block)
         np.multiply(block, block, out=block)
         block.sort(axis=0)
         self.variance[cols] = block.sum(axis=0) / m
@@ -511,7 +507,7 @@ def aggregate_paths(grid: TimeGrid, paths: np.ndarray) -> EnsembleStats:
     m, n = paths.shape
     moments = ColumnMoments(m, n, _block_width(n))
     for cols in _time_blocks(n):
-        moments.add(paths[:, cols], cols)
+        moments.add(paths[:, cols].T, cols)
     return EnsembleStats(mean=moments.mean, variance=moments.variance,
                          per_run_finals=paths[:, -1].copy())
 
@@ -535,11 +531,11 @@ def run_white_ensemble(pot: PotentialSpec, gamma: float, grid: TimeGrid, sigma2:
     finals = np.empty(m)
 
     def reduce(paths, cols):
-        x = paths[:, 0]
-        first[cols] = x[0]
+        x = paths[:, :, 0]
+        first[cols] = x[:, 0]
         moments.add(x, cols)
         if cols.stop == n:
-            finals[:] = x[:, -1]
+            finals[:] = x[-1]
 
     stream_blocks(white_source(sigma2, grid, seed, m), stepper, reduce)
     stats = EnsembleStats(mean=moments.mean, variance=moments.variance, per_run_finals=finals)

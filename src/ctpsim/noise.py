@@ -8,9 +8,9 @@ scenarios have an exact closed-form factor instead
 (:func:`ctpsim.kernels.squeezed_factor`).
 The ensemble runners never hold a whole noise array: :func:`white_source`
 and :func:`factor_source` fill the next block of grid columns of every row
-into a buffer the caller reuses, with the bits of the whole draw.  Every
-normal of the package comes from one rule, :func:`_fill_normals`: rows in
-groups of 64, one generator per group.
+into a time-major (w, M) buffer the caller reuses, with the bits of the
+whole draw.  Every normal of the package comes from one rule,
+:func:`_fill_normals`: rows in groups of 64, one generator per group.
 :func:`hs_moment_check` is the operational statement of the noise
 factorization: averaging exp(i xi . v) over the ensemble must reproduce
 exp(-v^T K v / 2).
@@ -28,7 +28,7 @@ from .kernels import KernelMatrix, psd_factor
 DEFAULT_CLIP_TOL = 1e-10
 
 #: float64 values per block of a draw (128 KB): a row group's (256, 64)
-#: normals, and the row blocks of factor_source's accumulation
+#: normals, and the column blocks of factor_source's accumulation
 _DRAW_BLOCK_VALUES = 16384
 #: rows per row group; group g holds rows [64 g, 64 g + 64) and one generator
 _GROUP_ROWS = 64
@@ -84,20 +84,20 @@ def _group_generators(seed: int, n_realizations: int):
 
 
 def _fill_normals(rows: np.ndarray, generators) -> None:
-    """Fill each row of rows (M, w) with its next w normals: the draw rule of the package.
+    """Fill each row of the time-major rows (w, M) with its next w normals: the draw rule.
 
-    Each group draws (c, 64) normals per call, c <= 256, and row i takes
-    column i mod 64; the last group's padding columns are discarded.  So the
-    t-th normal of row i is normal 64 t + (i mod 64) of its group's stream,
-    and any split of the w columns gives the same bits (numpy draws normals
-    one after another).
+    Each group draws (c, 64) normals per call, c <= 256, into c time rows of
+    its 64 columns as they are; the last group's padding columns are
+    discarded.  So the t-th normal of row i is normal 64 t + (i mod 64) of
+    its group's stream, and any split of the w time rows gives the same bits
+    (numpy draws normals one after another).
     """
-    width, columns = rows.shape[1], _DRAW_BLOCK_VALUES // _GROUP_ROWS
-    for first, generator in zip(range(0, rows.shape[0], _GROUP_ROWS), generators):
-        group = rows[first:first + _GROUP_ROWS]
+    width, columns = rows.shape[0], _DRAW_BLOCK_VALUES // _GROUP_ROWS
+    for first, generator in zip(range(0, rows.shape[1], _GROUP_ROWS), generators):
+        group = rows[:, first:first + _GROUP_ROWS]
         for start in range(0, width, columns):
             draws = generator.standard_normal((min(columns, width - start), _GROUP_ROWS))
-            group[:, start:start + len(draws)] = draws[:, :len(group)].T
+            group[start:start + len(draws)] = draws[:, :group.shape[1]]
 
 
 def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
@@ -106,7 +106,7 @@ def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
     A group's generator is dropped once its rows are drawn.
     """
     rows = np.empty((n_realizations, k))
-    _fill_normals(rows, _group_generators(seed, n_realizations))
+    _fill_normals(rows.T, _group_generators(seed, n_realizations))
     return rows
 
 
@@ -114,7 +114,7 @@ def white_source(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int):
     """fill(rows, start) writing the columns start.. of M white-noise rows into rows.
 
     Row i is the n normals of :func:`_standard_normals`' row-group rule
-    times sqrt(sigma2/dt).  rows is an (M, w) array; successive calls
+    times sqrt(sigma2/dt).  rows is time-major, (w, M); successive calls
     continue each row's stream, so filling the columns of the grid block by
     block gives the bits of one whole draw.  The generators of the ceil(M/64)
     row groups are kept between calls.
@@ -141,36 +141,36 @@ def sample_white(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int) 
     """
     fill = white_source(sigma2, grid, seed, n_realizations)
     rows = np.empty((n_realizations, grid.n_points))
-    fill(rows)
+    fill(rows.T)
     return NoiseEnsemble(grid, rows, seed, covariance_ref=f"white[sigma2={sigma2!r}]")
 
 
 def factor_source(factor: np.ndarray, seed: int, n_realizations: int):
     """fill(rows, start) writing the columns start.. of :func:`draw_from_factor`'s rows into rows.
 
-    z is drawn once here; each call sums z[:, k] F[start:start + w, k] over
-    the rank in column order into rows (M, w), in blocks of rows that fit in
-    cache (_DRAW_BLOCK_VALUES values).  Every value is the same elementwise
-    sum whatever the blocks, so filling the grid block by block gives the
-    bits of one whole draw.
+    z is drawn once here; each call sums z[:, k] F[start + t, k] over the
+    rank in k order into time row t of rows (w, M), in blocks of columns that
+    fit in cache (_DRAW_BLOCK_VALUES values).  Every value is the same
+    elementwise sum whatever the blocks, so filling the grid block by block
+    gives the bits of one whole draw.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     _, rank = factor.shape
-    z = _standard_normals(seed, n_realizations, rank)
+    z = _standard_normals(seed, n_realizations, rank).T
     columns = np.ascontiguousarray(factor.T)
 
     def fill(rows: np.ndarray, start: int = 0) -> None:
-        width = rows.shape[1]
+        width = rows.shape[0]
         rows[...] = 0.0
         block = max(1, _DRAW_BLOCK_VALUES // width)
-        term = np.empty((min(block, n_realizations), width))
+        term = np.empty((width, min(block, n_realizations)))
         for first in range(0, n_realizations, block):
-            acc = rows[first:first + block]
-            tmp = term[:acc.shape[0]]
+            acc = rows[:, first:first + block]
+            tmp = term[:, :acc.shape[1]]
             for k in range(rank):
-                np.multiply(z[first:first + block, k, None],
-                            columns[k, start:start + width], out=tmp)
+                np.multiply(columns[k, start:start + width, None],
+                            z[k, first:first + block], out=tmp)
                 acc += tmp
     return fill
 
@@ -186,7 +186,7 @@ def draw_from_factor(factor: np.ndarray, seed: int, n_realizations: int) -> np.n
     """
     fill = factor_source(factor, seed, n_realizations)
     rows = np.empty((n_realizations, factor.shape[0]))
-    fill(rows)
+    fill(rows.T)
     return rows
 
 

@@ -272,8 +272,8 @@ def _simulate(cfg: SSBConfig, n_components: int, reduce) -> np.ndarray:
     """Stream the scenario's ensemble from x = 0; returns the gate close times (M,).
 
     Component c of run i is noise row i*d + c of
-    :func:`ctpsim.noise.draw_from_factor` times noise_amplitude.  Each block
-    of paths (M, d, w) goes to reduce(paths, cols) (see
+    :func:`ctpsim.noise.draw_from_factor` times noise_amplitude.  Each
+    time-major block of paths (w, M, d) goes to reduce(paths, cols) (see
     :func:`ctpsim.langevin.stream_blocks`).  The gate starts at 1, multiplies
     the noise, and latches to 0 the first time |x|^2 crosses the threshold;
     a realization's close time is t_start + dt times its close step, inf
@@ -287,9 +287,13 @@ def _simulate(cfg: SSBConfig, n_components: int, reduce) -> np.ndarray:
     try:
         stream_blocks(_scaled(draw, cfg.noise_amplitude), stepper, reduce)
     except DivergenceError as err:
-        raise DivergenceError(
-            f"{err} (dt = {cfg.grid.dt:g} too coarse for the curvature "
-            f"|m2| = {abs(cfg.m2):g})", step=err.step, realization=err.realization) from err
+        # ungated, the hadamard noise grows as e^(w t) and the fluctuation noise as
+        # e^(3 w t) whatever dt is
+        rate = (3.0 if cfg.noise_kernel == "fluctuation" else 1.0) * math.sqrt(-cfg.m2)
+        cause = (f"dt = {cfg.grid.dt:g} too coarse for the curvature |m2| = {abs(cfg.m2):g}"
+                 if cfg.gate else f"gate off: the noise grows as exp({rate:g} t), unchecked")
+        raise DivergenceError(f"{err} ({cause})", step=err.step,
+                              realization=err.realization) from err
     close = stepper.close
     first = close.astype(float) * cfg.grid.dt + cfg.grid.t_start
     return np.where(close >= 0, first, np.inf)
@@ -312,11 +316,11 @@ def run_ssb(cfg: SSBConfig) -> SSBReport:
     finals = np.empty(m)
 
     def reduce(paths, cols):
-        x = paths[:, 0]
+        x = paths[:, :, 0]
         moments.add(x, cols)
         recursion.add(x)
         if cols.stop == n:
-            finals[:] = x[:, -1]
+            finals[:] = x[-1]
 
     close_times = _simulate(cfg, 1, reduce)
     stats = EnsembleStats(mean=moments.mean, variance=moments.variance,
@@ -372,7 +376,7 @@ def run_bec(cfg: BECConfig) -> BECReport:
 
     def reduce(paths, cols):
         if cols.stop == cfg.grid.n_points:
-            final_vec[:] = paths[:, :, -1]
+            final_vec[:] = paths[-1]
 
     close_times = _simulate(cfg, 2, reduce)
     final_modulus = np.sqrt(np.einsum("md,md->m", final_vec, final_vec))
@@ -391,11 +395,11 @@ def run_bec(cfg: BECConfig) -> BECReport:
 class _RecursionCount:
     """Runs that re-enter |x| < return_radius after leaving |x| > leave_radius, counted block by block.
 
-    :meth:`add` takes the next columns (rows, w) of every run and carries
-    each run's "has left" flag into the next block, so any split of the
-    columns gives the count of the whole rows.  It compares x with +-radius
-    into boolean masks, never forming |x|; NaN fails every comparison, as it
-    fails |x| > radius and |x| < radius.
+    :meth:`add` takes the next columns of every run time-major, (w, rows),
+    and carries each run's "has left" flag into the next block, so any split
+    of the columns gives the count of the whole rows.  It compares x with
+    +-radius into boolean masks, never forming |x|; NaN fails every
+    comparison, as it fails |x| > radius and |x| < radius.
     """
 
     def __init__(self, rows: int, leave_radius: float, return_radius: float):
@@ -407,12 +411,12 @@ class _RecursionCount:
         leave_radius, return_radius = self.radii
         has_left = paths > leave_radius
         has_left |= paths < -leave_radius
-        np.logical_or.accumulate(has_left, axis=1, out=has_left)
-        has_left |= self.has_left[:, None]
-        self.has_left[:] = has_left[:, -1]
+        np.logical_or.accumulate(has_left, axis=0, out=has_left)
+        has_left |= self.has_left
+        self.has_left[:] = has_left[-1]
         has_left &= paths < return_radius
         has_left &= paths > -return_radius
-        self.recursed |= has_left.any(axis=1)
+        self.recursed |= has_left.any(axis=0)
 
     def fraction(self) -> float:
         """The recursion probability; the radii are checked here, once the runs are done."""
@@ -434,7 +438,7 @@ def recursion_probability(paths: np.ndarray, leave_radius: float,
     """
     count = _RecursionCount(paths.shape[0], leave_radius, return_radius)
     for cols in _time_blocks(paths.shape[1]):
-        count.add(paths[:, cols])
+        count.add(paths[:, cols].T)
     return count.fraction()
 
 
@@ -486,7 +490,7 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
     def keep_tail(paths, cols):
         start = max(cols.start, tail_start)
         if start < cols.stop:
-            tail[:, start - tail_start:cols.stop - tail_start] = paths[:, 0, start - cols.start:]
+            tail[:, start - tail_start:cols.stop - tail_start] = paths[start - cols.start:, :, 0].T
 
     pairs = []
     for mode_idx, dp in enumerate(sorted(modes, key=lambda d: d.k)):

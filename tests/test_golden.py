@@ -1,10 +1,12 @@
-"""Golden digests: the sha256 of every output file of six subcommands at tiny configs.
+"""Golden digests: the sha256 of every output file of every subcommand at tiny configs.
 
 Each run is pinned at master seeds 1 and 2; manifest.json is hashed as sorted
 JSON without its wall_time_s.  A refactor that keeps the outputs must keep
 every digest, so a changed bit fails here, in the test suite, before any
 benchmark or rerun comparison sees it.  The grids are long enough to cross
-the 256-column blocks of the ensemble pipeline.
+the 256-column blocks of the ensemble pipeline.  Colored noise, the memory
+kernel and verify's Hubbard-Stratonovich check pin the factor draw
+(``noise.factor_source``) on its own.
 
 The digests were recorded with numpy 2.4.6 at artifact_version 0.3.0; on
 another numpy the test is skipped, since numpy may draw or round differently.
@@ -25,7 +27,8 @@ pytestmark = pytest.mark.skipif(
     np.__version__ != "2.4.6",
     reason=f"golden digests were recorded with numpy 2.4.6, not {np.__version__}")
 
-# subcommand -> config document without its master_seed
+# case -> config document without its master_seed; a case is named after its
+# subcommand, with a suffix after "_" where the subcommand has several cases
 CONFIGS = {
     "langevin": {"n_realizations": 5, "langevin": {"t_end": 20.0, "n_points": 600}},
     "ssb": {"n_realizations": 6, "ssb": {"n_points": 600}},
@@ -33,6 +36,11 @@ CONFIGS = {
     "inflation": {"n_realizations": 4, "inflation": {"n_points": 600}},
     "noise": {"n_realizations": 4, "noise": {"kind": "white", "n_points": 40}},
     "squeeze": {"squeeze": {"n_points": 21}},
+    "noise_hadamard": {"n_realizations": 4, "noise": {"kind": "hadamard", "n_points": 40}},
+    "noise_fluctuation": {"n_realizations": 4,
+                          "noise": {"kind": "fluctuation", "n_points": 40}},
+    "kernels_memory": {"kernels": {"kind": "memory", "n_points": 40}},
+    "verify": {"verify": {"hs_realizations": 300}},
 }
 SEEDS = (1, 2)
 
@@ -99,14 +107,51 @@ GOLDEN = {
     "squeeze-2": {
         "manifest.json": "96ef96ad7ce4828b0c58c69f2c0b359c7af9504eb2027f20e6b0f242b8abf3c5",
         "squeeze.csv": "f19e8fa3417e846d8da76b0253fcf5c3865a4f940f5f8035ce6397c0b453a95b"
+    },
+    "noise_hadamard-1": {
+        "manifest.json": "a21188c53cda967bf04c5e7f790b64704cbf50249353eaccc3388951b5a6be96",
+        "noise.csv": "f6f2e94b4bdb68f8404d327e1660ee1c85e6879a90f2e74fff829ffd9b37975b",
+        "summary.json": "2969eb39ee658127be69cb25a35bd5edd0e97015cdf2d1e87e102211e22072b3"
+    },
+    "noise_hadamard-2": {
+        "manifest.json": "04b48bab5eabcf165a50708bcaf7e63196ace97178aac83ea0118ce4ed6db054",
+        "noise.csv": "8a0d520acbf8d3e53aeaf7a8e4be3d142863b1f2294883df34cf019ad7aa44f2",
+        "summary.json": "53fa4b5fcde069eb03f32dbfba84ffd33dc68d2a5580a22a428bd594e17d9ff9"
+    },
+    "noise_fluctuation-1": {
+        "manifest.json": "56205c8578224f06bcddd87e3fa8a9e05d4e2980f44ec06aabf4675f3c9b709f",
+        "noise.csv": "482fd5f9a1dc1e91ce8dc4747af637362df0b444406654e03d09abdac8e11cdc",
+        "summary.json": "3b3ef29ffd7103c3d6f3ea7eab6f49285e50115039b635521009ac40f1682f36"
+    },
+    "noise_fluctuation-2": {
+        "manifest.json": "f8c0cd24443fb2ac8ad01344207d51106fec4bc5722dd28d811562d3e729d21e",
+        "noise.csv": "73193e463a09cf46d8a64e4dd5fa32bade661c196642ee480d686a39b8aa083e",
+        "summary.json": "e20cc54c719c327e2f936879986ef92a14f757c6707cd4ea90baa3e19df7af7f"
+    },
+    "kernels_memory-1": {
+        "kernel.txt": "26e5b1b1d329e1fbfd7eff0b29fee1241dd5ef4c77917692fa8940069fe25a04",
+        "manifest.json": "8d2b5db4a8e9568de65b42389a87d633a815bbead0b2ad4879a6a17814d85d91"
+    },
+    "kernels_memory-2": {
+        "kernel.txt": "26e5b1b1d329e1fbfd7eff0b29fee1241dd5ef4c77917692fa8940069fe25a04",
+        "manifest.json": "8e03c970e0fa5fc174f3444e94e96a59c9ec2f599bfd478de052cb4b25363805"
+    },
+    "verify-1": {
+        "manifest.json": "38305a4566745c184c24dec9a8b0af9020e409c77b15591c3b653a5b50ca4e0e",
+        "verify.json": "9e853cf9119ac3300d951ddea79630c28925bd9ccd320a3aad9e6b7fea208a93"
+    },
+    "verify-2": {
+        "manifest.json": "47b8d5ea66cfca3436d1e48cce34851769959bf5d3e99cc231f560dc88afffbc",
+        "verify.json": "2906b2c37e3ffc700e395f4588b34fb65bfa3bf3ad25b71aa6648c058f41861a"
     }
 }
 
 
-def run_digests(tmp_path: Path, sub: str, seed: int) -> dict[str, str]:
+def run_digests(tmp_path: Path, case: str, seed: int) -> dict[str, str]:
     """{file name: sha256} of every output of one run."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"master_seed": seed, **CONFIGS[sub]}))
+    config.write_text(json.dumps({"master_seed": seed, **CONFIGS[case]}))
+    sub = case.partition("_")[0]
     out = tmp_path / "out"
     assert main([sub, "--config", str(config), "--out", str(out)]) == 0
     digests = {}
@@ -120,17 +165,17 @@ def run_digests(tmp_path: Path, sub: str, seed: int) -> dict[str, str]:
     return digests
 
 
-@pytest.mark.parametrize("sub", CONFIGS)
+@pytest.mark.parametrize("case", CONFIGS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_outputs_match_golden_digests(tmp_path, sub, seed):
-    assert run_digests(tmp_path, sub, seed) == GOLDEN[f"{sub}-{seed}"]
+def test_outputs_match_golden_digests(tmp_path, case, seed):
+    assert run_digests(tmp_path, case, seed) == GOLDEN[f"{case}-{seed}"]
 
 
 if __name__ == "__main__":  # prints the table to paste over GOLDEN
     import tempfile
     table = {}
-    for sub in CONFIGS:
+    for case in CONFIGS:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory() as tmp:
-                table[f"{sub}-{seed}"] = run_digests(Path(tmp), sub, seed)
+                table[f"{case}-{seed}"] = run_digests(Path(tmp), case, seed)
     print("GOLDEN = " + json.dumps(table, indent=4))

@@ -211,7 +211,7 @@ class TestRecursionProbability:
         stops = sorted({c for c in cuts if c < n} | {n})
         count = scenarios._RecursionCount(paths.shape[0], 2.0, 0.5)
         for start, stop in zip([0, *stops], stops):
-            count.add(paths[:, start:stop])
+            count.add(paths[:, start:stop].T)
         assert count.fraction() == recursion_loop_oracle(paths, 2.0, 0.5)
 
     def test_radius_ordering_enforced(self):

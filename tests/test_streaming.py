@@ -113,7 +113,7 @@ class TestRunnersEqualWholeArray:
 
 
 class TestNoiseBlocks:
-    """A noise source filling the grid in any column blocks gives the whole draw's bits."""
+    """Any time-major (w, M) blocks a noise source fills give the whole draw's bits."""
 
     @staticmethod
     def blocks(n, cuts):
@@ -128,9 +128,9 @@ class TestNoiseBlocks:
         fill = white_source(0.7, grid, seed, m)
         got = np.empty((m, n))
         for start, stop in self.blocks(n, cuts):
-            rows = np.empty((m, stop - start))
+            rows = np.empty((stop - start, m))
             fill(rows, start)
-            got[:, start:stop] = rows
+            got[:, start:stop] = rows.T
         assert same_bits(got, sample_white(0.7, grid, seed, m).realizations)
 
     @settings(max_examples=30, deadline=None)
@@ -141,9 +141,9 @@ class TestNoiseBlocks:
         fill = factor_source(factor, seed, m)
         got = np.empty((m, n))
         for start, stop in self.blocks(n, cuts):
-            rows = np.empty((m, stop - start))
+            rows = np.empty((stop - start, m))
             fill(rows, start)
-            got[:, start:stop] = rows
+            got[:, start:stop] = rows.T
         assert same_bits(got, draw_from_factor(factor, seed, m))
 
 

@@ -1,8 +1,8 @@
 """Whole-array references of the streamed ensemble runners.
 
 Each function is the algorithm the runners used before they streamed: draw
-the whole (M, d, n) noise array, step it in place into the paths (:func:`step`),
-then reduce the paths with aggregate_paths and recursion_probability.  The
+the whole (M, d, n) noise array, step it into the paths (:func:`step`), then
+reduce the paths with aggregate_paths and recursion_probability.  The
 streamed runners must reproduce these values bit for bit, failures included.
 """
 
@@ -19,9 +19,14 @@ from ctpsim.noise import draw_from_factor, sample_white
 
 
 def step(stepper, paths):
-    """Write the paths of the whole (M, d, n) array over it, one pipeline block at a time."""
+    """Write the paths of the whole (M, d, n) noise array over it, one pipeline block at a time.
+
+    The stepper reads a time-major copy of each block and returns its paths
+    time-major, (w, M, d).
+    """
     for cols in _time_blocks(paths.shape[2]):
-        stepper.step(paths[..., cols], cols)
+        block = paths[..., cols].transpose(2, 0, 1).copy()
+        paths[..., cols] = stepper.step(block, cols).transpose(1, 2, 0)
 
 
 def scenario_noise(cfg, n_components):
@@ -41,9 +46,11 @@ def integrate_gated(cfg, noise):
     try:
         step(stepper, noise)
     except DivergenceError as err:
-        raise DivergenceError(
-            f"{err} (dt = {cfg.grid.dt:g} too coarse for the curvature "
-            f"|m2| = {abs(cfg.m2):g})", step=err.step, realization=err.realization) from err
+        rate = (3.0 if cfg.noise_kernel == "fluctuation" else 1.0) * math.sqrt(-cfg.m2)
+        cause = (f"dt = {cfg.grid.dt:g} too coarse for the curvature |m2| = {abs(cfg.m2):g}"
+                 if cfg.gate else f"gate off: the noise grows as exp({rate:g} t), unchecked")
+        raise DivergenceError(f"{err} ({cause})", step=err.step,
+                              realization=err.realization) from err
     return noise, stepper.close
 
 
