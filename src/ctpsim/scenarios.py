@@ -243,10 +243,11 @@ def _radial_force(cfg: SSBConfig, m: int):
     """force(x, norm, out) of the radial double well: (m2 + lam |x|^2 / 6) x_a into out (M, d).
 
     The (M,) coefficient is formed in a reused buffer, from the stepper's
-    |x|^2 when it is given (gated runs), else from |x|^2 formed here.
+    |x|^2 when it is given (gated runs), else from |x|^2 formed here; m2 and
+    lam / 6 are 0-d float64 arrays, the operands a ufunc takes fastest.
     """
-    c1 = cfg.m2
-    c3 = cfg.lam / 6.0
+    c1 = np.array(cfg.m2, dtype=float)
+    c3 = np.array(cfg.lam / 6.0, dtype=float)
     coef = np.empty(m)
     scratch = np.empty(m)
     coef_col = coef[:, None]

@@ -324,6 +324,34 @@ class TestOutputs:
         _write_table(tmp_path / "m.txt", "1 0.5", np.array([values]), sep=" ")
         assert (tmp_path / "m.txt").read_text() == (
             "1 0.5\n" + " ".join(repr(float(v)) for v in values) + "\n")
+        # tables rendered in several chunks, against the row-wise rendering
+        from ctpsim.cli import _TABLE_CHUNK
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-05]
+        for shape, sep in [((_TABLE_CHUNK + 1, 1), ","),
+                           ((3 * (_TABLE_CHUNK // 3) + 5, 3), ","),
+                           ((3, _TABLE_CHUNK + 7), " "),
+                           ((0, 3), ",")]:
+            table = np.resize(special, shape)
+            table[1::2] *= 0.1 + 0.2
+            _write_table(tmp_path / "c.csv", "head", table, sep=sep)
+            assert (tmp_path / "c.csv").read_text() == "head\n" + "".join(
+                sep.join(map(repr, r)) + "\n" for r in table.tolist())
+
+    def test_table_write_peak_does_not_grow_with_rows(self, tmp_path):
+        # a whole-table .tolist() of (20001, 3) would trace about 2.4 MB
+        from ctpsim.cli import _write_table
+
+        def peak(rows):
+            table = np.random.default_rng(0).standard_normal((rows, 3))
+            tracemalloc.start()
+            try:
+                _write_table(tmp_path / "t.csv", "a,b,c", table)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        small, large = peak(20001), peak(40001)
+        assert small < 0.5e6
+        assert large < small + 0.05e6
 
     def test_failed_table_write_leaves_nothing(self, tmp_path):
         from ctpsim.cli import _write_table
@@ -409,7 +437,8 @@ class TestOutputs:
             code = main(["langevin", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "realization 0: trajectory diverged at step" in err
+        assert err == ("numerical failure: realization 0: trajectory diverged at step 104 "
+                       "(t = 10.4): |x| exceeded 1e+12\n")
 
     def test_manifest_echoes_defaults(self, tmp_path):
         path = write_config(tmp_path, SSB_FAST)

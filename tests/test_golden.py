@@ -4,7 +4,9 @@ Each run is pinned at master seeds 1 and 2; manifest.json is hashed as sorted
 JSON without its wall_time_s.  A refactor that keeps the outputs must keep
 every digest, so a changed bit fails here, in the test suite, before any
 benchmark or rerun comparison sees it.  The grids are long enough to cross
-the 256-column blocks of the ensemble pipeline.  Colored noise, the memory
+the 256-column blocks of the ensemble pipeline, and langevin_long's tables
+(1501 rows of 3 values) cross the 2048-value chunks of the table writer.
+Colored noise, the memory
 kernel and verify's Hubbard-Stratonovich check pin the factor draw
 (``noise.factor_source``) on its own.
 
@@ -41,6 +43,7 @@ CONFIGS = {
                           "noise": {"kind": "fluctuation", "n_points": 40}},
     "kernels_memory": {"kernels": {"kind": "memory", "n_points": 40}},
     "verify": {"verify": {"hs_realizations": 300}},
+    "langevin_long": {"n_realizations": 5, "langevin": {"n_points": 1501}},
 }
 SEEDS = (1, 2)
 
@@ -143,6 +146,18 @@ GOLDEN = {
     "verify-2": {
         "manifest.json": "47b8d5ea66cfca3436d1e48cce34851769959bf5d3e99cc231f560dc88afffbc",
         "verify.json": "2906b2c37e3ffc700e395f4588b34fb65bfa3bf3ad25b71aa6648c058f41861a"
+    },
+    "langevin_long-1": {
+        "ensemble.csv": "8d5b9c9bc79e4b6f9a699a306ded5e4c7d0770cd9b1eac8a761fc0087f77d224",
+        "manifest.json": "0d2d68ae95684732852c395275d45d69fc598f783b392b81b5da8add0c780b6e",
+        "summary.json": "6be7f93a5c2113edd77b38af8f7d024f1e321fd91d1aa573a16e94b1901a2383",
+        "trajectory0.csv": "8d9e858b7f3105efedea72a26fac8dd323876de3a97a82f5aaebff4fb44f1c57"
+    },
+    "langevin_long-2": {
+        "ensemble.csv": "2e983872598afbb1f42de3f69b85ea66192cb013dc17196c42ebe4695853c43c",
+        "manifest.json": "f6be471bf594f1458f2696c63e6c6b02e9398463fb1a3dff6eaed9e7b8f79b57",
+        "summary.json": "1023d6092198adacf1353efc1c90be9749b84c7f0c938b954df770dcb41e76bd",
+        "trajectory0.csv": "34948897226672091bf201d503a220a137fd20f0cac9e4c2a574d4dfea05f142"
     }
 }
 
