@@ -293,21 +293,25 @@ class SemiImplicitStepper:
     v' = (v + dt f)/(1 + gamma dt), x' = x + dt v', as elementwise
     operations into reused buffers (dt (g xi - V') + v is v + dt (g xi - V')
     bit for bit), so with the same V' every row equals integrate_white on
-    that row and does not depend on M.  dt, 1 + gamma dt and the gate
-    threshold are held as 0-d float64 arrays, the operands a ufunc takes
-    fastest.  force(x, norm, out) writes the gradient V'(x) of positions x
-    (M, d) into out (M, d); norm is |x|^2 (M,) when the stepper has formed
-    it (with a gate), else None.  x0 and v0 broadcast to (M, d).
+    that row and does not depend on M.  dt and 1 + gamma dt are held as 0-d
+    float64 arrays, the operands a ufunc takes fastest.  force(x, norm, out)
+    writes the gradient V'(x) of positions x (M, d) into out (M, d); norm is
+    |x|^2 (M,) when the stepper has formed it (with a gate), else None.  x0
+    and v0 broadcast to (M, d).
 
     Without a gate_threshold the gate g is 1 and no |x|^2 is formed.  With
-    one, each step forms |x|^2 once (:func:`_squared_norm`) into the
-    time-major ``norms`` (w, M), whose row j belongs to the block's column j;
-    the force reads it, and g, which starts at 1 per realization and scales
-    the block's noise, latches to 0 the first time |x|^2 exceeds the
-    threshold and never reopens.  ``close`` (M,) int64 holds each
-    realization's close step, the first grid index at which its gate is 0,
-    or -1 while it is open (always, without a gate); it is found once per
-    block from ``norms[1:steps + 1] > threshold``.
+    one, each step forms |x|^2 once (:func:`_squared_norm`) into the one
+    (M,) row ``norm`` that the next step's force reads.  g starts at 1 per
+    realization and latches to 0 the first time |x|^2 exceeds the
+    threshold, never to reopen.  It scales the noise once per block: the
+    block's noise rows are multiplied by g on entry, and a gate that latches
+    at step j has its rows after j multiplied by 0 there ((xi 1) 0 is xi 0
+    bit for bit).  While some gate is open each step compares |x|^2 with
+    ``limit`` (M,), the threshold for open gates and +inf for latched ones;
+    once every gate has latched the steps do no gate work.  ``close`` (M,)
+    int64 holds each realization's close step, the first grid index at
+    which its gate is 0, recorded when it latches, or -1 while it is open
+    (always, without a gate).
     ``v_first`` (n, d) holds the velocities of realization 0 up to the last
     block stepped.  A block in which some |x_a| exceeds DIVERGENCE_GUARD or
     is not finite raises DivergenceError for the earliest such step and,
@@ -327,57 +331,55 @@ class SemiImplicitStepper:
         self.dt = np.array(grid.dt, dtype=float)
         self.denom = np.array(1.0 + gamma * grid.dt, dtype=float)
         rows = _block_width(n)
-        # time-major buffers, each also as a list of its (M, d) rows; row 0 of
-        # xs, vs and norms holds a block's entry state
+        # time-major buffers, each also as a list of its (M, d) rows; row 0
+        # holds a block's entry state, copied from row carry where the last
+        # block ended
         self.xs = np.empty((rows, m, d))
         self.vs = np.empty((rows, m, d))
         self.xs[0] = x0
         self.vs[0] = v0
         self.rows = list(self.xs), list(self.vs)
-        # x, v and |x|^2 where the last block ended, in row carry; row 0 at the start
-        self.state, self.carry = [self.xs, self.vs], 0
+        self.carry = 0
         self.f = np.empty((m, d))
         self.close = np.full(m, -1, dtype=np.int64)
         self.v_first = np.empty((n, d))
-        self.norms, self.norm_rows = None, [None] * rows
+        self.norm = None
         if gate_threshold is not None:
-            self.norms = np.empty((rows, m))
-            self.state.append(self.norms)
-            self.norm_rows = list(self.norms)
+            self.norm = np.empty(m)
             self.gate = np.ones(m)
-            self.threshold = np.array(gate_threshold, dtype=float)
+            self.limit = np.full(m, gate_threshold, dtype=float)
+            self.hit = np.empty(m, dtype=bool)
             self.components = [list(x.T) for x in self.xs]
             self.scratch = np.empty(m)
-            _squared_norm(self.components[0], self.norms[0], self.scratch)
+            _squared_norm(self.components[0], self.norm, self.scratch)
 
     def step(self, block: np.ndarray, cols: slice) -> np.ndarray:
         width = cols.stop - cols.start
         steps = width if cols.stop < self.grid.n_points else width - 1
-        xs, vs, f, norms, norm_rows = self.xs, self.vs, self.f, self.norms, self.norm_rows
+        xs, vs, f, norm = self.xs, self.vs, self.f, self.norm
         carry, self.carry = self.carry, steps
-        for state in self.state:
-            state[0] = state[carry]
+        xs[0] = xs[carry]
+        vs[0] = vs[carry]
         x_rows, v_rows = self.rows
         dt, denom, force = self.dt, self.denom, self.force
         x, v = x_rows[0], v_rows[0]
-        if norms is not None:
-            gate, components, scratch = self.gate, self.components, self.scratch
-            threshold = self.threshold
-            gate_col = gate[:, None]
+        if norm is not None:
+            components, scratch = self.components, self.scratch
+            limit, hit, gating = self.limit, self.hit, self.gate.any()
+            np.multiply(block[:steps], self.gate[:, None], out=block[:steps])
         with np.errstate(over="ignore", invalid="ignore"):
             for j, xi in enumerate(block[:steps]):
-                if norms is not None:
-                    np.multiply(xi, gate_col, out=xi)
-                force(x, norm_rows[j], f)
+                force(x, norm, f)
                 np.subtract(xi, f, out=f)
                 np.multiply(f, dt, out=f)
                 np.add(f, v, out=f)
                 v = np.divide(f, denom, out=v_rows[j + 1])
                 np.multiply(v, dt, out=f)
                 x = np.add(x, f, out=x_rows[j + 1])
-                if norms is not None:
-                    norm = _squared_norm(components[j + 1], norm_rows[j + 1], scratch)
-                    gate[norm > threshold] = 0.0
+                if norm is not None:
+                    _squared_norm(components[j + 1], norm, scratch)
+                    if gating and np.greater(norm, limit, out=hit).any():
+                        gating = self._latch(block[j + 1:steps], cols.start + j + 1)
         new = xs[1:steps + 1]
         # max and min propagate NaN, so this holds iff every |x| <= DIVERGENCE_GUARD
         if not (new.max() <= DIVERGENCE_GUARD and new.min() >= -DIVERGENCE_GUARD):
@@ -390,11 +392,19 @@ class SemiImplicitStepper:
                 f"(t = {self.grid.t_start + step * self.grid.dt:g}): |x| exceeded "
                 f"{DIVERGENCE_GUARD:g}", step=step, realization=idx)
         self.v_first[cols] = vs[:width, 0]
-        if norms is not None:
-            closed = norms[1:steps + 1] > threshold
-            new = (self.close < 0) & closed.any(axis=0)
-            self.close[new] = cols.start + 1 + np.argmax(closed[:, new], axis=0)
         return xs[:width]
+
+    def _latch(self, rest: np.ndarray, step: int) -> bool:
+        """Latch the gates ``hit`` marks at grid index step, zero their noise rows rest.
+
+        Returns whether some gate is still open.
+        """
+        hit = self.hit
+        self.limit[hit] = np.inf
+        self.gate[hit] = 0.0
+        self.close[hit] = step
+        rest[:, hit] *= 0.0
+        return bool(self.gate.any())
 
 
 class ExponentialStepper:
@@ -460,9 +470,10 @@ def stream_blocks(fill, stepper, reduce) -> None:
 
 
 #: (M, d, block width) float64 slabs of the pipeline at its peak: the block
-#: buffer, the stepper's positions, velocities and norms, the statistics'
-#: sort buffer and a reducer's temporaries (two slabs)
-_PIPELINE_SLABS = 7
+#: buffer, the stepper's positions and velocities, the statistics' sort
+#: buffer and a reducer's temporaries (two slabs); the stepper's |x|^2 is
+#: one (M,) row
+_PIPELINE_SLABS = 6
 
 
 def require_pipeline(shape: tuple[int, int, int], extra_bytes: int = 0,

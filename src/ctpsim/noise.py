@@ -28,7 +28,7 @@ from .kernels import KernelMatrix, psd_factor
 DEFAULT_CLIP_TOL = 1e-10
 
 #: float64 values per block of a draw (128 KB): a row group's (256, 64)
-#: normals, and the column blocks of factor_source's accumulation
+#: normals, and the tiles of factor_source's accumulation
 _DRAW_BLOCK_VALUES = 16384
 #: rows per row group; group g holds rows [64 g, 64 g + 64) and one generator
 _GROUP_ROWS = 64
@@ -103,11 +103,13 @@ def _fill_normals(rows: np.ndarray, generators) -> None:
 def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
     """(M, k) standard normals: the first k normals of each row by :func:`_fill_normals`.
 
-    A group's generator is dropped once its rows are drawn.
+    The transposed view of a time-major (k, M) array, in which normal k of
+    every row is one contiguous line, as factor_source reads them.  A
+    group's generator is dropped once its rows are drawn.
     """
-    rows = np.empty((n_realizations, k))
-    _fill_normals(rows.T, _group_generators(seed, n_realizations))
-    return rows
+    rows = np.empty((k, n_realizations))
+    _fill_normals(rows, _group_generators(seed, n_realizations))
+    return rows.T
 
 
 def white_source(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int):
@@ -148,10 +150,14 @@ def sample_white(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int) 
 def factor_source(factor: np.ndarray, seed: int, n_realizations: int):
     """fill(rows, start) writing the columns start.. of :func:`draw_from_factor`'s rows into rows.
 
-    z is drawn once here; each call sums z[:, k] F[start + t, k] over the
-    rank in k order into time row t of rows (w, M), in blocks of columns that
-    fit in cache (_DRAW_BLOCK_VALUES values).  Every value is the same
-    elementwise sum whatever the blocks, so filling the grid block by block
+    z is drawn once here; each call sums 0 + z[:, k] F[start + t, k] over
+    the rank in k order into time row t of rows (w, M), one tile at a time.
+    A tile holds at most _DRAW_BLOCK_VALUES values (128 KB, in cache) and
+    spans whole lines of rows' unit-stride axis, as many as fit, or pieces
+    of one line where a line is longer: slabs of time rows of the
+    pipeline's C-ordered block, blocks of realization columns of
+    :func:`draw_from_factor`'s F-ordered rows.T.  Every value is the same
+    elementwise sum whatever the tiles, so filling the grid block by block
     gives the bits of one whole draw.
     """
     if n_realizations < 1:
@@ -162,16 +168,22 @@ def factor_source(factor: np.ndarray, seed: int, n_realizations: int):
 
     def fill(rows: np.ndarray, start: int = 0) -> None:
         width = rows.shape[0]
-        rows[...] = 0.0
-        block = max(1, _DRAW_BLOCK_VALUES // width)
-        term = np.empty((width, min(block, n_realizations)))
-        for first in range(0, n_realizations, block):
-            acc = rows[:, first:first + block]
-            tmp = term[:, :acc.shape[1]]
-            for k in range(rank):
-                np.multiply(columns[k, start:start + width, None],
-                            z[k, first:first + block], out=tmp)
-                acc += tmp
+        # lines run along the time axis when rows is F-ordered, else along the
+        # realizations; the term buffer takes the same layout
+        order = "F" if rows.strides[0] < rows.strides[1] else "C"
+        along = min(width if order == "F" else n_realizations, _DRAW_BLOCK_VALUES)
+        across = _DRAW_BLOCK_VALUES // along
+        tall, wide = (along, across) if order == "F" else (across, along)
+        term = np.empty((min(tall, width), min(wide, n_realizations)), order=order)
+        for t0 in range(0, width, tall):
+            f = columns[:, start + t0:start + min(width, t0 + tall), None]
+            for c0 in range(0, n_realizations, wide):
+                acc = rows[t0:t0 + tall, c0:c0 + wide]
+                tmp = term[:acc.shape[0], :acc.shape[1]]
+                acc[...] = 0.0
+                for k in range(rank):
+                    np.multiply(f[k], z[k, c0:c0 + wide], out=tmp)
+                    acc += tmp
     return fill
 
 

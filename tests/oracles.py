@@ -3,9 +3,10 @@
 These deliberately avoid the library's own code paths: flows come from
 scipy's matrix exponential, stationary moments from the Lyapunov solver, and
 the memory-scheme reference from a dense simultaneous solve.  The row-group
-draw rule, the gated scenario stepper, the memory integrator's
-history sum and the recursion count are checked against plain loops, and the
-ensemble statistics against their former temporaries-allocating formula.
+draw rule, the factor draw's k-ordered sum, the gated scenario stepper, the
+memory integrator's history sum and the recursion count are checked against
+plain loops, and the ensemble statistics against their former
+temporaries-allocating formula.
 """
 
 import numpy as np
@@ -213,3 +214,15 @@ def standard_normals_oracle(seed, n_realizations, k):
         draws = np.random.default_rng(derive_seed(seed, first // 64)).standard_normal((k, 64))
         rows[first:first + 64] = draws[:, :n_realizations - first].T
     return rows
+
+
+def factor_draw_oracle(factor, z):
+    """(n, M) noise sum_k z[:, k] F[:, k] of a factor F (n, r) and normals z (M, r).
+
+    Accumulated from 0 over the whole array, one column k of the factor at a
+    time, in k order: the sum factor_source forms tile by tile.
+    """
+    acc = np.zeros((factor.shape[0], z.shape[0]))
+    for k in range(factor.shape[1]):
+        acc += factor[:, k, None] * z[:, k]
+    return acc

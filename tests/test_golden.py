@@ -6,8 +6,11 @@ every digest, so a changed bit fails here, in the test suite, before any
 benchmark or rerun comparison sees it.  The grids are long enough to cross
 the 256-column blocks of the ensemble pipeline, and langevin_long's tables
 (1501 rows of 3 values) cross the 2048-value chunks of the table writer.
-Colored noise, the memory
-kernel and verify's Hubbard-Stratonovich check pin the factor draw
+ssb_wide and bec_wide span two row groups of the draw (70 realizations),
+split each 257-row noise block into two (ssb) or three (bec) tiles of the
+factor draw, and latch their gates in two to four different blocks, with
+many realizations latching in the same step as another.  Colored noise, the
+memory kernel and verify's Hubbard-Stratonovich check pin the factor draw
 (``noise.factor_source``) on its own.
 
 The digests were recorded with numpy 2.4.6 at artifact_version 0.3.0; on
@@ -44,6 +47,8 @@ CONFIGS = {
     "kernels_memory": {"kernels": {"kind": "memory", "n_points": 40}},
     "verify": {"verify": {"hs_realizations": 300}},
     "langevin_long": {"n_realizations": 5, "langevin": {"n_points": 1501}},
+    "ssb_wide": {"n_realizations": 70, "ssb": {"n_points": 3001}},
+    "bec_wide": {"n_realizations": 70, "bec": {"n_points": 3001}},
 }
 SEEDS = (1, 2)
 
@@ -158,6 +163,28 @@ GOLDEN = {
         "manifest.json": "f6be471bf594f1458f2696c63e6c6b02e9398463fb1a3dff6eaed9e7b8f79b57",
         "summary.json": "1023d6092198adacf1353efc1c90be9749b84c7f0c938b954df770dcb41e76bd",
         "trajectory0.csv": "34948897226672091bf201d503a220a137fd20f0cac9e4c2a574d4dfea05f142"
+    },
+    "ssb_wide-1": {
+        "finals.csv": "23982d96cdb4c85c87ac692a726683f88b7931ae050adb813e6bc5d7b6178106",
+        "manifest.json": "700fb5e5053848ecb295e2d1429c34123ace97ae445856afafb40d0e1f951e55",
+        "mean_trajectory.csv": "40b986136acff465136d8aa0c49c5d2f61906648d8090844dff8e393d3d387aa",
+        "report.json": "3d5004044cdfcb7977c902747c764696493dab46ee422b1f29dd10df7d420e83"
+    },
+    "ssb_wide-2": {
+        "finals.csv": "c60c6b12ccf6f76a76cccea6825103599fc9bd3aa1911ecc092627384e9e2d7c",
+        "manifest.json": "43ee437439bd1268e985fc80a187fade9bdd0fef891b03808f17d97b3dfa1f79",
+        "mean_trajectory.csv": "7544ca29b66aebfa26564b71728644a84e48e99ed4c02a523dc55e5a38e42f32",
+        "report.json": "8b97c0ded231b371ad72c7c33e80b0ead11a04744206a179cccd44f6558c6e4c"
+    },
+    "bec_wide-1": {
+        "finals.csv": "aa7cd2f8524b0d0de418abd80c8cbb6d6bcbce498b70cfd1c95cac2848db0daa",
+        "manifest.json": "30dda324822e5bd839dd1ae3961f28d9883d3393bdc8afda144907db91789e74",
+        "report.json": "509fe700b582184b4efc3e2df0abc0d0abe425f747d90b619cfffd4960f3b468"
+    },
+    "bec_wide-2": {
+        "finals.csv": "9a57cdbb54453c5efdedcf13b1c4124d4fb540fcef0a088380116ed377e488c9",
+        "manifest.json": "0b9efce61a841851a19ea8607bf465461ec694375838de68c7caee3a434d6b4c",
+        "report.json": "e28a0e5760bfc99f20075f180708f4a2d269eead469a77c617c8432210a2c168"
     }
 }
 

@@ -443,6 +443,38 @@ class TestBatchedSteppers:
         assert noise.tobytes() == ref_paths.tobytes()
         assert stepper.close.tobytes() == first_closed_step(ref_gates).tobytes()
 
+    # kick column per realization (None: never kicked) on a 600-point grid, whose
+    # pipeline blocks start at columns 0, 256 and 512; a kick at column c shuts
+    # the gate at step c + 1
+    @pytest.mark.parametrize("kicks", [
+        pytest.param([255, None], id="last-step-of-block"),
+        pytest.param([None, 256, 40], id="first-step-of-block"),
+        pytest.param([100, None, 100, 100, 7], id="same-step"),
+        pytest.param([10, 300, 200, 300], id="all-shut-mid-block"),
+    ])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_latch_at_block_edges_matches_loop_oracle(self, kicks, d):
+        n, threshold = 600, 1.0
+        grid = make_grid(0.0, 10.0, n)
+        rng = np.random.default_rng(len(kicks) + d)
+        # small noise that stays far below the threshold, a kick that crosses it
+        # in one step, and large noise after the kick that shows in the paths
+        # if it leaks past the shut gate
+        noise = 0.01 * rng.standard_normal((len(kicks), d, n))
+        for i, kick in enumerate(kicks):
+            if kick is not None:
+                noise[i, :, kick] = 1e5
+                noise[i, :, kick + 1:] = 50.0 * rng.standard_normal((d, n - kick - 1))
+        cfg = SimpleNamespace(m2=1.0, lam=0.0, friction=0.5, gate=True,
+                              gate_threshold_sq=threshold, grid=grid)
+        ref_paths, ref_gates = gated_loop_oracle(cfg, noise)
+        stepper = SemiImplicitStepper(noise.shape, PotentialSpec.quadratic(1.0).force,
+                                      0.5, grid, gate_threshold=threshold)
+        whole_array.step(stepper, noise)
+        assert noise.tobytes() == ref_paths.tobytes()
+        assert stepper.close.tobytes() == first_closed_step(ref_gates).tobytes()
+        assert stepper.close.tolist() == [-1 if k is None else k + 1 for k in kicks]
+
     def test_no_gate_never_closes(self):
         grid = make_grid(0.0, 1.0, 11)
         noise = np.random.default_rng(3).standard_normal((2, 1, 11))

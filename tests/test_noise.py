@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from ctpsim import noise
 from ctpsim.core import NumericalError, derive_seed, make_grid
 from ctpsim.kernels import SYMMETRIC, KernelMatrix, build_hadamard, fluctuation_kernel
+from ctpsim.langevin import _time_blocks
 from ctpsim.noise import NoiseEnsemble, hs_moment_check, sample_colored, sample_white
 from ctpsim.squeeze import SqueezeParams
 
-from oracles import standard_normals_oracle
+from oracles import factor_draw_oracle, standard_normals_oracle
 
 UNIT = SqueezeParams()
 
@@ -173,6 +174,48 @@ class TestSampleColored:
         kernel = KernelMatrix(grid, vals, SYMMETRIC)
         with pytest.raises(NumericalError, match="negative eigenvalue"):
             sample_colored(kernel, seed=1, n_realizations=2)
+
+
+class TestFactorTiles:
+    """factor_source's tiles: at most _DRAW_BLOCK_VALUES values, the k-ordered sum's bits."""
+
+    @pytest.mark.parametrize("values", [5, 64, 257])
+    def test_tiles_split_both_axes(self, monkeypatch, values):
+        # 70 lines of the pipeline's (w, M d) block and 600-point lines of
+        # draw_from_factor's rows.T, both longer than some tiles and split
+        # into several tiles by all three sizes
+        m, n, rank = 70, 600, 3
+        factor = np.random.default_rng(values).standard_normal((n, rank))
+        expected = factor_draw_oracle(factor, noise._standard_normals(values, m, rank))
+        fill = noise.factor_source(factor, values, m)  # draws z at the package's size
+        monkeypatch.setattr(noise, "_DRAW_BLOCK_VALUES", values)
+        block, got = np.empty((257, m)), np.empty((n, m))
+        for cols in _time_blocks(n):
+            rows = block[:cols.stop - cols.start]
+            fill(rows, cols.start)
+            got[cols] = rows
+        assert got.tobytes() == expected.tobytes()
+        rows = np.empty((m, n))
+        fill(rows.T)
+        assert rows.T.tobytes() == expected.tobytes()
+
+    # a (257, 800) block of the pipeline (bec at M 400) and verify's (8, 1e5) view;
+    # beside its one tile, a fill holds only the two buffers of np.getbufsize()
+    # values that numpy's ufunc iterator allocates for each broadcast multiply
+    # of a tile (measured: 128 KB with numpy 2.4), never a block-sized array
+    @pytest.mark.parametrize("width, lines, order", [(257, 800, "C"), (8, 100_000, "F")])
+    def test_scratch_is_one_tile(self, width, lines, order):
+        factor = np.random.default_rng(1).standard_normal((width, min(width, 8)))
+        fill = noise.factor_source(factor, 1, lines)
+        rows = np.empty((width, lines), order=order)
+        fill(rows)
+        tracemalloc.start()
+        try:
+            fill(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * noise._DRAW_BLOCK_VALUES + 16 * np.getbufsize() + 4096
 
 
 class TestHsMomentCheck:
