@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import math
 import os
@@ -29,10 +30,10 @@ from .core import (ConfigError, NumericalError, TimeGrid, derive_seed, make_grid
                    require_memory)
 from .kernels import (DeSitterParams, KernelMatrix, build_contour_matrix,
                       build_hadamard, build_retarded, fluctuation_kernel,
-                      keldysh_rotate, memory_kernel)
+                      keldysh_rotate, memory_kernel, squeezed_factor)
 from .langevin import PotentialSpec, run_white_ensemble
 from .langevin import ensemble_run  # noqa: F401  (perfbench traces it through this module)
-from .noise import DEFAULT_CLIP_TOL, hs_moment_check, sample_colored, sample_white
+from .noise import NoiseEnsemble, draw_from_factor, hs_moment_check, sample_white
 from .scenarios import BECConfig, SSBConfig, run_bec, run_inflation, run_ssb
 from .squeeze import (DEFAULT_SQUEEZE_ANGLE, SqueezeParams, bogolubov_coefficients,
                       mode_two_point, particle_number, quadrature_variances)
@@ -85,7 +86,6 @@ _SECTION_SCHEMAS: dict[str, dict] = {
         "kind": (str, "white", _choice("white", "hadamard", "fluctuation")),
         "sigma2": (float, 1.0, _POSITIVE),
         "coupling": (float, 0.5, _NONNEG),
-        "clip_tol": (float, DEFAULT_CLIP_TOL, _POSITIVE),
         **_SQUEEZE_MODE_KEYS,
         **_grid_keys(1.0, 33),
     },
@@ -311,17 +311,10 @@ def _cmd_squeeze(cfg: dict, out: Path) -> list[str]:
     return ["squeeze.csv"]
 
 
-#: n x n float64 arrays alive at the peak of building one dense kernel, or of
-#: its eigendecomposition in sample_colored: inputs, the kernel, check
-#: temporaries, eigenvectors and LAPACK workspace (ru_maxrss at n = 1500:
-#: 3.7 to 5.1 for the four kernel kinds, 5.2 for both kinds of colored noise)
+#: n x n float64 arrays alive at the peak of building one dense kernel: its
+#: inputs, the kernel and the check temporaries (ru_maxrss at n = 1500: 3.7
+#: to 5.1 for the four kernel kinds)
 _DENSE_PEAK_MATRICES = 6
-
-
-def _require_dense(grid: TimeGrid, what: str, extra_values: int = 0) -> None:
-    """Check _DENSE_PEAK_MATRICES n x n float64 arrays plus extra_values floats against memory."""
-    n = grid.n_points
-    require_memory((_DENSE_PEAK_MATRICES * n * n + extra_values) * 8, what)
 
 
 def _build_kernel(sec: dict, grid: TimeGrid) -> KernelMatrix:
@@ -341,7 +334,8 @@ def _cmd_kernels(cfg: dict, out: Path) -> list[str]:
     sec = cfg["kernels"]
     grid = _grid_from(sec)
     n = grid.n_points
-    _require_dense(grid, f"{sec['kind']} kernel ({n}, {n}) and its temporaries")
+    require_memory(_DENSE_PEAK_MATRICES * n * n * 8,
+                   f"{sec['kind']} kernel ({n}, {n}) and its temporaries")
     kernel = _build_kernel(sec, grid)
     # header row: n and dt, then n rows of n values
     _write_table(out / "kernel.txt", f"{kernel.n} {grid.dt!r}", kernel.values, sep=" ")
@@ -354,14 +348,23 @@ def _cmd_noise(cfg: dict, out: Path) -> list[str]:
     m = cfg["n_realizations"]
     seed = cfg["master_seed"]
     n = grid.n_points
+    kind = sec["kind"]
     # the summary's var(axis=0) holds the deviations next to the noise: 2 (M, n) arrays
-    if sec["kind"] == "white":
+    if kind == "white":
         require_memory(2 * m * n * 8, f"noise ({m}, {n}) and its deviations")
         ens = sample_white(sec["sigma2"], grid, seed, m)
     else:
-        _require_dense(grid, f"{sec['kind']} kernel ({n}, {n}), its eigendecomposition, "
-                             f"noise ({m}, {n}) and its deviations", 2 * m * n)
-        ens = sample_colored(_build_kernel(sec, grid), seed, m, sec["clip_tol"])
+        # the exact factor of the squeezed-mode kernel, drawn as ssb and bec draw it
+        factor = squeezed_factor(_squeeze_mode_params(sec), grid,
+                                 sec["coupling"] if kind == "fluctuation" else None)
+        r = factor.shape[1]
+        # the draw holds z and a transposed copy of the factor, the summary the deviations
+        require_memory((2 * m * n + (m + 2 * n) * r) * 8,
+                       f"noise ({m}, {n}), its deviations, z ({m}, {r}) and two copies "
+                       f"of the factor ({n}, {r})")
+        digest = hashlib.sha1(factor.tobytes()).hexdigest()[:12]
+        ens = NoiseEnsemble(grid, draw_from_factor(factor, seed, m), seed,
+                            covariance_ref=f"{kind}[n={n},dt={grid.dt!r},rank={r},sha1={digest}]")
     # every value is computed before the first file is written
     summary = {
         "n_realizations": m,

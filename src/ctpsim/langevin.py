@@ -115,10 +115,6 @@ class PotentialSpec:
         np.add(out, c1, out=out)
         return np.multiply(x, out, out=out)
 
-    def v(self, x):
-        x2 = x * x
-        return 0.5 * self.c1 * x2 + 0.25 * self.c3 * x2 * x2
-
 
 @dataclass(frozen=True)
 class EnsembleStats:
@@ -493,18 +489,20 @@ class ColumnMoments:
     """Pointwise mean and variance of an (M, n) ensemble, reduced column block by column block.
 
     :meth:`add` takes the paths of some columns time-major, (w, M), w >= 2
-    unless n is 1.  Reductions run in sorted order so the statistics are
-    invariant under any reordering of the realizations: each block is copied
-    transposed into one (M, w) buffer, sorted and summed for the mean, then
-    its squared deviations are formed, sorted and summed in that buffer.
-    numpy sums a block of two or more columns row after row, so every column
-    gets the values, in the order, of the whole-array formula.
+    unless n is 1, and keeps the last column's values as the finals.
+    Reductions run in sorted order so the statistics are invariant under any
+    reordering of the realizations: each block is copied transposed into one
+    (M, w) buffer of the pipeline's block width, sorted and summed for the
+    mean, then its squared deviations are formed, sorted and summed in that
+    buffer.  numpy sums a block of two or more columns row after row, so
+    every column gets the values, in the order, of the whole-array formula.
     """
 
-    def __init__(self, m: int, n: int, width: int):
+    def __init__(self, m: int, n: int):
         self.mean = np.empty(n)
         self.variance = np.empty(n)
-        self.buffer = np.empty((m, width))
+        self.finals = np.empty(m)
+        self.buffer = np.empty((m, _block_width(n)))
 
     def add(self, paths: np.ndarray, cols: slice) -> None:
         width, m = paths.shape
@@ -516,6 +514,12 @@ class ColumnMoments:
         np.multiply(block, block, out=block)
         block.sort(axis=0)
         self.variance[cols] = block.sum(axis=0) / m
+        if cols.stop == len(self.mean):
+            self.finals[:] = paths[-1]
+
+    def stats(self) -> EnsembleStats:
+        return EnsembleStats(mean=self.mean, variance=self.variance,
+                             per_run_finals=self.finals)
 
 
 def aggregate_paths(grid: TimeGrid, paths: np.ndarray) -> EnsembleStats:
@@ -527,12 +531,10 @@ def aggregate_paths(grid: TimeGrid, paths: np.ndarray) -> EnsembleStats:
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2 or paths.shape[1] != grid.n_points:
         raise ValueError(f"paths must be (M, {grid.n_points}), got {paths.shape}")
-    m, n = paths.shape
-    moments = ColumnMoments(m, n, _block_width(n))
-    for cols in _time_blocks(n):
+    moments = ColumnMoments(*paths.shape)
+    for cols in _time_blocks(paths.shape[1]):
         moments.add(paths[:, cols].T, cols)
-    return EnsembleStats(mean=moments.mean, variance=moments.variance,
-                         per_run_finals=paths[:, -1].copy())
+    return moments.stats()
 
 
 def run_white_ensemble(pot: PotentialSpec, gamma: float, grid: TimeGrid, sigma2: float,
@@ -549,20 +551,16 @@ def run_white_ensemble(pot: PotentialSpec, gamma: float, grid: TimeGrid, sigma2:
     draw_bytes, draw = white_source_bytes(m)
     require_pipeline((m, 1, n), 8 * 6 * n + draw_bytes, f"6 columns of {n} and {draw}")
     stepper = SemiImplicitStepper((m, 1, n), pot.force, gamma, grid, x0, v0)
-    moments = ColumnMoments(m, n, _block_width(n))
+    moments = ColumnMoments(m, n)
     first = np.empty(n)
-    finals = np.empty(m)
 
     def reduce(paths, cols):
         x = paths[:, :, 0]
         first[cols] = x[:, 0]
         moments.add(x, cols)
-        if cols.stop == n:
-            finals[:] = x[-1]
 
     stream_blocks(white_source(sigma2, grid, seed, m), stepper, reduce)
-    stats = EnsembleStats(mean=moments.mean, variance=moments.variance, per_run_finals=finals)
-    return stats, Trajectory(grid, first, stepper.v_first[:, 0])
+    return moments.stats(), Trajectory(grid, first, stepper.v_first[:, 0])
 
 
 def ensemble_run(run_one: Callable[[int], Trajectory], master_seed: int,

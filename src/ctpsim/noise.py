@@ -1,11 +1,11 @@
 """Gaussian noise on a time grid: white, and colored with prescribed covariance.
 
 Colored noise is drawn over a factor F with F F^T = covariance
-(:func:`draw_from_factor`).  For a kernel known only as a dense matrix the
-factor comes from a clipped symmetric eigendecomposition
-(:func:`ctpsim.kernels.psd_factor`); the squeezed-mode kernels of the
-scenarios have an exact closed-form factor instead
-(:func:`ctpsim.kernels.squeezed_factor`).
+(:func:`draw_from_factor`).  The squeezed-mode kernels, which the scenarios
+and the ``noise`` subcommand sample, have an exact closed-form factor
+(:func:`ctpsim.kernels.squeezed_factor`); for a kernel known only as a dense
+matrix (:func:`sample_colored`) the factor comes from a clipped symmetric
+eigendecomposition (:func:`ctpsim.kernels.psd_factor`).
 The ensemble runners never hold a whole noise array: :func:`white_source`
 and :func:`factor_source` fill the next block of grid columns of every row
 into a time-major (w, M) buffer the caller reuses, with the bits of the

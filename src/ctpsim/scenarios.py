@@ -26,9 +26,8 @@ from .core import DivergenceError, NumericalError, TimeGrid, derive_seed
 from .kernels import (DeSitterParams, KernelMatrix, build_hadamard,
                       desitter_hadamard, fluctuation_kernel, squeezed_factor)
 from .langevin import (ColumnMoments, EnsembleStats, ExponentialStepper,
-                       SemiImplicitStepper, SpectrumEstimate, _block_width,
-                       _squared_norm, _time_blocks, estimate_spectrum, relaxation_rate,
-                       require_pipeline, stream_blocks)
+                       SemiImplicitStepper, SpectrumEstimate, _squared_norm, _time_blocks,
+                       estimate_spectrum, relaxation_rate, require_pipeline, stream_blocks)
 from .noise import factor_source, white_source, white_source_bytes
 from .noise import sample_colored  # noqa: F401  (perfbench traces it through this module)
 from .squeeze import SqueezeParams
@@ -312,20 +311,17 @@ def run_ssb(cfg: SSBConfig) -> SSBReport:
     """
     m, n = cfg.n_realizations, cfg.grid.n_points
     require_pipeline((m, 1, n), 8 * 2 * n, f"mean and variance ({n},)")
-    moments = ColumnMoments(m, n, _block_width(n))
+    moments = ColumnMoments(m, n)
     recursion = _RecursionCount(m, cfg.leave_radius, cfg.return_radius)
-    finals = np.empty(m)
 
     def reduce(paths, cols):
         x = paths[:, :, 0]
         moments.add(x, cols)
         recursion.add(x)
-        if cols.stop == n:
-            finals[:] = x[-1]
 
     close_times = _simulate(cfg, 1, reduce)
-    stats = EnsembleStats(mean=moments.mean, variance=moments.variance,
-                          per_run_finals=finals)
+    stats = moments.stats()
+    finals = stats.per_run_finals
     settled = np.abs(finals) > cfg.leave_radius
     frac_plus = float(np.count_nonzero(settled & (finals > 0)) / m)
     frac_minus = float(np.count_nonzero(settled & (finals < 0)) / m)

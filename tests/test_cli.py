@@ -54,6 +54,9 @@ class TestLoadConfig:
         path = write_config(tmp_path, {"bec": {"clip_tol": 1e-10}})
         with pytest.raises(ConfigError, match="bec.*clip_tol"):
             load_config(path, "bec")
+        path = write_config(tmp_path, {"noise": {"kind": "hadamard", "clip_tol": 1e-10}})
+        with pytest.raises(ConfigError, match="noise.*clip_tol"):
+            load_config(path, "noise")
 
     def test_negative_coupling_rejected(self, tmp_path):
         path = write_config(tmp_path, {"ssb": {"lambda": -1.0}})
@@ -149,8 +152,7 @@ class TestExitCodes:
         assert code == 1
         assert "rank-0 noise" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section", [{"kind": "fluctuation", "coupling": 0.0},
-                                         {"kind": "hadamard", "clip_tol": 2.0}])
+    @pytest.mark.parametrize("section", [{"kind": "fluctuation", "coupling": 0.0}])
     def test_rank_zero_colored_noise_is_config_error(self, tmp_path, capsys, section):
         path = write_config(tmp_path, {"noise": section})
         out = tmp_path / "o"
@@ -392,7 +394,25 @@ class TestOutputs:
         assert len(lines) == 7
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_realizations"] == 6
-        assert summary["covariance_ref"].startswith("symmetric[")
+        assert summary["covariance_ref"].startswith("hadamard[n=8,")
+        assert ",rank=2," in summary["covariance_ref"]
+
+    # the sample variance of column 0 over M rows lies within 5 standard errors,
+    # K00 sqrt(2/M), of the kernel's K00; on these grids the growing modes outrun the
+    # decaying ones by far more than 1e10, so noise that drops a decaying mode fails
+    @pytest.mark.parametrize("kind, t_end, n, k00", [("hadamard", 30.0, 31, 1.0),
+                                                     ("fluctuation", 10.0, 21, 0.75)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_colored_noise_variance_matches_kernel(self, tmp_path, kind, t_end, n, k00, seed):
+        m = 2000
+        path = write_config(tmp_path, {"master_seed": seed, "n_realizations": m,
+                                       "noise": {"kind": kind, "t_end": t_end,
+                                                 "n_points": n}})
+        out = tmp_path / "out"
+        assert main(["noise", "--config", str(path), "--out", str(out)]) == 0
+        xi = np.loadtxt(out / "noise.csv", delimiter=",", skiprows=1)
+        assert xi.shape == (m, n)
+        assert abs(xi[:, 0].var() - k00) <= 5 * k00 * math.sqrt(2 / m)
 
     def test_langevin_outputs(self, tmp_path):
         cfg = {"n_realizations": 5,
@@ -536,6 +556,16 @@ class TestMemory:
         assert peak <= self._budget(sub, m, d, n)
         assert peak <= bound * m * d * n * 8
 
+    # colored noise holds its (M, n) rows, the summary's deviations and an (n, r)
+    # factor, never an n x n kernel (here 80 times the (M, n) rows)
+    @pytest.mark.parametrize("kind", ["hadamard", "fluctuation"])
+    def test_traced_peak_of_colored_noise(self, tmp_path, kind):
+        n = 4001
+        path = write_config(tmp_path, {"master_seed": 1, "n_realizations": self.M,
+                                       "noise": {"kind": kind, "n_points": n}})
+        args = ["noise", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert self._traced_peak(args) <= 2.3 * self.M * n * 8
+
     @pytest.mark.parametrize("sub", ["langevin", "ssb", "bec"])
     def test_traced_peak_does_not_grow_with_n(self, tmp_path, sub):
         # doubling n adds result columns of n values (measured: 4.0 to 5.6), never
@@ -588,13 +618,14 @@ class TestMemory:
         physical_memory(need)
         assert main(args) == 0
 
-    # the dense budget: 6 n x n float64 arrays; noise adds the (M, n) noise and the
-    # deviations of its summary variance
+    # kernels: 6 n x n float64 arrays; noise: the (M, n) noise and the deviations of
+    # its summary variance, and for colored noise its (M, r) normals and two copies of
+    # its (n, r) factor, rank r 2 (hadamard) or 7 (fluctuation)
     @pytest.mark.parametrize("sub, section, values", [
         ("kernels", {"kind": "retarded"}, lambda m, n: 6 * n * n),
         ("kernels", {"kind": "memory"}, lambda m, n: 6 * n * n),
-        ("noise", {"kind": "hadamard"}, lambda m, n: 6 * n * n + 2 * m * n),
-        ("noise", {"kind": "fluctuation"}, lambda m, n: 6 * n * n + 2 * m * n),
+        ("noise", {"kind": "hadamard"}, lambda m, n: 2 * m * n + (m + 2 * n) * 2),
+        ("noise", {"kind": "fluctuation"}, lambda m, n: 2 * m * n + (m + 2 * n) * 7),
         ("noise", {"kind": "white"}, lambda m, n: 2 * m * n)])
     def test_dense_run_beyond_physical_memory_exits_one(self, tmp_path, physical_memory,
                                                         capsys, sub, section, values):

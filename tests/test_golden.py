@@ -13,10 +13,11 @@ many realizations latching in the same step as another.  Colored noise, the
 memory kernel and verify's Hubbard-Stratonovich check pin the factor draw
 (``noise.factor_source``) on its own.
 
-The digests were recorded with numpy 2.4.6 at artifact_version 0.3.0; on
-another numpy the test is skipped, since numpy may draw or round differently.
-A deliberate change of the outputs comes with an artifact_version bump, and
-the bump re-records the table: ``python tests/test_golden.py`` prints it.
+The digests were recorded with numpy 2.4.6 at the artifact_version
+GOLDEN_VERSION; on another numpy the digest test is skipped, since numpy may
+draw or round differently.  A deliberate change of the outputs comes with an
+artifact_version bump, and the bump re-records the table:
+``python tests/test_golden.py`` prints GOLDEN_VERSION and GOLDEN.
 """
 
 import hashlib
@@ -26,9 +27,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ctpsim import __version__
 from ctpsim.cli import main
 
-pytestmark = pytest.mark.skipif(
+needs_golden_numpy = pytest.mark.skipif(
     np.__version__ != "2.4.6",
     reason=f"golden digests were recorded with numpy 2.4.6, not {np.__version__}")
 
@@ -52,138 +54,139 @@ CONFIGS = {
 }
 SEEDS = (1, 2)
 
-# recorded at artifact_version 0.3.0 with numpy 2.4.6
+# recorded at artifact_version GOLDEN_VERSION with numpy 2.4.6
+GOLDEN_VERSION = "0.4.0"
 GOLDEN = {
     "langevin-1": {
         "ensemble.csv": "283f3d1b9d30631037b15218032b0e92a880cf5de00d000057e6200588f386ba",
-        "manifest.json": "7c88d4674a5c27760000cff16f24236d003f8504710968299f98eebf3fd4252f",
+        "manifest.json": "e0d7a77e79f915d0af5e93adf87f828a06637258e13bbbe970a368c980f90978",
         "summary.json": "301e332864dfe0ad96aef01f21af5e4682290f232acd5d8ff807d59cf792050a",
         "trajectory0.csv": "7a47fe4f359e0b380d656898348ff743e37d68328e0fa86dd502d55a26d45b6d"
     },
     "langevin-2": {
         "ensemble.csv": "2cc001f6199042cc06c2ef0dd889cd0090cf7c837ace809df9ded81acc058f05",
-        "manifest.json": "0085ed21d46fec5ab54570288eb3dcf7e51bd7376f02b96141878e9ee21e858b",
+        "manifest.json": "701fa670ebd07e46232b757b754fefb76e34446b66303f5de6a49d5cbc412b90",
         "summary.json": "5550eb130520372ecca0c094e2f7b1bca581270dda9cd76310b0637fa78a74b3",
         "trajectory0.csv": "b9dce6d36e1a74c58ce5752700b06d5fcd059cd996cb4c8c27b18e8b1ece7349"
     },
     "ssb-1": {
         "finals.csv": "08bad623469b7377625a224d41cc8958aaa668e575a1b8f7469ecaf009e7ad47",
-        "manifest.json": "02eb388d7cc002def78cc611cd40dc236f1a91abef30cc36d6251a3d039077a3",
+        "manifest.json": "e4a8439043ac0c256ec49b6e87515928c7fe99fe754bef7211a138297702ed41",
         "mean_trajectory.csv": "23be443b9d89b529351d701cda0942a756d1faae21d2be03a571d16cebf19421",
         "report.json": "76af987adeaa455b52944daf8aafed9fca385ca94200f67be9b59b1f8a585c4d"
     },
     "ssb-2": {
         "finals.csv": "95c48404ab249204d27e3ff496330bae47d9fe8804de9e3b438e77c08bd19de6",
-        "manifest.json": "877518d3ee8c51de30b99543b3f347f49f7551d2fb38e20380c90b2a5ad5911f",
+        "manifest.json": "063eeea7a25d7799a1bcbe943a153599e5b31658edf08b9a8d6e63320cf0a278",
         "mean_trajectory.csv": "6af8ad3f1cfa47e7937decddd58212d1a745203542248a1ccb356ee385612474",
         "report.json": "ccabfa21cd2a206eafe07d42b922570ab23776f316cf9dfa2c691764bc58462f"
     },
     "bec-1": {
         "finals.csv": "3ad813cde7d3a827adad67f1ff12344f2797d681b34bad0912911250ff7b456c",
-        "manifest.json": "5cb19ec4b19e4321281fdd2d9c8f374433ffdefd9199d63f126c4f17dfec2dde",
+        "manifest.json": "c6a36a37a280ba2181ffb9321820cf1d99607d87874ebc185ebff25eedb634d9",
         "report.json": "4b576bc4bd1ed3952d830be390afb4f5b02dde6821b822e74036cacf490815f4"
     },
     "bec-2": {
         "finals.csv": "7dfdeed0adf6e49146978bc57b46fa98d521e3b2c47528195b2bff4222cd54c7",
-        "manifest.json": "b9135f955fcb6138f969710d2102db113acba931a2313d247ae0518d41520734",
+        "manifest.json": "82b4112d5fdb61d91a94c2aaeae256afca8da068b93cb730b5c16b685346e7b5",
         "report.json": "ffa53af60f5ee72ef12c9fdef1f3440a5f808d6311537e0a56212a424fda7328"
     },
     "inflation-1": {
-        "manifest.json": "94184d370a418a6a82e9a58551ec47cb0b6866768632895d306b14b81f6bc26f",
+        "manifest.json": "d83d0a1dfd9f35843fe837a45fc7c0489dcad127bdddd077e0a2d8c2bdada4b1",
         "report.json": "747f191660657020450d10090477241502d66853f2ab23cdeb43e1f345e7ec01",
         "spectrum.csv": "ec20694f947e9ab3c58895b3708028ac60d18d930fd23908920d8c13a81b42e3"
     },
     "inflation-2": {
-        "manifest.json": "12f98fbf9807a175092084a04a2c8685e3c6ccc99673df2a4076259ecf5646aa",
+        "manifest.json": "29f4745f093628e1dc1e90ed415a0ef8abac6f2c03a89dcd46a9b85e44d355c7",
         "report.json": "3ed7368051acbd44853a9fa316449d0974c57419294a79a4427798d0fa067fbb",
         "spectrum.csv": "9d3576464484308f2483f564e5e36c57f58e040ec7c84cc24ced5e6470f2e9de"
     },
     "noise-1": {
-        "manifest.json": "611e18a6293d0475e4f6c2f8f935b829d6e4b91d6895cced423f63848f2f5d90",
+        "manifest.json": "0102c9d1f229c191a5f5da20bdb1e69a58f1f6008327c78940349e82115451bf",
         "noise.csv": "3cdb59a23fcd0f2401c8c5744ab2b61e5d98bc3b7a0e2c78d649abe5396c359b",
         "summary.json": "23849a174fb30d5e83f1bca5cfbab561d9c6e08d7d88ae9f27f93b2069081ff2"
     },
     "noise-2": {
-        "manifest.json": "0969d42b12b32fe801b0cf73c8bef96f606e0acff313d5111a79351282f2946d",
+        "manifest.json": "76ca0f1d42fa0bf90d6348ba68c048882a2b0fec309156b10bfa5a7f4ac7f25a",
         "noise.csv": "712007aede99f0e86e9180129db4813c8943a0e2eae38dfdd1e668f2616e0ef6",
         "summary.json": "2d95adb9a022dbd2fcc1993106bb77e64bb314ac8aa08a65131aa0739ee04ce3"
     },
     "squeeze-1": {
-        "manifest.json": "a219cd2fe5a39a33751e95084e3c4794417ca4a91fee70f84e988d71b8eea51e",
+        "manifest.json": "76753215cdecd6f49c90cc6a70c200d61732512fb038e821cfd9ce5e08e335b9",
         "squeeze.csv": "f19e8fa3417e846d8da76b0253fcf5c3865a4f940f5f8035ce6397c0b453a95b"
     },
     "squeeze-2": {
-        "manifest.json": "96ef96ad7ce4828b0c58c69f2c0b359c7af9504eb2027f20e6b0f242b8abf3c5",
+        "manifest.json": "d88acdfd0ff1d71c5dfbc431556872484b4fdb9bef73295e14315b26aa142b8e",
         "squeeze.csv": "f19e8fa3417e846d8da76b0253fcf5c3865a4f940f5f8035ce6397c0b453a95b"
     },
     "noise_hadamard-1": {
-        "manifest.json": "a21188c53cda967bf04c5e7f790b64704cbf50249353eaccc3388951b5a6be96",
-        "noise.csv": "f6f2e94b4bdb68f8404d327e1660ee1c85e6879a90f2e74fff829ffd9b37975b",
-        "summary.json": "2969eb39ee658127be69cb25a35bd5edd0e97015cdf2d1e87e102211e22072b3"
+        "manifest.json": "b925d636b2ada440795ee902d892214fbbbc3654cbd03e7daaecbeddec268604",
+        "noise.csv": "1fbeffc6762f5579f0517b3d08ba769f37a69f1dd71f17691f91d79a555c6be0",
+        "summary.json": "7ae906ff3da512ceb4fc9d8713b66c86aac62a6c964fec7eecfc3c711c19dcf9"
     },
     "noise_hadamard-2": {
-        "manifest.json": "04b48bab5eabcf165a50708bcaf7e63196ace97178aac83ea0118ce4ed6db054",
-        "noise.csv": "8a0d520acbf8d3e53aeaf7a8e4be3d142863b1f2294883df34cf019ad7aa44f2",
-        "summary.json": "53fa4b5fcde069eb03f32dbfba84ffd33dc68d2a5580a22a428bd594e17d9ff9"
+        "manifest.json": "2706b4d6a2cef375a1b4113f7155a7e1e34a03ba1ae2926aab16b8a462083d84",
+        "noise.csv": "8c74924440133e1b001ba5904120f2010d451db22adcf1156b59bcb05024f55f",
+        "summary.json": "483384a27b31c911de9e82a70e91591de4e934c24e277fe0cc89fa63a73009c4"
     },
     "noise_fluctuation-1": {
-        "manifest.json": "56205c8578224f06bcddd87e3fa8a9e05d4e2980f44ec06aabf4675f3c9b709f",
-        "noise.csv": "482fd5f9a1dc1e91ce8dc4747af637362df0b444406654e03d09abdac8e11cdc",
-        "summary.json": "3b3ef29ffd7103c3d6f3ea7eab6f49285e50115039b635521009ac40f1682f36"
+        "manifest.json": "b0adefee013ce500e781c05aa07448bb84d633958b126874cbe1dca3b33a2319",
+        "noise.csv": "9ddfcd3996470f57eaa0820a29158cc66c51d67cad98b0fcafc74d70c2f4ad09",
+        "summary.json": "2fc6cf49f394dbd37a0ef015a8b35b744d7bc68445eab8a8966579152f017a43"
     },
     "noise_fluctuation-2": {
-        "manifest.json": "f8c0cd24443fb2ac8ad01344207d51106fec4bc5722dd28d811562d3e729d21e",
-        "noise.csv": "73193e463a09cf46d8a64e4dd5fa32bade661c196642ee480d686a39b8aa083e",
-        "summary.json": "e20cc54c719c327e2f936879986ef92a14f757c6707cd4ea90baa3e19df7af7f"
+        "manifest.json": "f726849638ef4826af5f46c59e125afe3703b8098b33dbdaf82488ab8ae343d3",
+        "noise.csv": "dcb057b6ad8535bab3bace66b83ddcdbbcf7054ff5a69647b86b0c69523533f1",
+        "summary.json": "b917424f04434da5f197fbcf8fd33b862de19d8966be32d8755218b7fa37f4cf"
     },
     "kernels_memory-1": {
         "kernel.txt": "26e5b1b1d329e1fbfd7eff0b29fee1241dd5ef4c77917692fa8940069fe25a04",
-        "manifest.json": "8d2b5db4a8e9568de65b42389a87d633a815bbead0b2ad4879a6a17814d85d91"
+        "manifest.json": "a2110243004a39deaeefa13f13f34acbe3bcbe45be8740c00bc1b86484701e63"
     },
     "kernels_memory-2": {
         "kernel.txt": "26e5b1b1d329e1fbfd7eff0b29fee1241dd5ef4c77917692fa8940069fe25a04",
-        "manifest.json": "8e03c970e0fa5fc174f3444e94e96a59c9ec2f599bfd478de052cb4b25363805"
+        "manifest.json": "8c6568512daa32a1a652141ec1c1a4c8243afac55d9078152cc1f95e24b40309"
     },
     "verify-1": {
-        "manifest.json": "38305a4566745c184c24dec9a8b0af9020e409c77b15591c3b653a5b50ca4e0e",
+        "manifest.json": "5e7920cb2c3bedd670e7a50a9b3e17634094ac781f8ffdd3cfe84759f1c51f1a",
         "verify.json": "9e853cf9119ac3300d951ddea79630c28925bd9ccd320a3aad9e6b7fea208a93"
     },
     "verify-2": {
-        "manifest.json": "47b8d5ea66cfca3436d1e48cce34851769959bf5d3e99cc231f560dc88afffbc",
+        "manifest.json": "d0e60034890e0f28fa5d664feb0e01f8d6d450083617a88220e3f609591b66ea",
         "verify.json": "2906b2c37e3ffc700e395f4588b34fb65bfa3bf3ad25b71aa6648c058f41861a"
     },
     "langevin_long-1": {
         "ensemble.csv": "8d5b9c9bc79e4b6f9a699a306ded5e4c7d0770cd9b1eac8a761fc0087f77d224",
-        "manifest.json": "0d2d68ae95684732852c395275d45d69fc598f783b392b81b5da8add0c780b6e",
+        "manifest.json": "1e3a22402df3482386013f5561306d4f30cb7679d1ff3e6b154d9400632898e6",
         "summary.json": "6be7f93a5c2113edd77b38af8f7d024f1e321fd91d1aa573a16e94b1901a2383",
         "trajectory0.csv": "8d9e858b7f3105efedea72a26fac8dd323876de3a97a82f5aaebff4fb44f1c57"
     },
     "langevin_long-2": {
         "ensemble.csv": "2e983872598afbb1f42de3f69b85ea66192cb013dc17196c42ebe4695853c43c",
-        "manifest.json": "f6be471bf594f1458f2696c63e6c6b02e9398463fb1a3dff6eaed9e7b8f79b57",
+        "manifest.json": "9b860f418c8444ca15bb804f3444cac19ec523c3b16d4ebfcc61c8ad1aa9c1dc",
         "summary.json": "1023d6092198adacf1353efc1c90be9749b84c7f0c938b954df770dcb41e76bd",
         "trajectory0.csv": "34948897226672091bf201d503a220a137fd20f0cac9e4c2a574d4dfea05f142"
     },
     "ssb_wide-1": {
         "finals.csv": "23982d96cdb4c85c87ac692a726683f88b7931ae050adb813e6bc5d7b6178106",
-        "manifest.json": "700fb5e5053848ecb295e2d1429c34123ace97ae445856afafb40d0e1f951e55",
+        "manifest.json": "8e01af0d045f15986461725537d9ca064bd4c01c3e9bfc6d09e70ab14473bf61",
         "mean_trajectory.csv": "40b986136acff465136d8aa0c49c5d2f61906648d8090844dff8e393d3d387aa",
         "report.json": "3d5004044cdfcb7977c902747c764696493dab46ee422b1f29dd10df7d420e83"
     },
     "ssb_wide-2": {
         "finals.csv": "c60c6b12ccf6f76a76cccea6825103599fc9bd3aa1911ecc092627384e9e2d7c",
-        "manifest.json": "43ee437439bd1268e985fc80a187fade9bdd0fef891b03808f17d97b3dfa1f79",
+        "manifest.json": "81d4f108f274b63d53b97f311d773fd70cf2031e02331fca34e3043261fefbe3",
         "mean_trajectory.csv": "7544ca29b66aebfa26564b71728644a84e48e99ed4c02a523dc55e5a38e42f32",
         "report.json": "8b97c0ded231b371ad72c7c33e80b0ead11a04744206a179cccd44f6558c6e4c"
     },
     "bec_wide-1": {
         "finals.csv": "aa7cd2f8524b0d0de418abd80c8cbb6d6bcbce498b70cfd1c95cac2848db0daa",
-        "manifest.json": "30dda324822e5bd839dd1ae3961f28d9883d3393bdc8afda144907db91789e74",
+        "manifest.json": "2d6b30a7ed5f20c62092c94293db239bcda22afc78b9e85e4ac834b989429951",
         "report.json": "509fe700b582184b4efc3e2df0abc0d0abe425f747d90b619cfffd4960f3b468"
     },
     "bec_wide-2": {
         "finals.csv": "9a57cdbb54453c5efdedcf13b1c4124d4fb540fcef0a088380116ed377e488c9",
-        "manifest.json": "0b9efce61a841851a19ea8607bf465461ec694375838de68c7caee3a434d6b4c",
+        "manifest.json": "94012f5add9c22cf062acd17c561c0c8da54e570240e4ac284f74a3840e85344",
         "report.json": "e28a0e5760bfc99f20075f180708f4a2d269eead469a77c617c8432210a2c168"
     }
 }
@@ -207,17 +210,29 @@ def run_digests(tmp_path: Path, case: str, seed: int) -> dict[str, str]:
     return digests
 
 
+def test_golden_table_is_recorded_at_this_version():
+    assert GOLDEN_VERSION == __version__, (
+        f"the golden digests were recorded at artifact_version {GOLDEN_VERSION}, "
+        f"ctpsim is {__version__}: re-record them with python tests/test_golden.py")
+
+
+@needs_golden_numpy
 @pytest.mark.parametrize("case", CONFIGS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_outputs_match_golden_digests(tmp_path, case, seed):
     assert run_digests(tmp_path, case, seed) == GOLDEN[f"{case}-{seed}"]
 
 
-if __name__ == "__main__":  # prints the table to paste over GOLDEN
+if __name__ == "__main__":  # prints the lines to paste over GOLDEN_VERSION and GOLDEN
+    import contextlib
+    import io
     import tempfile
     table = {}
     for case in CONFIGS:
         for seed in SEEDS:
-            with tempfile.TemporaryDirectory() as tmp:
+            # verify prints its checks; only the table goes to stdout
+            with tempfile.TemporaryDirectory() as tmp, \
+                    contextlib.redirect_stdout(io.StringIO()):
                 table[f"{case}-{seed}"] = run_digests(Path(tmp), case, seed)
+    print(f"GOLDEN_VERSION = {json.dumps(__version__)}")
     print("GOLDEN = " + json.dumps(table, indent=4))
