@@ -288,6 +288,14 @@ def _squeeze_mode_params(sec: dict) -> SqueezeParams:
                          hbar=sec["hbar"])
 
 
+def _hadamard_mode_params(sec: dict, name: str) -> SqueezeParams:
+    """The squeezed mode of section name for a kernel that reads cos(2 phi)."""
+    if not math.isfinite(2.0 * sec["phi"]):
+        raise NumericalError(f"{name}.phi = {sec['phi']!r}: 2 phi overflows float64, "
+                             f"so the hadamard kernel's cos(2 phi) is undefined")
+    return _squeeze_mode_params(sec)
+
+
 def _cmd_squeeze(cfg: dict, out: Path) -> list[str]:
     sec = cfg["squeeze"]
     grid = _grid_from(sec)
@@ -318,10 +326,10 @@ _DENSE_PEAK_MATRICES = 6
 
 
 def _build_kernel(sec: dict, grid: TimeGrid) -> KernelMatrix:
-    params = _squeeze_mode_params(sec)
     kind = sec["kind"]
     if kind == "retarded":
-        return build_retarded(params, grid)
+        return build_retarded(_squeeze_mode_params(sec), grid)
+    params = _hadamard_mode_params(sec, "kernels")
     if kind == "hadamard":
         return build_hadamard(params, grid)
     if kind == "fluctuation":
@@ -355,7 +363,7 @@ def _cmd_noise(cfg: dict, out: Path) -> list[str]:
         ens = sample_white(sec["sigma2"], grid, seed, m)
     else:
         # the exact factor of the squeezed-mode kernel, drawn as ssb and bec draw it
-        factor = squeezed_factor(_squeeze_mode_params(sec), grid,
+        factor = squeezed_factor(_hadamard_mode_params(sec, "noise"), grid,
                                  sec["coupling"] if kind == "fluctuation" else None)
         r = factor.shape[1]
         # the draw holds z and a transposed copy of the factor, the summary the deviations

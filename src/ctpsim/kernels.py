@@ -321,6 +321,29 @@ def desitter_hadamard(dp: DeSitterParams, eta: float, eta_prime: float) -> float
                                     + x * math.sin(x))
 
 
+def desitter_factor(dp: DeSitterParams, grid: TimeGrid) -> np.ndarray:
+    """Exact (n, 2) factor F of one de Sitter mode's kernel on the grid, F F^T = kernel.
+
+    On conformal time eta(t) = -e^{-H t}/H, with x = k eta, the columns are
+    (H/k^{3/2}) (cos x + x sin x) and (H/k^{3/2}) (x cos x - sin x), that is
+    (H/k^{3/2}) (Re u, Im u) with u = (1 + i k eta) e^{-i k eta}.  So F F^T is
+    the symmetric mode kernel (H^2/k^3) Re[u(eta) u*(eta')] of
+    :func:`desitter_hadamard`'s docstring, and each column tends to its
+    superhorizon limit (H/k^{3/2}, 0) as eta -> 0^-.
+    """
+    t = grid.times()
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = -(dp.k / dp.hubble) * np.exp(-dp.hubble * t)
+        cos, sin = np.cos(x), np.sin(x)
+        factor = (dp.hubble / dp.k**1.5) * np.stack([cos + x * sin, x * cos - sin], axis=1)
+    bad = ~np.isfinite(factor).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(f"de Sitter mode factor of k = {dp.k:g} is not finite at "
+                             f"t = {t[i]:g} (k eta = {x[i]:g}); start the grid later")
+    return factor
+
+
 def psd_factor(kernel: KernelMatrix, clip_tol: float) -> np.ndarray:
     """Factor F of shape (n, rank) with F F^T = kernel after eigenvalue clipping.
 

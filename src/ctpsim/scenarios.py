@@ -5,7 +5,9 @@ colored noise sampled from a squeezed-mode kernel, and reports what the
 ensemble selects.  The noise is multiplied by a per-realization gate that
 latches to zero once a run leaves the unstable region |x|^2 > -2 m2 / lambda,
 after which friction relaxes it into a potential minimum; the ensemble stays
-symmetric while every single run breaks the symmetry.
+symmetric while every single run breaks the symmetry.  Inflation drives each
+de Sitter mode with noise sampled from its own mode kernel and fits the
+spectrum of the frozen modes.
 
 Every ensemble is streamed through blocks of grid columns
 (:func:`ctpsim.langevin.stream_blocks`): what a report needs (pointwise
@@ -23,12 +25,12 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .core import DivergenceError, NumericalError, TimeGrid, derive_seed
-from .kernels import (DeSitterParams, KernelMatrix, build_hadamard,
-                      desitter_hadamard, fluctuation_kernel, squeezed_factor)
+from .kernels import (DeSitterParams, KernelMatrix, build_hadamard, desitter_factor,
+                      fluctuation_kernel, squeezed_factor)
 from .langevin import (ColumnMoments, EnsembleStats, ExponentialStepper,
                        SemiImplicitStepper, SpectrumEstimate, _squared_norm, _time_blocks,
                        estimate_spectrum, relaxation_rate, require_pipeline, stream_blocks)
-from .noise import factor_source, white_source, white_source_bytes
+from .noise import factor_source
 from .noise import sample_colored  # noqa: F401  (perfbench traces it through this module)
 from .squeeze import SqueezeParams
 
@@ -442,12 +444,15 @@ def recursion_probability(paths: np.ndarray, leave_radius: float,
 def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
                   n_realizations: int, master_seed: int,
                   tail_fraction: float = 0.5) -> SpectrumEstimate:
-    """Per-mode overdamped relaxation driven by the superhorizon kernel amplitude.
+    """Per-mode overdamped relaxation driven by noise drawn from the de Sitter mode kernel.
 
-    For each wavenumber the noise amplitude is sqrt(H^2/k^3) (the kernel's
-    superhorizon limit); M overdamped trajectories per mode give a stationary
-    variance estimated over the trailing tail_fraction of the grid, and the
-    fitted log-log slope recovers the k^-3 spectrum.
+    Mode j (in increasing k) draws M realizations from its exact rank-2
+    factor (:func:`ctpsim.kernels.desitter_factor`) with seed
+    derive_seed(master_seed, j).  Once the mode leaves the horizon its noise
+    freezes at (H/k^{3/2}) times a per-realization normal, and the
+    overdamped trajectories relax onto it; the variance over the trailing
+    tail_fraction of the grid is then H^2/k^3 up to Monte Carlo error, and
+    the fitted log-log slope recovers the k^-3 spectrum.
     """
     modes = list(modes)
     if len(modes) < 8:
@@ -477,10 +482,11 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
         raise ValueError(f"tail_fraction {tail_fraction:g} leaves no grid point "
                          f"in the tail of {n}")
 
-    # per mode: the block pipeline, every run's tail and the noise generators
+    # per mode: the block pipeline, every run's tail, the factor and its
+    # transposed copy, and z
     m, width = n_realizations, n - tail_start
-    draw_bytes, draw = white_source_bytes(m)
-    require_pipeline((m, 1, n), 8 * m * width + draw_bytes, f"tails ({m}, {width}) and {draw}")
+    require_pipeline((m, 1, n), 8 * (m * width + 2 * 2 * n + 2 * m),
+                     f"tails ({m}, {width}), the mode factor ({n}, 2) twice and z ({m}, 2)")
     q = np.exp(-rate * grid.dt)
     tail = np.empty((m, width))
 
@@ -491,9 +497,8 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
 
     pairs = []
     for mode_idx, dp in enumerate(sorted(modes, key=lambda d: d.k)):
-        amp = math.sqrt(desitter_hadamard(dp, 0.0, 0.0))
-        draw = white_source(1.0, grid, derive_seed(master_seed, mode_idx), m)
-        stream_blocks(_scaled(draw, amp), ExponentialStepper((m, 1, n), q), keep_tail)
+        draw = factor_source(desitter_factor(dp, grid), derive_seed(master_seed, mode_idx), m)
+        stream_blocks(draw, ExponentialStepper((m, 1, n), q), keep_tail)
         acc = 0.0
         for row in tail:  # np.mean(row ** 2), without its per-call overhead
             acc += float(np.add.reduce(row ** 2) / width)

@@ -192,7 +192,12 @@ class TestExitCodes:
         ("squeeze", {"mass": 1e-300, "omega": 5e-324}, 2,
          ["squeeze.hbar", "squeeze.mass", "squeeze.omega"]),
         ("squeeze", {"mass": 1e-160, "omega": 1e-160}, 2,
-         ["squeeze.hbar", "squeeze.mass", "squeeze.omega"])])
+         ["squeeze.hbar", "squeeze.mass", "squeeze.omega"]),
+        # 2 phi overflows, so cos(2 phi) of the hadamard kernel is undefined
+        ("noise", {"kind": "hadamard", "phi": 1.7976931348623157e308}, 2, ["noise.phi"]),
+        ("noise", {"kind": "fluctuation", "phi": -1e308}, 2, ["noise.phi"]),
+        ("kernels", {"kind": "hadamard", "phi": 1.7976931348623157e308}, 2,
+         ["kernels.phi"])])
     def test_out_of_range_config_names_its_key(self, tmp_path, capsys, sub, section, code,
                                                names):
         path = write_config(tmp_path, {"n_realizations": 1, sub: dict(section, n_points=3)})
@@ -202,6 +207,11 @@ class TestExitCodes:
         assert all(name in err for name in names), err
         assert "Traceback" not in err
         assert not (out / "manifest.json").exists()
+
+    def test_retarded_kernel_reads_no_phi(self, tmp_path):
+        path = write_config(tmp_path, {"kernels": {"kind": "retarded", "n_points": 3,
+                                                   "phi": 1.7976931348623157e308}})
+        assert main(["kernels", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_negative_squeeze_start_names_its_key(self, tmp_path, capsys):
         path = write_config(tmp_path, {"squeeze": {"t_start": -1.0, "n_points": 3}})
@@ -543,7 +553,7 @@ class TestMemory:
 
     # the streamed runners hold block buffers, not an (M, d, n) array: at M 400 the
     # budget they check covers the traced peak, which is below one array (measured:
-    # langevin 0.390, ssb 0.399, bec 0.286, inflation 0.704 of a (M, d, 3001) array,
+    # langevin 0.390, ssb 0.399, bec 0.286, inflation 0.708 of a (M, d, 3001) array,
     # most of inflation's being its (M, 1500) tails).  The langevin and inflation
     # bounds sit below the peaks of a pipeline that also held a stepper's private
     # copy of each noise block (0.484, 0.798); the ssb and bec bounds below those of
@@ -593,13 +603,14 @@ class TestMemory:
         6 (M, d, 257) float64 slabs of block buffers (fewer columns when n is
         smaller), plus what each run holds beside them: langevin 6 result
         columns of n, ssb its mean and variance, inflation every realization's
-        tail of n // 2 points.  The white-noise runs also keep a 1 KB generator
-        per row group of 64 realizations and a (256, 64) draw buffer.
+        tail of n // 2 points, its (n, 2) mode factor twice and its (M, 2)
+        normals.  The white-noise run also keeps a 1 KB generator per row group
+        of 64 realizations and a (256, 64) draw buffer.
         """
         slabs = 6 * m * d * min(n, 257) * 8
         draw = -(-m // 64) * 1024 + 256 * 64 * 8
         return slabs + {"langevin": 6 * n * 8 + draw, "ssb": 2 * n * 8, "bec": 0,
-                        "inflation": m * (n - 1) // 2 * 8 + draw}[sub]
+                        "inflation": (m * (n - 1) // 2 + 4 * n + 2 * m) * 8}[sub]
 
     # d: the components of the run's (M, d, n) ensemble
     @pytest.mark.parametrize("sub, d", [

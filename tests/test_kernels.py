@@ -9,7 +9,7 @@ from ctpsim.core import ConfigError, NumericalError, make_grid
 from ctpsim.kernels import (ADVANCED, RETARDED, SYMMETRIC, ContourMatrix,
                             DeSitterParams, KernelMatrix,
                             build_contour_matrix, build_hadamard,
-                            build_retarded, desitter_hadamard,
+                            build_retarded, desitter_factor, desitter_hadamard,
                             elementwise_power, fluctuation_kernel,
                             keldysh_rotate, memory_kernel, psd_factor,
                             psd_project, squeezed_factor)
@@ -399,6 +399,37 @@ class TestDeSitterKernel:
             DeSitterParams(hubble=0.0, k=1.0, coupling=1.0, background=1.0)
         with pytest.raises(ValueError):
             DeSitterParams(hubble=1.0, k=-1.0, coupling=1.0, background=1.0)
+
+    @pytest.mark.parametrize("hubble", [1.0, 2.0])
+    @pytest.mark.parametrize("k", [0.5, 2.0, 15.8])
+    def test_factor_is_the_symmetric_mode_kernel(self, k, hubble):
+        # (H^2/k^3) ((1 + k^2 eta eta') cos(k d) + k d sin(k d)), d = eta - eta'
+        grid = make_grid(0.0, 30.0, 3001)
+        factor = desitter_factor(DeSitterParams(hubble, k, 1.0, 1.0), grid)
+        eta = -np.exp(-hubble * grid.times()) / hubble
+        d = eta[:, None] - eta[None, :]
+        kernel = (hubble**2 / k**3) * ((1.0 + k * k * np.outer(eta, eta)) * np.cos(k * d)
+                                       + k * d * np.sin(k * d))
+        err = np.max(np.abs(factor @ factor.T - kernel))
+        assert err <= 1e-13 * np.max(np.abs(kernel))
+
+    @pytest.mark.parametrize("hubble", [1.0, 2.0])
+    @pytest.mark.parametrize("k", [0.5, 2.0, 15.8])
+    def test_factor_tends_to_its_superhorizon_limit(self, k, hubble):
+        factor = desitter_factor(DeSitterParams(hubble, k, 1.0, 1.0),
+                                 make_grid(0.0, 30.0, 3001))
+        assert math.isclose(factor[-1, 0], hubble / k**1.5, rel_tol=1e-14)
+        assert abs(factor[-1, 1]) <= 1e-30 * factor[-1, 0]
+
+    def test_factor_has_rank_two(self):
+        factor = desitter_factor(self.DP, make_grid(0.0, 30.0, 3001))
+        assert factor.shape == (3001, 2)
+        assert np.linalg.matrix_rank(factor) == 2
+
+    def test_factor_overflow_names_the_time(self):
+        # eta = -e^{-H t}/H overflows float64 before t = -710 / H
+        with pytest.raises(NumericalError, match=r"not finite at t = -1000"):
+            desitter_factor(self.DP, make_grid(-1000.0, 0.0, 11))
 
 
 class TestPsdProject:

@@ -12,7 +12,7 @@ import numpy as np
 
 from ctpsim import scenarios
 from ctpsim.core import DivergenceError, derive_seed
-from ctpsim.kernels import desitter_hadamard
+from ctpsim.kernels import desitter_factor
 from ctpsim.langevin import (ExponentialStepper, SemiImplicitStepper, _time_blocks,
                              aggregate_paths, estimate_spectrum, relaxation_rate)
 from ctpsim.noise import draw_from_factor, sample_white
@@ -89,8 +89,7 @@ def inflation(modes, grid, m, master_seed, tail_fraction=0.5):
     q = np.exp(-relaxation_rate(modes[0]) * grid.dt)
     pairs = []
     for mode_idx, dp in enumerate(sorted(modes, key=lambda d: d.k)):
-        amp = math.sqrt(desitter_hadamard(dp, 0.0, 0.0))
-        phi = sample_white(1.0, grid, derive_seed(master_seed, mode_idx), m).realizations * amp
+        phi = draw_from_factor(desitter_factor(dp, grid), derive_seed(master_seed, mode_idx), m)
         step(ExponentialStepper((m, 1, n), q), phi[:, None, :])
         acc = 0.0
         for row in phi:
