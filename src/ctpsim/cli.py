@@ -34,7 +34,8 @@ from .kernels import (DeSitterParams, KernelMatrix, build_contour_matrix,
 from .langevin import PotentialSpec, run_white_ensemble
 from .langevin import ensemble_run  # noqa: F401  (perfbench traces it through this module)
 from .noise import NoiseEnsemble, draw_from_factor, hs_moment_check, sample_white
-from .scenarios import BECConfig, SSBConfig, run_bec, run_inflation, run_ssb
+from .scenarios import (BECConfig, NonStationaryTail, SSBConfig, run_bec, run_inflation,
+                        run_ssb)
 from .squeeze import (DEFAULT_SQUEEZE_ANGLE, SqueezeParams, bogolubov_coefficients,
                       mode_two_point, particle_number, quadrature_variances)
 
@@ -121,7 +122,7 @@ _SECTION_SCHEMAS: dict[str, dict] = {
         "phi0": (float, 1.0, _POSITIVE),
         "k_min": (float, 0.5, _POSITIVE),
         "decades": (float, 1.5, _POSITIVE),
-        "n_modes": (int, 10, _GE2),
+        "n_modes": (int, 10, (lambda v: v >= 8, "must be >= 8")),
         "tail_fraction": (float, 0.5, _FRACTION),
         **_grid_keys(30.0, 3001),
     },
@@ -471,10 +472,19 @@ def _cmd_inflation(cfg: dict, out: Path) -> list[str]:
     if not all(0.0 < c < math.inf for c in cubes):  # the amplitude is H^2 / k^3
         raise ConfigError(f"inflation.k_min {sec['k_min']:g} over inflation.decades "
                           f"{sec['decades']:g} puts k^3 beyond float64")
+    if max(ks) / min(ks) < 10.0:  # run_inflation's check, in the config's keys
+        raise ConfigError(f"insufficient k span: inflation.k_min {sec['k_min']:g} over "
+                          f"inflation.decades {sec['decades']:g} gives k_max / k_min "
+                          f"{max(ks) / min(ks):.17g}, need >= 10")
     modes = [DeSitterParams(hubble=sec["hubble"], k=k, coupling=sec["lambda"],
                             background=sec["phi0"]) for k in ks]
-    est = run_inflation(modes, grid, cfg["n_realizations"], cfg["master_seed"],
-                        sec["tail_fraction"])
+    try:
+        est = run_inflation(modes, grid, cfg["n_realizations"], cfg["master_seed"],
+                            sec["tail_fraction"])
+    except NonStationaryTail as err:
+        raise NumericalError(
+            f"{err} (inflation.t_end and inflation.tail_fraction set the window, the rate "
+            f"is inflation.lambda * inflation.phi0^2 / (6 inflation.hubble))") from err
     _write_table(out / "spectrum.csv", "k,variance", np.column_stack([est.k, est.variances]))
     report = {
         "scenario": "inflation",

@@ -9,12 +9,12 @@ Three dynamical equations are integrated on fixed uniform grids:
 The stepping scheme is fixed: semi-implicit Euler with the damping folded in
 implicitly, v' = (v + dt f)/(1 + gamma dt), x' = x + dt v'.  It is symplectic
 in the frictionless limit and stable for stiff friction.  The overdamped
-equation uses an exponential-integrator step that is exact for linear decay.
+equation uses an exponential-integrator step that is exact for linear decay;
+it is linear in its drive, so inflation steps only its factor columns.
 
-Ensembles are stepped all realizations at once by :class:`SemiImplicitStepper`
-and :class:`ExponentialStepper`, one block of 256 grid columns at a time.
-They apply the same elementwise operations in the same order as the
-single-path :func:`integrate_white` and :func:`integrate_overdamped_mode`, so
+Ensembles are stepped all realizations at once by :class:`SemiImplicitStepper`,
+one block of 256 grid columns at a time.  It applies the same elementwise
+operations in the same order as the single-path :func:`integrate_white`, so
 every row is bit-identical to the single-path result and does not depend on
 the ensemble size.  The runners stream (:func:`stream_blocks`): each block's
 noise is drawn into one reused time-major (w, M, d) buffer, stepped from it
@@ -228,21 +228,23 @@ def integrate_overdamped_mode(dp: DeSitterParams, noise_amp: float, grid: TimeGr
 
     phi_{i+1} = q phi_i + (1 - q) amp xi_i with q = exp(-a dt): exact for
     linear decay and for piecewise-constant drive.  xdot holds the right-hand
-    side evaluated on the grid.
+    side evaluated on the grid.  The loop runs on Python floats, whose
+    arithmetic is float64's.
     """
     a = relaxation_rate(dp)
     if a <= 0:
         raise ValueError("non-positive relaxation rate: lambda phi0^2 must be > 0")
     xi = _check_noise(grid, xi)
-    n = grid.n_points
-    q = np.exp(-a * grid.dt)
-    phi = np.empty(n)
-    phi[0] = float(phi_init)
+    q = float(np.exp(-a * grid.dt))
+    w = 1.0 - q
     drive = noise_amp * xi
-    for i in range(n - 1):
-        phi[i + 1] = q * phi[i] + (1.0 - q) * drive[i]
-    rhs = -a * (phi - drive)
-    return Trajectory(grid, phi, rhs)
+    phi = float(phi_init)
+    phis = [phi]
+    for term in drive[:-1].tolist():
+        phi = q * phi + w * term
+        phis.append(phi)
+    phis = np.array(phis)
+    return Trajectory(grid, phis, -a * (phis - drive))
 
 
 def _time_blocks(n: int) -> list[slice]:
@@ -401,41 +403,6 @@ class SemiImplicitStepper:
         self.close[hit] = step
         rest[:, hit] *= 0.0
         return bool(self.gate.any())
-
-
-class ExponentialStepper:
-    """M paths of phi_{i+1} = q phi_i + (1 - q) drive_i, stepped one column block at a time.
-
-    shape is (M, d, n); :meth:`step` reads a block (w, M, d), scaled by 1 - q
-    in place, and returns a view of ``phis`` as :meth:`SemiImplicitStepper.step`
-    does.  Each step is that of
-    :func:`integrate_overdamped_mode` (with drive = amp xi): q phi, then
-    (1 - q) drive, then their sum, elementwise, so each row equals the
-    single-path result bit for bit.  q and 1 - q are held as 0-d float64
-    arrays.  phi0 broadcasts to (M, d).
-    """
-
-    def __init__(self, shape: tuple[int, int, int], q: float, phi0=0.0):
-        m, d, n = shape
-        self.shape = shape
-        self.q = np.array(q, dtype=float)
-        self.w = np.array(1.0 - q, dtype=float)
-        rows = _block_width(n)
-        self.phis = np.empty((rows, m, d))
-        self.phis[0] = phi0
-        self.rows, self.carry = list(self.phis), 0  # carry as in SemiImplicitStepper
-
-    def step(self, block: np.ndarray, cols: slice) -> np.ndarray:
-        width = cols.stop - cols.start
-        steps = width if cols.stop < self.shape[2] else width - 1
-        phis, phi_rows, q = self.phis, self.rows, self.q
-        carry, self.carry = self.carry, steps
-        phis[0] = phis[carry]
-        drive = np.multiply(block[:steps], self.w, out=block[:steps])
-        for j, drive_row in enumerate(drive):
-            phi = np.multiply(phi_rows[j], q, out=phi_rows[j + 1])
-            np.add(phi, drive_row, out=phi)
-        return phis[:width]
 
 
 def stream_blocks(fill, stepper, reduce) -> None:

@@ -9,11 +9,12 @@ symmetric while every single run breaks the symmetry.  Inflation drives each
 de Sitter mode with noise sampled from its own mode kernel and fits the
 spectrum of the frozen modes.
 
-Every ensemble is streamed through blocks of grid columns
+The ssb and bec ensembles are streamed through blocks of grid columns
 (:func:`ctpsim.langevin.stream_blocks`): what a report needs (pointwise
-statistics, the recursion count, final values, the gate close steps,
-inflation's tails) is reduced block by block, so a run holds block buffers
-and its result columns, never an (M, d, n) array.
+statistics, the recursion count, final values, the gate close steps) is
+reduced block by block, so a run holds block buffers and its result columns,
+never an (M, d, n) array.  Inflation's modes are linear in their rank-2 noise,
+so each is reduced through its two stepped factor columns and holds no path.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .core import DivergenceError, NumericalError, TimeGrid, derive_seed
+from .core import DivergenceError, NumericalError, TimeGrid, derive_seed, require_memory
 from .kernels import (DeSitterParams, KernelMatrix, build_hadamard, desitter_factor,
                       fluctuation_kernel, squeezed_factor)
-from .langevin import (ColumnMoments, EnsembleStats, ExponentialStepper,
-                       SemiImplicitStepper, SpectrumEstimate, _squared_norm, _time_blocks,
-                       estimate_spectrum, relaxation_rate, require_pipeline, stream_blocks)
-from .noise import factor_source
+from .langevin import (ColumnMoments, EnsembleStats, SemiImplicitStepper, SpectrumEstimate,
+                       _squared_norm, _time_blocks, estimate_spectrum,
+                       integrate_overdamped_mode, relaxation_rate, require_pipeline,
+                       stream_blocks)
+from .noise import _standard_normals, factor_source
 from .noise import sample_colored  # noqa: F401  (perfbench traces it through this module)
 from .squeeze import SqueezeParams
 
@@ -441,18 +443,40 @@ def recursion_probability(paths: np.ndarray, leave_radius: float,
     return count.fraction()
 
 
+def _tail_gram(dp: DeSitterParams, grid: TimeGrid, tail_start: int):
+    """(G00, G01, G11): the tail means of P_k P_l, P_k the mode's factor column k stepped from 0.
+
+    A function of its own, so one mode's columns are freed before the next
+    mode's are stepped.
+    """
+    p0, p1 = (integrate_overdamped_mode(dp, 1.0, grid, column, 0.0).x[tail_start:]
+              for column in desitter_factor(dp, grid).T)
+    width = p0.size
+    return (np.add.reduce(p0 * p0) / width, np.add.reduce(p0 * p1) / width,
+            np.add.reduce(p1 * p1) / width)
+
+
+class NonStationaryTail(NumericalError):
+    """The tail window of :func:`run_inflation` opens before the modes have relaxed."""
+
+
 def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
                   n_realizations: int, master_seed: int,
                   tail_fraction: float = 0.5) -> SpectrumEstimate:
     """Per-mode overdamped relaxation driven by noise drawn from the de Sitter mode kernel.
 
-    Mode j (in increasing k) draws M realizations from its exact rank-2
-    factor (:func:`ctpsim.kernels.desitter_factor`) with seed
-    derive_seed(master_seed, j).  Once the mode leaves the horizon its noise
-    freezes at (H/k^{3/2}) times a per-realization normal, and the
-    overdamped trajectories relax onto it; the variance over the trailing
-    tail_fraction of the grid is then H^2/k^3 up to Monte Carlo error, and
-    the fitted log-log slope recovers the k^-3 spectrum.
+    Mode j (in increasing k) drives realization i with F z_i: F its exact
+    rank-2 factor (:func:`ctpsim.kernels.desitter_factor`), z_i row i of the
+    (M, 2) normals of seed derive_seed(master_seed, j).  Once the mode leaves
+    the horizon its noise freezes at (H/k^{3/2}) times a per-realization
+    normal, and the overdamped paths relax onto it; the variance over the
+    trailing tail_fraction of the grid is then H^2/k^3 up to Monte Carlo
+    error, and the fitted log-log slope recovers the k^-3 spectrum.  The
+    step is linear and starts at 0, so path i is z_i0 P_0 + z_i1 P_1, P_k
+    column k stepped by :func:`ctpsim.langevin.integrate_overdamped_mode`,
+    and its tail mean square is z_i^T G z_i (:func:`_tail_gram`): no path is
+    formed.  Every sum is an elementwise ufunc or np.add.reduce, none a
+    product whose summation order depends on the BLAS build.
     """
     modes = list(modes)
     if len(modes) < 8:
@@ -467,6 +491,8 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
         raise ValueError("modes must share (H, lambda, phi0)")
     if not 0 < tail_fraction < 1:
         raise ValueError("tail_fraction must be in (0, 1)")
+    if n_realizations < 1:
+        raise ValueError("n_realizations must be >= 1")
 
     rate = relaxation_rate(modes[0])
     if rate <= 0:
@@ -475,32 +501,25 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
     tail_start = int(math.floor((1.0 - tail_fraction) * (n - 1))) + 1
     t_settle = (tail_start - 1) * grid.dt
     if rate * t_settle < 5.0:
-        raise NumericalError(
+        raise NonStationaryTail(
             f"non-stationary tail: only {rate * t_settle:.2f} relaxation times "
             f"elapse before the tail window; extend the grid or raise the rate")
     if tail_start >= n:
         raise ValueError(f"tail_fraction {tail_fraction:g} leaves no grid point "
                          f"in the tail of {n}")
 
-    # per mode: the block pipeline, every run's tail, the factor and its
-    # transposed copy, and z
-    m, width = n_realizations, n - tail_start
-    require_pipeline((m, 1, n), 8 * (m * width + 2 * 2 * n + 2 * m),
-                     f"tails ({m}, {width}), the mode factor ({n}, 2) twice and z ({m}, 2)")
-    q = np.exp(-rate * grid.dt)
-    tail = np.empty((m, width))
-
-    def keep_tail(paths, cols):
-        start = max(cols.start, tail_start)
-        if start < cols.stop:
-            tail[:, start - tail_start:cols.stop - tail_start] = paths[start - cols.start:, :, 0].T
-
+    m = n_realizations
+    # at most, per mode: the (n, 2) factor, one stepped column, the other's drive
+    # and its step's two lists of n Python floats (an 8-byte pointer and a
+    # 32-byte float block a point, 5 values); z (M, 2), its forms and their
+    # temporaries, beside the last mode's z and forms
+    require_memory(8 * (14 * n + 6 * m),
+                   f"the mode factor ({n}, 2), 2 columns and 2 float lists of {n}, "
+                   f"z ({m}, 2) and 4 rows of {m}")
     pairs = []
     for mode_idx, dp in enumerate(sorted(modes, key=lambda d: d.k)):
-        draw = factor_source(desitter_factor(dp, grid), derive_seed(master_seed, mode_idx), m)
-        stream_blocks(draw, ExponentialStepper((m, 1, n), q), keep_tail)
-        acc = 0.0
-        for row in tail:  # np.mean(row ** 2), without its per-call overhead
-            acc += float(np.add.reduce(row ** 2) / width)
-        pairs.append((dp.k, acc / m))
+        g00, g01, g11 = _tail_gram(dp, grid, tail_start)
+        z0, z1 = _standard_normals(derive_seed(master_seed, mode_idx), m, 2).T
+        forms = z0 * z0 * g00 + 2.0 * z0 * z1 * g01 + z1 * z1 * g11
+        pairs.append((dp.k, float(np.add.reduce(forms) / m)))
     return estimate_spectrum(pairs)

@@ -4,8 +4,8 @@ These deliberately avoid the library's own code paths: flows come from
 scipy's matrix exponential, stationary moments from the Lyapunov solver, and
 the memory-scheme reference from a dense simultaneous solve.  The row-group
 draw rule, the factor draw's k-ordered sum, the gated scenario stepper, the
-memory integrator's history sum and the recursion count are checked against
-plain loops, and the ensemble statistics against their former
+memory integrator's history sum, the overdamped step and the recursion count
+are checked against plain loops, and the ensemble statistics against their former
 temporaries-allocating formula.
 """
 
@@ -135,6 +135,23 @@ def memory_loop_oracle(omega, kernel_values, grid, xi, x0, v0):
         vs[i + 1] = vs[i] + dt * a
         xs[i + 1] = xs[i] + dt * vs[i + 1]
     return xs, vs
+
+
+def overdamped_loop_oracle(dp, noise_amp, grid, xi, phi_init):
+    """(phi, rhs) of integrate_overdamped_mode by its former loop over numpy scalars.
+
+    phi[i + 1] = q phi[i] + (1 - q) drive[i] with q = exp(-a dt) a numpy
+    float64 and phi a preallocated array, rhs = -a (phi - drive).
+    """
+    a = dp.coupling * dp.background**2 / (6.0 * dp.hubble)
+    n = grid.n_points
+    q = np.exp(-a * grid.dt)
+    phi = np.empty(n)
+    phi[0] = float(phi_init)
+    drive = noise_amp * xi
+    for i in range(n - 1):
+        phi[i + 1] = q * phi[i] + (1.0 - q) * drive[i]
+    return phi, -a * (phi - drive)
 
 
 def gated_loop_oracle(cfg, noise):

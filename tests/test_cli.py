@@ -197,7 +197,14 @@ class TestExitCodes:
         ("noise", {"kind": "hadamard", "phi": 1.7976931348623157e308}, 2, ["noise.phi"]),
         ("noise", {"kind": "fluctuation", "phi": -1e308}, 2, ["noise.phi"]),
         ("kernels", {"kind": "hadamard", "phi": 1.7976931348623157e308}, 2,
-         ["kernels.phi"])])
+         ["kernels.phi"]),
+        # inflation's run-time checks: too few modes, under a decade of k, and under
+        # 5 relaxation times before the tail window
+        ("inflation", {"n_modes": 5}, 1, ["inflation.n_modes"]),
+        ("inflation", {"decades": 0.5}, 1, ["inflation.decades", "inflation.k_min"]),
+        ("inflation", {"t_end": 3.0}, 2,
+         ["inflation.t_end", "inflation.tail_fraction", "inflation.lambda", "inflation.phi0",
+          "inflation.hubble"])])
     def test_out_of_range_config_names_its_key(self, tmp_path, capsys, sub, section, code,
                                                names):
         path = write_config(tmp_path, {"n_realizations": 1, sub: dict(section, n_points=3)})
@@ -553,18 +560,26 @@ class TestMemory:
 
     # the streamed runners hold block buffers, not an (M, d, n) array: at M 400 the
     # budget they check covers the traced peak, which is below one array (measured:
-    # langevin 0.390, ssb 0.399, bec 0.286, inflation 0.708 of a (M, d, 3001) array,
-    # most of inflation's being its (M, 1500) tails).  The langevin and inflation
-    # bounds sit below the peaks of a pipeline that also held a stepper's private
-    # copy of each noise block (0.484, 0.798); the ssb and bec bounds below those of
-    # a gated stepper that kept a (w, M) history of |x|^2 (0.495, 0.334)
+    # langevin 0.390, ssb 0.399, bec 0.286 of a (M, d, 3001) array).  The langevin
+    # bound sits below the peak of a pipeline that also held a stepper's private
+    # copy of each noise block (0.484); the ssb and bec bounds below those of a
+    # gated stepper that kept a (w, M) history of |x|^2 (0.495, 0.334)
     @pytest.mark.parametrize("sub, d, bound", [
-        ("langevin", 1, 0.45), ("ssb", 1, 0.45), ("bec", 2, 0.31), ("inflation", 1, 0.76)])
+        ("langevin", 1, 0.45), ("ssb", 1, 0.45), ("bec", 2, 0.31)])
     def test_traced_peak_is_block_buffers(self, tmp_path, sub, d, bound):
         m, n = 400, 3001
         peak = self._traced_peak(self._args(tmp_path, sub, n, m))
         assert peak <= self._budget(sub, m, d, n)
         assert peak <= bound * m * d * n * 8
+
+    def test_inflation_holds_no_path(self, tmp_path):
+        # each mode steps its two factor columns and forms M quadratic forms, so
+        # the peak is O(n + M) (measured: 0.032 of a (400, 3001) array, where the
+        # block pipeline with (M, 1500) tails held 0.708)
+        m, n = 400, 3001
+        peak = self._traced_peak(self._args(tmp_path, "inflation", n, m))
+        assert peak <= self._budget("inflation", m, 1, n)
+        assert peak <= 0.05 * m * n * 8
 
     # colored noise holds its (M, n) rows, the summary's deviations and an (n, r)
     # factor, never an n x n kernel (here 80 times the (M, n) rows)
@@ -576,10 +591,11 @@ class TestMemory:
         args = ["noise", "--config", str(path), "--out", str(tmp_path / "out")]
         assert self._traced_peak(args) <= 2.3 * self.M * n * 8
 
-    @pytest.mark.parametrize("sub", ["langevin", "ssb", "bec"])
+    @pytest.mark.parametrize("sub", ["langevin", "ssb", "bec", "inflation"])
     def test_traced_peak_does_not_grow_with_n(self, tmp_path, sub):
-        # doubling n adds result columns of n values (measured: 4.0 to 5.6), never
-        # an ensemble array, which at M 400 would add 400 values per grid point
+        # doubling n adds result columns of n values (measured: 4.0 to 5.6, and 12.1
+        # for inflation's factor, columns and float lists), never an ensemble array,
+        # which at M 400 would add 400 values per grid point
         m, n = 400, 1501
         small = self._traced_peak(self._args(tmp_path, sub, n, m))
         large = self._traced_peak(self._args(tmp_path, sub, 2 * n, m))
@@ -598,19 +614,22 @@ class TestMemory:
 
     @staticmethod
     def _budget(sub, m, d, n) -> int:
-        """The bytes a streamed run checks against physical memory.
+        """The bytes a run checks against physical memory.
 
-        6 (M, d, 257) float64 slabs of block buffers (fewer columns when n is
-        smaller), plus what each run holds beside them: langevin 6 result
-        columns of n, ssb its mean and variance, inflation every realization's
-        tail of n // 2 points, its (n, 2) mode factor twice and its (M, 2)
-        normals.  The white-noise run also keeps a 1 KB generator per row group
-        of 64 realizations and a (256, 64) draw buffer.
+        A streamed run holds 6 (M, d, 257) float64 slabs of block buffers (fewer
+        columns when n is smaller), plus langevin 6 result columns of n and ssb
+        its mean and variance.  The white-noise run also keeps a 1 KB generator
+        per row group of 64 realizations and a (256, 64) draw buffer.
+        inflation holds no block buffers: 14 values per grid point (its (n, 2)
+        mode factor, two columns and two lists of Python floats at 5 values a
+        point) and 6 per realization (z, its forms and their temporaries, and
+        the last mode's z and forms).
         """
+        if sub == "inflation":
+            return (14 * n + 6 * m) * 8
         slabs = 6 * m * d * min(n, 257) * 8
         draw = -(-m // 64) * 1024 + 256 * 64 * 8
-        return slabs + {"langevin": 6 * n * 8 + draw, "ssb": 2 * n * 8, "bec": 0,
-                        "inflation": (m * (n - 1) // 2 + 4 * n + 2 * m) * 8}[sub]
+        return slabs + {"langevin": 6 * n * 8 + draw, "ssb": 2 * n * 8, "bec": 0}[sub]
 
     # d: the components of the run's (M, d, n) ensemble
     @pytest.mark.parametrize("sub, d", [

@@ -2,7 +2,8 @@
 
 Each runner draws, steps and reduces one block of grid columns at a time;
 the references in ``whole_array`` draw the whole noise array, step it in
-place and reduce the paths afterwards.  The sizes cross the block boundaries:
+place and reduce the paths afterwards.  run_inflation, which steps two factor
+columns per mode instead of M paths, equals its path reference to roundoff.  The sizes cross the block boundaries:
 n = 257 and 513 end in a one-column block that joins the block before it,
 n = 258 and 514 in a two-column one.
 """
@@ -106,10 +107,11 @@ class TestRunnersEqualWholeArray:
         modes = [DeSitterParams(hubble=1.0, k=float(k), coupling=6.0, background=1.0)
                  for k in 0.5 * 10.0 ** (1.5 * np.arange(8) / 7)]
         grid = make_grid(0.0, 30.0, n)
+        # the tail mean square of path i is z_i^T G z_i exactly in real arithmetic
         got = run_inflation(modes, grid, m, seed, tail_fraction)
         ref = whole_array.inflation(modes, grid, m, seed, tail_fraction)
-        assert same_bits(got.variances, ref.variances)
-        assert got.slope == ref.slope
+        assert np.all(np.abs(got.variances / ref.variances - 1.0) <= 1e-12)
+        assert abs(got.slope - ref.slope) <= 1e-12
 
 
 class TestNoiseBlocks:

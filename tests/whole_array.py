@@ -4,6 +4,8 @@ Each function is the algorithm the runners used before they streamed: draw
 the whole (M, d, n) noise array, step it into the paths (:func:`step`), then
 reduce the paths with aggregate_paths and recursion_probability.  The
 streamed runners must reproduce these values bit for bit, failures included.
+:func:`inflation` steps every realization's path, which run_inflation never
+forms; it agrees with run_inflation to roundoff.
 """
 
 import math
@@ -13,8 +15,8 @@ import numpy as np
 from ctpsim import scenarios
 from ctpsim.core import DivergenceError, derive_seed
 from ctpsim.kernels import desitter_factor
-from ctpsim.langevin import (ExponentialStepper, SemiImplicitStepper, _time_blocks,
-                             aggregate_paths, estimate_spectrum, relaxation_rate)
+from ctpsim.langevin import (SemiImplicitStepper, _time_blocks, aggregate_paths,
+                             estimate_spectrum, integrate_overdamped_mode)
 from ctpsim.noise import draw_from_factor, sample_white
 
 
@@ -83,16 +85,19 @@ def langevin(pot, gamma, grid, sigma2, seed, m, x0, v0):
 
 
 def inflation(modes, grid, m, master_seed, tail_fraction=0.5):
-    """The spectrum estimate of run_inflation from each mode's whole path array."""
+    """The spectrum estimate of run_inflation from each mode's M stepped paths.
+
+    Row i of mode j's draw_from_factor noise drives realization i through
+    integrate_overdamped_mode from 0; the tail mean squares are summed row by row.
+    """
     n = grid.n_points
     tail_start = int(math.floor((1.0 - tail_fraction) * (n - 1))) + 1
-    q = np.exp(-relaxation_rate(modes[0]) * grid.dt)
     pairs = []
     for mode_idx, dp in enumerate(sorted(modes, key=lambda d: d.k)):
-        phi = draw_from_factor(desitter_factor(dp, grid), derive_seed(master_seed, mode_idx), m)
-        step(ExponentialStepper((m, 1, n), q), phi[:, None, :])
+        noise = draw_from_factor(desitter_factor(dp, grid), derive_seed(master_seed, mode_idx), m)
         acc = 0.0
-        for row in phi:
-            acc += float(np.mean(row[tail_start:] ** 2))
+        for xi in noise:
+            phi = integrate_overdamped_mode(dp, 1.0, grid, xi, 0.0).x
+            acc += float(np.mean(phi[tail_start:] ** 2))
         pairs.append((dp.k, acc / m))
     return estimate_spectrum(pairs)
