@@ -31,11 +31,11 @@ from .core import (ConfigError, NumericalError, TimeGrid, derive_seed, make_grid
 from .kernels import (DeSitterParams, KernelMatrix, build_contour_matrix,
                       build_hadamard, build_retarded, fluctuation_kernel,
                       keldysh_rotate, memory_kernel, squeezed_factor)
-from .langevin import PotentialSpec, run_white_ensemble
+from .langevin import PotentialSpec, relaxation_rate, run_white_ensemble
 from .langevin import ensemble_run  # noqa: F401  (perfbench traces it through this module)
 from .noise import NoiseEnsemble, draw_from_factor, hs_moment_check, sample_white
-from .scenarios import (BECConfig, NonStationaryTail, SSBConfig, run_bec, run_inflation,
-                        run_ssb)
+from .scenarios import (BECConfig, EmptyTail, NonStationaryTail, SSBConfig, run_bec,
+                        run_inflation, run_ssb)
 from .squeeze import (DEFAULT_SQUEEZE_ANGLE, SqueezeParams, bogolubov_coefficients,
                       mode_two_point, particle_number, quadrature_variances)
 
@@ -478,6 +478,11 @@ def _cmd_inflation(cfg: dict, out: Path) -> list[str]:
                           f"{max(ks) / min(ks):.17g}, need >= 10")
     modes = [DeSitterParams(hubble=sec["hubble"], k=k, coupling=sec["lambda"],
                             background=sec["phi0"]) for k in ks]
+    rate = relaxation_rate(modes[0])
+    if rate <= 0:  # run_inflation's check, in the config's keys
+        raise ConfigError(f"non-positive relaxation rate: inflation.lambda {sec['lambda']:g} "
+                          f"* inflation.phi0 {sec['phi0']:g}^2 / (6 inflation.hubble "
+                          f"{sec['hubble']:g}) is {rate:g}, must be > 0")
     try:
         est = run_inflation(modes, grid, cfg["n_realizations"], cfg["master_seed"],
                             sec["tail_fraction"])
@@ -485,6 +490,12 @@ def _cmd_inflation(cfg: dict, out: Path) -> list[str]:
         raise NumericalError(
             f"{err} (inflation.t_end and inflation.tail_fraction set the window, the rate "
             f"is inflation.lambda * inflation.phi0^2 / (6 inflation.hubble))") from err
+    except EmptyTail as err:
+        raise ConfigError(f"{err} (inflation.tail_fraction of inflation.n_points)") from err
+    except NumericalError as err:  # the only other one: kernels.desitter_factor's
+        raise NumericalError(
+            f"{err} (k eta is -(k / inflation.hubble) exp(-inflation.hubble t) from "
+            f"inflation.t_start, k from inflation.k_min and inflation.decades)") from err
     _write_table(out / "spectrum.csv", "k,variance", np.column_stack([est.k, est.variances]))
     report = {
         "scenario": "inflation",

@@ -19,8 +19,9 @@ every row is bit-identical to the single-path result and does not depend on
 the ensemble size.  The runners stream (:func:`stream_blocks`): each block's
 noise is drawn into one reused time-major (w, M, d) buffer, stepped from it
 and its (w, M, d) paths reduced (:class:`ColumnMoments` for the pointwise
-statistics), so no array of the ensemble's size is held.
-:func:`aggregate_paths` reduces a whole path array over the same blocks.
+statistics, summed over the realizations in their index order), so no array
+of the ensemble's size is held.  :func:`aggregate_paths` reduces a whole
+path array over the same blocks, with the same bits.
 """
 
 from __future__ import annotations
@@ -250,10 +251,10 @@ def integrate_overdamped_mode(dp: DeSitterParams, noise_amp: float, grid: TimeGr
 def _time_blocks(n: int) -> list[slice]:
     """The column blocks of the pipeline: _BLOCK_STEPS columns, the last up to one more.
 
-    No block is one column wide unless n is 1: numpy sums a single column
-    pairwise, not row after row as it sums wider blocks and the whole array,
-    so a trailing one-column block joins the one before it and the sorted
-    column sums of :class:`ColumnMoments` keep the whole-array bits.
+    No block is one column wide unless n is 1: a last block of one column
+    would take 0 steps in :meth:`SemiImplicitStepper.step`, whose divergence
+    check cannot take the max of no positions, so a trailing one-column
+    block joins the one before it.
     """
     stops = list(range(_BLOCK_STEPS, n, _BLOCK_STEPS)) + [n]
     if len(stops) > 1 and stops[-1] - stops[-2] == 1:
@@ -433,7 +434,7 @@ def stream_blocks(fill, stepper, reduce) -> None:
 
 
 #: (M, d, block width) float64 slabs of the pipeline at its peak: the block
-#: buffer, the stepper's positions and velocities, the statistics' sort
+#: buffer, the stepper's positions and velocities, the statistics' copy
 #: buffer and a reducer's temporaries (two slabs); the stepper's |x|^2 is
 #: one (M,) row
 _PIPELINE_SLABS = 6
@@ -455,32 +456,30 @@ def require_pipeline(shape: tuple[int, int, int], extra_bytes: int = 0,
 class ColumnMoments:
     """Pointwise mean and variance of an (M, n) ensemble, reduced column block by column block.
 
-    :meth:`add` takes the paths of some columns time-major, (w, M), w >= 2
-    unless n is 1, and keeps the last column's values as the finals.
-    Reductions run in sorted order so the statistics are invariant under any
-    reordering of the realizations: each block is copied transposed into one
-    (M, w) buffer of the pipeline's block width, sorted and summed for the
-    mean, then its squared deviations are formed, sorted and summed in that
-    buffer.  numpy sums a block of two or more columns row after row, so
-    every column gets the values, in the order, of the whole-array formula.
+    :meth:`add` takes the paths of some columns time-major, (w, M), and
+    keeps the last column's values as the finals.  Each block is copied
+    into one reused C-ordered (w, M) buffer, so each column's M values lie
+    contiguous in realization order whatever the caller's layout, and
+    np.add.reduce sums each such row pairwise (an error bound growing as
+    log M, not M): first the values for the mean, then, in the same buffer,
+    their squared deviations for the variance.  Row i is fixed by (seed, i),
+    so the order and every bit are fixed too.
     """
 
     def __init__(self, m: int, n: int):
         self.mean = np.empty(n)
         self.variance = np.empty(n)
         self.finals = np.empty(m)
-        self.buffer = np.empty((m, _block_width(n)))
+        self.buffer = np.empty((_block_width(n), m))
 
     def add(self, paths: np.ndarray, cols: slice) -> None:
         width, m = paths.shape
-        block = self.buffer[:, :width]
-        np.copyto(block, paths.T)
-        block.sort(axis=0)
-        self.mean[cols] = block.sum(axis=0) / m
-        np.subtract(paths.T, self.mean[cols], out=block)
+        block = self.buffer[:width]
+        np.copyto(block, paths)
+        self.mean[cols] = np.add.reduce(block, axis=1) / m
+        np.subtract(block, self.mean[cols, None], out=block)
         np.multiply(block, block, out=block)
-        block.sort(axis=0)
-        self.variance[cols] = block.sum(axis=0) / m
+        self.variance[cols] = np.add.reduce(block, axis=1) / m
         if cols.stop == len(self.mean):
             self.finals[:] = paths[-1]
 
@@ -493,7 +492,9 @@ def aggregate_paths(grid: TimeGrid, paths: np.ndarray) -> EnsembleStats:
     """Pointwise mean/variance and per-realization final values of an (M, n) path array.
 
     The statistics of :class:`ColumnMoments` over the pipeline's column
-    blocks (:func:`_time_blocks`), as every runner reduces them.
+    blocks (:func:`_time_blocks`), as every runner reduces them.  Each block
+    goes in as a transposed view, which ColumnMoments copies, so the bits do
+    not depend on the memory layout of paths.
     """
     paths = np.asarray(paths, dtype=float)
     if paths.ndim != 2 or paths.shape[1] != grid.n_points:

@@ -25,7 +25,8 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .core import DivergenceError, NumericalError, TimeGrid, derive_seed, require_memory
+from .core import (ConfigError, DivergenceError, NumericalError, TimeGrid, derive_seed,
+                   require_memory)
 from .kernels import (DeSitterParams, KernelMatrix, build_hadamard, desitter_factor,
                       fluctuation_kernel, squeezed_factor)
 from .langevin import (ColumnMoments, EnsembleStats, SemiImplicitStepper, SpectrumEstimate,
@@ -460,6 +461,10 @@ class NonStationaryTail(NumericalError):
     """The tail window of :func:`run_inflation` opens before the modes have relaxed."""
 
 
+class EmptyTail(ConfigError):
+    """The tail window of :func:`run_inflation` holds no grid point."""
+
+
 def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
                   n_realizations: int, master_seed: int,
                   tail_fraction: float = 0.5) -> SpectrumEstimate:
@@ -505,8 +510,8 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
             f"non-stationary tail: only {rate * t_settle:.2f} relaxation times "
             f"elapse before the tail window; extend the grid or raise the rate")
     if tail_start >= n:
-        raise ValueError(f"tail_fraction {tail_fraction:g} leaves no grid point "
-                         f"in the tail of {n}")
+        raise EmptyTail(f"tail_fraction {tail_fraction:g} leaves no grid point "
+                        f"in the tail of {n}")
 
     m = n_realizations
     # at most, per mode: the (n, 2) factor, one stepped column, the other's drive

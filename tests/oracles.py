@@ -206,15 +206,19 @@ def recursion_loop_oracle(paths, leave_radius, return_radius):
 
 
 def aggregate_oracle(paths):
-    """(mean, variance) of an (M, n) path array by the former formula of aggregate_paths.
+    """(mean, variance) of an (M, n) path array, summed one column at a time.
 
-    Sorted column sums over M, with the deviations and their squares each in a
-    fresh array.
+    Each column's M values are copied into a contiguous 1-D array and summed
+    by np.add.reduce in realization order, for the mean and then for the
+    squared deviations, each formed in a fresh array.
     """
-    m = paths.shape[0]
-    mean = np.sort(paths, axis=0).sum(axis=0) / m
-    dev = paths - mean
-    variance = np.sort(dev * dev, axis=0).sum(axis=0) / m
+    m, n = paths.shape
+    mean, variance = np.empty(n), np.empty(n)
+    for j in range(n):
+        column = np.ascontiguousarray(paths[:, j])
+        mean[j] = np.add.reduce(column) / m
+        dev = column - mean[j]
+        variance[j] = np.add.reduce(dev * dev) / m
     return mean, variance
 
 

@@ -204,7 +204,14 @@ class TestExitCodes:
         ("inflation", {"decades": 0.5}, 1, ["inflation.decades", "inflation.k_min"]),
         ("inflation", {"t_end": 3.0}, 2,
          ["inflation.t_end", "inflation.tail_fraction", "inflation.lambda", "inflation.phi0",
-          "inflation.hubble"])])
+          "inflation.hubble"]),
+        # k / H overflows, so the mode factor is not finite at t = 0; lambda phi0^2
+        # underflows to a zero rate; the tail window holds no grid point
+        ("inflation", {"hubble": 5e-324}, 2, ["inflation.hubble", "inflation.t_start"]),
+        ("inflation", {"lambda": 1e-300, "phi0": 1e-100}, 1,
+         ["inflation.lambda", "inflation.phi0", "inflation.hubble"]),
+        ("inflation", {"tail_fraction": 1e-300}, 1,
+         ["inflation.tail_fraction", "inflation.n_points"])])
     def test_out_of_range_config_names_its_key(self, tmp_path, capsys, sub, section, code,
                                                names):
         path = write_config(tmp_path, {"n_realizations": 1, sub: dict(section, n_points=3)})

@@ -308,14 +308,19 @@ class TestEnsemble:
         assert np.max(z) < 5.0
 
     def test_reordering_invariance(self):
+        # the sums run in realization order, so a permutation moves them by roundoff
+        # only: within 1e-12 of the variance, and of the column's root mean square for
+        # the mean, which sits near 0
         rng = np.random.default_rng(8)
         grid = make_grid(0.0, 1.0, 21)
         paths = rng.standard_normal((40, 21))
         perm = rng.permutation(40)
         a = aggregate_paths(grid, paths)
         b = aggregate_paths(grid, paths[perm])
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.variance, b.variance)
+        assert np.array_equal(b.per_run_finals, a.per_run_finals[perm])
+        rms = np.sqrt(np.mean(paths * paths, axis=0))
+        assert np.all(np.abs(b.mean - a.mean) <= 1e-12 * rms)
+        assert np.all(np.abs(b.variance - a.variance) <= 1e-12 * a.variance)
 
     @settings(max_examples=100, deadline=None)
     @given(paths=hnp.arrays(float, st.tuples(st.integers(1, 40), st.integers(2, 40)),
@@ -515,7 +520,7 @@ class TestBatchedSteppers:
 
 
 class TestBlockedAggregate:
-    """aggregate_paths reduces over _time_blocks with the whole-array formula's bits."""
+    """aggregate_paths reduces over _time_blocks with the column-by-column oracle's bits."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), m=st.integers(1, 12), width=st.integers(2, 6))
@@ -536,9 +541,9 @@ class TestBlockedAggregate:
         (2, 3 * 65536 + 1, 131072),
         (5, 3 * 26214 + 2, 131072)])
     def test_fixed_shapes_match_oracle(self, m, n, values):
-        # numpy sums a one-column block pairwise, not row after row: a trailing
-        # one-column block joins the block before it (first case), a two-column
-        # one stays (second)
+        # the stepper cannot step a trailing one-column block (it takes 0 steps), so
+        # such a block joins the block before it (first case), a two-column one stays
+        # (second)
         rng = np.random.default_rng(n)
         paths = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-150, 150, (m, n))
         paths[:, ::7] = -0.0
@@ -551,6 +556,29 @@ class TestBlockedAggregate:
         mean, variance = aggregate_oracle(paths)
         assert stats.mean.tobytes() == mean.tobytes()
         assert stats.variance.tobytes() == variance.tobytes()
+
+    # 10000 realizations exceed numpy's 8192-element buffer
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 129, 10000])
+    def test_pipeline_blocks_equal_aggregate_paths(self, m):
+        # the runners hand ColumnMoments a (w, M) view of the stepper's time-major
+        # (w, M, 1) positions, aggregate_paths a transposed view of (M, n) paths in C
+        # or F order: the copy into the C-ordered buffer gives all of them one order
+        n = 260
+        rng = np.random.default_rng(m)
+        paths = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3, (m, n))
+        moments = langevin.ColumnMoments(m, n)
+        for cols in langevin._time_blocks(n):
+            block = np.empty((cols.stop - cols.start, m, 1))
+            block[:, :, 0] = paths[:, cols].T
+            moments.add(block[:, :, 0], cols)
+        mean, variance = aggregate_oracle(paths)
+        assert moments.mean.tobytes() == mean.tobytes()
+        assert moments.variance.tobytes() == variance.tobytes()
+        for layout in (paths, np.asfortranarray(paths)):
+            stats = aggregate_paths(make_grid(0.0, 1.0, n), layout)
+            assert stats.mean.tobytes() == mean.tobytes()
+            assert stats.variance.tobytes() == variance.tobytes()
+            assert stats.per_run_finals.tobytes() == moments.finals.tobytes()
 
 
 class TestEstimateSpectrum:
