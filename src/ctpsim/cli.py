@@ -227,11 +227,13 @@ def load_config(path: str | os.PathLike | None, section: str) -> dict:
     return cfg
 
 
-def _grid_from(sec: dict) -> TimeGrid:
+def _grid_from(sec: dict, section: str) -> TimeGrid:
+    """The section's grid; the schema holds n_points >= 2, so only the ends' order can fail."""
     try:
         return make_grid(sec["t_start"], sec["t_end"], sec["n_points"])
     except ValueError as err:
-        raise ConfigError(f"invalid grid: {err}") from err
+        raise ConfigError(f"invalid grid: {section}.t_end {sec['t_end']!r} must exceed "
+                          f"{section}.t_start {sec['t_start']!r}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +301,7 @@ def _hadamard_mode_params(sec: dict, name: str) -> SqueezeParams:
 
 def _cmd_squeeze(cfg: dict, out: Path) -> list[str]:
     sec = cfg["squeeze"]
-    grid = _grid_from(sec)
+    grid = _grid_from(sec, "squeeze")
     params = _squeeze_mode_params(sec)
     two_m_omega = 2.0 * params.mass * params.omega
     if not (two_m_omega > 0 and math.isfinite(params.hbar / two_m_omega)):
@@ -341,7 +343,7 @@ def _build_kernel(sec: dict, grid: TimeGrid) -> KernelMatrix:
 
 def _cmd_kernels(cfg: dict, out: Path) -> list[str]:
     sec = cfg["kernels"]
-    grid = _grid_from(sec)
+    grid = _grid_from(sec, "kernels")
     n = grid.n_points
     require_memory(_DENSE_PEAK_MATRICES * n * n * 8,
                    f"{sec['kind']} kernel ({n}, {n}) and its temporaries")
@@ -353,7 +355,7 @@ def _cmd_kernels(cfg: dict, out: Path) -> list[str]:
 
 def _cmd_noise(cfg: dict, out: Path) -> list[str]:
     sec = cfg["noise"]
-    grid = _grid_from(sec)
+    grid = _grid_from(sec, "noise")
     m = cfg["n_realizations"]
     seed = cfg["master_seed"]
     n = grid.n_points
@@ -403,7 +405,7 @@ def _langevin_potential(sec: dict) -> PotentialSpec:
 
 def _cmd_langevin(cfg: dict, out: Path) -> list[str]:
     sec = cfg["langevin"]
-    grid = _grid_from(sec)
+    grid = _grid_from(sec, "langevin")
     pot = _langevin_potential(sec)
     stats, first = run_white_ensemble(pot, sec["gamma"], grid, sec["sigma2"],
                                       cfg["master_seed"], cfg["n_realizations"],
@@ -425,7 +427,7 @@ def _cmd_langevin(cfg: dict, out: Path) -> list[str]:
 
 def _scenario_config(cls, cfg: dict, section: str):
     sec = cfg[section]
-    grid = _grid_from(sec)
+    grid = _grid_from(sec, section)
     try:
         return cls(m2=sec["m2"], lam=sec["lambda"], grid=grid,
                    n_realizations=cfg["n_realizations"],
@@ -461,7 +463,7 @@ def _cmd_bec(cfg: dict, out: Path) -> list[str]:
 
 def _cmd_inflation(cfg: dict, out: Path) -> list[str]:
     sec = cfg["inflation"]
-    grid = _grid_from(sec)
+    grid = _grid_from(sec, "inflation")
     n_modes = sec["n_modes"]
     try:
         ks = [sec["k_min"] * 10.0 ** (sec["decades"] * j / (n_modes - 1))
@@ -512,8 +514,8 @@ def _cmd_inflation(cfg: dict, out: Path) -> list[str]:
 
 
 def _verify_checks(cfg: dict) -> list[dict]:
-    # the HS noise (M, 8) peaks next to its normals (M, <= 8) and seeds (M)
-    # while it is drawn, or its phases (5 values a row) after: <= 17 values a row
+    # the HS noise (M, 8) peaks next to its normals (M, <= 8) while it is
+    # drawn, or its phases (5 values a row) after: <= 17 values a row (traced: 12.1)
     m_hs = cfg["verify"]["hs_realizations"]
     require_memory(17 * m_hs * 8, f"Hubbard-Stratonovich noise ({m_hs}, 8) and its normals")
     checks = []

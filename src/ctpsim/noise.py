@@ -9,8 +9,12 @@ eigendecomposition (:func:`ctpsim.kernels.psd_factor`).
 The ensemble runners never hold a whole noise array: :func:`white_source`
 and :func:`factor_source` fill the next block of grid columns of every row
 into a time-major (w, M) buffer the caller reuses, with the bits of the
-whole draw.  Every normal of the package comes from one rule,
-:func:`_fill_normals`: rows in groups of 64, one generator per group.
+whole draw.  Every normal of the package comes from this module, in row
+groups of 64 whose time-major blocks give row i column i mod 64 of its
+group's block.  The streamed white draw (:func:`_fill_normals`) keeps one
+generator per group, because it draws the grid block by block; a whole
+factor draw (:func:`_standard_normals`) takes the groups' blocks one after
+another from group 0's generator.
 :func:`hs_moment_check` is the operational statement of the noise
 factorization: averaging exp(i xi . v) over the ensemble must reproduce
 exp(-v^T K v / 2).
@@ -18,6 +22,7 @@ exp(-v^T K v / 2).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +35,7 @@ DEFAULT_CLIP_TOL = 1e-10
 #: float64 values per block of a draw (128 KB): a row group's (256, 64)
 #: normals, and the tiles of factor_source's accumulation
 _DRAW_BLOCK_VALUES = 16384
-#: rows per row group; group g holds rows [64 g, 64 g + 64) and one generator
+#: rows per row group; group g holds rows [64 g, 64 g + 64) in one block
 _GROUP_ROWS = 64
 
 
@@ -39,9 +44,11 @@ class NoiseEnsemble:
     """Seeded realizations of a Gaussian process; rows are realizations.
 
     Regeneration from (seed, covariance_ref, grid) is bit-exact: realization i
-    is drawn by row group g = i // 64, whose generator is seeded with
-    derive_seed(seed, g) (:func:`_fill_normals`), so row i depends only on
-    (seed, i, k) for k normals per row, and growing M only appends rows.
+    is column i mod 64 of row group i // 64's block of normals, a white row
+    from that group's own generator (:func:`_fill_normals`), a factor row
+    from the group's place in one stream (:func:`_standard_normals`).  Either
+    way row i depends only on (seed, i, k) for k normals per row, and growing
+    M only appends rows.
 
     The ensemble takes ownership of a float64 ``realizations`` array without
     copying it and makes it read-only; other input is converted to float64.
@@ -103,23 +110,26 @@ def _fill_normals(rows: np.ndarray, generators) -> None:
 def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
     """(M, k) standard normals: the first k normals of each row by :func:`_fill_normals`.
 
-    The transposed view of a time-major (k, M) array, in which normal k of
-    every row is one contiguous line, as factor_source reads them.  A
-    group's generator is dropped once its rows are drawn.
+    Every group draws from one generator, default_rng(derive_seed(seed, 0)),
+    so the groups' (k, 64) blocks come one after another from its stream:
+    rows 0-63 are those of one generator per group, and row i depends only on
+    (seed, i, k).  Returns the transposed view of a time-major (k, M) array,
+    in which normal k of every row is one contiguous line, as factor_source
+    reads them.
     """
     rows = np.empty((k, n_realizations))
-    _fill_normals(rows, _group_generators(seed, n_realizations))
+    _fill_normals(rows, itertools.repeat(np.random.default_rng(derive_seed(seed, 0))))
     return rows.T
 
 
 def white_source(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int):
     """fill(rows, start) writing the columns start.. of M white-noise rows into rows.
 
-    Row i is the n normals of :func:`_standard_normals`' row-group rule
-    times sqrt(sigma2/dt).  rows is time-major, (w, M); successive calls
-    continue each row's stream, so filling the columns of the grid block by
-    block gives the bits of one whole draw.  The generators of the ceil(M/64)
-    row groups are kept between calls.
+    Row i is the n normals of :func:`_fill_normals`' row-group rule, one
+    generator per group, times sqrt(sigma2/dt).  rows is time-major, (w, M);
+    successive calls continue each row's stream, so filling the columns of
+    the grid block by block gives the bits of one whole draw.  The
+    generators of the ceil(M/64) row groups are kept between calls.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
@@ -150,8 +160,9 @@ def sample_white(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int) 
 def factor_source(factor: np.ndarray, seed: int, n_realizations: int):
     """fill(rows, start) writing the columns start.. of :func:`draw_from_factor`'s rows into rows.
 
-    z is drawn once here; each call sums 0 + z[:, k] F[start + t, k] over
-    the rank in k order into time row t of rows (w, M), one tile at a time.
+    z is drawn once here, from one generator (:func:`_standard_normals`);
+    each call sums 0 + z[:, k] F[start + t, k] over the rank in k order
+    into time row t of rows (w, M), one tile at a time.
     A tile holds at most _DRAW_BLOCK_VALUES values (128 KB, in cache) and
     spans whole lines of rows' unit-stride axis, as many as fit, or pieces
     of one line where a line is longer: slabs of time rows of the
@@ -190,11 +201,14 @@ def factor_source(factor: np.ndarray, seed: int, n_realizations: int):
 def draw_from_factor(factor: np.ndarray, seed: int, n_realizations: int) -> np.ndarray:
     """(M, n) Gaussian rows F z_i with covariance F F^T, for a factor F of shape (n, r).
 
-    z_i is row i of :func:`_standard_normals` with k = r.  Rows are
-    accumulated as sum_k z[:, k] F[:, k] in column order with elementwise
-    operations (:func:`factor_source`), not a matrix product whose blocking
-    may depend on M, so row i is bit-identical for every ensemble size and a
-    larger ensemble only appends rows.
+    z_i is row i of :func:`_standard_normals` with k = r: column i mod 64
+    of the (r, 64) block that row group i // 64 takes from one stream.  z
+    does not depend on n, so a grid and its refinement with the same seed
+    share the noise on their common points.  Rows are accumulated as
+    sum_k z[:, k] F[:, k] in column order with elementwise operations
+    (:func:`factor_source`), not a matrix product whose blocking may depend
+    on M, so row i is bit-identical for every ensemble size and a larger
+    ensemble only appends rows.
     """
     fill = factor_source(factor, seed, n_realizations)
     rows = np.empty((n_realizations, factor.shape[0]))

@@ -223,16 +223,18 @@ def aggregate_oracle(paths):
 
 
 def standard_normals_oracle(seed, n_realizations, k):
-    """(M, k) normals by the row-group rule, each group drawn in one call.
+    """(M, k) normals by the row-group rule, the groups' blocks from one generator.
 
-    Rows [64 g, 64 g + 64) take the columns of one (k, 64) standard_normal
-    draw of default_rng(derive_seed(seed, g)); the last group's padding is
-    dropped.  noise._standard_normals draws at most 256 of the k normals per
-    call, so any k > 256 also checks that the split keeps the bits.
+    Row group g takes the (k, 64) block after group g - 1's from
+    default_rng(derive_seed(seed, 0)), each block one standard_normal call;
+    rows [64 g, 64 g + 64) are its columns and the last group's padding is
+    dropped.  noise._standard_normals draws a block with k > 256 in calls of
+    256 time rows, so a k > 256 also checks that the split keeps the bits.
     """
+    generator = np.random.default_rng(derive_seed(seed, 0))
     rows = np.empty((n_realizations, k))
     for first in range(0, n_realizations, 64):
-        draws = np.random.default_rng(derive_seed(seed, first // 64)).standard_normal((k, 64))
+        draws = generator.standard_normal((k, 64))
         rows[first:first + 64] = draws[:, :n_realizations - first].T
     return rows
 

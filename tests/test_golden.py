@@ -6,11 +6,13 @@ every digest, so a changed bit fails here, in the test suite, before any
 benchmark or rerun comparison sees it.  The grids are long enough to cross
 the 256-column blocks of the ensemble pipeline, and langevin_long's tables
 (1501 rows of 3 values) cross the 2048-value chunks of the table writer.
-ssb_wide and bec_wide span two row groups of the draw (70 realizations),
-split each 257-row noise block into two (ssb) or three (bec) tiles of the
-factor draw, and latch their gates in two to four different blocks, with
-many realizations latching in the same step as another.  Colored noise, the
-memory kernel and verify's Hubbard-Stratonovich check pin the factor draw
+ssb_wide and bec_wide draw 70 and 140 noise rows, two and three row groups
+of the factor normals, so they pin the blocks that groups 1 and 2 take after
+group 0's from one generator.  They split each 257-row noise block into two
+(ssb) or three (bec) tiles of the factor draw, and latch their gates in two
+to four different blocks, with many realizations latching in the same step
+as another.  Colored noise, the memory kernel and verify's
+Hubbard-Stratonovich check (300 rows, five groups) pin the factor draw
 (``noise.factor_source``) on its own.
 
 The digests were recorded with numpy 2.4.6 at the artifact_version
@@ -55,139 +57,139 @@ CONFIGS = {
 SEEDS = (1, 2)
 
 # recorded at artifact_version GOLDEN_VERSION with numpy 2.4.6
-GOLDEN_VERSION = "0.7.0"
+GOLDEN_VERSION = "0.8.0"
 GOLDEN = {
     "langevin-1": {
         "ensemble.csv": "7b0010fd61903b6e2f08e26025fb49f9dda6d05415e883dcf346f98003445c44",
-        "manifest.json": "8a23ebc61f78b3bc21452cd0f8b03f1b742c79e08823f424fcaea9fe50cdc2dd",
+        "manifest.json": "d26e8b595b232dd478543b241cc312abecd7ad71ff2dafd76d94d86ec49025c3",
         "summary.json": "301e332864dfe0ad96aef01f21af5e4682290f232acd5d8ff807d59cf792050a",
         "trajectory0.csv": "7a47fe4f359e0b380d656898348ff743e37d68328e0fa86dd502d55a26d45b6d"
     },
     "langevin-2": {
         "ensemble.csv": "e3d2646cb44e00255ea10ca346628506c5154f9513c8e710adfce18083462afa",
-        "manifest.json": "db7770d37347d869d1478c3954898c54fa7a9e9e3b8114b1a32f2fee7841dfd8",
+        "manifest.json": "9a56b69a0ed4a7be135650071c70609ad8a75d9f1bfee6a742290e32bd415159",
         "summary.json": "5550eb130520372ecca0c094e2f7b1bca581270dda9cd76310b0637fa78a74b3",
         "trajectory0.csv": "b9dce6d36e1a74c58ce5752700b06d5fcd059cd996cb4c8c27b18e8b1ece7349"
     },
     "ssb-1": {
         "finals.csv": "08bad623469b7377625a224d41cc8958aaa668e575a1b8f7469ecaf009e7ad47",
-        "manifest.json": "72a20c36bf13412de95cae2845fd8a7307b375280838fb30343933f45287600d",
+        "manifest.json": "8c96beb4fd79b2aaa3facd31d1efb4d02af71a86901436e930b198a73a8d31c2",
         "mean_trajectory.csv": "bcb6a7a7882b93c19772e1ed6d4da4a4a660e7c0f2b281b855ca4f18a6ca3f47",
         "report.json": "63c16a0fda34223322a0a33c9b70a0fbebd265daab504446117603a63055771e"
     },
     "ssb-2": {
         "finals.csv": "95c48404ab249204d27e3ff496330bae47d9fe8804de9e3b438e77c08bd19de6",
-        "manifest.json": "949c32de23177f94ba8200c1a4022c985aba65ed0f272e63440c0a4849cb0850",
+        "manifest.json": "aec4eba868796c395b7de0969808bb945a72d9d8dad189d3fb44806475b009d3",
         "mean_trajectory.csv": "06298719fc856247ea786dfcbbc62f88db375226533d9b3caab5dca6c2194f28",
         "report.json": "ccabfa21cd2a206eafe07d42b922570ab23776f316cf9dfa2c691764bc58462f"
     },
     "bec-1": {
         "finals.csv": "3ad813cde7d3a827adad67f1ff12344f2797d681b34bad0912911250ff7b456c",
-        "manifest.json": "05167142085e8036a16a0b059f6cb9e055b05de0292f9145081d077c1dceb7fe",
+        "manifest.json": "4bb166986b8365380a823ab899c6b5030485d4b25d31cc04149ecd3bb03b20f2",
         "report.json": "4b576bc4bd1ed3952d830be390afb4f5b02dde6821b822e74036cacf490815f4"
     },
     "bec-2": {
         "finals.csv": "7dfdeed0adf6e49146978bc57b46fa98d521e3b2c47528195b2bff4222cd54c7",
-        "manifest.json": "64e7a2c532bcaa7182077d9b7260819ed3ef24700a2176a922cf85a2a6229f45",
+        "manifest.json": "632c3500ff0a94e3591b4fc9b99ec3541df1202cbf72883b2f9aab893b2421d3",
         "report.json": "ffa53af60f5ee72ef12c9fdef1f3440a5f808d6311537e0a56212a424fda7328"
     },
     "inflation-1": {
-        "manifest.json": "c4257237686ce1a06da5aac831f455996d669edee6725808ada141a2ac517c14",
+        "manifest.json": "6363fa9b1291e57b087c9a85d2d2f517e3cb26881d3a9537f3fbb1578eec135b",
         "report.json": "b9c98a30d26eb1cdd15c3b61bc7949a59e8ff3df580c15ab147182a716f70c2e",
         "spectrum.csv": "b15d32142e204d0f22afb5b35727a0bd59ccdc0ee4438a165903c3857b6ac264"
     },
     "inflation-2": {
-        "manifest.json": "f4f6dbde442a3f09df35691b537ccaa025b9b8ed7d174d4f2a9a24b028fe3637",
+        "manifest.json": "71d9d5d3fac1d8525de768da0e447fcac5449287cbc342a4e588344cdff6f7c0",
         "report.json": "0129d99299211b2d8593aa57157a61f0d5c6e8f4a0fb4928e0357b833c7cfc8d",
         "spectrum.csv": "0c20a780b23050403226e0605cc4bd7a94cb6c95de7b7123b57d0741f7f51d88"
     },
     "noise-1": {
-        "manifest.json": "2673c8912af4d87d78e697f66a032291b04e0ef2a7ae003956932841a4f73438",
+        "manifest.json": "ef718f9a343cf6c4ca3c6a60cdbe3efd532eb357f94575bfade09eb370ecbb3f",
         "noise.csv": "3cdb59a23fcd0f2401c8c5744ab2b61e5d98bc3b7a0e2c78d649abe5396c359b",
         "summary.json": "23849a174fb30d5e83f1bca5cfbab561d9c6e08d7d88ae9f27f93b2069081ff2"
     },
     "noise-2": {
-        "manifest.json": "213a398dc3bb9685bcd12c59c395669bccfb1299a47996309600e910aecf0876",
+        "manifest.json": "84644922497fe9faa51e9f7ce787f0497377df50257c8a1563e8244e0c479422",
         "noise.csv": "712007aede99f0e86e9180129db4813c8943a0e2eae38dfdd1e668f2616e0ef6",
         "summary.json": "2d95adb9a022dbd2fcc1993106bb77e64bb314ac8aa08a65131aa0739ee04ce3"
     },
     "squeeze-1": {
-        "manifest.json": "0013e7d93c8f1143b9b537d3c3bbb98dce13a4cc8b6d28120cfc56a734007d8e",
+        "manifest.json": "9eb666f9a3bce04569bdb191c8367a4fdd5b7682eaa69f4ce4789a7dff497626",
         "squeeze.csv": "f19e8fa3417e846d8da76b0253fcf5c3865a4f940f5f8035ce6397c0b453a95b"
     },
     "squeeze-2": {
-        "manifest.json": "63bbfcb1dbf86531467e13adba74dd5193bb013572d91c0f36792f4801aaa3dd",
+        "manifest.json": "a39bd12cad19f2f40b8ffd8a177751a1511348ed2b5e02f9c50a53f854485ecb",
         "squeeze.csv": "f19e8fa3417e846d8da76b0253fcf5c3865a4f940f5f8035ce6397c0b453a95b"
     },
     "noise_hadamard-1": {
-        "manifest.json": "8f6e50658a99190b05b51792ff441e02a3b14dd9b735030c92cbc2a65496d441",
+        "manifest.json": "4da88b496f7e334ada8fc2f6b6e08dfead6229635df49502c665abe438f53fb3",
         "noise.csv": "1fbeffc6762f5579f0517b3d08ba769f37a69f1dd71f17691f91d79a555c6be0",
         "summary.json": "7ae906ff3da512ceb4fc9d8713b66c86aac62a6c964fec7eecfc3c711c19dcf9"
     },
     "noise_hadamard-2": {
-        "manifest.json": "9576c7a39bcd21446eb3afa289515814c7d05fdf679b84b2f24a535d9bc1cf25",
+        "manifest.json": "b07d954f0a1d2f2c2b6e8ed5cb7c4a5fcb30dfc412050c6bf4619e658f60608d",
         "noise.csv": "8c74924440133e1b001ba5904120f2010d451db22adcf1156b59bcb05024f55f",
         "summary.json": "483384a27b31c911de9e82a70e91591de4e934c24e277fe0cc89fa63a73009c4"
     },
     "noise_fluctuation-1": {
-        "manifest.json": "e981b1ed918586db50658f66b6e9311e9d68fd40efaf1f20ebc26bbd7b86bc49",
+        "manifest.json": "1301a39c0f5d2e7ff232aed0bdc36e1776e6490b4c9a241aa80cb9b2d40bde42",
         "noise.csv": "9ddfcd3996470f57eaa0820a29158cc66c51d67cad98b0fcafc74d70c2f4ad09",
         "summary.json": "2fc6cf49f394dbd37a0ef015a8b35b744d7bc68445eab8a8966579152f017a43"
     },
     "noise_fluctuation-2": {
-        "manifest.json": "268f03a769272569ce97289742231c7bf5a9eb4b7a466ede41767113317a41ed",
+        "manifest.json": "7a5dbc7278b53e8efc79d1a9450dabfe52474308f9a01a7753b4622119bf9368",
         "noise.csv": "dcb057b6ad8535bab3bace66b83ddcdbbcf7054ff5a69647b86b0c69523533f1",
         "summary.json": "b917424f04434da5f197fbcf8fd33b862de19d8966be32d8755218b7fa37f4cf"
     },
     "kernels_memory-1": {
         "kernel.txt": "26e5b1b1d329e1fbfd7eff0b29fee1241dd5ef4c77917692fa8940069fe25a04",
-        "manifest.json": "e36de7ee227be94ab2fd6de78ff6016cb409d5ca534873aeeb962c5b522a644b"
+        "manifest.json": "d0e26fcce4c57f1ca1d8dc51e2b343af9e5d14a08165598ef011da38ca87d7cc"
     },
     "kernels_memory-2": {
         "kernel.txt": "26e5b1b1d329e1fbfd7eff0b29fee1241dd5ef4c77917692fa8940069fe25a04",
-        "manifest.json": "6a44da3f0488bb2756d90ded80565553da587e45fe24b8e7069469632582c94a"
+        "manifest.json": "364017dd5ad7a43cc1b531b45c1b6de33a39b6fa99ff8ebf19d49eaa275fed90"
     },
     "verify-1": {
-        "manifest.json": "f1bbfdc60e8e96020d734dd3144fac82bd15b99b3c1523ba9340a48e243e783b",
-        "verify.json": "9e853cf9119ac3300d951ddea79630c28925bd9ccd320a3aad9e6b7fea208a93"
+        "manifest.json": "eb8e6013439bb7a8942d6cca1d643df2d039b8ac767501f0f6ae676835ec53a4",
+        "verify.json": "a567c2398c19ae3db6139851bb553888057d143ff42b67521f7c945ef70b5ccd"
     },
     "verify-2": {
-        "manifest.json": "1c6404852ebbd49da0d9b1e94bd73e129ae4538670629182a1937771b10ee320",
-        "verify.json": "2906b2c37e3ffc700e395f4588b34fb65bfa3bf3ad25b71aa6648c058f41861a"
+        "manifest.json": "6ff072ca45e6ce26c60216fa83fceb8cbd78b50b65e6ebaf227f2aec545f3928",
+        "verify.json": "eb96dc9f0abcfe0e7dd09fcfee878bd1eac788380203e7abc7b570439eadce30"
     },
     "langevin_long-1": {
         "ensemble.csv": "172b1bbcd3d4aed7a1874b644fc8f34f3e4bb8a1bc77b1eb103e5b6072c33b4a",
-        "manifest.json": "9a2b675c6ac7952fdf24030f8b756af5f1e44ee605160b205d2b8aca291977ab",
+        "manifest.json": "ee4c5f7718161e7df4a1bdc88302bb4ef0e1a777808be8d89494c6963efe2cca",
         "summary.json": "6be7f93a5c2113edd77b38af8f7d024f1e321fd91d1aa573a16e94b1901a2383",
         "trajectory0.csv": "8d9e858b7f3105efedea72a26fac8dd323876de3a97a82f5aaebff4fb44f1c57"
     },
     "langevin_long-2": {
         "ensemble.csv": "8d5bbf9e5c66a77de218a32eea9df3d1664ce8f29e735eaf15941871fe4be655",
-        "manifest.json": "871d1740237faf38818f300aa7feca99848a1f786a2c9b6cb67e3232d811b3d7",
+        "manifest.json": "714bba8ff7b5a7f31e8a4c031cab3ee235fbb1283191867fc8204a53ab620717",
         "summary.json": "1023d6092198adacf1353efc1c90be9749b84c7f0c938b954df770dcb41e76bd",
         "trajectory0.csv": "34948897226672091bf201d503a220a137fd20f0cac9e4c2a574d4dfea05f142"
     },
     "ssb_wide-1": {
-        "finals.csv": "23982d96cdb4c85c87ac692a726683f88b7931ae050adb813e6bc5d7b6178106",
-        "manifest.json": "6a99a96d1fe21e5ea756aa9aa3edfa991b0601ea2ddf950adf4c41d8bfedbaa9",
-        "mean_trajectory.csv": "888905cbaa8417edc3c7ad65beba8dc049775c76b58e438e8a3411639995d10f",
-        "report.json": "3d5004044cdfcb7977c902747c764696493dab46ee422b1f29dd10df7d420e83"
+        "finals.csv": "6c61c17a7eb889e197d8387a45dbad8a9e2df2e024c4151a70b1047593c18938",
+        "manifest.json": "1b1311929a49203cb4b65c37422218755b9301153777f5e81351c6b3cecd7f0d",
+        "mean_trajectory.csv": "36ecd81fd5ff28f4f66e0ac95d6ffbdf80a5ce534d3606edb7393616e5e074dd",
+        "report.json": "0754ad97ccc2a5f52ea099c1634e7a560780720c73b99b5d9fa7f722236ba2b2"
     },
     "ssb_wide-2": {
-        "finals.csv": "c60c6b12ccf6f76a76cccea6825103599fc9bd3aa1911ecc092627384e9e2d7c",
-        "manifest.json": "b4c170131a8eb2cba186ba1bce6e1867d13bb2fa22338d819697947392a538dd",
-        "mean_trajectory.csv": "0c7e397555f6d2293cc428f899797c3e2f12b303a8d7d940dc277ef7c525678d",
-        "report.json": "378fad12b8f4da871a0140c42e192d430cd38243b64fcc91040c4a62982103c5"
+        "finals.csv": "184d13e27381f9b67496c26bcb7b328501affb04ff4ae9c02cdbe1436ae03d6b",
+        "manifest.json": "b057124a0090724acbcef8c3e818fc3b42469c31095cca9f1216a87d928a139e",
+        "mean_trajectory.csv": "02ec364208566911e67a87ed635fed7200aa5f6ce2573a8593e052e2b4fabcf8",
+        "report.json": "6b8abf9a706c8007627f1ac1bc232f2bff0fe0c4cd1876acdf22304ed6591f65"
     },
     "bec_wide-1": {
-        "finals.csv": "aa7cd2f8524b0d0de418abd80c8cbb6d6bcbce498b70cfd1c95cac2848db0daa",
-        "manifest.json": "9c35be9637e06ab935594912640b747ed86a0a2cf730465abca3b8cbcf3422e1",
-        "report.json": "509fe700b582184b4efc3e2df0abc0d0abe425f747d90b619cfffd4960f3b468"
+        "finals.csv": "de4abccd14052854b8c6a7c363de845ae033e4ffed7a89a731bdbf86ebd979a3",
+        "manifest.json": "16cd10163226534309b82fac59213a7ac18b72ec52c1fa0febba1aa5670f71bf",
+        "report.json": "3b9f968511d5f1745b723bf287eb969f25e41b8ab428d5c90085f20e5d0ccd0d"
     },
     "bec_wide-2": {
-        "finals.csv": "9a57cdbb54453c5efdedcf13b1c4124d4fb540fcef0a088380116ed377e488c9",
-        "manifest.json": "1c6516da2cb82f3f0b676fbd61bd62b6a96839877682c6039635c12217af1009",
-        "report.json": "e28a0e5760bfc99f20075f180708f4a2d269eead469a77c617c8432210a2c168"
+        "finals.csv": "e3e4009fe85e1e64c57149e6378d7f82e5eef086fcf2dbeb9ced9d2bb143bb3a",
+        "manifest.json": "832cba283180e0564f93ffaffd250bc22c65770dcea4538259006e55f3f8c623",
+        "report.json": "1a1304f0a43c6745c299af387b44f90c4d90730f787c13a7c6efcba3eea4ab95"
     }
 }
 

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from ctpsim import noise
 from ctpsim.core import NumericalError, derive_seed, make_grid
-from ctpsim.kernels import SYMMETRIC, KernelMatrix, build_hadamard, fluctuation_kernel
+from ctpsim.kernels import (SYMMETRIC, KernelMatrix, build_hadamard, fluctuation_kernel,
+                            squeezed_factor)
 from ctpsim.langevin import _time_blocks
 from ctpsim.noise import NoiseEnsemble, hs_moment_check, sample_colored, sample_white
 from ctpsim.squeeze import SqueezeParams
@@ -63,11 +66,44 @@ class TestStandardNormals:
         assert noise._standard_normals(seed, m, k).tobytes() == expected.tobytes()
 
     def test_crosses_seed_blocks(self):
-        # three row groups, the last one padded: rows 128 and 129 of group 2
-        for k in (5, 257):
-            expected = standard_normals_oracle(5, 130, k)
-            assert noise._standard_normals(5, 130, k).tobytes() == expected.tobytes()
+        # groups 1 and 2 (rows 64-129, the last group padded) take the blocks after
+        # group 0's from its generator; k 257 draws each block in two calls, and
+        # k 0 draws nothing
+        for m, k in ((130, 5), (130, 257), (3000, 7), (130, 0)):
+            expected = standard_normals_oracle(5, m, k)
+            assert noise._standard_normals(5, m, k).tobytes() == expected.tobytes()
             assert noise._standard_normals(5, 64, k).tobytes() == expected[:64].tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 301])
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 130, 1000])
+    def test_growing_m_appends_rows(self, m, k):
+        # row i depends only on (seed, i, k): a larger draw keeps every row of a
+        # smaller one, also where k 301 draws each block in two calls
+        small = noise._standard_normals(13, m, k).tobytes()
+        for extra in (1, 64, 2400):
+            assert noise._standard_normals(13, m + extra, k)[:m].tobytes() == small
+
+
+class TestDrawFromFactor:
+    @pytest.mark.parametrize("coupling", [None, 0.5])
+    @pytest.mark.parametrize("n", [151, 1501])
+    def test_refined_grid_shares_the_noise(self, n, coupling):
+        # z does not depend on n, so the noise on the grid's points is the same on
+        # its refinement to 2n - 1 points: rms differences between the two runs are
+        # then the time step's error alone, free of sampling noise
+        coarse, fine = make_grid(0.0, 30.0, n), make_grid(0.0, 30.0, 2 * n - 1)
+        rows = noise.draw_from_factor(squeezed_factor(UNIT, coarse, coupling), 21, 130)
+        refined = noise.draw_from_factor(squeezed_factor(UNIT, fine, coupling), 21, 130)
+        assert rows.tobytes() == refined[:, ::2].tobytes()
+
+
+def test_only_the_noise_module_constructs_generators():
+    # every normal of the package comes from noise's two draw rules
+    constructor = re.compile(r"\b(default_rng|Generator|PCG64|SeedSequence)\(")
+    package = Path(noise.__file__).parent
+    found = sorted(path.name for path in package.glob("*.py")
+                   if constructor.search(path.read_text()))
+    assert found == ["noise.py"]
 
 
 class TestSampleWhite:
