@@ -369,7 +369,8 @@ def _cmd_noise(cfg: dict, out: Path) -> list[str]:
         factor = squeezed_factor(_hadamard_mode_params(sec, "noise"), grid,
                                  sec["coupling"] if kind == "fluctuation" else None)
         r = factor.shape[1]
-        # the draw holds z and a transposed copy of the factor, the summary the deviations
+        # the draw holds z and a transposed copy of the factor, then the time-major
+        # noise beside its (M, n) copy; the summary holds the deviations
         require_memory((2 * m * n + (m + 2 * n) * r) * 8,
                        f"noise ({m}, {n}), its deviations, z ({m}, {r}) and two copies "
                        f"of the factor ({n}, {r})")
@@ -514,10 +515,12 @@ def _cmd_inflation(cfg: dict, out: Path) -> list[str]:
 
 
 def _verify_checks(cfg: dict) -> list[dict]:
-    # the HS noise (M, 8) peaks next to its normals (M, <= 8) while it is
-    # drawn, or its phases (5 values a row) after: <= 17 values a row (traced: 12.1)
+    # the HS check holds the normals (M, r) of the rank r = 2 hadamard kernel,
+    # the phases and a term buffer, r + 2 values a row; r + 4 leaves room for the
+    # draw's blocks (traced: 4.07)
     m_hs = cfg["verify"]["hs_realizations"]
-    require_memory(17 * m_hs * 8, f"Hubbard-Stratonovich noise ({m_hs}, 8) and its normals")
+    require_memory((2 + 4) * m_hs * 8,
+                   f"Hubbard-Stratonovich normals ({m_hs}, 2), phases and buffers")
     checks = []
 
     # Bogolubov normalization over a (wt, phi) grid

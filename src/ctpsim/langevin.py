@@ -26,6 +26,7 @@ path array over the same blocks, with the same bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -152,6 +153,12 @@ def _check_noise(grid: TimeGrid, xi: np.ndarray) -> np.ndarray:
     return xi
 
 
+def _at_step(grid: TimeGrid, step: int) -> str:
+    """'step s (t = t_s)' for a divergence message, or 'step s' where t_s overflows."""
+    t = grid.t_start + step * grid.dt
+    return f"step {step} (t = {t:g})" if math.isfinite(t) else f"step {step}"
+
+
 def integrate_white(pot: PotentialSpec, gamma: float, grid: TimeGrid,
                     xi: np.ndarray, x0: float, v0: float) -> Trajectory:
     """Integrate xdd = -gamma xd - V'(x) + xi with the semi-implicit scheme.
@@ -177,8 +184,8 @@ def integrate_white(pot: PotentialSpec, gamma: float, grid: TimeGrid,
         x = x + dt * v
         if not abs(x) <= DIVERGENCE_GUARD:
             raise DivergenceError(
-                f"trajectory diverged at step {i + 1} (t = {grid.t_start + (i + 1) * dt:g}):"
-                f" |x| exceeded {DIVERGENCE_GUARD:g}", step=i + 1)
+                f"trajectory diverged at {_at_step(grid, i + 1)}: |x| exceeded "
+                f"{DIVERGENCE_GUARD:g}", step=i + 1)
         xs[i + 1] = x
         vs[i + 1] = v
     return Trajectory(grid, np.array(xs), np.array(vs))
@@ -387,9 +394,8 @@ class SemiImplicitStepper:
             idx = int(np.argmax(bad[j]))
             step = cols.start + j + 1
             raise DivergenceError(
-                f"realization {idx}: trajectory diverged at step {step} "
-                f"(t = {self.grid.t_start + step * self.grid.dt:g}): |x| exceeded "
-                f"{DIVERGENCE_GUARD:g}", step=step, realization=idx)
+                f"realization {idx}: trajectory diverged at {_at_step(self.grid, step)}: "
+                f"|x| exceeded {DIVERGENCE_GUARD:g}", step=step, realization=idx)
         self.v_first[cols] = vs[:width, 0]
         return xs[:width]
 

@@ -17,7 +17,8 @@ factor draw (:func:`_standard_normals`) takes the groups' blocks one after
 another from group 0's generator.
 :func:`hs_moment_check` is the operational statement of the noise
 factorization: averaging exp(i xi . v) over the ensemble must reproduce
-exp(-v^T K v / 2).
+exp(-v^T K v / 2); it forms only the projections xi . v = z . (F^T v) of the
+rows, never the rows.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
     rows 0-63 are those of one generator per group, and row i depends only on
     (seed, i, k).  Returns the transposed view of a time-major (k, M) array,
     in which normal k of every row is one contiguous line, as factor_source
-    reads them.
+    and hs_moment_check read them.
     """
     rows = np.empty((k, n_realizations))
     _fill_normals(rows, itertools.repeat(np.random.default_rng(derive_seed(seed, 0))))
@@ -162,14 +163,11 @@ def factor_source(factor: np.ndarray, seed: int, n_realizations: int):
 
     z is drawn once here, from one generator (:func:`_standard_normals`);
     each call sums 0 + z[:, k] F[start + t, k] over the rank in k order
-    into time row t of rows (w, M), one tile at a time.
-    A tile holds at most _DRAW_BLOCK_VALUES values (128 KB, in cache) and
-    spans whole lines of rows' unit-stride axis, as many as fit, or pieces
-    of one line where a line is longer: slabs of time rows of the
-    pipeline's C-ordered block, blocks of realization columns of
-    :func:`draw_from_factor`'s F-ordered rows.T.  Every value is the same
-    elementwise sum whatever the tiles, so filling the grid block by block
-    gives the bits of one whole draw.
+    into time row t of the time-major rows (w, M), one tile at a time.
+    A tile holds at most _DRAW_BLOCK_VALUES values (128 KB, in cache): as
+    many whole time rows as fit, or pieces of one time row where M is
+    larger.  Every value is the same elementwise sum whatever the tiles, so
+    filling the grid block by block gives the bits of one whole draw.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
@@ -179,13 +177,9 @@ def factor_source(factor: np.ndarray, seed: int, n_realizations: int):
 
     def fill(rows: np.ndarray, start: int = 0) -> None:
         width = rows.shape[0]
-        # lines run along the time axis when rows is F-ordered, else along the
-        # realizations; the term buffer takes the same layout
-        order = "F" if rows.strides[0] < rows.strides[1] else "C"
-        along = min(width if order == "F" else n_realizations, _DRAW_BLOCK_VALUES)
-        across = _DRAW_BLOCK_VALUES // along
-        tall, wide = (along, across) if order == "F" else (across, along)
-        term = np.empty((min(tall, width), min(wide, n_realizations)), order=order)
+        wide = min(n_realizations, _DRAW_BLOCK_VALUES)
+        tall = _DRAW_BLOCK_VALUES // wide
+        term = np.empty((min(tall, width), wide))
         for t0 in range(0, width, tall):
             f = columns[:, start + t0:start + min(width, t0 + tall), None]
             for c0 in range(0, n_realizations, wide):
@@ -208,12 +202,14 @@ def draw_from_factor(factor: np.ndarray, seed: int, n_realizations: int) -> np.n
     sum_k z[:, k] F[:, k] in column order with elementwise operations
     (:func:`factor_source`), not a matrix product whose blocking may depend
     on M, so row i is bit-identical for every ensemble size and a larger
-    ensemble only appends rows.
+    ensemble only appends rows.  They are filled time-major, as the
+    pipeline's blocks are, and returned as a C-ordered copy of the
+    transpose, made once z is freed: a column reduction over the rows (the
+    ``noise`` summary's) then sums them in realization order.
     """
-    fill = factor_source(factor, seed, n_realizations)
-    rows = np.empty((n_realizations, factor.shape[0]))
-    fill(rows.T)
-    return rows
+    rows = np.empty((factor.shape[0], n_realizations))
+    factor_source(factor, seed, n_realizations)(rows)
+    return np.ascontiguousarray(rows.T)
 
 
 def sample_colored(kernel: KernelMatrix, seed: int, n_realizations: int,
@@ -237,11 +233,24 @@ def hs_moment_check(kernel: KernelMatrix, v: np.ndarray, n_realizations: int,
     Agreement within the Monte Carlo tolerance validates that taking the noise
     covariance equal to the fluctuation kernel reproduces the imaginary
     quadratic term the noise was factored out of.
+
+    The rows xi_i = F z_i of :func:`sample_colored` are not formed: xi_i . v
+    = z_i . p with p = F^T v, so the check draws the same rows' (M, r)
+    normals z and sums the phases z_i . p in k order into one (M,) buffer,
+    with elementwise operations as :func:`factor_source` sums the rows.  It
+    holds r + 2 values a row at most.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (kernel.n,):
         raise ValueError(f"v must have shape ({kernel.n},), got {v.shape}")
-    ens = sample_colored(kernel, seed, n_realizations, clip_tol)
-    mc = complex(np.mean(np.exp(1j * (ens.realizations @ v))))
+    factor = psd_factor(kernel, clip_tol)
+    p = [np.add.reduce(column * v) for column in factor.T]
+    z = _standard_normals(seed, n_realizations, len(p)).T
+    phases, term = np.zeros(n_realizations), np.empty(n_realizations)
+    for z_k, p_k in zip(z, p):
+        phases += np.multiply(z_k, p_k, out=term)
+    del z
+    real = np.add.reduce(np.cos(phases, out=term)) / n_realizations
+    imag = np.add.reduce(np.sin(phases, out=phases)) / n_realizations
     analytic = float(np.exp(-0.5 * v @ kernel.values @ v))
-    return mc, analytic
+    return complex(real, imag), analytic

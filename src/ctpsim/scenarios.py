@@ -72,6 +72,7 @@ class SSBConfig:
     hbar: float = 1.0
     return_radius: float = 0.1
     min_realizations: ClassVar[int] = 1
+    section: ClassVar[str] = "ssb"  # the config section that names the parameters
 
     def __post_init__(self):
         if self.m2 >= 0:
@@ -88,6 +89,12 @@ class SSBConfig:
             raise ValueError("friction must be >= 0")
         if self.gate_threshold is not None and self.gate_threshold <= 0:
             raise ValueError("gate_threshold must be positive")
+        if not self.leave_radius > self.return_radius > 0:
+            s = self.section
+            raise ValueError(
+                f"{s}.return_radius {self.return_radius!r} must be positive and below the "
+                f"leave radius sqrt(-6 {s}.m2 / {s}.lambda) / 2 = {self.leave_radius!r} "
+                f"({s}.m2 {self.m2!r}, {s}.lambda {self.lam!r})")
 
     @property
     def gate_threshold_sq(self) -> float:
@@ -116,6 +123,7 @@ class BECConfig(SSBConfig):
     """
 
     min_realizations: ClassVar[int] = 2  # the phase test compares >= 2 angles
+    section: ClassVar[str] = "bec"
 
 
 def _config_echo(cfg: SSBConfig) -> dict:
@@ -421,7 +429,10 @@ class _RecursionCount:
         self.recursed |= has_left.any(axis=0)
 
     def fraction(self) -> float:
-        """The recursion probability; the radii are checked here, once the runs are done."""
+        """The recursion probability; the radii are checked here for direct callers.
+
+        An :class:`SSBConfig` checks its radii when it is made, before any run.
+        """
         leave_radius, return_radius = self.radii
         if not leave_radius > return_radius > 0:
             raise ValueError("need leave_radius > return_radius > 0")

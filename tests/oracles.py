@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: flows come from
 scipy's matrix exponential, stationary moments from the Lyapunov solver, and
 the memory-scheme reference from a dense simultaneous solve.  The row-group
-draw rule, the factor draw's k-ordered sum, the gated scenario stepper, the
+draw rule, the factor draw's k-ordered sum, the Hubbard-Stratonovich mean
+over explicit noise rows, the gated scenario stepper, the
 memory integrator's history sum, the overdamped step and the recursion count
 are checked against plain loops, and the ensemble statistics against their former
 temporaries-allocating formula.
@@ -249,3 +250,18 @@ def factor_draw_oracle(factor, z):
     for k in range(factor.shape[1]):
         acc += factor[:, k, None] * z[:, k]
     return acc
+
+
+def hs_moment_oracle(kernel, v, n_realizations, seed, clip_tol):
+    """Mean of exp(i xi . v) over the explicit (M, n) noise rows xi_i = F z_i.
+
+    F keeps the kernel's eigenpairs above clip_tol * lambda_max, as the
+    sampler's factor does; the rows are factor_draw_oracle's over
+    standard_normals_oracle's z, and their phases one matrix-vector product.
+    """
+    w, vecs = np.linalg.eigh(kernel.values)
+    keep = w > clip_tol * max(float(w[-1]), 0.0)
+    factor = vecs[:, keep] * np.sqrt(w[keep])
+    z = standard_normals_oracle(seed, n_realizations, factor.shape[1])
+    rows = factor_draw_oracle(factor, z).T
+    return complex(np.mean(np.exp(1j * (rows @ v))))

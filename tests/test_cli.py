@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ctpsim import scenarios
 from ctpsim.cli import ConfigError, load_config, main
 
 
@@ -225,6 +226,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
         assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("sub", ["ssb", "bec"])
+    def test_return_radius_is_checked_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                     sub):
+        # the default leave radius is sqrt(-6 m2 / lambda) / 2 = 1.58; the config is
+        # refused before any noise is drawn, naming the three keys it comes from
+        monkeypatch.setattr(scenarios, "factor_source",
+                            lambda *args: pytest.fail("the run drew its noise"))
+        path = write_config(tmp_path, {"n_realizations": 4, sub: {"return_radius": 3.0}})
+        out = tmp_path / "o"
+        assert main([sub, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{sub}.return_radius 3.0 must be positive and below the leave radius" in err
+        assert f"{sub}.m2 -1.0, {sub}.lambda 0.6" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_divergence_at_an_overflowing_time_names_the_step(self, tmp_path, capsys):
+        # t_end - t_start overflows, so dt and t_start + dt are inf: the first step
+        # diverges, and the message gives its index without a time
+        path = write_config(tmp_path, {"n_realizations": 2, "langevin": {
+            "gamma": 0.0, "x0": 1.0, "t_start": -1e308, "t_end": 1e308, "n_points": 3}})
+        out = tmp_path / "o"
+        assert main(["langevin", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "realization 0: trajectory diverged at step 1: |x| exceeded" in err
+        assert "inf" not in err
         assert not (out / "manifest.json").exists()
 
     def test_retarded_kernel_reads_no_phi(self, tmp_path):
@@ -605,11 +634,15 @@ class TestMemory:
 
     # at a few grid points the draw's normals (M, r) outweigh the noise (M, n): the
     # factor normals are drawn at most 16384 values a call, so the peak stays inside
-    # the budget the run checks (measured: 0.849 at n 2, 0.795 at n 3), where one
-    # whole-array draw of all (M / 64, r, 64) blocks held 2 M r values (1.27, 1.08)
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_traced_peak_of_colored_noise_is_in_budget(self, tmp_path, n):
-        m, r = 100_000, 7
+    # the budget the run checks (measured: 0.834 at n 2, 0.782 at n 3), where one
+    # whole-array draw of all (M / 64, r, 64) blocks held 2 M r values (1.27, 1.08).
+    # At M 1e4 (measured: 0.915) a tile is one time row of the time-major draw;
+    # tiles that ran along a time axis of 2 points held a 128 KB ufunc buffer
+    # beside them (1.122)
+    @pytest.mark.parametrize("n, m", [(2, 100_000), (3, 100_000), (2, 10_000)],
+                             ids=["2", "3", "2-m10000"])
+    def test_traced_peak_of_colored_noise_is_in_budget(self, tmp_path, n, m):
+        r = 7
         path = write_config(tmp_path, {"master_seed": 1, "n_realizations": m,
                                        "noise": {"kind": "fluctuation", "n_points": n}})
         args = ["noise", "--config", str(path), "--out", str(tmp_path / "out")]
@@ -617,6 +650,15 @@ class TestMemory:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert f"rank={r}," in summary["covariance_ref"]
         assert peak <= (2 * m * n + (m + 2 * n) * r) * 8
+
+    def test_traced_peak_of_verify_is_the_projected_draw(self, tmp_path):
+        # the Hubbard-Stratonovich check holds its normals (M, r = 2) and two (M,)
+        # buffers, within the r + 4 values a row the run checks (measured: 4.07),
+        # where drawing the (M, 8) noise and its complex phases peaked at 12.1
+        m = 100_000
+        path = write_config(tmp_path, {"verify": {"hs_realizations": m}})
+        args = ["verify", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert self._traced_peak(args) <= (2 + 4) * m * 8
 
     @pytest.mark.parametrize("sub", ["langevin", "ssb", "bec", "inflation"])
     def test_traced_peak_does_not_grow_with_n(self, tmp_path, sub):
@@ -701,9 +743,10 @@ class TestMemory:
         assert main(args) == 0
 
     def test_verify_beyond_physical_memory_exits_one(self, tmp_path, physical_memory, capsys):
-        # 17 float64 values per Hubbard-Stratonovich realization, checked before any draw
+        # r + 4 float64 values per Hubbard-Stratonovich realization (r = 2),
+        # checked before any draw
         m = 1000
-        need = 17 * m * 8
+        need = (2 + 4) * m * 8
         path = write_config(tmp_path, {"verify": {"hs_realizations": m}})
         args = ["verify", "--config", str(path), "--out", str(tmp_path / "out")]
         physical_memory(need - 1)

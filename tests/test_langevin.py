@@ -145,6 +145,15 @@ class TestIntegrateWhite:
                             zero(grid), 1.0, 0.0)
         assert info.value.step is not None
 
+    def test_divergence_at_an_overflowing_time_names_the_step(self):
+        # on [-1e308, 1e308] dt and t_start + dt overflow to inf: the message gives
+        # the step's index alone
+        grid = make_grid(-1e308, 1e308, 3)
+        with pytest.raises(DivergenceError) as info:
+            integrate_white(PotentialSpec.quadratic(1.0), 0.0, grid, zero(grid), 1.0, 0.0)
+        assert str(info.value) == "trajectory diverged at step 1: |x| exceeded 1e+12"
+        assert info.value.step == 1
+
 
 class TestIntegrateMemory:
     def test_free_limit_tracks_cosh(self):

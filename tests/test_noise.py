@@ -16,7 +16,7 @@ from ctpsim.langevin import _time_blocks
 from ctpsim.noise import NoiseEnsemble, hs_moment_check, sample_colored, sample_white
 from ctpsim.squeeze import SqueezeParams
 
-from oracles import factor_draw_oracle, standard_normals_oracle
+from oracles import factor_draw_oracle, hs_moment_oracle, standard_normals_oracle
 
 UNIT = SqueezeParams()
 
@@ -217,12 +217,15 @@ class TestFactorTiles:
 
     @pytest.mark.parametrize("values", [5, 64, 257])
     def test_tiles_split_both_axes(self, monkeypatch, values):
-        # 70 lines of the pipeline's (w, M d) block and 600-point lines of
-        # draw_from_factor's rows.T, both longer than some tiles and split
-        # into several tiles by all three sizes
+        # 70 realizations of the pipeline's (w, M d) block and of draw_from_factor's
+        # (600, 70) time-major rows: lines longer than some tiles, and blocks of
+        # time rows split into several tiles by all three sizes
         m, n, rank = 70, 600, 3
         factor = np.random.default_rng(values).standard_normal((n, rank))
         expected = factor_draw_oracle(factor, noise._standard_normals(values, m, rank))
+        drawn = noise.draw_from_factor(factor, values, m)
+        assert drawn.flags.c_contiguous
+        assert drawn.T.tobytes() == expected.tobytes()
         fill = noise.factor_source(factor, values, m)  # draws z at the package's size
         monkeypatch.setattr(noise, "_DRAW_BLOCK_VALUES", values)
         block, got = np.empty((257, m)), np.empty((n, m))
@@ -231,19 +234,20 @@ class TestFactorTiles:
             fill(rows, cols.start)
             got[cols] = rows
         assert got.tobytes() == expected.tobytes()
-        rows = np.empty((m, n))
-        fill(rows.T)
-        assert rows.T.tobytes() == expected.tobytes()
+        rows = np.empty((n, m))
+        fill(rows)
+        assert rows.tobytes() == expected.tobytes()
 
-    # a (257, 800) block of the pipeline (bec at M 400) and verify's (8, 1e5) view;
-    # beside its one tile, a fill holds only the two buffers of np.getbufsize()
-    # values that numpy's ufunc iterator allocates for each broadcast multiply
-    # of a tile (measured: 128 KB with numpy 2.4), never a block-sized array
-    @pytest.mark.parametrize("width, lines, order", [(257, 800, "C"), (8, 100_000, "F")])
-    def test_scratch_is_one_tile(self, width, lines, order):
+    # a (257, 800) block of the pipeline (bec at M 400) and draw_from_factor's
+    # (8, 1e5) rows; beside its one tile, a fill holds only the two buffers of
+    # np.getbufsize() values that numpy's ufunc iterator allocates for each
+    # broadcast multiply of a tile (measured: 128 KB with numpy 2.4), never a
+    # block-sized array
+    @pytest.mark.parametrize("width, lines", [(257, 800), (8, 100_000)])
+    def test_scratch_is_one_tile(self, width, lines):
         factor = np.random.default_rng(1).standard_normal((width, min(width, 8)))
         fill = noise.factor_source(factor, 1, lines)
-        rows = np.empty((width, lines), order=order)
+        rows = np.empty((width, lines))
         fill(rows)
         tracemalloc.start()
         try:
@@ -285,3 +289,18 @@ class TestHsMomentCheck:
         kernel = build_hadamard(UNIT, make_grid(0.0, 1.0, 8))
         with pytest.raises(ValueError, match="shape"):
             hs_moment_check(kernel, np.zeros(5), 10, seed=1)
+
+    @pytest.mark.parametrize("case", ["hadamard", "identity"])
+    def test_equals_the_explicit_draw(self, case):
+        # the phases z_i . (F^T v) give the mean over the noise rows F z_i to roundoff
+        if case == "hadamard":  # verify's kernel and vector
+            kernel = build_hadamard(UNIT, make_grid(0.0, 1.0, 8))
+            v = np.linspace(0.2, -0.3, 8)
+        else:  # acceptance criterion 4's kernel, with every normal in the phase
+            kernel = KernelMatrix(make_grid(0.0, 1.0, 16), np.eye(16), SYMMETRIC)
+            v = np.linspace(0.3, -0.4, 16)
+        v /= math.sqrt(float(v @ kernel.values @ v))
+        m, seed = 10_000, derive_seed(3, 97)
+        mc, analytic = hs_moment_check(kernel, v, m, seed)
+        assert abs(mc - hs_moment_oracle(kernel, v, m, seed, noise.DEFAULT_CLIP_TOL)) <= 1e-12
+        assert math.isclose(analytic, math.exp(-0.5), rel_tol=1e-12)
