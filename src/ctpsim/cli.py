@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (ConfigError, NumericalError, TimeGrid, derive_seed, make_grid,
-                   require_memory)
+from .core import (ConfigError, DivergenceError, NumericalError, TimeGrid, derive_seed,
+                   make_grid, require_memory)
 from .kernels import (DeSitterParams, KernelMatrix, build_contour_matrix,
                       build_hadamard, build_retarded, fluctuation_kernel,
                       keldysh_rotate, memory_kernel, squeezed_factor)
@@ -637,9 +637,10 @@ def _config(args: argparse.Namespace) -> dict:
 
 
 def _suspect_keys(cfg: dict | None, name: str) -> str:
-    """The keys of name's section a float64 failure may come from, as a message suffix.
+    """The keys of name's section a numerical failure may come from, as a message suffix.
 
     Those with |v| >= 1e100 or 0 < |v| <= 1e-100 if any, else those set away from the default.
+    It ends the message of a float64 failure and of a divergence.
     """
     section = cfg[name] if cfg else {}
     extreme = {key: value for key, value in section.items() if isinstance(value, float)
@@ -690,6 +691,10 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             cfg = _config(args)
             return _dispatch(args, cfg)
+    except DivergenceError as err:
+        print(f"numerical failure: {err}{_suspect_keys(cfg, args.subcommand)}",
+              file=sys.stderr)
+        return 2
     except (NumericalError, np.linalg.LinAlgError) as err:
         # LinAlgError subclasses ValueError but is a numerical failure
         print(f"numerical failure: {err}", file=sys.stderr)

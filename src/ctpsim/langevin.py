@@ -13,7 +13,7 @@ equation uses an exponential-integrator step that is exact for linear decay;
 it is linear in its drive, so inflation steps only its factor columns.
 
 Ensembles are stepped all realizations at once by :class:`SemiImplicitStepper`,
-one block of 256 grid columns at a time.  It applies the same elementwise
+one block of 128 grid columns at a time.  It applies the same elementwise
 operations in the same order as the single-path :func:`integrate_white`, so
 every row is bit-identical to the single-path result and does not depend on
 the ensemble size.  The runners stream (:func:`stream_blocks`): each block's
@@ -42,8 +42,10 @@ from .noise import white_source, white_source_bytes
 DIVERGENCE_GUARD = 1e12
 
 #: grid columns per block of the ensemble pipeline, its steppers and its
-#: reductions; every block is time-major, one row per grid column
-_BLOCK_STEPS = 256
+#: reductions; every block is time-major, one row per grid column.  No output
+#: depends on it: 128 is a measured compromise, as 64 steps bec faster still
+#: but runs the white-noise ensemble slower
+_BLOCK_STEPS = 128
 
 
 @dataclass(frozen=True)
@@ -73,13 +75,14 @@ class PotentialSpec:
     double_well: V = m2 x^2 / 2 + lam x^4 / 4!   (c1 = m2, c3 = lam/6, lam > 0)
 
     vprime is written as x (c1 + c3 x^2) so negating x negates the force
-    exactly in floating point.  :meth:`force` is the same law in the
+    exactly in floating point.  :attr:`force` is the same law in the
     contract of :class:`SemiImplicitStepper`, written into out bit for bit:
     with c3 = 0 it is one multiply by c1 + 0.0, since c3 x x is +0.0 for
     every |x| <= DIVERGENCE_GUARD and c1 + 0.0 is c1 except that -0.0
     becomes +0.0 (c1 = -w^2 is -0.0 once w^2 underflows).  Its operands
     c1 + 0.0, c3 and c1 are 0-d float64 arrays, formed once per instance: a
-    ufunc takes those faster than Python floats, with the same result.
+    ufunc takes those faster than Python floats, with the same result.  Its
+    ufuncs take out positionally: numpy parses a keyword out on every call.
     """
 
     kind: str
@@ -104,18 +107,25 @@ class PotentialSpec:
         return x * (self.c1 + self.c3 * x * x)
 
     @cached_property
-    def _force_operands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(np.array(c, dtype=float) for c in (self.c1 + 0.0, self.c3, self.c1))
+    def force(self) -> Callable[[np.ndarray, np.ndarray | None, np.ndarray], np.ndarray]:
+        """force(x, norm, out): vprime(x) written into out; norm is not read.
 
-    def force(self, x: np.ndarray, norm, out: np.ndarray) -> np.ndarray:
-        """vprime(x) written into out; norm is not read."""
-        c1_plus_zero, c3, c1 = self._force_operands
+        The c3 branch and the operands are resolved once per instance, so a
+        call is one Python frame and, with c3 = 0, one ufunc.
+        """
+        c1_plus_zero, c3, c1 = (np.array(c, dtype=float)
+                                for c in (self.c1 + 0.0, self.c3, self.c1))
+        multiply, add = np.multiply, np.add
         if self.c3 == 0.0:
-            return np.multiply(x, c1_plus_zero, out=out)
-        np.multiply(x, c3, out=out)
-        np.multiply(out, x, out=out)
-        np.add(out, c1, out=out)
-        return np.multiply(x, out, out=out)
+            def force(x, norm, out):
+                return multiply(x, c1_plus_zero, out)
+        else:
+            def force(x, norm, out):
+                multiply(x, c3, out)
+                multiply(out, x, out)
+                add(out, c1, out)
+                return multiply(x, out, out)
+        return force
 
 
 @dataclass(frozen=True)
@@ -280,10 +290,10 @@ def _squared_norm(components, out: np.ndarray, scratch: np.ndarray) -> np.ndarra
     component order: einsum("md,md->m") bit for bit at d = 1 and d = 2.
     """
     first, *rest = components
-    np.multiply(first, first, out=out)
+    np.multiply(first, first, out)
     for xa in rest:
-        np.multiply(xa, xa, out=scratch)
-        np.add(out, scratch, out=out)
+        np.multiply(xa, xa, scratch)
+        np.add(out, scratch, out)
     return out
 
 
@@ -299,11 +309,18 @@ class SemiImplicitStepper:
     v' = (v + dt f)/(1 + gamma dt), x' = x + dt v', as elementwise
     operations into reused buffers (dt (g xi - V') + v is v + dt (g xi - V')
     bit for bit), so with the same V' every row equals integrate_white on
-    that row and does not depend on M.  dt and 1 + gamma dt are held as 0-d
-    float64 arrays, the operands a ufunc takes fastest.  force(x, norm, out)
-    writes the gradient V'(x) of positions x (M, d) into out (M, d); norm is
-    |x|^2 (M,) when the stepper has formed it (with a gate), else None.  x0
-    and v0 broadcast to (M, d).
+    that row and does not depend on M.  force(x, norm, out) writes the
+    gradient V'(x) of positions x (M, d) into out (M, d); norm is |x|^2
+    (M,) when the stepper has formed it (with a gate), else None.  x0 and
+    v0 broadcast to (M, d).
+
+    A ufunc call of a step touches only M d values, so numpy's cost per
+    call, not the arithmetic, sets the time.  dt and 1 + gamma dt are held
+    as 0-d float64 arrays, the operands a ufunc takes fastest; the loop
+    binds its ufuncs to locals and passes out positionally (numpy parses a
+    keyword out on every call), walks a block's noise, position and
+    velocity rows together, and tests the gate with count_nonzero, where
+    ndarray.any enters a Python frame.
 
     Without a gate_threshold the gate g is 1 and no |x|^2 is formed.  With
     one, each step forms |x|^2 once (:func:`_squared_norm`) into the one
@@ -368,23 +385,26 @@ class SemiImplicitStepper:
         vs[0] = vs[carry]
         x_rows, v_rows = self.rows
         dt, denom, force = self.dt, self.denom, self.force
+        subtract, multiply, add, divide = np.subtract, np.multiply, np.add, np.divide
+        greater, count_nonzero = np.greater, np.count_nonzero
         x, v = x_rows[0], v_rows[0]
         if norm is not None:
             components, scratch = self.components, self.scratch
             limit, hit, gating = self.limit, self.hit, self.gate.any()
-            np.multiply(block[:steps], self.gate[:, None], out=block[:steps])
+            multiply(block[:steps], self.gate[:, None], block[:steps])
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, xi in enumerate(block[:steps]):
+            for j, (xi, x_next, v_next) in enumerate(
+                    zip(block[:steps], x_rows[1:steps + 1], v_rows[1:steps + 1])):
                 force(x, norm, f)
-                np.subtract(xi, f, out=f)
-                np.multiply(f, dt, out=f)
-                np.add(f, v, out=f)
-                v = np.divide(f, denom, out=v_rows[j + 1])
-                np.multiply(v, dt, out=f)
-                x = np.add(x, f, out=x_rows[j + 1])
+                subtract(xi, f, f)
+                multiply(f, dt, f)
+                add(f, v, f)
+                v = divide(f, denom, v_next)
+                multiply(v, dt, f)
+                x = add(x, f, x_next)
                 if norm is not None:
                     _squared_norm(components[j + 1], norm, scratch)
-                    if gating and np.greater(norm, limit, out=hit).any():
+                    if gating and count_nonzero(greater(norm, limit, hit)):
                         gating = self._latch(block[j + 1:steps], cols.start + j + 1)
         new = xs[1:steps + 1]
         # max and min propagate NaN, so this holds iff every |x| <= DIVERGENCE_GUARD

@@ -256,20 +256,23 @@ def _radial_force(cfg: SSBConfig, m: int):
 
     The (M,) coefficient is formed in a reused buffer, from the stepper's
     |x|^2 when it is given (gated runs), else from |x|^2 formed here; m2 and
-    lam / 6 are 0-d float64 arrays, the operands a ufunc takes fastest.
+    lam / 6 are 0-d float64 arrays, the operands a ufunc takes fastest, and
+    every ufunc takes out positionally, which numpy parses faster than a
+    keyword.
     """
     c1 = np.array(cfg.m2, dtype=float)
     c3 = np.array(cfg.lam / 6.0, dtype=float)
     coef = np.empty(m)
     scratch = np.empty(m)
     coef_col = coef[:, None]
+    multiply, add = np.multiply, np.add
 
     def force(x, norm, out):
         if norm is None:
             norm = _squared_norm(x.T, coef, scratch)
-        np.multiply(norm, c3, out=coef)
-        np.add(coef, c1, out=coef)
-        return np.multiply(coef_col, x, out=out)
+        multiply(norm, c3, coef)
+        add(coef, c1, coef)
+        return multiply(coef_col, x, out)
     return force
 
 
@@ -409,7 +412,9 @@ class _RecursionCount:
     and carries each run's "has left" flag into the next block, so any split
     of the columns gives the count of the whole rows.  It compares x with
     +-radius into boolean masks, never forming |x|; NaN fails every
-    comparison, as it fails |x| > radius and |x| < radius.
+    comparison, as it fails |x| > radius and |x| < radius.  The running
+    "has left" over time is a bitwise OR accumulated over the masks' bytes
+    (each 0 or 1): logical_or's booleans in about a third of its time.
     """
 
     def __init__(self, rows: int, leave_radius: float, return_radius: float):
@@ -421,7 +426,8 @@ class _RecursionCount:
         leave_radius, return_radius = self.radii
         has_left = paths > leave_radius
         has_left |= paths < -leave_radius
-        np.logical_or.accumulate(has_left, axis=0, out=has_left)
+        flags = has_left.view(np.uint8)
+        np.bitwise_or.accumulate(flags, axis=0, out=flags)
         has_left |= self.has_left
         self.has_left[:] = has_left[-1]
         has_left &= paths < return_radius

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctpsim import scenarios
+from ctpsim import langevin, scenarios
 from ctpsim.cli import ConfigError, load_config, main
 
 
@@ -145,6 +145,23 @@ class TestExitCodes:
         assert "diverged" in err
         assert "gate" in err
         assert "too coarse" not in err
+
+    # the inverted potential with omega 5 diverges at step 640, the ungated ssb run
+    # at t = 14.8; the message ends with the keys set away from their defaults
+    @pytest.mark.parametrize("sub, section, key", [
+        ("langevin", {"potential": "inverted", "omega": 5.0}, "langevin.omega=5.0"),
+        ("ssb", {"gate": False}, "ssb.gate=False")], ids=["langevin", "ssb"])
+    def test_divergence_names_its_config_keys(self, tmp_path, capsys, sub, section, key):
+        path = write_config(tmp_path, {sub: section})
+        out = tmp_path / "o"
+        assert main([sub, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: realization ")
+        assert "diverged" in err
+        assert err.endswith(")\n")
+        assert key in err[err.rindex("(non-default keys: "):]
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
 
     def test_rank_zero_noise_is_config_error(self, tmp_path, capsys):
         cfg = {"bec": {"noise_kernel": "fluctuation", "coupling": 0.0}}
@@ -516,7 +533,10 @@ class TestOutputs:
         assert code == 2
         err = capsys.readouterr().err
         assert err == ("numerical failure: realization 0: trajectory diverged at step 104 "
-                       "(t = 10.4): |x| exceeded 1e+12\n")
+                       "(t = 10.4): |x| exceeded 1e+12 (non-default keys: "
+                       "langevin.potential='inverted', langevin.omega=3.0, "
+                       "langevin.t_end=40.0, langevin.n_points=401, langevin.x0=1.0, "
+                       "langevin.sigma2=1e-30)\n")
 
     def test_manifest_echoes_defaults(self, tmp_path):
         path = write_config(tmp_path, SSB_FAST)
@@ -601,12 +621,10 @@ class TestMemory:
 
     # the streamed runners hold block buffers, not an (M, d, n) array: at M 400 the
     # budget they check covers the traced peak, which is below one array (measured:
-    # langevin 0.390, ssb 0.399, bec 0.286 of a (M, d, 3001) array).  The langevin
-    # bound sits below the peak of a pipeline that also held a stepper's private
-    # copy of each noise block (0.484); the ssb and bec bounds below those of a
-    # gated stepper that kept a (w, M) history of |x|^2 (0.495, 0.334)
+    # langevin 0.202, ssb 0.222, bec 0.154 of a (M, d, 3001) array).  Each bound sits
+    # below the peak of a pipeline of 256-column blocks (0.390, 0.399, 0.286)
     @pytest.mark.parametrize("sub, d, bound", [
-        ("langevin", 1, 0.45), ("ssb", 1, 0.45), ("bec", 2, 0.31)])
+        ("langevin", 1, 0.25), ("ssb", 1, 0.25), ("bec", 2, 0.18)])
     def test_traced_peak_is_block_buffers(self, tmp_path, sub, d, bound):
         m, n = 400, 3001
         peak = self._traced_peak(self._args(tmp_path, sub, n, m))
@@ -685,10 +703,11 @@ class TestMemory:
     def _budget(sub, m, d, n) -> int:
         """The bytes a run checks against physical memory.
 
-        A streamed run holds 6 (M, d, 257) float64 slabs of block buffers (fewer
-        columns when n is smaller), plus langevin 6 result columns of n and ssb
-        its mean and variance.  The white-noise run also keeps a 1 KB generator
-        per row group of 64 realizations and a (256, 64) draw buffer.
+        A streamed run holds 6 (M, d, w) float64 slabs of block buffers, w the
+        pipeline's block width (langevin._block_width), plus langevin 6 result
+        columns of n and ssb its mean and variance.  The white-noise run also
+        keeps a 1 KB generator per row group of 64 realizations and a (256, 64)
+        draw buffer.
         inflation holds no block buffers: 14 values per grid point (its (n, 2)
         mode factor, two columns and two lists of Python floats at 5 values a
         point) and 6 per realization (z, its forms and their temporaries, and
@@ -696,7 +715,7 @@ class TestMemory:
         """
         if sub == "inflation":
             return (14 * n + 6 * m) * 8
-        slabs = 6 * m * d * min(n, 257) * 8
+        slabs = 6 * m * d * langevin._block_width(n) * 8
         draw = -(-m // 64) * 1024 + 256 * 64 * 8
         return slabs + {"langevin": 6 * n * 8 + draw, "ssb": 2 * n * 8, "bec": 0}[sub]
 

@@ -4,17 +4,17 @@ Each run is pinned at master seeds 1 and 2; manifest.json is hashed as sorted
 JSON without its wall_time_s.  A refactor that keeps the outputs must keep
 every digest, so a changed bit fails here, in the test suite, before any
 benchmark or rerun comparison sees it.  The grids are long enough to cross
-the 256-column blocks of the ensemble pipeline, and langevin_long's tables
+the 128-column blocks of the ensemble pipeline, and langevin_long's tables
 (1501 rows of 3 values) cross the 2048-value chunks of the table writer.
 ssb_wide and bec_wide draw 70 and 140 noise rows, two and three row groups
 of the factor normals, so they pin the blocks that groups 1 and 2 take after
-group 0's from one generator.  They split each 257-row noise block into two
-(ssb) or three (bec) tiles of the factor draw, and latch their gates in two
-to four different blocks, with many realizations latching in the same step
-as another.  Colored noise and the memory kernel pin the factor draw
-(``noise.factor_source``) on its own, and verify's Hubbard-Stratonovich check
-(300 rows, five groups) the factor normals (``noise._standard_normals``)
-through their projections.
+group 0's from one generator.  bec_wide splits each 129-row noise block into
+two tiles of the factor draw (ssb_wide's fit one), and both latch their
+gates in three to six different blocks, with many realizations latching in
+the same step as another.  Colored noise and the memory kernel pin the
+factor draw (``noise.factor_source``) on its own, and verify's
+Hubbard-Stratonovich check (300 rows, five groups) the factor normals
+(``noise._standard_normals``) through their projections.
 
 The digests were recorded with numpy 2.4.6 at the artifact_version
 GOLDEN_VERSION; on another numpy the digest test is skipped, since numpy may

@@ -370,7 +370,7 @@ class TestBatchedSteppers:
     """The batched steppers reproduce the single-path integrators bit for bit.
 
     Each test steps a whole array block by block (whole_array.step); grids run
-    up to 600 points so the 256-step time blocks are crossed.
+    up to 600 points so the 128-step time blocks are crossed.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -450,7 +450,7 @@ class TestBatchedSteppers:
         assert stepper.close.tobytes() == first_closed_step(ref_gates).tobytes()
 
     # kick column per realization (None: never kicked) on a 600-point grid, whose
-    # pipeline blocks start at columns 0, 256 and 512; a kick at column c shuts
+    # pipeline blocks start at every 128th column; a kick at column c shuts
     # the gate at step c + 1
     @pytest.mark.parametrize("kicks", [
         pytest.param([255, None], id="last-step-of-block"),
@@ -526,6 +526,67 @@ class TestBatchedSteppers:
         grid = make_grid(0.0, 1.0, 11)
         with pytest.raises(ValueError, match="11 time points"):
             SemiImplicitStepper((2, 1, 10), PotentialSpec.quadratic(1.0).force, 0.0, grid)
+
+
+#: kick column per realization (None: never kicked) on a 600-point grid: a kick at
+#: column c shuts the gate at step c + 1, the first step of a block where c is a
+#: multiple of the width (every c at width 1; 129, 255 and 384 at 3; 128, 256 and
+#: 384 at 128; 256 at 256) and a step inside a block elsewhere; two rows share 128
+WIDTH_KICKS = [None, 128, 256, 300, 40, 129, 255, 384, 128]
+
+
+class TestStepperBlockWidth:
+    """The stepper's bits do not depend on the pipeline's block width (_BLOCK_STEPS).
+
+    Each step walks a block's noise row and its next position and velocity
+    rows together; the latch takes its grid index from the step's count in
+    the block, so it is checked where a gate latches on a block's first step
+    and inside a block.
+    """
+
+    @pytest.mark.parametrize("width", [1, 3, 128, 256])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gated_rows_equal_loop_oracle(self, monkeypatch, width, d):
+        n, threshold = 600, 1.0
+        grid = make_grid(0.0, 10.0, n)
+        rng = np.random.default_rng(d)
+        # small noise far below the threshold, a kick that crosses it in one step,
+        # and large noise after the kick that shows in the paths if it leaks past
+        # the shut gate
+        noise = 0.01 * rng.standard_normal((len(WIDTH_KICKS), d, n))
+        for i, kick in enumerate(WIDTH_KICKS):
+            if kick is not None:
+                noise[i, :, kick] = 1e5
+                noise[i, :, kick + 1:] = 50.0 * rng.standard_normal((d, n - kick - 1))
+        cfg = SimpleNamespace(m2=1.0, lam=0.6, friction=0.5, gate=True,
+                              gate_threshold_sq=threshold, grid=grid)
+        ref_paths, ref_gates = gated_loop_oracle(cfg, noise)
+        monkeypatch.setattr(langevin, "_BLOCK_STEPS", width)
+        stepper = SemiImplicitStepper(noise.shape, scenarios._radial_force(cfg, len(noise)),
+                                      0.5, grid, gate_threshold=threshold)
+        whole_array.step(stepper, noise)
+        assert noise.tobytes() == ref_paths.tobytes()
+        assert stepper.close.tobytes() == first_closed_step(ref_gates).tobytes()
+        assert stepper.close.tolist() == [-1 if k is None else k + 1 for k in WIDTH_KICKS]
+
+    @pytest.mark.parametrize("width", [1, 3, 128, 256])
+    def test_ungated_rows_equal_integrate_white(self, monkeypatch, width):
+        n, m = 600, 4
+        grid = make_grid(0.0, 10.0, n)
+        pot = PotentialSpec.double_well(-1.0, 0.6)
+        xi = sample_white(1.0, grid, width, m).realizations
+        x0 = np.linspace(-1.5, 1.5, m)[:, None]
+        v0 = np.linspace(0.5, -0.5, m)[:, None]
+        paths = xi[:, None, :].copy()
+        monkeypatch.setattr(langevin, "_BLOCK_STEPS", width)
+        stepper = SemiImplicitStepper(paths.shape, pot.force, 0.5, grid, x0, v0)
+        whole_array.step(stepper, paths)
+        assert stepper.close.tolist() == [-1] * m
+        for i in range(m):
+            ref = integrate_white(pot, 0.5, grid, xi[i], x0[i, 0], v0[i, 0])
+            assert paths[i, 0].tobytes() == ref.x.tobytes()
+            if i == 0:
+                assert stepper.v_first[:, 0].tobytes() == ref.xdot.tobytes()
 
 
 class TestBlockedAggregate:
