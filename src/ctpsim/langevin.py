@@ -20,8 +20,10 @@ the ensemble size.  The runners stream (:func:`stream_blocks`): each block's
 noise is drawn into one reused time-major (w, M, d) buffer, stepped from it
 and its (w, M, d) paths reduced (:class:`ColumnMoments` for the pointwise
 statistics, summed over the realizations in their index order), so no array
-of the ensemble's size is held.  :func:`aggregate_paths` reduces a whole
-path array over the same blocks, with the same bits.
+of the ensemble's size is held.  A gated ensemble reads no noise once every
+gate has latched, so the blocks after that one are not drawn; an ungated one
+draws every block.  :func:`aggregate_paths` reduces a whole path array over
+the same blocks, with the same bits.
 """
 
 from __future__ import annotations
@@ -331,10 +333,16 @@ class SemiImplicitStepper:
     at step j has its rows after j multiplied by 0 there ((xi 1) 0 is xi 0
     bit for bit).  While some gate is open each step compares |x|^2 with
     ``limit`` (M,), the threshold for open gates and +inf for latched ones;
-    once every gate has latched the steps do no gate work.  ``close`` (M,)
-    int64 holds each realization's close step, the first grid index at
-    which its gate is 0, recorded when it latches, or -1 while it is open
-    (always, without a gate).
+    once every gate has latched the steps do no gate work.  ``gate_open``
+    says whether some gate is still open (always true without a gate);
+    :meth:`_latch` updates it.  While it is false the block's noise rows
+    are all multiplied by 0, so the stepper reads no noise and
+    :func:`stream_blocks` does not draw it: the finite rows left in the
+    buffer from the last block drawn become +-0, as new noise would.  Only
+    the sign of such a zero can differ, and it reaches x only where x and v
+    are both exactly 0.  ``close`` (M,) int64 holds each realization's
+    close step, the first grid index at which its gate is 0, recorded when
+    it latches, or -1 while it is open (always, without a gate).
     ``v_first`` (n, d) holds the velocities of realization 0 up to the last
     block stepped.  A block in which some |x_a| exceeds DIVERGENCE_GUARD or
     is not finite raises DivergenceError for the earliest such step and,
@@ -367,6 +375,7 @@ class SemiImplicitStepper:
         self.close = np.full(m, -1, dtype=np.int64)
         self.v_first = np.empty((n, d))
         self.norm = None
+        self.gate_open = True
         if gate_threshold is not None:
             self.norm = np.empty(m)
             self.gate = np.ones(m)
@@ -390,7 +399,7 @@ class SemiImplicitStepper:
         x, v = x_rows[0], v_rows[0]
         if norm is not None:
             components, scratch = self.components, self.scratch
-            limit, hit, gating = self.limit, self.hit, self.gate.any()
+            limit, hit, gating = self.limit, self.hit, self.gate_open
             multiply(block[:steps], self.gate[:, None], block[:steps])
         with np.errstate(over="ignore", invalid="ignore"):
             for j, (xi, x_next, v_next) in enumerate(
@@ -422,14 +431,15 @@ class SemiImplicitStepper:
     def _latch(self, rest: np.ndarray, step: int) -> bool:
         """Latch the gates ``hit`` marks at grid index step, zero their noise rows rest.
 
-        Returns whether some gate is still open.
+        Updates and returns ``gate_open``, whether some gate is still open.
         """
         hit = self.hit
         self.limit[hit] = np.inf
         self.gate[hit] = 0.0
         self.close[hit] = step
         rest[:, hit] *= 0.0
-        return bool(self.gate.any())
+        self.gate_open = bool(self.gate.any())
+        return self.gate_open
 
 
 def stream_blocks(fill, stepper, reduce) -> None:
@@ -439,21 +449,29 @@ def stream_blocks(fill, stepper, reduce) -> None:
     noise of the block's columns into the time-major rows (w, M d),
     stepper.step(block, cols) returns their paths (w, M, d), and
     reduce(paths, cols) reads them.  No array of the ensemble's size is held.
-    When a step fails, the rest of the noise is drawn first, so a failure of
-    the noise itself is reported as it is when the noise is drawn whole
-    before any step.
+    A block is drawn only while stepper.gate_open, that is, while some
+    realization's gate can pass its noise (always, without a gate): after
+    the last latch the stepper zeroes the noise of every row, so noise
+    drawn there would only be thrown away, and it cannot fail the run.
+    When a step fails, every block not yet drawn is drawn first, so a
+    failure of the noise itself is reported as it is when the noise is
+    drawn whole before any step.
     """
     m, d, n = stepper.shape
     buffer = np.empty((_block_width(n), m, d))
     rows = buffer.reshape(len(buffer), m * d)
     blocks = _time_blocks(n)
+    undrawn = []
     for b, cols in enumerate(blocks):
         width = cols.stop - cols.start
-        fill(rows[:width], cols.start)
+        if stepper.gate_open:
+            fill(rows[:width], cols.start)
+        else:
+            undrawn.append(cols)
         try:
             paths = stepper.step(buffer[:width], cols)
         except (NumericalError, ArithmeticError):
-            for rest in blocks[b + 1:]:
+            for rest in undrawn + blocks[b + 1:]:
                 fill(rows[:rest.stop - rest.start], rest.start)
             raise
         reduce(paths, cols)

@@ -293,7 +293,10 @@ def _simulate(cfg: SSBConfig, n_components: int, reduce) -> np.ndarray:
     :func:`ctpsim.langevin.stream_blocks`).  The gate starts at 1, multiplies
     the noise, and latches to 0 the first time |x|^2 crosses the threshold;
     a realization's close time is t_start + dt times its close step, inf
-    where the gate never closed.
+    where the gate never closed.  Once every gate has latched the rest of
+    the transient is deterministic relaxation: the blocks after that are
+    not drawn (unless a step fails), so a gated run draws the noise up to
+    its last close step, and an ungated run draws it all.
     """
     m, n = cfg.n_realizations, cfg.grid.n_points
     draw = factor_source(_scenario_factor(cfg), cfg.master_seed, m * n_components)

@@ -188,6 +188,18 @@ class TestExitCodes:
         assert "numerical failure" in err
         assert "overflows at t = 240" in err
 
+    @pytest.mark.parametrize("sub", ["ssb", "bec"])
+    def test_noise_after_the_last_latch_is_not_drawn(self, tmp_path, capsys, sub):
+        # every gate latches early, and the noise times noise_amplitude overflows late
+        # on the grid, where no open gate passes it, so that noise is never drawn
+        path = write_config(tmp_path, {"n_realizations": 8, sub: {
+            "t_end": 708.0, "n_points": 35401, "noise_amplitude": 10.0}})
+        out = tmp_path / "o"
+        assert main([sub, "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "report.json").read_text())
+        assert report["gate_close_time_median"] < 20.0
+
     @pytest.mark.parametrize("kind,t_end", [("hadamard", 400.0), ("fluctuation", 300.0),
                                              ("memory", 300.0), ("retarded", 800.0)])
     def test_kernel_overflow_fails_without_warnings(self, tmp_path, capsys, kind, t_end):
@@ -613,9 +625,12 @@ class TestMemory:
                                        sub: {"n_points": n}})
         return [sub, "--config", str(path), "--out", str(tmp_path / "out")]
 
+    # in (M, d, n) arrays; the streamed runners' bounds sit about half an array above
+    # their traced peaks (measured: langevin 0.279, ssb 0.646, bec 0.435), so one
+    # more whole array, or for bec one (M, n) component of it, fails them
     @pytest.mark.parametrize("sub, n, d, bound", [
-        ("langevin", 4001, 1, 2.1), ("ssb", 2001, 1, 2.6),
-        ("bec", 2001, 2, 1.9), ("inflation", 2001, 1, 1.8), ("noise", 4001, 1, 2.3)])
+        ("langevin", 4001, 1, 0.8), ("ssb", 2001, 1, 1.2),
+        ("bec", 2001, 2, 0.9), ("inflation", 2001, 1, 1.8), ("noise", 4001, 1, 2.3)])
     def test_traced_peak_holds_each_array_once(self, tmp_path, sub, n, d, bound):
         assert self._traced_peak(self._args(tmp_path, sub, n)) <= bound * self.M * d * n * 8
 

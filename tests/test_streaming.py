@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import whole_array
+from ctpsim import langevin, scenarios
 from ctpsim.core import DivergenceError, make_grid
 from ctpsim.kernels import DeSitterParams
-from ctpsim.langevin import (PotentialSpec, SemiImplicitStepper, run_white_ensemble,
-                             stream_blocks)
+from ctpsim.langevin import (PotentialSpec, SemiImplicitStepper, _time_blocks,
+                             run_white_ensemble, stream_blocks)
 from ctpsim.noise import draw_from_factor, factor_source, sample_white, white_source
 from ctpsim.scenarios import BECConfig, SSBConfig, run_bec, run_inflation, run_ssb
 
@@ -178,3 +179,88 @@ class TestFailureOrder:
                 run(cfg)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
+
+
+class TestDrawnBlocks:
+    """A gated run draws no noise once every gate has latched; an ungated run draws it all."""
+
+    N = 3001
+
+    @staticmethod
+    def spy(monkeypatch, module):
+        """Record the stepper module.stream_blocks runs and the start of each block it fills."""
+        seen = {"starts": []}
+        stream = module.stream_blocks
+
+        def spying(fill, stepper, reduce):
+            def recording(rows, start):
+                seen["starts"].append(start)
+                fill(rows, start)
+            seen["stepper"] = stepper
+            stream(recording, stepper, reduce)
+        monkeypatch.setattr(module, "stream_blocks", spying)
+        return seen
+
+    def all_starts(self):
+        return [cols.start for cols in _time_blocks(self.N)]
+
+    def assert_drawn_to_the_last_latch(self, seen):
+        close = seen["stepper"].close
+        assert close.min() >= 0
+        # column close - 1 holds the last noise that an open gate passes
+        drawn = [start for start in self.all_starts() if start < close.max()]
+        assert seen["starts"] == drawn
+        assert len(drawn) < len(self.all_starts())
+
+    def test_gated_ssb_draws_to_the_last_latch(self, monkeypatch):
+        cfg = scenario(SSBConfig, 64, self.N, 30.0, 5, "hadamard", True)
+        seen = self.spy(monkeypatch, scenarios)
+        got = run_ssb(cfg)
+        self.assert_drawn_to_the_last_latch(seen)
+        ref_stats, ref_close, ref_recursion = whole_array.ssb(cfg)
+        assert same_bits(got.stats.mean, ref_stats.mean)
+        assert same_bits(got.stats.variance, ref_stats.variance)
+        assert same_bits(got.stats.per_run_finals, ref_stats.per_run_finals)
+        assert same_bits(got.gate_close_times, ref_close)
+        assert got.recursion == ref_recursion
+
+    def test_gated_bec_draws_to_the_last_latch(self, monkeypatch):
+        cfg = scenario(BECConfig, 64, self.N, 30.0, 5, "hadamard", True)
+        seen = self.spy(monkeypatch, scenarios)
+        got = run_bec(cfg)
+        self.assert_drawn_to_the_last_latch(seen)
+        final_vec, ref_close = whole_array.bec(cfg)
+        modulus = np.sqrt(np.einsum("md,md->m", final_vec, final_vec))
+        assert same_bits(got.final_modulus, modulus)
+        assert same_bits(got.final_phase, np.arctan2(final_vec[:, 1], final_vec[:, 0]))
+        assert same_bits(got.gate_close_times, ref_close)
+
+    def test_failure_after_the_last_latch_draws_the_skipped_blocks(self):
+        grid = make_grid(0.0, 99.9, 1000)
+        starts = []
+
+        def fill(rows, start):
+            starts.append(start)
+            rows[...] = 0.0
+            if start == 128:
+                raise FloatingPointError("overflow encountered in multiply")
+
+        # |x| grows as cosh t: both gates latch near t = 1.3 (block 0), the guard
+        # trips near t = 28 (block 2), and blocks 1 and 2 were never drawn
+        stepper = SemiImplicitStepper((2, 1, 1000), PotentialSpec.inverted(1.0).force, 0.0,
+                                      grid, x0=1.0, gate_threshold=4.0)
+        with pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
+            stream_blocks(fill, stepper, lambda paths, cols: None)
+        assert starts == [0, 128]
+        assert stepper.close.max() < 128
+
+    def test_ungated_ssb_draws_every_block(self, monkeypatch):
+        seen = self.spy(monkeypatch, scenarios)
+        run_ssb(scenario(SSBConfig, 64, self.N, 10.0, 5, "hadamard", False))
+        assert seen["starts"] == self.all_starts()
+
+    def test_white_ensemble_draws_every_block(self, monkeypatch):
+        seen = self.spy(monkeypatch, langevin)
+        run_white_ensemble(PotentialSpec.quadratic(1.0), 0.5, make_grid(0.0, 30.0, self.N),
+                           1.0, 5, 64)
+        assert seen["starts"] == self.all_starts()

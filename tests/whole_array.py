@@ -3,7 +3,10 @@
 Each function is the algorithm the runners used before they streamed: draw
 the whole (M, d, n) noise array, step it into the paths (:func:`step`), then
 reduce the paths with aggregate_paths and recursion_probability.  The
-streamed runners must reproduce these values bit for bit, failures included.
+streamed runners must reproduce these values bit for bit, failures included,
+with one exception: a gated scenario run does not draw the noise after its
+last gate latches, so noise that fails there (a float64 overflow of the
+noise times noise_amplitude, say) fails these references but not the run.
 :func:`inflation` steps every realization's path, which run_inflation never
 forms; it agrees with run_inflation to roundoff.
 """
