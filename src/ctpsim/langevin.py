@@ -285,18 +285,24 @@ def _block_width(n: int) -> int:
     return min(n, _BLOCK_STEPS + 1)
 
 
-def _squared_norm(components, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """sum_a x_a^2 (M,) into out from the component views x_a (M,) of positions (M, d).
+def _squared_norm(m: int, d: int) -> Callable[[np.ndarray], np.ndarray]:
+    """norm_of(x): |x|^2 (M,) of positions x (M, d), formed in one reused (M, d) squares buffer.
 
-    One multiply per component and one add per further component, in
-    component order: einsum("md,md->m") bit for bit at d = 1 and d = 2.
+    A call squares x in one same-shape multiply, then adds the further
+    columns into column 0 in component order, x_0^2 + x_1^2 + ..., and
+    returns column 0: the same (M,) view on every call, overwritten by the
+    next.
     """
-    first, *rest = components
-    np.multiply(first, first, out)
-    for xa in rest:
-        np.multiply(xa, xa, scratch)
-        np.add(out, scratch, out)
-    return out
+    squares = np.empty((m, d))
+    norm, *rest = squares.T
+    multiply, add = np.multiply, np.add
+
+    def norm_of(x):
+        multiply(x, x, squares)
+        for column in rest:
+            add(norm, column, norm)
+        return norm
+    return norm_of
 
 
 class SemiImplicitStepper:
@@ -326,23 +332,23 @@ class SemiImplicitStepper:
 
     Without a gate_threshold the gate g is 1 and no |x|^2 is formed.  With
     one, each step forms |x|^2 once (:func:`_squared_norm`) into the one
-    (M,) row ``norm`` that the next step's force reads.  g starts at 1 per
+    (M,) view ``norm`` that the next step's force reads.  g starts at 1 per
     realization and latches to 0 the first time |x|^2 exceeds the
     threshold, never to reopen.  It scales the noise once per block: the
-    block's noise rows are multiplied by g on entry, and a gate that latches
-    at step j has its rows after j multiplied by 0 there ((xi 1) 0 is xi 0
-    bit for bit).  While some gate is open each step compares |x|^2 with
-    ``limit`` (M,), the threshold for open gates and +inf for latched ones;
-    once every gate has latched the steps do no gate work.  ``gate_open``
-    says whether some gate is still open (always true without a gate);
-    :meth:`_latch` updates it.  While it is false the block's noise rows
-    are all multiplied by 0, so the stepper reads no noise and
-    :func:`stream_blocks` does not draw it: the finite rows left in the
-    buffer from the last block drawn become +-0, as new noise would.  Only
-    the sign of such a zero can differ, and it reaches x only where x and v
-    are both exactly 0.  ``close`` (M,) int64 holds each realization's
-    close step, the first grid index at which its gate is 0, recorded when
-    it latches, or -1 while it is open (always, without a gate).
+    block's noise rows are multiplied by the (M, d) ``gate`` on entry, and
+    a gate that latches at step j has its rows after j multiplied by 0
+    there ((xi 1) 0 is xi 0 bit for bit).  While some gate is open each
+    step compares |x|^2 with ``limit`` (M,), the threshold for open gates
+    and +inf for latched ones; once every gate has latched the steps do no
+    gate work.  ``gate_open`` says whether some gate is still open (always
+    true without a gate); :meth:`_latch` updates it.  A block that starts
+    with it false reads no noise, so :func:`stream_blocks` does not draw
+    it: its rows are not multiplied by the gate, and each step forms
+    v - dt V' in place of (0 - V') dt + v.  The two differ only in the sign
+    of a zero, which reaches x only where x and v are both exactly 0.
+    ``close`` (M,) int64 holds each realization's close step, the first
+    grid index at which its gate is 0, recorded when it latches, or -1
+    while it is open (always, without a gate).
     ``v_first`` (n, d) holds the velocities of realization 0 up to the last
     block stepped.  A block in which some |x_a| exceeds DIVERGENCE_GUARD or
     is not finite raises DivergenceError for the earliest such step and,
@@ -377,13 +383,11 @@ class SemiImplicitStepper:
         self.norm = None
         self.gate_open = True
         if gate_threshold is not None:
-            self.norm = np.empty(m)
-            self.gate = np.ones(m)
+            self.squared_norm = _squared_norm(m, d)
+            self.norm = self.squared_norm(self.xs[0])
+            self.gate = np.ones((m, d))
             self.limit = np.full(m, gate_threshold, dtype=float)
             self.hit = np.empty(m, dtype=bool)
-            self.components = [list(x.T) for x in self.xs]
-            self.scratch = np.empty(m)
-            _squared_norm(self.components[0], self.norm, self.scratch)
 
     def step(self, block: np.ndarray, cols: slice) -> np.ndarray:
         width = cols.stop - cols.start
@@ -397,22 +401,28 @@ class SemiImplicitStepper:
         subtract, multiply, add, divide = np.subtract, np.multiply, np.add, np.divide
         greater, count_nonzero = np.greater, np.count_nonzero
         x, v = x_rows[0], v_rows[0]
+        # after the last latch the noise is not read, nor drawn
+        driven = self.gate_open
         if norm is not None:
-            components, scratch = self.components, self.scratch
-            limit, hit, gating = self.limit, self.hit, self.gate_open
-            multiply(block[:steps], self.gate[:, None], block[:steps])
+            squared_norm, limit, hit, gating = self.squared_norm, self.limit, self.hit, driven
+            if driven:
+                multiply(block[:steps], self.gate, block[:steps])
         with np.errstate(over="ignore", invalid="ignore"):
             for j, (xi, x_next, v_next) in enumerate(
                     zip(block[:steps], x_rows[1:steps + 1], v_rows[1:steps + 1])):
                 force(x, norm, f)
-                subtract(xi, f, f)
-                multiply(f, dt, f)
-                add(f, v, f)
+                if driven:
+                    subtract(xi, f, f)
+                    multiply(f, dt, f)
+                    add(f, v, f)
+                else:
+                    multiply(f, dt, f)
+                    subtract(v, f, f)
                 v = divide(f, denom, v_next)
                 multiply(v, dt, f)
                 x = add(x, f, x_next)
                 if norm is not None:
-                    _squared_norm(components[j + 1], norm, scratch)
+                    squared_norm(x)
                     if gating and count_nonzero(greater(norm, limit, hit)):
                         gating = self._latch(block[j + 1:steps], cols.start + j + 1)
         new = xs[1:steps + 1]
@@ -450,9 +460,10 @@ def stream_blocks(fill, stepper, reduce) -> None:
     stepper.step(block, cols) returns their paths (w, M, d), and
     reduce(paths, cols) reads them.  No array of the ensemble's size is held.
     A block is drawn only while stepper.gate_open, that is, while some
-    realization's gate can pass its noise (always, without a gate): after
-    the last latch the stepper zeroes the noise of every row, so noise
-    drawn there would only be thrown away, and it cannot fail the run.
+    realization's gate can pass its noise (always, without a gate): the
+    stepper does not read a block that starts after the last latch, so the
+    buffer keeps the last block drawn, unread, and noise that would be
+    drawn there cannot fail the run.
     When a step fails, every block not yet drawn is drawn first, so a
     failure of the noise itself is reported as it is when the noise is
     drawn whole before any step.
@@ -479,8 +490,8 @@ def stream_blocks(fill, stepper, reduce) -> None:
 
 #: (M, d, block width) float64 slabs of the pipeline at its peak: the block
 #: buffer, the stepper's positions and velocities, the statistics' copy
-#: buffer and a reducer's temporaries (two slabs); the stepper's |x|^2 is
-#: one (M,) row
+#: buffer and a reducer's temporaries (two slabs); the stepper's |x|^2
+#: squares and gate are (M, d) rows
 _PIPELINE_SLABS = 6
 
 

@@ -251,28 +251,32 @@ def _scenario_factor(cfg: SSBConfig) -> np.ndarray:
     return squeezed_factor(_squeeze_params(cfg), cfg.grid, coupling)
 
 
-def _radial_force(cfg: SSBConfig, m: int):
+def _radial_force(cfg: SSBConfig, m: int, d: int):
     """force(x, norm, out) of the radial double well: (m2 + lam |x|^2 / 6) x_a into out (M, d).
 
-    The (M,) coefficient is formed in a reused buffer, from the stepper's
-    |x|^2 when it is given (gated runs), else from |x|^2 formed here; m2 and
-    lam / 6 are 0-d float64 arrays, the operands a ufunc takes fastest, and
-    every ufunc takes out positionally, which numpy parses faster than a
-    keyword.
+    The coefficient is formed in column 0 of a reused (M, d) buffer, from
+    the stepper's |x|^2 when it is given (gated runs), else from
+    :func:`ctpsim.langevin._squared_norm` here, and copied to the other
+    columns, so the force is one same-shape multiply, not an (M, 1) x (M, d)
+    broadcast.  m2 and lam / 6 are 0-d float64 arrays, the operands a ufunc
+    takes fastest, and every ufunc takes out positionally, which numpy
+    parses faster than a keyword.
     """
     c1 = np.array(cfg.m2, dtype=float)
     c3 = np.array(cfg.lam / 6.0, dtype=float)
-    coef = np.empty(m)
-    scratch = np.empty(m)
-    coef_col = coef[:, None]
-    multiply, add = np.multiply, np.add
+    coefs = np.empty((m, d))
+    coef, *copies = coefs.T
+    squared_norm = _squared_norm(m, d)
+    multiply, add, copyto = np.multiply, np.add, np.copyto
 
     def force(x, norm, out):
         if norm is None:
-            norm = _squared_norm(x.T, coef, scratch)
+            norm = squared_norm(x)
         multiply(norm, c3, coef)
         add(coef, c1, coef)
-        return multiply(coef_col, x, out)
+        for column in copies:
+            copyto(column, coef)
+        return multiply(coefs, x, out)
     return force
 
 
@@ -294,14 +298,15 @@ def _simulate(cfg: SSBConfig, n_components: int, reduce) -> np.ndarray:
     the noise, and latches to 0 the first time |x|^2 crosses the threshold;
     a realization's close time is t_start + dt times its close step, inf
     where the gate never closed.  Once every gate has latched the rest of
-    the transient is deterministic relaxation: the blocks after that are
-    not drawn (unless a step fails), so a gated run draws the noise up to
-    its last close step, and an ungated run draws it all.
+    the transient is deterministic relaxation: the blocks that start after
+    that are neither drawn (unless a step fails) nor read, so a gated run
+    draws the noise up to its last close step, and an ungated run draws it
+    all.
     """
     m, n = cfg.n_realizations, cfg.grid.n_points
     draw = factor_source(_scenario_factor(cfg), cfg.master_seed, m * n_components)
     stepper = SemiImplicitStepper(
-        (m, n_components, n), _radial_force(cfg, m), cfg.friction, cfg.grid,
+        (m, n_components, n), _radial_force(cfg, m, n_components), cfg.friction, cfg.grid,
         gate_threshold=cfg.gate_threshold_sq if cfg.gate else None)
     try:
         stream_blocks(_scaled(draw, cfg.noise_amplitude), stepper, reduce)

@@ -433,17 +433,17 @@ class TestBatchedSteppers:
         assert np.array_equal(close, first_closed_step(np.where(crossed, 0.0, 1.0)))
 
     @settings(max_examples=30, deadline=None)
-    @given(m=st.integers(1, 6), d=st.integers(1, 2), n=st.sampled_from([2, 257, 258, 513]),
+    @given(m=st.integers(1, 6), d=st.integers(1, 3), n=st.sampled_from([2, 257, 258, 513]),
            gate=st.booleans(), amplitude=st.floats(0.1, 3.0), seed=st.integers(0, 2**32))
     def test_scenario_force_matches_loop_oracle(self, m, d, n, gate, amplitude, seed):
         # the radial double well with the stepper's |x|^2 (gate on) and with its own
-        # (gate off), against the oracle's einsum norm
+        # (gate off), against the oracle's norm summed in component order
         grid = make_grid(0.0, 10.0, n)
         noise = amplitude * np.random.default_rng(seed).standard_normal((m, d, n))
         cfg = SimpleNamespace(m2=-1.0, lam=0.6, friction=0.5, gate=gate,
                               gate_threshold_sq=-2.0 * -1.0 / 0.6, grid=grid)
         ref_paths, ref_gates = gated_loop_oracle(cfg, noise)
-        stepper = SemiImplicitStepper(noise.shape, scenarios._radial_force(cfg, m), 0.5, grid,
+        stepper = SemiImplicitStepper(noise.shape, scenarios._radial_force(cfg, m, d), 0.5, grid,
                                       gate_threshold=cfg.gate_threshold_sq if gate else None)
         whole_array.step(stepper, noise)
         assert noise.tobytes() == ref_paths.tobytes()
@@ -562,7 +562,7 @@ class TestStepperBlockWidth:
                               gate_threshold_sq=threshold, grid=grid)
         ref_paths, ref_gates = gated_loop_oracle(cfg, noise)
         monkeypatch.setattr(langevin, "_BLOCK_STEPS", width)
-        stepper = SemiImplicitStepper(noise.shape, scenarios._radial_force(cfg, len(noise)),
+        stepper = SemiImplicitStepper(noise.shape, scenarios._radial_force(cfg, len(noise), d),
                                       0.5, grid, gate_threshold=threshold)
         whole_array.step(stepper, noise)
         assert noise.tobytes() == ref_paths.tobytes()

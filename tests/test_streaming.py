@@ -235,6 +235,18 @@ class TestDrawnBlocks:
         assert same_bits(got.final_phase, np.arctan2(final_vec[:, 1], final_vec[:, 0]))
         assert same_bits(got.gate_close_times, ref_close)
 
+    @pytest.mark.parametrize("config, d", [(SSBConfig, 1), (BECConfig, 2)], ids=["ssb", "bec"])
+    def test_noise_after_the_last_latch_is_not_read(self, config, d):
+        # NaN noise in every block that starts after the last latch changes no bit
+        cfg = scenario(config, 64, self.N, 30.0, 5, "hadamard", True)
+        paths, close = whole_array.integrate_gated(cfg, whole_array.scenario_noise(cfg, d))
+        start = min(s for s in self.all_starts() if s >= close.max())
+        noise = whole_array.scenario_noise(cfg, d)
+        noise[..., start:] = np.nan
+        got, got_close = whole_array.integrate_gated(cfg, noise)
+        assert same_bits(got, paths)
+        assert same_bits(got_close, close)
+
     def test_failure_after_the_last_latch_draws_the_skipped_blocks(self):
         grid = make_grid(0.0, 99.9, 1000)
         starts = []

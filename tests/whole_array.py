@@ -46,7 +46,7 @@ def scenario_noise(cfg, n_components):
 def integrate_gated(cfg, noise):
     """(paths, close steps) of the gated radial stepper, written over noise (M, d, n)."""
     stepper = SemiImplicitStepper(
-        noise.shape, scenarios._radial_force(cfg, noise.shape[0]), cfg.friction, cfg.grid,
+        noise.shape, scenarios._radial_force(cfg, *noise.shape[:2]), cfg.friction, cfg.grid,
         gate_threshold=cfg.gate_threshold_sq if cfg.gate else None)
     try:
         step(stepper, noise)
