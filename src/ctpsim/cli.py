@@ -26,16 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (ConfigError, DivergenceError, NumericalError, TimeGrid, derive_seed,
-                   make_grid, require_memory)
+from .core import ConfigError, NumericalError, TimeGrid, derive_seed, make_grid, require_memory
 from .kernels import (DeSitterParams, KernelMatrix, build_contour_matrix,
                       build_hadamard, build_retarded, fluctuation_kernel,
                       keldysh_rotate, memory_kernel, squeezed_factor)
-from .langevin import PotentialSpec, relaxation_rate, run_white_ensemble
+from .langevin import PotentialSpec, run_white_ensemble
 from .langevin import ensemble_run  # noqa: F401  (perfbench traces it through this module)
 from .noise import NoiseEnsemble, draw_from_factor, hs_moment_check, sample_white
-from .scenarios import (BECConfig, EmptyTail, NonStationaryTail, SSBConfig, run_bec,
-                        run_inflation, run_ssb)
+from .scenarios import BECConfig, SSBConfig, run_bec, run_inflation, run_ssb
 from .squeeze import (DEFAULT_SQUEEZE_ANGLE, SqueezeParams, bogolubov_coefficients,
                       mode_two_point, particle_number, quadrature_variances)
 
@@ -291,32 +289,14 @@ def _squeeze_mode_params(sec: dict) -> SqueezeParams:
                          hbar=sec["hbar"])
 
 
-def _hadamard_mode_params(sec: dict, name: str) -> SqueezeParams:
-    """The squeezed mode of section name for a kernel that reads cos(2 phi)."""
-    if not math.isfinite(2.0 * sec["phi"]):
-        raise NumericalError(f"{name}.phi = {sec['phi']!r}: 2 phi overflows float64, "
-                             f"so the hadamard kernel's cos(2 phi) is undefined")
-    return _squeeze_mode_params(sec)
-
-
 def _cmd_squeeze(cfg: dict, out: Path) -> list[str]:
     sec = cfg["squeeze"]
     grid = _grid_from(sec, "squeeze")
     params = _squeeze_mode_params(sec)
-    two_m_omega = 2.0 * params.mass * params.omega
-    if not (two_m_omega > 0 and math.isfinite(params.hbar / two_m_omega)):
-        raise NumericalError(
-            f"squeeze.hbar / (2 squeeze.mass squeeze.omega) = {params.hbar:g} / (2 * "
-            f"{params.mass:g} * {params.omega:g}): the vacuum variance overflows float64")
-    times = grid.times()
-    try:
-        columns = [(particle_number(params, t), *quadrature_variances(params, t))
-                   for t in times.tolist()]
-    except OverflowError:
-        columns = [math.inf]
-    if not np.isfinite(columns).all():
-        raise NumericalError(f"squeeze.omega * squeeze.t_end = {sec['omega'] * grid.t_end:g}"
-                             f": sinh(omega t)^2 overflows float64")
+    times = grid.times().tolist()
+    # the variances raise, naming their inputs, wherever sinh(omega t)^2 overflows
+    variances = [quadrature_variances(params, t) for t in times]
+    columns = [(particle_number(params, t), *pair) for t, pair in zip(times, variances)]
     _write_table(out / "squeeze.csv", "t,particle_number,var_squeezed,var_antisqueezed",
                  np.column_stack([times, columns]))
     return ["squeeze.csv"]
@@ -330,9 +310,9 @@ _DENSE_PEAK_MATRICES = 6
 
 def _build_kernel(sec: dict, grid: TimeGrid) -> KernelMatrix:
     kind = sec["kind"]
+    params = _squeeze_mode_params(sec)
     if kind == "retarded":
-        return build_retarded(_squeeze_mode_params(sec), grid)
-    params = _hadamard_mode_params(sec, "kernels")
+        return build_retarded(params, grid)
     if kind == "hadamard":
         return build_hadamard(params, grid)
     if kind == "fluctuation":
@@ -346,7 +326,7 @@ def _cmd_kernels(cfg: dict, out: Path) -> list[str]:
     grid = _grid_from(sec, "kernels")
     n = grid.n_points
     require_memory(_DENSE_PEAK_MATRICES * n * n * 8,
-                   f"{sec['kind']} kernel ({n}, {n}) and its temporaries")
+                   f"{sec['kind']} kernel ({n}, {n}) and its temporaries", ("grid",))
     kernel = _build_kernel(sec, grid)
     # header row: n and dt, then n rows of n values
     _write_table(out / "kernel.txt", f"{kernel.n} {grid.dt!r}", kernel.values, sep=" ")
@@ -362,18 +342,19 @@ def _cmd_noise(cfg: dict, out: Path) -> list[str]:
     kind = sec["kind"]
     # the summary's var(axis=0) holds the deviations next to the noise: 2 (M, n) arrays
     if kind == "white":
-        require_memory(2 * m * n * 8, f"noise ({m}, {n}) and its deviations")
+        require_memory(2 * m * n * 8, f"noise ({m}, {n}) and its deviations",
+                       ("n_realizations", "grid"))
         ens = sample_white(sec["sigma2"], grid, seed, m)
     else:
         # the exact factor of the squeezed-mode kernel, drawn as ssb and bec draw it
-        factor = squeezed_factor(_hadamard_mode_params(sec, "noise"), grid,
+        factor = squeezed_factor(_squeeze_mode_params(sec), grid,
                                  sec["coupling"] if kind == "fluctuation" else None)
         r = factor.shape[1]
         # the draw holds z and a transposed copy of the factor, then the time-major
         # noise beside its (M, n) copy; the summary holds the deviations
         require_memory((2 * m * n + (m + 2 * n) * r) * 8,
                        f"noise ({m}, {n}), its deviations, z ({m}, {r}) and two copies "
-                       f"of the factor ({n}, {r})")
+                       f"of the factor ({n}, {r})", ("n_realizations", "grid"))
         digest = hashlib.sha1(factor.tobytes()).hexdigest()[:12]
         ens = NoiseEnsemble(grid, draw_from_factor(factor, seed, m), seed,
                             covariance_ref=f"{kind}[n={n},dt={grid.dt!r},rank={r},sha1={digest}]")
@@ -429,18 +410,15 @@ def _cmd_langevin(cfg: dict, out: Path) -> list[str]:
 def _scenario_config(cls, cfg: dict, section: str):
     sec = cfg[section]
     grid = _grid_from(sec, section)
-    try:
-        return cls(m2=sec["m2"], lam=sec["lambda"], grid=grid,
-                   n_realizations=cfg["n_realizations"],
-                   master_seed=cfg["master_seed"],
-                   noise_kernel=sec["noise_kernel"], coupling=sec["coupling"],
-                   noise_amplitude=sec["noise_amplitude"],
-                   friction=sec["friction"], gate=sec["gate"],
-                   gate_threshold=sec["gate_threshold"],
-                   mass=sec["mass"], hbar=sec["hbar"],
-                   return_radius=sec["return_radius"])
-    except ValueError as err:
-        raise ConfigError(f"{section}: {err}") from err
+    return cls(m2=sec["m2"], lam=sec["lambda"], grid=grid,
+               n_realizations=cfg["n_realizations"],
+               master_seed=cfg["master_seed"],
+               noise_kernel=sec["noise_kernel"], coupling=sec["coupling"],
+               noise_amplitude=sec["noise_amplitude"],
+               friction=sec["friction"], gate=sec["gate"],
+               gate_threshold=sec["gate_threshold"],
+               mass=sec["mass"], hbar=sec["hbar"],
+               return_radius=sec["return_radius"])
 
 
 def _cmd_ssb(cfg: dict, out: Path) -> list[str]:
@@ -475,30 +453,10 @@ def _cmd_inflation(cfg: dict, out: Path) -> list[str]:
     if not all(0.0 < c < math.inf for c in cubes):  # the amplitude is H^2 / k^3
         raise ConfigError(f"inflation.k_min {sec['k_min']:g} over inflation.decades "
                           f"{sec['decades']:g} puts k^3 beyond float64")
-    if max(ks) / min(ks) < 10.0:  # run_inflation's check, in the config's keys
-        raise ConfigError(f"insufficient k span: inflation.k_min {sec['k_min']:g} over "
-                          f"inflation.decades {sec['decades']:g} gives k_max / k_min "
-                          f"{max(ks) / min(ks):.17g}, need >= 10")
     modes = [DeSitterParams(hubble=sec["hubble"], k=k, coupling=sec["lambda"],
                             background=sec["phi0"]) for k in ks]
-    rate = relaxation_rate(modes[0])
-    if rate <= 0:  # run_inflation's check, in the config's keys
-        raise ConfigError(f"non-positive relaxation rate: inflation.lambda {sec['lambda']:g} "
-                          f"* inflation.phi0 {sec['phi0']:g}^2 / (6 inflation.hubble "
-                          f"{sec['hubble']:g}) is {rate:g}, must be > 0")
-    try:
-        est = run_inflation(modes, grid, cfg["n_realizations"], cfg["master_seed"],
-                            sec["tail_fraction"])
-    except NonStationaryTail as err:
-        raise NumericalError(
-            f"{err} (inflation.t_end and inflation.tail_fraction set the window, the rate "
-            f"is inflation.lambda * inflation.phi0^2 / (6 inflation.hubble))") from err
-    except EmptyTail as err:
-        raise ConfigError(f"{err} (inflation.tail_fraction of inflation.n_points)") from err
-    except NumericalError as err:  # the only other one: kernels.desitter_factor's
-        raise NumericalError(
-            f"{err} (k eta is -(k / inflation.hubble) exp(-inflation.hubble t) from "
-            f"inflation.t_start, k from inflation.k_min and inflation.decades)") from err
+    est = run_inflation(modes, grid, cfg["n_realizations"], cfg["master_seed"],
+                        sec["tail_fraction"])
     _write_table(out / "spectrum.csv", "k,variance", np.column_stack([est.k, est.variances]))
     report = {
         "scenario": "inflation",
@@ -520,7 +478,8 @@ def _verify_checks(cfg: dict) -> list[dict]:
     # draw's blocks (traced: 4.07)
     m_hs = cfg["verify"]["hs_realizations"]
     require_memory((2 + 4) * m_hs * 8,
-                   f"Hubbard-Stratonovich normals ({m_hs}, 2), phases and buffers")
+                   f"Hubbard-Stratonovich normals ({m_hs}, 2), phases and buffers",
+                   ("hs_realizations",))
     checks = []
 
     # Bogolubov normalization over a (wt, phi) grid
@@ -636,20 +595,50 @@ def _config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _suspect_keys(cfg: dict | None, name: str) -> str:
-    """The keys of name's section a numerical failure may come from, as a message suffix.
+_GRID = {"grid": ("t_start", "t_end", "n_points")}
+_SCENARIO = {**_GRID, "lam": ("lambda",), "omega": ("m2",)}  # the mode's omega is sqrt(-m2)
+
+#: per subcommand, the config keys of each library parameter name (an error's params)
+#: that is not a key itself; any other name is its own key, of the section or top level
+_PARAM_KEYS: dict[str, dict[str, tuple[str, ...]]] = {
+    "squeeze": {**_GRID, "t": ("t_start", "t_end")},
+    "kernels": {**_GRID, "g_r": ("hbar", "mass", "omega", *_GRID["grid"]),
+                "g_c": ("hbar", "mass", "omega", "phi", *_GRID["grid"])},
+    "noise": _GRID, "langevin": _GRID, "ssb": _SCENARIO, "bec": _SCENARIO, "verify": {},
+    "inflation": {**_GRID, "k": ("k_min", "decades"), "coupling": ("lambda",),
+                  "background": ("phi0",)},
+}
+
+
+def _failure_keys(err: BaseException, cfg: dict | None, name: str) -> str:
+    """The config keys a failure comes from, as a message suffix: key=value, section.key=value.
+
+    An error's params name them through _PARAM_KEYS[name].  A ConfigError
+    without params names its keys in its message; any other failure ends with
+    :func:`_suspect_keys`, as do params that name no key of this subcommand.
+    """
+    params = getattr(err, "params", ())
+    if not cfg or not params and isinstance(err, ConfigError):
+        return ""
+    table, section = _PARAM_KEYS[name], cfg[name]
+    label, keys = "config keys", [key for param in params for key in table.get(param, (param,))
+                                  if key in section or key in cfg]
+    if not keys:
+        label, keys = _suspect_keys(section, name)
+    listed = ", ".join(dict.fromkeys(f"{name}.{key}={section[key]!r}" if key in section else
+                                     f"{key}={cfg[key]!r}" for key in keys))
+    return f" ({label}: {listed})" if keys else ""
+
+
+def _suspect_keys(section: dict, name: str) -> tuple[str, list[str]]:
+    """The keys of name's section a failure without params may come from, and their label.
 
     Those with |v| >= 1e100 or 0 < |v| <= 1e-100 if any, else those set away from the default.
-    It ends the message of a float64 failure and of a divergence.
     """
-    section = cfg[name] if cfg else {}
-    extreme = {key: value for key, value in section.items() if isinstance(value, float)
-               and (abs(value) >= 1e100 or 0 < abs(value) <= 1e-100)}
-    changed = {key: value for key, value in section.items()
-               if value != _SECTION_SCHEMAS[name][key][1]}
-    label, keys = ("extreme values", extreme) if extreme else ("non-default keys", changed)
-    listed = ", ".join(f"{name}.{key}={value!r}" for key, value in keys.items())
-    return f" ({label}: {listed})" if keys else ""
+    extreme = [key for key, value in section.items() if isinstance(value, float)
+               and (abs(value) >= 1e100 or 0 < abs(value) <= 1e-100)]
+    changed = [key for key, value in section.items() if value != _SECTION_SCHEMAS[name][key][1]]
+    return ("extreme values", extreme) if extreme else ("non-default keys", changed)
 
 
 def _dispatch(args: argparse.Namespace, cfg: dict) -> int:
@@ -691,24 +680,18 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             cfg = _config(args)
             return _dispatch(args, cfg)
-    except DivergenceError as err:
-        print(f"numerical failure: {err}{_suspect_keys(cfg, args.subcommand)}",
-              file=sys.stderr)
-        return 2
     except (NumericalError, np.linalg.LinAlgError) as err:
         # LinAlgError subclasses ValueError but is a numerical failure
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 2
+        code, text, failure = 2, f"numerical failure: {err}", err
     except ArithmeticError as err:  # OverflowError, ZeroDivisionError, FloatingPointError
-        print(f"numerical failure: {args.subcommand}: float64 arithmetic failed: {err}"
-              f"{_suspect_keys(cfg, args.subcommand)}", file=sys.stderr)
-        return 2
+        code, failure = 2, err
+        text = f"numerical failure: {args.subcommand}: float64 arithmetic failed: {err}"
     except ValueError as err:  # ConfigError and the library's parameter checks
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
+        code, text, failure = 1, f"config error: {err}", err
     except MemoryError as err:  # numpy names the bytes it could not allocate
-        print(f"config error: run too large for memory: {err}", file=sys.stderr)
-        return 1
+        code, text, failure = 1, f"config error: run too large for memory: {err}", err
+    print(text + _failure_keys(failure, cfg, args.subcommand), file=sys.stderr)
+    return code
 
 
 def entry() -> None:  # console-script hook

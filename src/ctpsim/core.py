@@ -15,11 +15,19 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 golden-ratio increment
 
 
-class ConfigError(ValueError):
+class _NamesParams:
+    """An error whose params name the inputs it comes from, as the library names them."""
+
+    def __init__(self, message: str, params: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.params = params
+
+
+class ConfigError(_NamesParams, ValueError):
     """Configuration missing, malformed, violating the schema, or describing a degenerate run."""
 
 
-class NumericalError(RuntimeError):
+class NumericalError(_NamesParams, RuntimeError):
     """A simulation failed numerically (divergence, indefinite kernel, ...)."""
 
 
@@ -27,8 +35,8 @@ class DivergenceError(NumericalError):
     """A trajectory left the admissible range; carries where it happened."""
 
     def __init__(self, message: str, step: int | None = None,
-                 realization: int | None = None):
-        super().__init__(message)
+                 realization: int | None = None, params: tuple[str, ...] = ()):
+        super().__init__(message, params)
         self.step = step
         self.realization = realization
 
@@ -62,19 +70,19 @@ class TimeGrid:
         return self.t_start + self.dt * np.arange(self.n_points)
 
 
-def require_memory(nbytes: int, what: str) -> None:
+def require_memory(nbytes: int, what: str, params: tuple[str, ...] = ()) -> None:
     """Raise ConfigError if nbytes exceed the host's physical memory.
 
     Called before a run allocates its large arrays, so a run the host cannot
     hold exits 1 with a message instead of being granted by overcommit and
-    killed when the pages are touched.  what names the arrays.
+    killed when the pages are touched.  what names the arrays, params the inputs sizing them.
     """
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if nbytes > physical:
         raise ConfigError(
             f"run too large for memory: {what} need {nbytes} bytes "
             f"({nbytes / 2**30:.3g} GiB), physical memory is {physical} bytes "
-            f"({physical / 2**30:.3g} GiB)")
+            f"({physical / 2**30:.3g} GiB)", params)
 
 
 def make_grid(t_start: float, t_end: float, n_points: int) -> TimeGrid:

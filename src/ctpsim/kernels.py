@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,8 +33,8 @@ _KINDS = (RETARDED, ADVANCED, SYMMETRIC)
 _STRUCT_RTOL = 1e-12
 
 
-def _require_finite(what: str, grid: TimeGrid, vals: np.ndarray) -> None:
-    """Raise NumericalError naming the first (t, t') where vals is inf or NaN.
+def _require_finite(what: str, grid: TimeGrid, vals: np.ndarray, params=()) -> None:
+    """Raise NumericalError naming the first (t, t') where vals is inf or NaN, and params.
 
     NaN slips through every structural check (comparisons with it are False),
     so it is rejected here before any of them runs.
@@ -43,7 +43,15 @@ def _require_finite(what: str, grid: TimeGrid, vals: np.ndarray) -> None:
     if bad.any():
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
         t = grid.times()
-        raise NumericalError(f"{what} is not finite at (t, t') = ({t[i]:g}, {t[j]:g})")
+        raise NumericalError(f"{what} is not finite at (t, t') = ({t[i]:g}, {t[j]:g})", params)
+
+
+def _cos_two_phi(params: SqueezeParams) -> float:
+    """cos(2 phi) of the hadamard kernel; NumericalError where 2 phi overflows float64."""
+    if not math.isfinite(2.0 * params.phi):
+        raise NumericalError(f"phi = {params.phi!r}: 2 phi overflows float64, so the "
+                             f"hadamard kernel's cos(2 phi) is undefined", ("phi",))
+    return math.cos(2.0 * params.phi)
 
 
 @dataclass(frozen=True)
@@ -53,21 +61,22 @@ class KernelMatrix:
     retarded kernels vanish strictly above the diagonal, advanced ones below,
     symmetric ones equal their transpose.  The kernel takes ownership of a
     float64 ``values`` array without copying it and makes it read-only; other
-    input is converted to float64.
+    input is converted to float64.  params, not a field, name the inputs of values.
     """
 
     grid: TimeGrid
     values: np.ndarray
     kind: str
+    params: InitVar[tuple[str, ...]] = ()
 
-    def __post_init__(self):
+    def __post_init__(self, params):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         vals = np.asarray(self.values, dtype=float)
         n = self.grid.n_points
         if vals.shape != (n, n):
             raise ValueError(f"kernel values must be ({n}, {n}), got {vals.shape}")
-        _require_finite(f"{self.kind} kernel", self.grid, vals)
+        _require_finite(f"{self.kind} kernel", self.grid, vals, params)
         if self.kind == RETARDED:
             if np.any(vals[np.triu_indices(n, k=1)] != 0.0):
                 raise ValueError("retarded kernel must vanish above the diagonal")
@@ -156,7 +165,7 @@ def build_retarded(params: SqueezeParams, grid: TimeGrid) -> KernelMatrix:
     with np.errstate(over="ignore"):  # KernelMatrix rejects inf
         diff = params.omega * (t[:, None] - t[None, :])
         vals = np.where(_lower_mask(grid.n_points), pref * np.sinh(diff), 0.0)
-    return KernelMatrix(grid, vals, RETARDED)
+    return KernelMatrix(grid, vals, RETARDED, ("hbar", "mass", "omega", "grid"))
 
 
 def build_hadamard(params: SqueezeParams, grid: TimeGrid) -> KernelMatrix:
@@ -168,10 +177,11 @@ def build_hadamard(params: SqueezeParams, grid: TimeGrid) -> KernelMatrix:
     """
     t = grid.times()
     pref = params.hbar / (params.mass * params.omega)
+    c = _cos_two_phi(params)
     with np.errstate(over="ignore", invalid="ignore"):  # KernelMatrix rejects inf/NaN
         s = params.omega * (t[:, None] + t[None, :])
-        vals = pref * (np.cosh(s) - math.cos(2.0 * params.phi) * np.sinh(s))
-    return KernelMatrix(grid, vals, SYMMETRIC)
+        vals = pref * (np.cosh(s) - c * np.sinh(s))
+    return KernelMatrix(grid, vals, SYMMETRIC, ("hbar", "mass", "omega", "phi", "grid"))
 
 
 def build_contour_matrix(mode_two_point: Callable, grid: TimeGrid) -> ContourMatrix:
@@ -238,7 +248,7 @@ def fluctuation_kernel(coupling: float, g_c: KernelMatrix) -> KernelMatrix:
     v = g_c.values
     with np.errstate(over="ignore", invalid="ignore"):  # KernelMatrix rejects inf/NaN
         vals = coupling**2 * (v + v**2 + v**3)
-    return KernelMatrix(g_c.grid, vals, SYMMETRIC)
+    return KernelMatrix(g_c.grid, vals, SYMMETRIC, ("coupling", "g_c"))
 
 
 def squeezed_factor(params: SqueezeParams, grid: TimeGrid,
@@ -258,7 +268,7 @@ def squeezed_factor(params: SqueezeParams, grid: TimeGrid,
     ones outrun them, and it costs O(n r) memory.
     """
     pref = params.hbar / (params.mass * params.omega)
-    c = math.cos(2.0 * params.phi)
+    c = _cos_two_phi(params)
     a = 0.5 * pref * (1.0 - c)
     b = 0.5 * pref * (1.0 + c)
     if coupling is None:
@@ -269,9 +279,9 @@ def squeezed_factor(params: SqueezeParams, grid: TimeGrid,
                   -1: b + 3.0 * a * b * b, -2: b**2, -3: b**3}
         coeffs = {k: lam2 * ck for k, ck in coeffs.items()}
     kept = [(k, ck) for k, ck in coeffs.items() if ck > 0.0]
+    inputs = ("hbar", "mass", "omega") + (("coupling",) if coupling is not None else ())
     if not kept:
-        raise ConfigError(f"rank-0 noise: every coefficient of the kernel vanishes "
-                          f"(coupling {coupling!r})")
+        raise ConfigError("rank-0 noise: every coefficient of the kernel vanishes", inputs)
     t = grid.times()
     wt = params.omega * t
     with np.errstate(over="ignore"):
@@ -281,7 +291,8 @@ def squeezed_factor(params: SqueezeParams, grid: TimeGrid,
         i = int(np.argmax(bad))
         raise NumericalError(
             f"noise factor overflows at t = {t[i]:g} (w t = {wt[i]:g}, "
-            f"e^(k w t) for |k| <= {max(abs(k) for k, _ in kept)}); shorten the grid")
+            f"e^(k w t) for |k| <= {max(abs(k) for k, _ in kept)}); shorten the grid",
+            ("omega", "grid") if all(math.isfinite(ck) for _, ck in kept) else (*inputs, "grid"))
     return factor
 
 
@@ -299,7 +310,7 @@ def memory_kernel(coupling: float, g_r: KernelMatrix, g_c: KernelMatrix) -> Kern
         raise ValueError("G_R and G_C live on different grids")
     with np.errstate(over="ignore", invalid="ignore"):  # KernelMatrix rejects inf/NaN
         vals = 2.0 * g_r.values * (1.0 + coupling**2 * g_c.values**2)
-    return KernelMatrix(g_r.grid, vals, RETARDED)
+    return KernelMatrix(g_r.grid, vals, RETARDED, ("coupling", "g_r", "g_c"))
 
 
 def desitter_hadamard(dp: DeSitterParams, eta: float, eta_prime: float) -> float:
@@ -340,7 +351,8 @@ def desitter_factor(dp: DeSitterParams, grid: TimeGrid) -> np.ndarray:
     if bad.any():
         i = int(np.argmax(bad))
         raise NumericalError(f"de Sitter mode factor of k = {dp.k:g} is not finite at "
-                             f"t = {t[i]:g} (k eta = {x[i]:g}); start the grid later")
+                             f"t = {t[i]:g} (k eta = {x[i]:g}); start the grid later",
+                             ("k", "hubble", "grid"))
     return factor
 
 

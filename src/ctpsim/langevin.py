@@ -505,7 +505,8 @@ def require_pipeline(shape: tuple[int, int, int], extra_bytes: int = 0,
     m, d, n = shape
     width = _block_width(n)
     require_memory(8 * _PIPELINE_SLABS * m * d * width + extra_bytes,
-                   f"block buffers ({m}, {d}, {width})" + (f" and {extra}" if extra else ""))
+                   f"block buffers ({m}, {d}, {width})" + (f" and {extra}" if extra else ""),
+                   ("n_realizations", "grid"))
 
 
 class ColumnMoments:

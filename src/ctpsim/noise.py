@@ -38,6 +38,9 @@ DEFAULT_CLIP_TOL = 1e-10
 _DRAW_BLOCK_VALUES = 16384
 #: rows per row group; group g holds rows [64 g, 64 g + 64) in one block
 _GROUP_ROWS = 64
+#: float64 values a call of a whole factor draw takes at most (32 KB): the
+#: temporary it holds beside the normals, which the callers' budgets leave out
+_FACTOR_DRAW_VALUES = 4096
 
 
 @dataclass(frozen=True)
@@ -91,21 +94,28 @@ def _group_generators(seed: int, n_realizations: int):
             for g in range(-(-n_realizations // _GROUP_ROWS)))
 
 
-def _fill_normals(rows: np.ndarray, generators) -> None:
+def _fill_normals(rows: np.ndarray, generators, groups: int = 1) -> None:
     """Fill each row of the time-major rows (w, M) with its next w normals: the draw rule.
 
     Each group draws (c, 64) normals per call, c <= 256, into c time rows of
     its 64 columns as they are; the last group's padding columns are
     discarded.  So the t-th normal of row i is normal 64 t + (i mod 64) of
     its group's stream, and any split of the w time rows gives the same bits
-    (numpy draws normals one after another).
+    (numpy draws normals one after another).  Each generator serves that
+    many consecutive groups, whose (c, 64) blocks one call draws back to
+    back as (groups, c, 64) and writes through a (c, groups, 64) view of
+    rows; with groups > 1, c must be w and the groups whole.
     """
     width, columns = rows.shape[0], _DRAW_BLOCK_VALUES // _GROUP_ROWS
-    for first, generator in zip(range(0, rows.shape[1], _GROUP_ROWS), generators):
-        group = rows[:, first:first + _GROUP_ROWS]
+    span = groups * _GROUP_ROWS
+    for first, generator in zip(range(0, rows.shape[1], span), generators):
+        chunk = rows[:, first:first + span]
+        count = -(-chunk.shape[1] // _GROUP_ROWS)
         for start in range(0, width, columns):
-            draws = generator.standard_normal((min(columns, width - start), _GROUP_ROWS))
-            group[start:start + len(draws)] = draws[:, :group.shape[1]]
+            draws = generator.standard_normal((count, min(columns, width - start), _GROUP_ROWS))
+            # a lone last group may be narrower than 64
+            view = chunk[start:start + draws.shape[1]].reshape(draws.shape[1], count, -1)
+            view[...] = draws.transpose(1, 0, 2)[:, :, :view.shape[2]]
 
 
 def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
@@ -114,13 +124,16 @@ def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
     Every group draws from one generator, default_rng(derive_seed(seed, 0)),
     so the groups' (k, 64) blocks come one after another from its stream:
     rows 0-63 are those of one generator per group, and row i depends only on
-    (seed, i, k).  Returns the transposed view of a time-major (k, M) array,
-    in which normal k of every row is one contiguous line, as factor_source
-    and hs_moment_check read them.
+    (seed, i, k).  One call draws as many whole groups as _FACTOR_DRAW_VALUES
+    holds, so the time-major (k, M) array is padded to whole groups.  Returns
+    the transposed view of its first M columns, in which normal k of every
+    row is one contiguous line, as factor_source and hs_moment_check read them.
     """
-    rows = np.empty((k, n_realizations))
-    _fill_normals(rows, itertools.repeat(np.random.default_rng(derive_seed(seed, 0))))
-    return rows.T
+    groups = -(-n_realizations // _GROUP_ROWS)
+    rows = np.empty((k, groups * _GROUP_ROWS))
+    _fill_normals(rows, itertools.repeat(np.random.default_rng(derive_seed(seed, 0))),
+                  max(1, _FACTOR_DRAW_VALUES // (_GROUP_ROWS * max(k, 1))))
+    return rows[:, :n_realizations].T
 
 
 def white_source(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int):

@@ -29,8 +29,8 @@ from .core import (ConfigError, DivergenceError, NumericalError, TimeGrid, deriv
                    require_memory)
 from .kernels import (DeSitterParams, KernelMatrix, build_hadamard, desitter_factor,
                       fluctuation_kernel, squeezed_factor)
-from .langevin import (ColumnMoments, EnsembleStats, SemiImplicitStepper, SpectrumEstimate,
-                       _squared_norm, _time_blocks, estimate_spectrum,
+from .langevin import (DIVERGENCE_GUARD, ColumnMoments, EnsembleStats, SemiImplicitStepper,
+                       SpectrumEstimate, _squared_norm, _time_blocks, estimate_spectrum,
                        integrate_overdamped_mode, relaxation_rate, require_pipeline,
                        stream_blocks)
 from .noise import _standard_normals, factor_source
@@ -72,29 +72,27 @@ class SSBConfig:
     hbar: float = 1.0
     return_radius: float = 0.1
     min_realizations: ClassVar[int] = 1
-    section: ClassVar[str] = "ssb"  # the config section that names the parameters
 
     def __post_init__(self):
         if self.m2 >= 0:
-            raise ValueError("m2 must be negative (tachyonic curvature)")
+            raise ConfigError("m2 must be negative (tachyonic curvature)", ("m2",))
         if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+            raise ConfigError("lambda must be positive", ("lam",))
         if self.noise_kernel not in _NOISE_KERNELS:
-            raise ValueError(f"noise_kernel must be one of {_NOISE_KERNELS}")
+            raise ConfigError(f"noise_kernel must be one of {_NOISE_KERNELS}", ("noise_kernel",))
         if self.n_realizations < self.min_realizations:
-            raise ValueError(f"n_realizations must be >= {self.min_realizations}")
+            raise ConfigError(f"n_realizations must be >= {self.min_realizations}",
+                              ("n_realizations",))
         if self.noise_amplitude < 0:
-            raise ValueError("noise_amplitude must be >= 0")
+            raise ConfigError("noise_amplitude must be >= 0", ("noise_amplitude",))
         if self.friction < 0:
-            raise ValueError("friction must be >= 0")
+            raise ConfigError("friction must be >= 0", ("friction",))
         if self.gate_threshold is not None and self.gate_threshold <= 0:
-            raise ValueError("gate_threshold must be positive")
+            raise ConfigError("gate_threshold must be positive", ("gate_threshold",))
         if not self.leave_radius > self.return_radius > 0:
-            s = self.section
-            raise ValueError(
-                f"{s}.return_radius {self.return_radius!r} must be positive and below the "
-                f"leave radius sqrt(-6 {s}.m2 / {s}.lambda) / 2 = {self.leave_radius!r} "
-                f"({s}.m2 {self.m2!r}, {s}.lambda {self.lam!r})")
+            raise ConfigError(f"return_radius must be positive and below the leave radius "
+                              f"sqrt(-6 m2 / lambda) / 2 = {self.leave_radius!r}",
+                              ("return_radius", "m2", "lam"))
 
     @property
     def gate_threshold_sq(self) -> float:
@@ -123,7 +121,6 @@ class BECConfig(SSBConfig):
     """
 
     min_realizations: ClassVar[int] = 2  # the phase test compares >= 2 angles
-    section: ClassVar[str] = "bec"
 
 
 def _config_echo(cfg: SSBConfig) -> dict:
@@ -311,16 +308,30 @@ def _simulate(cfg: SSBConfig, n_components: int, reduce) -> np.ndarray:
     try:
         stream_blocks(_scaled(draw, cfg.noise_amplitude), stepper, reduce)
     except DivergenceError as err:
-        # ungated, the hadamard noise grows as e^(w t) and the fluctuation noise as
-        # e^(3 w t) whatever dt is
-        rate = (3.0 if cfg.noise_kernel == "fluctuation" else 1.0) * math.sqrt(-cfg.m2)
-        cause = (f"dt = {cfg.grid.dt:g} too coarse for the curvature |m2| = {abs(cfg.m2):g}"
-                 if cfg.gate else f"gate off: the noise grows as exp({rate:g} t), unchecked")
-        raise DivergenceError(f"{err} ({cause})", step=err.step,
-                              realization=err.realization) from err
+        raise _with_cause(cfg, err) from err
     close = stepper.close
     first = close.astype(float) * cfg.grid.dt + cfg.grid.t_start
     return np.where(close >= 0, first, np.inf)
+
+
+def _with_cause(cfg: SSBConfig, err: DivergenceError) -> DivergenceError:
+    """err of a scenario run, with its cause and the parameters that cause names."""
+    # while its gate is open, the hadamard noise grows as e^(w t) and the
+    # fluctuation noise as e^(3 w t) whatever dt is
+    rate = (3.0 if cfg.noise_kernel == "fluctuation" else 1.0) * math.sqrt(-cfg.m2)
+    grows = f"the noise grows as exp({rate:g} t), unchecked"
+    params = ()
+    if not cfg.gate:
+        cause = f"gate off: {grows}"
+    elif cfg.gate_threshold_sq >= DIVERGENCE_GUARD**2:  # no |x|^2 in range latches the gate
+        cause = (f"gate open: the gate threshold {cfg.gate_threshold_sq:g} lies beyond the "
+                 f"divergence guard's |x|^2 = {DIVERGENCE_GUARD**2:g}, and {grows}")
+        # the default threshold is -2 m2 / lambda
+        params = ("gate_threshold",) if cfg.gate_threshold is not None else ("m2", "lam")
+    else:
+        cause = f"dt = {cfg.grid.dt:g} too coarse for the curvature |m2| = {abs(cfg.m2):g}"
+    return DivergenceError(f"{err} ({cause})", step=err.step, realization=err.realization,
+                           params=params)
 
 
 def run_ssb(cfg: SSBConfig) -> SSBReport:
@@ -443,13 +454,6 @@ class _RecursionCount:
         self.recursed |= has_left.any(axis=0)
 
     def fraction(self) -> float:
-        """The recursion probability; the radii are checked here for direct callers.
-
-        An :class:`SSBConfig` checks its radii when it is made, before any run.
-        """
-        leave_radius, return_radius = self.radii
-        if not leave_radius > return_radius > 0:
-            raise ValueError("need leave_radius > return_radius > 0")
         return np.count_nonzero(self.recursed) / self.recursed.size
 
 
@@ -461,8 +465,10 @@ def recursion_probability(paths: np.ndarray, leave_radius: float,
     should almost never find their way back to the symmetric point.  Runs
     that never leave contribute zero by convention.  The (M, n) paths are
     counted by one :class:`_RecursionCount` over the pipeline's column blocks,
-    as :func:`run_ssb` counts them.
+    as :func:`run_ssb` counts them (whose :class:`SSBConfig` checks the radii).
     """
+    if not leave_radius > return_radius > 0:
+        raise ValueError("need leave_radius > return_radius > 0")
     count = _RecursionCount(paths.shape[0], leave_radius, return_radius)
     for cols in _time_blocks(paths.shape[1]):
         count.add(paths[:, cols].T)
@@ -480,14 +486,6 @@ def _tail_gram(dp: DeSitterParams, grid: TimeGrid, tail_start: int):
     width = p0.size
     return (np.add.reduce(p0 * p0) / width, np.add.reduce(p0 * p1) / width,
             np.add.reduce(p1 * p1) / width)
-
-
-class NonStationaryTail(NumericalError):
-    """The tail window of :func:`run_inflation` opens before the modes have relaxed."""
-
-
-class EmptyTail(ConfigError):
-    """The tail window of :func:`run_inflation` holds no grid point."""
 
 
 def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
@@ -512,10 +510,10 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
     if len(modes) < 8:
         raise ValueError("insufficient k span: need >= 8 modes")
     ks = np.array([dp.k for dp in modes], dtype=float)
-    if np.unique(ks).size != ks.size:
-        raise ValueError("mode wavenumbers must be distinct")
     if ks.max() / ks.min() < 10.0:
-        raise ValueError("insufficient k span: need >= 1 decade in k")
+        raise ConfigError("insufficient k span: need >= 1 decade in k", ("k",))
+    if np.unique(ks).size != ks.size:
+        raise ConfigError("mode wavenumbers must be distinct", ("k",))
     shared = {(dp.hubble, dp.coupling, dp.background) for dp in modes}
     if len(shared) != 1:
         raise ValueError("modes must share (H, lambda, phi0)")
@@ -525,18 +523,20 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
         raise ValueError("n_realizations must be >= 1")
 
     rate = relaxation_rate(modes[0])
+    rate_params = ("coupling", "background", "hubble")  # lambda phi0^2 / (6 H)
     if rate <= 0:
-        raise ValueError("non-positive relaxation rate: lambda phi0^2 must be > 0")
+        raise ConfigError("non-positive relaxation rate: lambda phi0^2 must be > 0", rate_params)
     n = grid.n_points
     tail_start = int(math.floor((1.0 - tail_fraction) * (n - 1))) + 1
     t_settle = (tail_start - 1) * grid.dt
     if rate * t_settle < 5.0:
-        raise NonStationaryTail(
+        raise NumericalError(
             f"non-stationary tail: only {rate * t_settle:.2f} relaxation times "
-            f"elapse before the tail window; extend the grid or raise the rate")
+            f"elapse before the tail window; extend the grid or raise the rate",
+            ("grid", "tail_fraction", *rate_params))
     if tail_start >= n:
-        raise EmptyTail(f"tail_fraction {tail_fraction:g} leaves no grid point "
-                        f"in the tail of {n}")
+        raise ConfigError(f"tail_fraction {tail_fraction:g} leaves no grid point "
+                          f"in the tail of {n}", ("tail_fraction", "grid"))
 
     m = n_realizations
     # at most, per mode: the (n, 2) factor, one stepped column, the other's drive
@@ -545,7 +545,7 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
     # temporaries, beside the last mode's z and forms
     require_memory(8 * (14 * n + 6 * m),
                    f"the mode factor ({n}, 2), 2 columns and 2 float lists of {n}, "
-                   f"z ({m}, 2) and 4 rows of {m}")
+                   f"z ({m}, 2) and 4 rows of {m}", ("grid", "n_realizations"))
     pairs = []
     for mode_idx, dp in enumerate(sorted(modes, key=lambda d: d.k)):
         g00, g01, g11 = _tail_gram(dp, grid, tail_start)

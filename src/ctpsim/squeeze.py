@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import TimeGrid, trapezoid_history
+from .core import NumericalError, TimeGrid, trapezoid_history
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernels import KernelMatrix
@@ -112,14 +112,22 @@ def quadrature_variances(params: SqueezeParams, t: float) -> tuple[float, float]
 
     Returns (var_squeezed, var_antisqueezed) in position units: both equal the
     vacuum variance hbar/(2 m w) at t = 0, then scale as exp(-2 w t) and
-    exp(+2 w t).  Their product is conserved (pure Gaussian state).
+    exp(+2 w t).  Their product is conserved (pure Gaussian state).  Where
+    either leaves float64, as both do wherever sinh^2(w t) does, it raises
+    NumericalError.
     """
-    qq, pp, qp = _dimensionless_second_moments(params, t)
+    try:
+        qq, pp, qp = _dimensionless_second_moments(params, t)
+        scale = 2.0 * params.x_scale_sq  # vacuum Q-variance is 1/2
+    except ArithmeticError:  # sinh(w t)^2, exp(2 i phi) or hbar / (2 m w) beyond float64
+        qq = pp = qp = scale = math.nan
     cos_p, sin_p = math.cos(params.phi), math.sin(params.phi)
-    var_along = cos_p**2 * qq + sin_p**2 * pp + 2.0 * sin_p * cos_p * qp
-    var_across = sin_p**2 * qq + cos_p**2 * pp - 2.0 * sin_p * cos_p * qp
-    scale = 2.0 * params.x_scale_sq  # vacuum Q-variance is 1/2
-    return scale * var_along, scale * var_across
+    var_along = scale * (cos_p**2 * qq + sin_p**2 * pp + 2.0 * sin_p * cos_p * qp)
+    var_across = scale * (sin_p**2 * qq + cos_p**2 * pp - 2.0 * sin_p * cos_p * qp)
+    if not (math.isfinite(var_along) and math.isfinite(var_across)):
+        raise NumericalError(f"the quadrature variances at t = {t:g} leave float64",
+                             ("hbar", "mass", "omega", "phi", "t"))
+    return var_along, var_across
 
 
 def commutator_green(params: SqueezeParams, t: float, t_prime: float) -> float:

@@ -168,14 +168,20 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         code = main(["bec", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "rank-0 noise" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "rank-0 noise" in err
+        assert err.endswith("(config keys: bec.hbar=1.0, bec.mass=1.0, bec.m2=-1.0, "
+                            "bec.coupling=0.0)\n")
 
     @pytest.mark.parametrize("section", [{"kind": "fluctuation", "coupling": 0.0}])
     def test_rank_zero_colored_noise_is_config_error(self, tmp_path, capsys, section):
         path = write_config(tmp_path, {"noise": section})
         out = tmp_path / "o"
         assert main(["noise", "--config", str(path), "--out", str(out)]) == 1
-        assert "rank-0 noise" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "rank-0 noise" in err
+        assert err.endswith("(config keys: noise.hbar=1.0, noise.mass=1.0, noise.omega=1.0, "
+                            "noise.coupling=0.0)\n")
         assert not (out / "noise.csv").exists()
 
     def test_noise_factor_overflow_is_numerical_failure(self, tmp_path, capsys):
@@ -187,6 +193,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "overflows at t = 240" in err
+        assert err.endswith("(config keys: ssb.m2=-1.0, ssb.t_start=0.0, ssb.t_end=300.0, "
+                            "ssb.n_points=31)\n")
+
+    # a gate threshold that |x|^2 reaches only beyond the divergence guard keeps the
+    # gate open: the run diverges where the ungated one does, at any dt
+    @pytest.mark.parametrize("sub, section, step", [
+        ("ssb", {"gate_threshold": 1e300}, 745),
+        ("ssb", {"gate_threshold": 1e300, "n_points": 15001}, 10697),
+        ("bec", {"gate_threshold": 1e30}, 740)])
+    def test_gate_open_divergence_names_the_threshold(self, tmp_path, capsys, sub, section,
+                                                      step):
+        path = write_config(tmp_path, {"n_realizations": 4, sub: section})
+        assert main([sub, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"diverged at step {step} " in err
+        assert "too coarse" not in err
+        threshold = section["gate_threshold"]
+        assert f"(gate open: the gate threshold {threshold:g} lies beyond the divergence " \
+               f"guard's |x|^2 = 1e+24, and the noise grows as exp(1 t), unchecked)" in err
+        assert err.endswith(f"(config keys: {sub}.gate_threshold={threshold!r})\n")
 
     @pytest.mark.parametrize("sub", ["ssb", "bec"])
     def test_noise_after_the_last_latch_is_not_drawn(self, tmp_path, capsys, sub):
@@ -212,12 +238,18 @@ class TestExitCodes:
         assert "not finite" in err
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in caught] == []
+        keys = err[err.rindex("(config keys: "):]
+        mode = ["kernels.hbar=1.0", "kernels.mass=1.0", "kernels.omega=1.0",
+                f"kernels.t_end={t_end!r}"]
+        assert all(key in keys for key in mode), err
+        assert ("kernels.phi=" in keys) == (kind != "retarded"), err
+        assert ("kernels.coupling=0.5" in keys) == (kind in ("fluctuation", "memory")), err
 
     @pytest.mark.parametrize("sub, section, code, names", [
         ("squeeze", {"omega": 1e300}, 2, ["squeeze.omega", "squeeze.t_end"]),
         ("inflation", {"decades": 400.0}, 1, ["inflation.k_min", "inflation.decades"]),
         ("inflation", {"k_min": 1e-300}, 1, ["inflation.k_min", "inflation.decades"]),
-        ("bec", {"n_points": 3}, 1, ["bec", "n_realizations"]),
+        ("bec", {"n_points": 3}, 1, ["n_realizations must be >= 2", "n_realizations=1"]),
         # 2 m omega underflows to 0, or to a subnormal that hbar / (2 m omega) overflows
         ("squeeze", {"mass": 1e-300, "omega": 5e-324}, 2,
          ["squeeze.hbar", "squeeze.mass", "squeeze.omega"]),
@@ -268,8 +300,8 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([sub, "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"{sub}.return_radius 3.0 must be positive and below the leave radius" in err
-        assert f"{sub}.m2 -1.0, {sub}.lambda 0.6" in err
+        assert "return_radius must be positive and below the leave radius" in err
+        assert f"(config keys: {sub}.return_radius=3.0, {sub}.m2=-1.0, {sub}.lambda=0.6)" in err
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
@@ -398,6 +430,16 @@ class TestExitCodes:
         assert main(["langevin", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 1
         assert "m2 must be negative" in capsys.readouterr().err
+
+
+def test_every_parameter_maps_to_config_keys():
+    from ctpsim.cli import _PARAM_KEYS, _SECTION_SCHEMAS, _TOP_SCHEMA
+    assert set(_PARAM_KEYS) == set(_SECTION_SCHEMAS)
+    for sub, table in _PARAM_KEYS.items():
+        for param, keys in table.items():
+            assert keys, (sub, param)
+            for key in keys:
+                assert key in _SECTION_SCHEMAS[sub] or key in _TOP_SCHEMA, (sub, param, key)
 
 
 class TestOutputs:

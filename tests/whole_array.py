@@ -51,11 +51,7 @@ def integrate_gated(cfg, noise):
     try:
         step(stepper, noise)
     except DivergenceError as err:
-        rate = (3.0 if cfg.noise_kernel == "fluctuation" else 1.0) * math.sqrt(-cfg.m2)
-        cause = (f"dt = {cfg.grid.dt:g} too coarse for the curvature |m2| = {abs(cfg.m2):g}"
-                 if cfg.gate else f"gate off: the noise grows as exp({rate:g} t), unchecked")
-        raise DivergenceError(f"{err} ({cause})", step=err.step,
-                              realization=err.realization) from err
+        raise scenarios._with_cause(cfg, err) from err
     return noise, stepper.close
 
 
