@@ -29,4 +29,4 @@ from .squeeze import (BogolubovCoeffs, PairCoeffs, SqueezeParams,
                       pair_normalization_check, particle_number,
                       quadrature_variances)
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

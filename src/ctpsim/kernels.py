@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ConfigError, NumericalError, TimeGrid
-from .squeeze import SqueezeParams
+from .squeeze import SqueezeParams, _cos_two_phi, commutator_green, hadamard_green
 
 RETARDED = "retarded"
 ADVANCED = "advanced"
@@ -44,14 +44,6 @@ def _require_finite(what: str, grid: TimeGrid, vals: np.ndarray, params=()) -> N
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
         t = grid.times()
         raise NumericalError(f"{what} is not finite at (t, t') = ({t[i]:g}, {t[j]:g})", params)
-
-
-def _cos_two_phi(params: SqueezeParams) -> float:
-    """cos(2 phi) of the hadamard kernel; NumericalError where 2 phi overflows float64."""
-    if not math.isfinite(2.0 * params.phi):
-        raise NumericalError(f"phi = {params.phi!r}: 2 phi overflows float64, so the "
-                             f"hadamard kernel's cos(2 phi) is undefined", ("phi",))
-    return math.cos(2.0 * params.phi)
 
 
 @dataclass(frozen=True)
@@ -161,10 +153,9 @@ def build_retarded(params: SqueezeParams, grid: TimeGrid) -> KernelMatrix:
     for small separations (milder IR behavior than the symmetric kernel).
     """
     t = grid.times()
-    pref = params.hbar / (params.mass * params.omega)
     with np.errstate(over="ignore"):  # KernelMatrix rejects inf
-        diff = params.omega * (t[:, None] - t[None, :])
-        vals = np.where(_lower_mask(grid.n_points), pref * np.sinh(diff), 0.0)
+        vals = np.where(_lower_mask(grid.n_points),
+                        commutator_green(params, t[:, None], t[None, :]), 0.0)
     return KernelMatrix(grid, vals, RETARDED, ("hbar", "mass", "omega", "grid"))
 
 
@@ -176,11 +167,8 @@ def build_hadamard(params: SqueezeParams, grid: TimeGrid) -> KernelMatrix:
     semidefinite with numerical rank <= 2 on any grid.
     """
     t = grid.times()
-    pref = params.hbar / (params.mass * params.omega)
-    c = _cos_two_phi(params)
     with np.errstate(over="ignore", invalid="ignore"):  # KernelMatrix rejects inf/NaN
-        s = params.omega * (t[:, None] + t[None, :])
-        vals = pref * (np.cosh(s) - c * np.sinh(s))
+        vals = hadamard_green(params, t[:, None], t[None, :])
     return KernelMatrix(grid, vals, SYMMETRIC, ("hbar", "mass", "omega", "phi", "grid"))
 
 
@@ -265,23 +253,34 @@ def squeezed_factor(params: SqueezeParams, grid: TimeGrid,
     rank 1).  coupling None gives the hadamard kernel, a number the
     fluctuation kernel with that coupling.  Unlike an eigendecomposition of
     the dense kernel this keeps the decaying modes however far the growing
-    ones outrun them, and it costs O(n r) memory.
+    ones outrun them, and it costs O(n r) memory.  An infinite coefficient
+    is a NumericalError naming it, before any column is formed.
     """
     pref = params.hbar / (params.mass * params.omega)
     c = _cos_two_phi(params)
     a = 0.5 * pref * (1.0 - c)
     b = 0.5 * pref * (1.0 + c)
+    inputs = ("hbar", "mass", "omega") + (("coupling",) if coupling is not None else ())
+    overflow = "noise kernel overflows float64: {} is inf"
     if coupling is None:
         coeffs = {1: a, -1: b}
     else:
-        lam2 = coupling**2
-        coeffs = {3: a**3, 2: a**2, 1: a + 3.0 * a * a * b, 0: 2.0 * a * b,
-                  -1: b + 3.0 * a * b * b, -2: b**2, -3: b**3}
+        try:
+            lam2 = coupling**2
+            coeffs = {3: a**3, 2: a**2, 1: a + 3.0 * a * a * b, 0: 2.0 * a * b,
+                      -1: b + 3.0 * a * b * b, -2: b**2, -3: b**3}
+        except OverflowError as err:  # a float's ** raises where * gives inf
+            raise NumericalError(overflow.format("a power of the coupling or of "
+                                                 "hbar / (m w)"), inputs) from err
         coeffs = {k: lam2 * ck for k, ck in coeffs.items()}
     kept = [(k, ck) for k, ck in coeffs.items() if ck > 0.0]
-    inputs = ("hbar", "mass", "omega") + (("coupling",) if coupling is not None else ())
     if not kept:
         raise ConfigError("rank-0 noise: every coefficient of the kernel vanishes", inputs)
+    infinite = [k for k, ck in kept if math.isinf(ck)]
+    if infinite:
+        raise NumericalError(overflow.format(
+            "hbar / (m w)" if math.isinf(pref) else
+            f"the coefficient of e^({infinite[0]} w (t + t'))"), inputs)
     t = grid.times()
     wt = params.omega * t
     with np.errstate(over="ignore"):
@@ -292,7 +291,7 @@ def squeezed_factor(params: SqueezeParams, grid: TimeGrid,
         raise NumericalError(
             f"noise factor overflows at t = {t[i]:g} (w t = {wt[i]:g}, "
             f"e^(k w t) for |k| <= {max(abs(k) for k, _ in kept)}); shorten the grid",
-            ("omega", "grid") if all(math.isfinite(ck) for _, ck in kept) else (*inputs, "grid"))
+            ("omega", "grid"))
     return factor
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -70,21 +69,16 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Force law V'(x) = c1 x + c3 x^3 in one of three named shapes.
+    """Force law V'(x) = x (c1 + c3 x^2) in one of three named shapes.
 
     quadratic:  V = w0^2 x^2 / 2          (c1 = w0^2)
     inverted:   V = -w^2 x^2 / 2          (c1 = -w^2)
     double_well: V = m2 x^2 / 2 + lam x^4 / 4!   (c1 = m2, c3 = lam/6, lam > 0)
 
-    vprime is written as x (c1 + c3 x^2) so negating x negates the force
-    exactly in floating point.  :attr:`force` is the same law in the
-    contract of :class:`SemiImplicitStepper`, written into out bit for bit:
-    with c3 = 0 it is one multiply by c1 + 0.0, since c3 x x is +0.0 for
-    every |x| <= DIVERGENCE_GUARD and c1 + 0.0 is c1 except that -0.0
-    becomes +0.0 (c1 = -w^2 is -0.0 once w^2 underflows).  Its operands
-    c1 + 0.0, c3 and c1 are 0-d float64 arrays, formed once per instance: a
-    ufunc takes those faster than Python floats, with the same result.  Its
-    ufuncs take out positionally: numpy parses a keyword out on every call.
+    vprime is written as x (c1 + x x c3) so negating x negates the force
+    exactly in floating point.  Its products are those of
+    :class:`SemiImplicitStepper`, in the same order, so the stepper and
+    :func:`integrate_white` give the same bits.
     """
 
     kind: str
@@ -106,28 +100,7 @@ class PotentialSpec:
         return cls("double_well", m2, lam / 6.0)
 
     def vprime(self, x):
-        return x * (self.c1 + self.c3 * x * x)
-
-    @cached_property
-    def force(self) -> Callable[[np.ndarray, np.ndarray | None, np.ndarray], np.ndarray]:
-        """force(x, norm, out): vprime(x) written into out; norm is not read.
-
-        The c3 branch and the operands are resolved once per instance, so a
-        call is one Python frame and, with c3 = 0, one ufunc.
-        """
-        c1_plus_zero, c3, c1 = (np.array(c, dtype=float)
-                                for c in (self.c1 + 0.0, self.c3, self.c1))
-        multiply, add = np.multiply, np.add
-        if self.c3 == 0.0:
-            def force(x, norm, out):
-                return multiply(x, c1_plus_zero, out)
-        else:
-            def force(x, norm, out):
-                multiply(x, c3, out)
-                multiply(out, x, out)
-                add(out, c1, out)
-                return multiply(x, out, out)
-        return force
+        return x * (self.c1 + x * x * self.c3)
 
 
 @dataclass(frozen=True)
@@ -191,7 +164,7 @@ def integrate_white(pot: PotentialSpec, gamma: float, grid: TimeGrid,
     xs[0] = x
     vs[0] = v
     for i in range(n - 1):
-        f = -(x * (c1 + c3 * x * x)) + drive[i]
+        f = -(x * (c1 + x * x * c3)) + drive[i]
         v = (v + dt * f) / denom
         x = x + dt * v
         if not abs(x) <= DIVERGENCE_GUARD:
@@ -316,23 +289,30 @@ class SemiImplicitStepper:
     Each step is the scheme of :func:`integrate_white`, f = g xi_i - V'(x),
     v' = (v + dt f)/(1 + gamma dt), x' = x + dt v', as elementwise
     operations into reused buffers (dt (g xi - V') + v is v + dt (g xi - V')
-    bit for bit), so with the same V' every row equals integrate_white on
-    that row and does not depend on M.  force(x, norm, out) writes the
-    gradient V'(x) of positions x (M, d) into out (M, d); norm is |x|^2
-    (M,) when the stepper has formed it (with a gate), else None.  x0 and
-    v0 broadcast to (M, d).
+    bit for bit), so every row equals integrate_white on that row with the
+    same pot and does not depend on M.  x0 and v0 broadcast to (M, d).
+
+    V' of positions x (M, d) is the radial law x_a (c1 + |x|^2 c3) of pot,
+    formed bit for bit as :meth:`PotentialSpec.vprime` forms it at d = 1.
+    With c3 = 0 it is one multiply of x by c1 + 0.0, since |x|^2 c3 is +0.0
+    for every |x| <= DIVERGENCE_GUARD and c1 + 0.0 is c1 except that -0.0
+    becomes +0.0 (c1 = -w^2 is -0.0 once w^2 underflows).  Otherwise the
+    coefficient c1 + |x|^2 c3 is formed in column 0 of the (M, d) buffer
+    ``coefs`` and copied to its other columns, so V' is one same-shape
+    multiply by x, not an (M, 1) x (M, d) broadcast.
 
     A ufunc call of a step touches only M d values, so numpy's cost per
-    call, not the arithmetic, sets the time.  dt and 1 + gamma dt are held
-    as 0-d float64 arrays, the operands a ufunc takes fastest; the loop
-    binds its ufuncs to locals and passes out positionally (numpy parses a
-    keyword out on every call), walks a block's noise, position and
-    velocity rows together, and tests the gate with count_nonzero, where
-    ndarray.any enters a Python frame.
+    call, not the arithmetic, sets the time.  dt, 1 + gamma dt and the
+    force's c1, c1 + 0.0 and c3 are held as 0-d float64 arrays, the
+    operands a ufunc takes fastest; the loop binds its ufuncs to locals and
+    passes out positionally (numpy parses a keyword out on every call),
+    walks a block's noise, position and velocity rows together, and tests
+    the gate with count_nonzero, where ndarray.any enters a Python frame.
 
-    Without a gate_threshold the gate g is 1 and no |x|^2 is formed.  With
-    one, each step forms |x|^2 once (:func:`_squared_norm`) into the one
-    (M,) view ``norm`` that the next step's force reads.  g starts at 1 per
+    With a gate_threshold or a quartic term each step forms |x|^2 once
+    (:func:`_squared_norm`) into the one (M,) view ``norm`` that the next
+    step's force and gate read; otherwise ``norm`` is None.  Without a
+    gate_threshold the gate g is 1.  With one, g starts at 1 per
     realization and latches to 0 the first time |x|^2 exceeds the
     threshold, never to reopen.  It scales the noise once per block: the
     block's noise rows are multiplied by the (M, d) ``gate`` on entry, and
@@ -355,18 +335,18 @@ class SemiImplicitStepper:
     among ties, the lowest realization index.
     """
 
-    def __init__(self, shape: tuple[int, int, int],
-                 force: Callable[[np.ndarray, np.ndarray | None, np.ndarray], np.ndarray],
-                 gamma: float, grid: TimeGrid, x0=0.0, v0=0.0,
-                 gate_threshold: float | None = None):
+    def __init__(self, shape: tuple[int, int, int], pot: PotentialSpec, gamma: float,
+                 grid: TimeGrid, x0=0.0, v0=0.0, gate_threshold: float | None = None):
         m, d, n = shape
         if n != grid.n_points:
             raise ValueError(f"noise must have {grid.n_points} time points, got {n}")
         self.shape = shape
-        self.force = force
         self.grid = grid
         self.dt = np.array(grid.dt, dtype=float)
         self.denom = np.array(1.0 + gamma * grid.dt, dtype=float)
+        self.c1 = np.array(pot.c1, dtype=float)
+        self.c1_plus_zero = np.array(pot.c1 + 0.0, dtype=float)
+        self.c3 = None if pot.c3 == 0.0 else np.array(pot.c3, dtype=float)
         rows = _block_width(n)
         # time-major buffers, each also as a list of its (M, d) rows; row 0
         # holds a block's entry state, copied from row carry where the last
@@ -378,13 +358,15 @@ class SemiImplicitStepper:
         self.rows = list(self.xs), list(self.vs)
         self.carry = 0
         self.f = np.empty((m, d))
+        self.coefs = np.empty((m, d))
         self.close = np.full(m, -1, dtype=np.int64)
         self.v_first = np.empty((n, d))
-        self.norm = None
+        self.norm = self.gate = None
         self.gate_open = True
-        if gate_threshold is not None:
+        if gate_threshold is not None or self.c3 is not None:
             self.squared_norm = _squared_norm(m, d)
             self.norm = self.squared_norm(self.xs[0])
+        if gate_threshold is not None:
             self.gate = np.ones((m, d))
             self.limit = np.full(m, gate_threshold, dtype=float)
             self.hit = np.empty(m, dtype=bool)
@@ -397,20 +379,31 @@ class SemiImplicitStepper:
         xs[0] = xs[carry]
         vs[0] = vs[carry]
         x_rows, v_rows = self.rows
-        dt, denom, force = self.dt, self.denom, self.force
+        dt, denom, c1, c1_plus_zero, c3 = self.dt, self.denom, self.c1, self.c1_plus_zero, self.c3
+        coefs = self.coefs
+        coef, *copies = coefs.T
         subtract, multiply, add, divide = np.subtract, np.multiply, np.add, np.divide
-        greater, count_nonzero = np.greater, np.count_nonzero
+        greater, count_nonzero, copyto = np.greater, np.count_nonzero, np.copyto
         x, v = x_rows[0], v_rows[0]
         # after the last latch the noise is not read, nor drawn
         driven = self.gate_open
+        gating = driven and self.gate is not None
         if norm is not None:
-            squared_norm, limit, hit, gating = self.squared_norm, self.limit, self.hit, driven
-            if driven:
-                multiply(block[:steps], self.gate, block[:steps])
+            squared_norm = self.squared_norm
+        if gating:
+            limit, hit = self.limit, self.hit
+            multiply(block[:steps], self.gate, block[:steps])
         with np.errstate(over="ignore", invalid="ignore"):
             for j, (xi, x_next, v_next) in enumerate(
                     zip(block[:steps], x_rows[1:steps + 1], v_rows[1:steps + 1])):
-                force(x, norm, f)
+                if c3 is None:
+                    multiply(x, c1_plus_zero, f)
+                else:
+                    multiply(norm, c3, coef)
+                    add(coef, c1, coef)
+                    for column in copies:
+                        copyto(column, coef)
+                    multiply(coefs, x, f)
                 if driven:
                     subtract(xi, f, f)
                     multiply(f, dt, f)
@@ -491,7 +484,7 @@ def stream_blocks(fill, stepper, reduce) -> None:
 #: (M, d, block width) float64 slabs of the pipeline at its peak: the block
 #: buffer, the stepper's positions and velocities, the statistics' copy
 #: buffer and a reducer's temporaries (two slabs); the stepper's |x|^2
-#: squares and gate are (M, d) rows
+#: squares, force coefficients and gate are (M, d) rows
 _PIPELINE_SLABS = 6
 
 
@@ -574,7 +567,7 @@ def run_white_ensemble(pot: PotentialSpec, gamma: float, grid: TimeGrid, sigma2:
     # statistics, realization 0's x and v, and the trajectory's copies of them
     draw_bytes, draw = white_source_bytes(m)
     require_pipeline((m, 1, n), 8 * 6 * n + draw_bytes, f"6 columns of {n} and {draw}")
-    stepper = SemiImplicitStepper((m, 1, n), pot.force, gamma, grid, x0, v0)
+    stepper = SemiImplicitStepper((m, 1, n), pot, gamma, grid, x0, v0)
     moments = ColumnMoments(m, n)
     first = np.empty(n)
 

@@ -29,8 +29,8 @@ from .core import (ConfigError, DivergenceError, NumericalError, TimeGrid, deriv
                    require_memory)
 from .kernels import (DeSitterParams, KernelMatrix, build_hadamard, desitter_factor,
                       fluctuation_kernel, squeezed_factor)
-from .langevin import (DIVERGENCE_GUARD, ColumnMoments, EnsembleStats, SemiImplicitStepper,
-                       SpectrumEstimate, _squared_norm, _time_blocks, estimate_spectrum,
+from .langevin import (DIVERGENCE_GUARD, ColumnMoments, EnsembleStats, PotentialSpec,
+                       SemiImplicitStepper, SpectrumEstimate, _time_blocks, estimate_spectrum,
                        integrate_overdamped_mode, relaxation_rate, require_pipeline,
                        stream_blocks)
 from .noise import _standard_normals, factor_source
@@ -89,6 +89,10 @@ class SSBConfig:
             raise ConfigError("friction must be >= 0", ("friction",))
         if self.gate_threshold is not None and self.gate_threshold <= 0:
             raise ConfigError("gate_threshold must be positive", ("gate_threshold",))
+        # the default gate threshold -2 m2 / lambda is a third of it
+        if not math.isfinite(-6.0 * self.m2 / self.lam):
+            raise ConfigError("the minimum radius sqrt(-6 m2 / lambda) overflows float64",
+                              ("m2", "lam"))
         if not self.leave_radius > self.return_radius > 0:
             raise ConfigError(f"return_radius must be positive and below the leave radius "
                               f"sqrt(-6 m2 / lambda) / 2 = {self.leave_radius!r}",
@@ -248,35 +252,6 @@ def _scenario_factor(cfg: SSBConfig) -> np.ndarray:
     return squeezed_factor(_squeeze_params(cfg), cfg.grid, coupling)
 
 
-def _radial_force(cfg: SSBConfig, m: int, d: int):
-    """force(x, norm, out) of the radial double well: (m2 + lam |x|^2 / 6) x_a into out (M, d).
-
-    The coefficient is formed in column 0 of a reused (M, d) buffer, from
-    the stepper's |x|^2 when it is given (gated runs), else from
-    :func:`ctpsim.langevin._squared_norm` here, and copied to the other
-    columns, so the force is one same-shape multiply, not an (M, 1) x (M, d)
-    broadcast.  m2 and lam / 6 are 0-d float64 arrays, the operands a ufunc
-    takes fastest, and every ufunc takes out positionally, which numpy
-    parses faster than a keyword.
-    """
-    c1 = np.array(cfg.m2, dtype=float)
-    c3 = np.array(cfg.lam / 6.0, dtype=float)
-    coefs = np.empty((m, d))
-    coef, *copies = coefs.T
-    squared_norm = _squared_norm(m, d)
-    multiply, add, copyto = np.multiply, np.add, np.copyto
-
-    def force(x, norm, out):
-        if norm is None:
-            norm = squared_norm(x)
-        multiply(norm, c3, coef)
-        add(coef, c1, coef)
-        for column in copies:
-            copyto(column, coef)
-        return multiply(coefs, x, out)
-    return force
-
-
 def _scaled(draw, amplitude: float):
     """fill(rows, start): the noise draw(rows, start) writes, times amplitude."""
     def fill(rows, start):
@@ -303,8 +278,8 @@ def _simulate(cfg: SSBConfig, n_components: int, reduce) -> np.ndarray:
     m, n = cfg.n_realizations, cfg.grid.n_points
     draw = factor_source(_scenario_factor(cfg), cfg.master_seed, m * n_components)
     stepper = SemiImplicitStepper(
-        (m, n_components, n), _radial_force(cfg, m, n_components), cfg.friction, cfg.grid,
-        gate_threshold=cfg.gate_threshold_sq if cfg.gate else None)
+        (m, n_components, n), PotentialSpec.double_well(cfg.m2, cfg.lam), cfg.friction,
+        cfg.grid, gate_threshold=cfg.gate_threshold_sq if cfg.gate else None)
     try:
         stream_blocks(_scaled(draw, cfg.noise_amplitude), stepper, reduce)
     except DivergenceError as err:

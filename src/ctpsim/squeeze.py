@@ -130,27 +130,38 @@ def quadrature_variances(params: SqueezeParams, t: float) -> tuple[float, float]
     return var_along, var_across
 
 
-def commutator_green(params: SqueezeParams, t: float, t_prime: float) -> float:
+def _cos_two_phi(params: SqueezeParams) -> float:
+    """cos(2 phi) of the hadamard kernel; NumericalError where 2 phi overflows float64."""
+    if not math.isfinite(2.0 * params.phi):
+        raise NumericalError(f"phi = {params.phi!r}: 2 phi overflows float64, so the "
+                             f"hadamard kernel's cos(2 phi) is undefined", ("phi",))
+    return math.cos(2.0 * params.phi)
+
+
+def commutator_green(params: SqueezeParams, t, t_prime):
     """Coefficient of i in the position commutator expectation.
 
     (1/2) (m w / 2 hbar)^-1 sinh(w (t - t')): antisymmetric in (t, t'),
-    state-independent, and locally linear for small separations.
+    state-independent, and locally linear for small separations.  t and
+    t_prime are floats or numpy arrays, which broadcast.
     """
     pref = params.hbar / (params.mass * params.omega)
-    return pref * math.sinh(params.omega * (t - t_prime))
+    return pref * np.sinh(params.omega * (t - t_prime))
 
 
-def hadamard_green(params: SqueezeParams, t: float, t_prime: float) -> float:
+def hadamard_green(params: SqueezeParams, t, t_prime):
     """Anticommutator expectation <{x(t), x(t')}> of the squeezed state.
 
     (1/2)(m w/2 hbar)^-1 (cosh(w(t+t')) - cos(2 phi) sinh(w(t+t'))); the
     cos(2 phi) term drops at the default angle phi = -pi/4.  Symmetric in
     (t, t') and growing in t + t', which is what makes the associated noise
-    kernel expand without bound.
+    kernel expand without bound.  t and t_prime broadcast as in
+    :func:`commutator_green`.
     """
     pref = params.hbar / (params.mass * params.omega)
+    c = _cos_two_phi(params)
     s = params.omega * (t + t_prime)
-    return pref * (math.cosh(s) - math.cos(2.0 * params.phi) * math.sinh(s))
+    return pref * (np.cosh(s) - c * np.sinh(s))
 
 
 def mode_two_point(params: SqueezeParams) -> Callable:
@@ -164,11 +175,8 @@ def mode_two_point(params: SqueezeParams) -> Callable:
     def f(t, t_prime):
         t = np.asarray(t, dtype=float)
         t_prime = np.asarray(t_prime, dtype=float)
-        pref = 0.5 * params.hbar / (params.mass * params.omega)
-        s = params.omega * (t + t_prime)
-        sym = pref * (np.cosh(s) - math.cos(2.0 * params.phi) * np.sinh(s))
-        asym = pref * np.sinh(params.omega * (t - t_prime))
-        return sym - 1j * asym
+        return (0.5 * hadamard_green(params, t, t_prime)
+                - 1j * (0.5 * commutator_green(params, t, t_prime)))
 
     return f
 

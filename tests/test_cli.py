@@ -196,6 +196,23 @@ class TestExitCodes:
         assert err.endswith("(config keys: ssb.m2=-1.0, ssb.t_start=0.0, ssb.t_end=300.0, "
                             "ssb.n_points=31)\n")
 
+    # hbar / (m w) overflows, a coefficient lambda^2 a^3 of the fluctuation kernel does,
+    # or a power ** raises: the message names it, not the grid
+    @pytest.mark.parametrize("section, what", [
+        ({"mass": 5e-324}, "hbar / (m w) is inf"),
+        ({"noise_kernel": "fluctuation", "hbar": 1e100, "coupling": 1e12},
+         "the coefficient of e^(3 w (t + t')) is inf"),
+        ({"noise_kernel": "fluctuation", "hbar": 1e300},
+         "a power of the coupling or of hbar / (m w) is inf")],
+        ids=["hbar_over_m_omega", "coupling_product", "power"])
+    def test_infinite_noise_coefficient_is_named(self, tmp_path, capsys, section, what):
+        path = write_config(tmp_path, {"n_realizations": 1, "ssb": dict(section, n_points=7)})
+        assert main(["ssb", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"numerical failure: noise kernel overflows float64: {what} (config keys: " \
+               f"ssb.hbar=" in err
+        assert "grid" not in err and "ssb.n_points" not in err
+
     # a gate threshold that |x|^2 reaches only beyond the divergence guard keeps the
     # gate open: the run diverges where the ungated one does, at any dt
     @pytest.mark.parametrize("sub, section, step", [
@@ -303,6 +320,19 @@ class TestExitCodes:
         assert "return_radius must be positive and below the leave radius" in err
         assert f"(config keys: {sub}.return_radius=3.0, {sub}.m2=-1.0, {sub}.lambda=0.6)" in err
         assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("sub", ["ssb", "bec"])
+    def test_overflowing_minimum_radius_is_refused(self, tmp_path, capsys, sub):
+        # -6 m2 / lambda overflows, which the report would write as Infinity (the
+        # minimum and leave radii, the default gate threshold)
+        path = write_config(tmp_path, {"n_realizations": 4, sub: {
+            "lambda": 5e-324, "n_points": 6, "t_end": 0.3}})
+        out = tmp_path / "o"
+        assert main([sub, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "the minimum radius sqrt(-6 m2 / lambda) overflows float64" in err
+        assert err.endswith(f"(config keys: {sub}.m2=-1.0, {sub}.lambda=5e-324)\n")
         assert list(out.iterdir()) == []
 
     def test_divergence_at_an_overflowing_time_names_the_step(self, tmp_path, capsys):

@@ -8,8 +8,9 @@ milliseconds; the values are the extremes of the float range.
 
 Run as a script, ``PYTHONPATH=src python tests/test_config_fuzz.py [N]`` prints
 a census of N derandomized configs (default 3000): the count of each exit
-code, and the exit-1/2 messages that name no config key, grouped by message
-with the numbers masked.
+code, the exit-1/2 messages that name no config key, grouped by message
+with the numbers masked, and the exit-0 runs whose outputs hold a non-finite
+value, grouped by subcommand and files, each with its first config.
 """
 
 import collections
@@ -63,19 +64,28 @@ CONFIGS = st.sampled_from(SUBCOMMANDS).flatmap(
                           _mapping(_SECTION_SCHEMAS[sub])))
 
 
-def run_cli(sub: str, top: dict, section: dict) -> tuple[int, str]:
-    """Exit code and stderr of one in-process run; warnings are recorded, not shown."""
+#: a non-finite float as json.dumps writes it (Infinity, -Infinity, NaN) or repr does (inf, nan)
+_NONFINITE = re.compile(r"(?<![\w.])-?(Infinity|NaN|inf|nan)(?![\w.])")
+
+
+def run_cli(sub: str, top: dict, section: dict) -> tuple[int, str, list[str]]:
+    """Exit code, stderr and the output files holding a non-finite value of one in-process run.
+
+    Warnings are recorded, not shown.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps({**top, sub: section}))
+        out = Path(tmp) / "out"
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("always")
             # an exception escaping main is the traceback a user would see
-            rc = main([sub, "--config", str(path), "--out", str(Path(tmp) / "out")])
+            rc = main([sub, "--config", str(path), "--out", str(out)])
+        nonfinite = sorted(p.name for p in out.glob("*") if _NONFINITE.search(p.read_text()))
     assert not caught, [str(w.message) for w in caught]
-    return rc, err.getvalue()
+    return rc, err.getvalue(), nonfinite
 
 
 def names_a_key(sub: str, err: str) -> bool:
@@ -93,7 +103,7 @@ def names_a_key(sub: str, err: str) -> bool:
                {"t_end": 1e300, "omega": 1e300, "n_points": 3}))
 def test_valid_config_ends_in_a_documented_exit_code(case):
     sub, top, section = case
-    rc, err = run_cli(sub, top, section)
+    rc, err, _ = run_cli(sub, top, section)
     assert rc in (0, 1, 2, 3), err
     assert "Traceback" not in err
     assert "Warning" not in err
@@ -105,18 +115,21 @@ _NUMBER = re.compile(r"(?<![\w-])[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|\b(inf|na
 
 
 def census(n: int) -> None:
-    """Print the exit codes of n derandomized CONFIGS and the keyless exit-1/2 messages."""
-    codes, keyless = collections.Counter(), collections.Counter()
+    """Print the exit codes of n derandomized CONFIGS, the keyless exit-1/2 messages
+    and the exit-0 runs that wrote a non-finite value."""
+    codes, keyless, nonfinite = collections.Counter(), collections.Counter(), {}
 
     @settings(max_examples=n, deadline=None, derandomize=True, database=None,
               phases=[Phase.generate])
     @given(case=CONFIGS)
     def run(case):
         sub, top, section = case
-        rc, err = run_cli(sub, top, section)
+        rc, err, files = run_cli(sub, top, section)
         codes[rc] += 1
         if rc in (1, 2) and not names_a_key(sub, err):
             keyless[sub, _NUMBER.sub("#", err.strip())] += 1
+        if rc == 0 and files:
+            nonfinite.setdefault((sub, ", ".join(files)), []).append({**top, sub: section})
 
     run()
     print(f"{sum(codes.values())} configs, exit codes: "
@@ -124,6 +137,10 @@ def census(n: int) -> None:
     print(f"{sum(keyless.values())} of {codes[1] + codes[2]} exit-1/2 messages name no key")
     for (sub, message), count in keyless.most_common():
         print(f"{count:6d}  {sub}: {message}")
+    print(f"{sum(map(len, nonfinite.values()))} of {codes[0]} exit-0 runs wrote a "
+          f"non-finite value")
+    for (sub, files), configs in nonfinite.items():
+        print(f"{len(configs):6d}  {sub} ({files}): {json.dumps(configs[0])}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ctpsim.core import make_grid
+from ctpsim.core import NumericalError, make_grid
 from ctpsim.kernels import KernelMatrix, build_hadamard, build_retarded
 from ctpsim.noise import sample_white
 from ctpsim.squeeze import (PairCoeffs, SqueezeParams,
@@ -149,6 +149,21 @@ class TestTwoPointFunctions:
             assert math.isclose(2.0 * val.real, hadamard_green(ODD, t, tp), rel_tol=1e-13)
             assert math.isclose(2.0 * val.imag, -commutator_green(ODD, t, tp),
                                 rel_tol=1e-13, abs_tol=1e-15)
+
+    def test_greens_broadcast_over_arrays(self):
+        t = np.linspace(0.0, 2.0, 9)
+        for green in (commutator_green, hadamard_green):
+            scalars = [[green(ODD, float(a), float(b)) for b in t] for a in t]
+            np.testing.assert_allclose(green(ODD, t[:, None], t[None, :]), scalars,
+                                       rtol=1e-14, atol=1e-15)
+
+    def test_overflowing_two_phi_is_a_numerical_error(self):
+        # 2 phi overflows float64, so cos(2 phi) is undefined
+        params = SqueezeParams(phi=1.7976931348623157e308)
+        with pytest.raises(NumericalError, match="2 phi overflows float64"):
+            hadamard_green(params, 0.0, 0.0)
+        with pytest.raises(NumericalError, match="2 phi overflows float64"):
+            mode_two_point(params)(0.0, 0.0)
 
     def test_equal_time_hadamard_from_mixing_coefficients(self):
         # third route: 2 <x^2> rebuilt from (u, v) moments, n = |v|^2, c = u v

@@ -162,7 +162,7 @@ class TestFailureOrder:
                 raise FloatingPointError("overflow encountered in multiply")
 
         # |x| grows as e^(40 t) from 1: the guard trips in the first block (t < 3)
-        stepper = SemiImplicitStepper((2, 1, 1000), PotentialSpec.inverted(40.0).force, 0.0,
+        stepper = SemiImplicitStepper((2, 1, 1000), PotentialSpec.inverted(40.0), 0.0,
                                       grid, x0=1.0)
         with pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
             stream_blocks(fill, stepper, lambda paths, cols: None)
@@ -259,7 +259,7 @@ class TestDrawnBlocks:
 
         # |x| grows as cosh t: both gates latch near t = 1.3 (block 0), the guard
         # trips near t = 28 (block 2), and blocks 1 and 2 were never drawn
-        stepper = SemiImplicitStepper((2, 1, 1000), PotentialSpec.inverted(1.0).force, 0.0,
+        stepper = SemiImplicitStepper((2, 1, 1000), PotentialSpec.inverted(1.0), 0.0,
                                       grid, x0=1.0, gate_threshold=4.0)
         with pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
             stream_blocks(fill, stepper, lambda paths, cols: None)

@@ -18,8 +18,8 @@ import numpy as np
 from ctpsim import scenarios
 from ctpsim.core import DivergenceError, derive_seed
 from ctpsim.kernels import desitter_factor
-from ctpsim.langevin import (SemiImplicitStepper, _time_blocks, aggregate_paths,
-                             estimate_spectrum, integrate_overdamped_mode)
+from ctpsim.langevin import (PotentialSpec, SemiImplicitStepper, _time_blocks,
+                             aggregate_paths, estimate_spectrum, integrate_overdamped_mode)
 from ctpsim.noise import draw_from_factor, sample_white
 
 
@@ -46,7 +46,7 @@ def scenario_noise(cfg, n_components):
 def integrate_gated(cfg, noise):
     """(paths, close steps) of the gated radial stepper, written over noise (M, d, n)."""
     stepper = SemiImplicitStepper(
-        noise.shape, scenarios._radial_force(cfg, *noise.shape[:2]), cfg.friction, cfg.grid,
+        noise.shape, PotentialSpec.double_well(cfg.m2, cfg.lam), cfg.friction, cfg.grid,
         gate_threshold=cfg.gate_threshold_sq if cfg.gate else None)
     try:
         step(stepper, noise)
@@ -78,7 +78,7 @@ def bec(cfg):
 def langevin(pot, gamma, grid, sigma2, seed, m, x0, v0):
     """(stats, x and v of realization 0) of the white-noise ensemble."""
     paths = sample_white(sigma2, grid, seed, m).realizations.copy()
-    stepper = SemiImplicitStepper((m, 1, grid.n_points), pot.force, gamma, grid, x0, v0)
+    stepper = SemiImplicitStepper((m, 1, grid.n_points), pot, gamma, grid, x0, v0)
     step(stepper, paths[:, None, :])
     return aggregate_paths(grid, paths), paths[0].copy(), stepper.v_first[:, 0].copy()
 
