@@ -35,6 +35,22 @@ def zero(grid):
     return np.zeros(grid.n_points)
 
 
+def stepped_force(pot, x):
+    """V'(x) (M, 1) as SemiImplicitStepper forms it, read off one step from rest at x.
+
+    A step of length 1 without friction, with noise -0.0 and v0 = -0.0, gives
+    v1 = ((-0.0 - V') 1 + -0.0) / 1 = -V' bit for bit, the sign of a zero
+    included.  v1 is formed before the step's divergence check, so a row
+    that leaves the guard (x - V' beyond 1e12) still has it.
+    """
+    stepper = SemiImplicitStepper((len(x), 1, 2), pot, 0.0, make_grid(0.0, 1.0, 2), x, -0.0)
+    try:
+        stepper.step(np.full((2, len(x), 1), -0.0), slice(0, 2))
+    except DivergenceError:
+        pass
+    return -stepper.vs[1]
+
+
 class TestPotentialSpec:
     def test_force_shapes(self):
         quad = PotentialSpec.quadratic(2.0)
@@ -52,6 +68,30 @@ class TestPotentialSpec:
         dw = PotentialSpec.double_well(-1.0, 0.6)
         x_min = math.sqrt(10.0)
         assert abs(dw.vprime(x_min)) < 1e-14
+
+    @pytest.mark.parametrize("c1", [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324])
+    def test_force_without_quartic_is_the_law_bit_for_bit(self, c1):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e12, -1e12],
+                            rng.standard_normal(20)])[:, None]
+        force = stepped_force(PotentialSpec("quadratic", c1), x)
+        assert force.tobytes() == (x * (c1 + 0.0 * x * x)).tobytes()
+
+    def test_force_keeps_the_sign_of_zero_when_omega_squared_underflows(self):
+        # c1 = -w^2 is -0.0, so x * c1 would be -0.0 where the law gives +0.0
+        pot = PotentialSpec.inverted(1e-200)
+        assert math.copysign(1.0, pot.c1) == -1.0
+        x = np.array([[1.0], [-1.0]])
+        force = stepped_force(pot, x)
+        assert force.tobytes() == (x * (pot.c1 + 0.0 * x * x)).tobytes()
+        assert force.tobytes() != (x * pot.c1).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(m2=st.floats(-2.0, 2.0), lam=st.floats(0.1, 2.0),
+           x=hnp.arrays(float, (7, 1), elements=st.floats(-1e12, 1e12)))
+    def test_force_with_quartic_is_the_law_bit_for_bit(self, m2, lam, x):
+        pot = PotentialSpec.double_well(m2, lam)
+        assert stepped_force(pot, x).tobytes() == pot.vprime(x).tobytes()
 
 
 class TestIntegrateWhite:
