@@ -278,7 +278,30 @@ def _write_table(path: Path, first_line: str, values, sep: str = ",") -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, [json.dumps(obj, indent=2) + "\n"])
+    """obj as indented JSON (RFC 8259): a float that is not finite is a NumericalError.
+
+    The error names the file and the field, and the field's name as its param.
+    """
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:
+        field = _nonfinite_field(obj)
+        raise NumericalError(f"{path.name}: {field} is not finite",
+                             (field.rpartition(".")[2],)) from None
+    _atomic_write(path, [text + "\n"])
+
+
+def _nonfinite_field(obj, where: str = "") -> str | None:
+    """The first float of obj that is not finite, as its keys and indices joined by dots."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else where
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, (list, tuple)) else ()
+    for key, value in items:
+        found = _nonfinite_field(value, f"{where}.{key}" if where else str(key))
+        if found is not None:
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +391,9 @@ def _cmd_noise(cfg: dict, out: Path) -> list[str]:
         "max_abs_mean": float(np.max(np.abs(ens.realizations.mean(axis=0)))),
         "mean_sample_variance": float(ens.realizations.var(axis=0).mean()),
     }
+    _write_json(out / "summary.json", summary)
     _write_table(out / "noise.csv", ",".join(f"xi_{i}" for i in range(grid.n_points)),
                  ens.realizations)
-    _write_json(out / "summary.json", summary)
     return ["noise.csv", "summary.json"]
 
 
@@ -399,11 +422,11 @@ def _cmd_langevin(cfg: dict, out: Path) -> list[str]:
         "sigma2": sec["sigma2"],
         "tail_mean_x_sq": float(np.mean(stats.variance[tail] + stats.mean[tail] ** 2)),
     }
+    _write_json(out / "summary.json", summary)
     _write_table(out / "ensemble.csv", "t,mean,variance",
                  np.column_stack([grid.times(), stats.mean, stats.variance]))
     _write_table(out / "trajectory0.csv", "t,x,xdot",
                  np.column_stack([grid.times(), first.x, first.xdot]))
-    _write_json(out / "summary.json", summary)
     return ["ensemble.csv", "trajectory0.csv", "summary.json"]
 
 
@@ -457,7 +480,6 @@ def _cmd_inflation(cfg: dict, out: Path) -> list[str]:
                             background=sec["phi0"]) for k in ks]
     est = run_inflation(modes, grid, cfg["n_realizations"], cfg["master_seed"],
                         sec["tail_fraction"])
-    _write_table(out / "spectrum.csv", "k,variance", np.column_stack([est.k, est.variances]))
     report = {
         "scenario": "inflation",
         "master_seed": cfg["master_seed"],
@@ -469,6 +491,7 @@ def _cmd_inflation(cfg: dict, out: Path) -> list[str]:
         "intercept": est.intercept,
     }
     _write_json(out / "report.json", report)
+    _write_table(out / "spectrum.csv", "k,variance", np.column_stack([est.k, est.variances]))
     return ["spectrum.csv", "report.json"]
 
 
@@ -595,7 +618,7 @@ def _config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-_GRID = {"grid": ("t_start", "t_end", "n_points")}
+_GRID = dict.fromkeys(("grid", "dt"), ("t_start", "t_end", "n_points"))  # dt of the grid
 _SCENARIO = {**_GRID, "lam": ("lambda",), "omega": ("m2",)}  # the mode's omega is sqrt(-m2)
 
 #: per subcommand, the config keys of each library parameter name (an error's params)

@@ -42,6 +42,10 @@ KUIPER_CRIT_1PCT = 2.001
 
 _NOISE_KERNELS = ("hadamard", "fluctuation")
 
+#: |k eta| every inflation mode must be below where the tail window starts: its
+#: noise is then within about (k eta)^2 / 2 of the superhorizon amplitude
+HORIZON_EXIT = 0.1
+
 
 def _finite_median(values: np.ndarray) -> float | None:
     finite = values[np.isfinite(values)]
@@ -408,7 +412,11 @@ class _RecursionCount:
     +-radius into boolean masks, never forming |x|; NaN fails every
     comparison, as it fails |x| > radius and |x| < radius.  The running
     "has left" over time is a bitwise OR accumulated over the masks' bytes
-    (each 0 or 1): logical_or's booleans in about a third of its time.
+    (each 0 or 1): logical_or's booleans in about a third of its time.  Once
+    every run has left, the "has left" masks are all true, so a block forms
+    only the return mask: with ssb's defaults at M 400, n 3001 every run
+    has left after 7 of the 24 blocks, and a count took 1.4 ms in place of
+    2.7 ms.
     """
 
     def __init__(self, rows: int, leave_radius: float, return_radius: float):
@@ -418,15 +426,18 @@ class _RecursionCount:
 
     def add(self, paths: np.ndarray) -> None:
         leave_radius, return_radius = self.radii
-        has_left = paths > leave_radius
-        has_left |= paths < -leave_radius
-        flags = has_left.view(np.uint8)
-        np.bitwise_or.accumulate(flags, axis=0, out=flags)
-        has_left |= self.has_left
-        self.has_left[:] = has_left[-1]
-        has_left &= paths < return_radius
-        has_left &= paths > -return_radius
-        self.recursed |= has_left.any(axis=0)
+        if self.has_left.all():
+            mask = paths < return_radius
+        else:
+            mask = paths > leave_radius
+            mask |= paths < -leave_radius
+            flags = mask.view(np.uint8)
+            np.bitwise_or.accumulate(flags, axis=0, out=flags)
+            mask |= self.has_left
+            self.has_left[:] = mask[-1]
+            mask &= paths < return_radius
+        mask &= paths > -return_radius
+        self.recursed |= mask.any(axis=0)
 
     def fraction(self) -> float:
         return np.count_nonzero(self.recursed) / self.recursed.size
@@ -479,7 +490,9 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
     column k stepped by :func:`ctpsim.langevin.integrate_overdamped_mode`,
     and its tail mean square is z_i^T G z_i (:func:`_tail_gram`): no path is
     formed.  Every sum is an elementwise ufunc or np.add.reduce, none a
-    product whose summation order depends on the BLAS build.
+    product whose summation order depends on the BLAS build.  A grid on
+    which the largest k has |k eta| >= HORIZON_EXIT where the tail window
+    starts is refused as a NumericalError: its noise has not frozen there.
     """
     modes = list(modes)
     if len(modes) < 8:
@@ -512,6 +525,16 @@ def run_inflation(modes: Sequence[DeSitterParams], grid: TimeGrid,
     if tail_start >= n:
         raise ConfigError(f"tail_fraction {tail_fraction:g} leaves no grid point "
                           f"in the tail of {n}", ("tail_fraction", "grid"))
+    # |k eta| = (k / H) e^(-H t) of the largest k where the tail window starts, in logs
+    hubble, t_tail = modes[0].hubble, grid.t_start + tail_start * grid.dt
+    log_k_eta = math.log(ks.max()) - math.log(hubble) - hubble * t_tail
+    if not log_k_eta < math.log(HORIZON_EXIT):
+        k_eta = math.exp(log_k_eta) if log_k_eta < 709.0 else math.inf
+        raise NumericalError(
+            f"mode k = {ks.max():g} has not left the horizon by the tail window: "
+            f"|k eta| = {k_eta:.3g} at t = {t_tail:g}, need < {HORIZON_EXIT:g}; raise "
+            f"hubble or the tail's start, or lower the largest k",
+            ("hubble", "k", "grid", "tail_fraction"))
 
     m = n_realizations
     # at most, per mode: the (n, 2) factor, one stepped column, the other's drive

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctpsim import langevin, scenarios
+from ctpsim import cli, langevin, scenarios
 from ctpsim.cli import ConfigError, load_config, main
 
 
@@ -284,7 +284,7 @@ class TestExitCodes:
         ("inflation", {"t_end": 3.0}, 2,
          ["inflation.t_end", "inflation.tail_fraction", "inflation.lambda", "inflation.phi0",
           "inflation.hubble"]),
-        # k / H overflows, so the mode factor is not finite at t = 0; lambda phi0^2
+        # k / H overflows, so no mode leaves the horizon; lambda phi0^2
         # underflows to a zero rate; the tail window holds no grid point
         ("inflation", {"hubble": 5e-324}, 2, ["inflation.hubble", "inflation.t_start"]),
         ("inflation", {"lambda": 1e-300, "phi0": 1e-100}, 1,
@@ -371,6 +371,60 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert not (out / "noise.csv").exists()
         assert not (out / "manifest.json").exists()
+
+    def test_infinite_dt_is_refused_not_written(self, tmp_path, capsys):
+        # t_end - t_start overflows: the white noise is drawn (all 0, since
+        # sqrt(sigma2 / dt) is 0), and summary.json would hold "dt": Infinity
+        path = write_config(tmp_path, {"n_realizations": 4, "master_seed": 4, "noise": {
+            "t_end": 1.7976931348623157e+308, "n_points": 4, "t_start": -1e+300,
+            "sigma2": 1e-300, "omega": 5e-324}})
+        out = tmp_path / "o"
+        assert main(["noise", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: summary.json: dt is not finite (config keys: "
+                       "noise.t_start=-1e+300, noise.t_end=1.7976931348623157e+308, "
+                       "noise.n_points=4)\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("sub", ["noise", "langevin", "inflation", "ssb", "bec"])
+    def test_refused_json_leaves_no_table(self, tmp_path, monkeypatch, capsys, sub):
+        # every subcommand that writes a JSON report writes it before its tables
+        def refuse(path, obj):
+            raise cli.NumericalError(f"{path.name}: x is not finite")
+        monkeypatch.setattr(cli, "_write_json", refuse)
+        path = write_config(tmp_path, {"n_realizations": 4, sub: {"n_points": 301}})
+        out = tmp_path / "o"
+        assert main([sub, "--config", str(path), "--out", str(out)]) == 2
+        assert "x is not finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_json_names_its_first_non_finite_field(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(cli.NumericalError, match=r"^report.json: checks.1.value is not "
+                                                     r"finite$") as info:
+            cli._write_json(path, {"n": 2, "checks": [{"value": 0.5},
+                                                      {"name": "nan", "value": math.nan},
+                                                      {"value": math.inf}]})
+        assert info.value.params == ("value",)
+        assert list(tmp_path.iterdir()) == []
+        cli._write_json(path, {"value": 1e308, "values": [0.0, -0.0]})
+        assert path.read_text() == ('{\n  "value": 1e+308,\n  "values": [\n    0.0,\n'
+                                    '    -0.0\n  ]\n}\n')
+
+    def test_inflation_mode_inside_the_horizon_is_refused(self, tmp_path, capsys):
+        # hubble 1e-300: |k eta| = k / H ~ 1e301 on the whole grid, no mode leaves
+        # the horizon, and the fitted slope came out -1.42 against -3
+        path = write_config(tmp_path, {"n_realizations": 1, "inflation": {
+            "hubble": 1e-300, "n_points": 3}})
+        out = tmp_path / "o"
+        assert main(["inflation", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "mode k = 15.8114 has not left the horizon by the tail window" in err
+        assert err.endswith(
+            "(config keys: inflation.hubble=1e-300, inflation.k_min=0.5, "
+            "inflation.decades=1.5, inflation.t_start=0.0, inflation.t_end=30.0, "
+            "inflation.n_points=3, inflation.tail_fraction=0.5)\n")
+        assert list(out.iterdir()) == []
 
     def test_float64_failure_names_subcommand(self, tmp_path, capsys):
         # the noise times noise_amplitude overflows, which no step checks

@@ -6,11 +6,13 @@ with no traceback and no warning; every exit 1 or 2 names a ``section.key`` or
 a top-level key it comes from.  Sizes stay tiny, so a call takes
 milliseconds; the values are the extremes of the float range.
 
-Run as a script, ``PYTHONPATH=src python tests/test_config_fuzz.py [N]`` prints
-a census of N derandomized configs (default 3000): the count of each exit
-code, the exit-1/2 messages that name no config key, grouped by message
-with the numbers masked, and the exit-0 runs whose outputs hold a non-finite
-value, grouped by subcommand and files, each with its first config.
+Run as a script, ``PYTHONPATH=src python tests/test_config_fuzz.py [N [SEED]]``
+prints a census of N configs (default 3000), drawn over the same value sets
+by a numpy generator seeded with SEED (default 0), so that two trees run the
+same configs in the same order: the count of each exit code, the exit-1/2
+messages that name no config key, grouped by message with the numbers
+masked, and the exit-0 runs whose outputs hold a non-finite value, grouped
+by subcommand and files, each with its first config.
 """
 
 import collections
@@ -23,7 +25,8 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import Phase, example, given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctpsim.cli import _SECTION_SCHEMAS, _TOP_SCHEMA, SUBCOMMANDS, main
@@ -114,24 +117,48 @@ def test_valid_config_ends_in_a_documented_exit_code(case):
 _NUMBER = re.compile(r"(?<![\w-])[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|\b(inf|nan)\b")
 
 
-def census(n: int) -> None:
-    """Print the exit codes of n derandomized CONFIGS, the keyless exit-1/2 messages
-    and the exit-0 runs that wrote a non-finite value."""
-    codes, keyless, nonfinite = collections.Counter(), collections.Counter(), {}
+def _draw(rng, key, spec):
+    """One value for key from the value sets of :func:`_values`, drawn by rng."""
+    want, _default, constraint = spec
+    pool = (False, True) if want is bool else WORDS if want is str else FLOATS
+    while True:
+        if want is int:
+            value = int(rng.integers(*INTS[key], endpoint=True, dtype=np.uint64))
+        else:
+            value = pool[rng.integers(len(pool))]
+        if constraint is None or constraint[0](value):
+            return value
 
-    @settings(max_examples=n, deadline=None, derandomize=True, database=None,
-              phases=[Phase.generate])
-    @given(case=CONFIGS)
-    def run(case):
-        sub, top, section = case
+
+def _draw_mapping(rng, schema):
+    """Values for the SIZE_KEYS of schema and for each other key with probability 1/2."""
+    return {key: _draw(rng, key, spec) for key, spec in schema.items()
+            if key in SIZE_KEYS or rng.random() < 0.5}
+
+
+def draw_configs(n: int, seed: int = 0):
+    """n configs (subcommand, top level, section) over the value sets of CONFIGS.
+
+    One seeded numpy generator draws them in turn, so the k-th config is the
+    same on any tree with the same schema.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        sub = SUBCOMMANDS[rng.integers(len(SUBCOMMANDS))]
+        yield sub, _draw_mapping(rng, _TOP_SCHEMA), _draw_mapping(rng, _SECTION_SCHEMAS[sub])
+
+
+def census(n: int = 3000, seed: int = 0) -> None:
+    """Print the exit codes of n configs of :func:`draw_configs`, the keyless exit-1/2
+    messages and the exit-0 runs that wrote a non-finite value."""
+    codes, keyless, nonfinite = collections.Counter(), collections.Counter(), {}
+    for sub, top, section in draw_configs(n, seed):
         rc, err, files = run_cli(sub, top, section)
         codes[rc] += 1
         if rc in (1, 2) and not names_a_key(sub, err):
             keyless[sub, _NUMBER.sub("#", err.strip())] += 1
         if rc == 0 and files:
             nonfinite.setdefault((sub, ", ".join(files)), []).append({**top, sub: section})
-
-    run()
     print(f"{sum(codes.values())} configs, exit codes: "
           + ", ".join(f"{rc}: {count}" for rc, count in sorted(codes.items())))
     print(f"{sum(keyless.values())} of {codes[1] + codes[2]} exit-1/2 messages name no key")
@@ -144,4 +171,4 @@ def census(n: int) -> None:
 
 
 if __name__ == "__main__":
-    census(int(sys.argv[1]) if len(sys.argv) > 1 else 3000)
+    census(*map(int, sys.argv[1:3]))

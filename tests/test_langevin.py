@@ -490,6 +490,7 @@ class TestBatchedSteppers:
         pytest.param([None, 256, 40], id="first-step-of-block"),
         pytest.param([100, None, 100, 100, 7], id="same-step"),
         pytest.param([10, 300, 200, 300], id="all-shut-mid-block"),
+        pytest.param([255, 100, 255], id="all-shut-at-last-step-of-block"),
     ])
     @pytest.mark.parametrize("d", [1, 2])
     def test_latch_at_block_edges_matches_loop_oracle(self, kicks, d):
@@ -509,7 +510,15 @@ class TestBatchedSteppers:
         ref_paths, ref_gates = gated_loop_oracle(cfg, noise)
         stepper = SemiImplicitStepper(noise.shape, PotentialSpec.quadratic(1.0),
                                       0.5, grid, gate_threshold=threshold)
-        whole_array.step(stepper, noise)
+        # whole_array.step, checking the count of open gates after every block
+        for cols in langevin._time_blocks(n):
+            block = noise[..., cols].transpose(2, 0, 1).copy()
+            noise[..., cols] = stepper.step(block, cols).transpose(1, 2, 0)
+            open_rows = stepper.gate.any(axis=1)
+            assert stepper.n_open == np.count_nonzero(open_rows)
+            assert stepper.gate_open == bool(open_rows.any())
+            assert np.all(stepper.gate == open_rows[:, None])
+        assert stepper.n_open == kicks.count(None)
         assert noise.tobytes() == ref_paths.tobytes()
         assert stepper.close.tobytes() == first_closed_step(ref_gates).tobytes()
         assert stepper.close.tolist() == [-1 if k is None else k + 1 for k in kicks]

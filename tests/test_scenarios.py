@@ -214,6 +214,43 @@ class TestRecursionProbability:
             count.add(paths[:, start:stop].T)
         assert count.fraction() == recursion_loop_oracle(paths, 2.0, 0.5)
 
+    @staticmethod
+    def count_by_blocks(paths, width):
+        """The _RecursionCount of paths (M, n) over blocks of width columns, and
+        whether every row has left after each block."""
+        count = scenarios._RecursionCount(paths.shape[0], 2.0, 0.5)
+        all_left = []
+        for start in range(0, paths.shape[1], width):
+            count.add(paths[:, start:start + width].T)
+            all_left.append(bool(count.has_left.all()))
+        return count.fraction(), all_left
+
+    def test_every_row_leaves_in_the_first_column(self):
+        # then only the return mask is formed, from the first block on; rows 1 and 3
+        # return blocks later, row 3 on a block's first column, -2.5 leaves as 2.5 does
+        paths = np.full((4, 40), 2.5)
+        paths[2] *= -1.0
+        paths[1, 25] = 0.1
+        paths[3, 32] = -0.4
+        paths[0, 30] = 0.5  # |x| < return_radius is strict
+        fraction, all_left = self.count_by_blocks(paths, 8)
+        assert all_left == [True] * 5
+        assert fraction == recursion_loop_oracle(paths, 2.0, 0.5) == 0.5
+
+    def test_last_row_leaves_in_the_block_another_row_returns(self):
+        # block 2 (columns 16-23): row 2 leaves last, at column 20, after it sat at
+        # 0 (column 17: no return, it had not left) and while row 0 returns
+        # (column 18); row 1 returns after every row has left, blocks later
+        paths = np.full((4, 40), 1.0)
+        paths[[0, 1, 3], 3] = 3.0
+        paths[2, 17] = 0.0
+        paths[2, 20:] = -2.5
+        paths[0, 18] = 0.2
+        paths[1, 35] = -0.1
+        fraction, all_left = self.count_by_blocks(paths, 8)
+        assert all_left == [False, False, True, True, True]
+        assert fraction == recursion_loop_oracle(paths, 2.0, 0.5) == 0.5
+
     def test_radius_ordering_enforced(self):
         with pytest.raises(ValueError, match="leave_radius"):
             recursion_probability(np.zeros((2, 401)), 0.5, 2.0)
