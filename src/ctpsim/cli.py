@@ -32,7 +32,8 @@ from .kernels import (DeSitterParams, KernelMatrix, build_contour_matrix,
                       keldysh_rotate, memory_kernel, squeezed_factor)
 from .langevin import PotentialSpec, run_white_ensemble
 from .langevin import ensemble_run  # noqa: F401  (perfbench traces it through this module)
-from .noise import NoiseEnsemble, draw_from_factor, hs_moment_check, sample_white
+from .noise import (NoiseEnsemble, draw_from_factor, hs_moment_bytes, hs_moment_check,
+                    sample_white)
 from .scenarios import BECConfig, SSBConfig, run_bec, run_inflation, run_ssb
 from .squeeze import (DEFAULT_SQUEEZE_ANGLE, SqueezeParams, bogolubov_coefficients,
                       mode_two_point, particle_number, quadrature_variances)
@@ -496,13 +497,10 @@ def _cmd_inflation(cfg: dict, out: Path) -> list[str]:
 
 
 def _verify_checks(cfg: dict) -> list[dict]:
-    # the HS check holds the normals (M, r) of the rank r = 2 hadamard kernel,
-    # the phases and a term buffer, r + 2 values a row; r + 4 leaves room for the
-    # draw's blocks (traced: 4.07)
+    # the HS check of the rank-2 hadamard kernel holds its phases and one buffer,
+    # 2 values a row, and one chunk of normals (traced: 2.15 values a row at M 1e5)
     m_hs = cfg["verify"]["hs_realizations"]
-    require_memory((2 + 4) * m_hs * 8,
-                   f"Hubbard-Stratonovich normals ({m_hs}, 2), phases and buffers",
-                   ("hs_realizations",))
+    require_memory(*hs_moment_bytes(m_hs, 2), ("hs_realizations",))
     checks = []
 
     # Bogolubov normalization over a (wt, phi) grid

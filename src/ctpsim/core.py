@@ -109,8 +109,12 @@ def derive_seed(master_seed: int, index: int) -> int:
 
     splitmix64 applied to master_seed + (index+1)*gamma, mod 2^64: a pure
     function, stable across platforms, with distinct outputs for distinct
-    indices in any realistic ensemble size.
+    indices in any realistic ensemble size.  A master seed outside [0, 2^64)
+    is a ConfigError, not masked into range, so no two seeds alias.
     """
+    if not 0 <= int(master_seed) <= _MASK64:
+        raise ConfigError(f"master_seed must be in [0, 2**64), got {master_seed}",
+                          ("master_seed",))
     if index < 0:
         raise ValueError("index must be >= 0")
     z = (int(master_seed) + (int(index) + 1) * _GAMMA) & _MASK64

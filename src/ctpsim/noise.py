@@ -18,7 +18,8 @@ another from group 0's generator.
 :func:`hs_moment_check` is the operational statement of the noise
 factorization: averaging exp(i xi . v) over the ensemble must reproduce
 exp(-v^T K v / 2); it forms only the projections xi . v = z . (F^T v) of the
-rows, never the rows.
+rows, never the rows, and draws their normals a chunk of row groups at a
+time, with the bits of the whole draw.
 """
 
 from __future__ import annotations
@@ -88,6 +89,19 @@ def white_source_bytes(n_realizations: int) -> tuple[int, str]:
             f"{groups} row groups' generators and {_DRAW_BLOCK_VALUES} drawn normals")
 
 
+def hs_moment_bytes(n_realizations: int, rank: int) -> tuple[int, str]:
+    """Bytes :func:`hs_moment_check` holds for M rows of a rank-r kernel, and what they are.
+
+    Its (M,) phases and cos/sin buffer, and the (r, span) chunk of normals
+    one draw call fills; the call's temporary is left out, as in every
+    factor draw's budget.
+    """
+    chunk = rank * _factor_draw_groups(rank) * _GROUP_ROWS
+    return (8 * (2 * n_realizations + chunk),
+            f"Hubbard-Stratonovich phases and buffer ({n_realizations},) "
+            f"and {chunk} normals")
+
+
 def _group_generators(seed: int, n_realizations: int):
     """default_rng(derive_seed(seed, g)) for each row group g of M rows, built lazily."""
     return (np.random.default_rng(derive_seed(seed, g))
@@ -118,6 +132,16 @@ def _fill_normals(rows: np.ndarray, generators, groups: int = 1) -> None:
             view[...] = draws.transpose(1, 0, 2)[:, :, :view.shape[2]]
 
 
+def _whole_groups(n_realizations: int) -> int:
+    """Columns of M rows padded to whole row groups."""
+    return -(-n_realizations // _GROUP_ROWS) * _GROUP_ROWS
+
+
+def _factor_draw_groups(k: int) -> int:
+    """Row groups one call of a whole factor draw of k normals a row covers."""
+    return max(1, _FACTOR_DRAW_VALUES // (_GROUP_ROWS * max(k, 1)))
+
+
 def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
     """(M, k) standard normals: the first k normals of each row by :func:`_fill_normals`.
 
@@ -127,12 +151,11 @@ def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
     (seed, i, k).  One call draws as many whole groups as _FACTOR_DRAW_VALUES
     holds, so the time-major (k, M) array is padded to whole groups.  Returns
     the transposed view of its first M columns, in which normal k of every
-    row is one contiguous line, as factor_source and hs_moment_check read them.
+    row is one contiguous line, as factor_source and run_inflation read them.
     """
-    groups = -(-n_realizations // _GROUP_ROWS)
-    rows = np.empty((k, groups * _GROUP_ROWS))
+    rows = np.empty((k, _whole_groups(n_realizations)))
     _fill_normals(rows, itertools.repeat(np.random.default_rng(derive_seed(seed, 0))),
-                  max(1, _FACTOR_DRAW_VALUES // (_GROUP_ROWS * max(k, 1))))
+                  _factor_draw_groups(k))
     return rows[:, :n_realizations].T
 
 
@@ -248,21 +271,32 @@ def hs_moment_check(kernel: KernelMatrix, v: np.ndarray, n_realizations: int,
     quadratic term the noise was factored out of.
 
     The rows xi_i = F z_i of :func:`sample_colored` are not formed: xi_i . v
-    = z_i . p with p = F^T v, so the check draws the same rows' (M, r)
-    normals z and sums the phases z_i . p in k order into one (M,) buffer,
-    with elementwise operations as :func:`factor_source` sums the rows.  It
-    holds r + 2 values a row at most.
+    = z_i . p with p = F^T v.  The check draws the same rows' normals z as
+    :func:`_standard_normals`, from its one generator, a call's whole row
+    groups at a time into one reused (r, span) buffer, and sums each chunk's
+    phases z_i . p in k order into its slice of one (M,) buffer, with
+    elementwise operations as :func:`factor_source` sums the rows.  The
+    phases and one cos/sin buffer stay whole, so each mean is one reduction
+    over M values.  It holds 2 values a row and the chunk (32 KB at r = 2).
     """
+    if n_realizations < 1:
+        raise ValueError("n_realizations must be >= 1")
     v = np.asarray(v, dtype=float)
     if v.shape != (kernel.n,):
         raise ValueError(f"v must have shape ({kernel.n},), got {v.shape}")
     factor = psd_factor(kernel, clip_tol)
     p = [np.add.reduce(column * v) for column in factor.T]
-    z = _standard_normals(seed, n_realizations, len(p)).T
+    groups = _factor_draw_groups(len(p))
+    span = groups * _GROUP_ROWS
+    generator = (np.random.default_rng(derive_seed(seed, 0)),)
+    chunk = np.empty((len(p), span))
     phases, term = np.zeros(n_realizations), np.empty(n_realizations)
-    for z_k, p_k in zip(z, p):
-        phases += np.multiply(z_k, p_k, out=term)
-    del z
+    for first in range(0, n_realizations, span):
+        rows, scratch = phases[first:first + span], term[first:first + span]
+        z = chunk[:, :_whole_groups(rows.shape[0])]
+        _fill_normals(z, generator, groups)
+        for z_k, p_k in zip(z[:, :rows.shape[0]], p):
+            rows += np.multiply(z_k, p_k, out=scratch)
     real = np.add.reduce(np.cos(phases, out=term)) / n_realizations
     imag = np.add.reduce(np.sin(phases, out=phases)) / n_realizations
     analytic = float(np.exp(-0.5 * v @ kernel.values @ v))

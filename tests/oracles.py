@@ -4,16 +4,17 @@ These deliberately avoid the library's own code paths: flows come from
 scipy's matrix exponential, stationary moments from the Lyapunov solver, and
 the memory-scheme reference from a dense simultaneous solve.  The row-group
 draw rule, the factor draw's k-ordered sum, the Hubbard-Stratonovich mean
-over explicit noise rows, the gated scenario stepper, the
-memory integrator's history sum, the overdamped step and the recursion count
-are checked against plain loops, and the ensemble statistics against their former
-temporaries-allocating formula.
+over explicit noise rows and over whole columns of normals, the gated
+scenario stepper, the memory integrator's history sum, the overdamped step
+and the recursion count are checked against plain loops, and the ensemble
+statistics against their former temporaries-allocating formula.
 """
 
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from ctpsim.core import derive_seed
+from ctpsim.kernels import psd_factor
 
 
 def flow_matrix(params, t):
@@ -281,3 +282,24 @@ def hs_moment_oracle(kernel, v, n_realizations, seed, clip_tol):
     z = standard_normals_oracle(seed, n_realizations, factor.shape[1])
     rows = factor_draw_oracle(factor, z).T
     return complex(np.mean(np.exp(1j * (rows @ v))))
+
+
+def hs_whole_draw_oracle(kernel, v, n_realizations, seed, clip_tol):
+    """hs_moment_check's two values from the whole (M, r) normals of standard_normals_oracle.
+
+    The phases z_i . (F^T v) over the sampler's factor F are summed in k
+    order over whole (M,) columns, then their cos and sin each in one
+    reduction: the bits the streamed check must give for every M.
+    """
+    v = np.asarray(v, dtype=float)
+    factor = psd_factor(kernel, clip_tol)
+    p = [np.add.reduce(column * v) for column in factor.T]
+    z = standard_normals_oracle(seed, n_realizations, len(p)).T
+    phases, term = np.zeros(n_realizations), np.empty(n_realizations)
+    for z_k, p_k in zip(z, p):
+        phases += np.multiply(z_k, p_k, out=term)
+    del z
+    real = np.add.reduce(np.cos(phases, out=term)) / n_realizations
+    imag = np.add.reduce(np.sin(phases, out=phases)) / n_realizations
+    analytic = float(np.exp(-0.5 * v @ kernel.values @ v))
+    return complex(real, imag), analytic

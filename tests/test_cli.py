@@ -811,13 +811,14 @@ class TestMemory:
         assert peak <= (2 * m * n + (m + 2 * n) * r) * 8
 
     def test_traced_peak_of_verify_is_the_projected_draw(self, tmp_path):
-        # the Hubbard-Stratonovich check holds its normals (M, r = 2) and two (M,)
-        # buffers, within the r + 4 values a row the run checks (measured: 4.07),
-        # where drawing the (M, 8) noise and its complex phases peaked at 12.1
+        # the Hubbard-Stratonovich check holds two (M,) buffers and one chunk of its
+        # normals (measured: 2.15 values a row), where holding the whole (M, r = 2)
+        # normals peaked at 4.07 and drawing the (M, 8) noise and its complex
+        # phases at 12.1
         m = 100_000
         path = write_config(tmp_path, {"verify": {"hs_realizations": m}})
         args = ["verify", "--config", str(path), "--out", str(tmp_path / "out")]
-        assert self._traced_peak(args) <= (2 + 4) * m * 8
+        assert self._traced_peak(args) <= 2.25 * m * 8
 
     @pytest.mark.parametrize("sub", ["langevin", "ssb", "bec", "inflation"])
     def test_traced_peak_does_not_grow_with_n(self, tmp_path, sub):
@@ -903,10 +904,10 @@ class TestMemory:
         assert main(args) == 0
 
     def test_verify_beyond_physical_memory_exits_one(self, tmp_path, physical_memory, capsys):
-        # r + 4 float64 values per Hubbard-Stratonovich realization (r = 2),
-        # checked before any draw
+        # 2 float64 values per Hubbard-Stratonovich realization and one chunk of
+        # (r, span) = (2, 2048) normals, checked before any draw
         m = 1000
-        need = (2 + 4) * m * 8
+        need = 2 * m * 8 + 2 * 2048 * 8
         path = write_config(tmp_path, {"verify": {"hs_realizations": m}})
         args = ["verify", "--config", str(path), "--out", str(tmp_path / "out")]
         physical_memory(need - 1)

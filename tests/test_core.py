@@ -74,6 +74,17 @@ class TestDeriveSeed:
             s = derive_seed(2**64 - 1, k)
             assert 0 <= s < 2**64
 
+    @pytest.mark.parametrize("master", [-1, 2**64])
+    def test_master_seed_outside_64_bits_rejected(self, master):
+        with pytest.raises(ConfigError, match="master_seed") as err:
+            derive_seed(master, 0)
+        assert err.value.params == ("master_seed",)
+
+    def test_master_seed_range_ends_keep_their_values(self):
+        # stream 0 of the range's two ends, as every artifact_version has derived it
+        assert derive_seed(0, 0) == 0xE220A8397B1DCDAF
+        assert derive_seed(2**64 - 1, 0) == 0xE4D971771B652C20
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             derive_seed(42, -1)

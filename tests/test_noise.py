@@ -16,7 +16,8 @@ from ctpsim.langevin import _time_blocks
 from ctpsim.noise import NoiseEnsemble, hs_moment_check, sample_colored, sample_white
 from ctpsim.squeeze import SqueezeParams
 
-from oracles import factor_draw_oracle, hs_moment_oracle, standard_normals_oracle
+from oracles import (factor_draw_oracle, hs_moment_oracle, hs_whole_draw_oracle,
+                     standard_normals_oracle)
 
 UNIT = SqueezeParams()
 
@@ -289,6 +290,31 @@ class TestHsMomentCheck:
         kernel = build_hadamard(UNIT, make_grid(0.0, 1.0, 8))
         with pytest.raises(ValueError, match="shape"):
             hs_moment_check(kernel, np.zeros(5), 10, seed=1)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_empty_ensemble_rejected(self, m):
+        kernel = build_hadamard(UNIT, make_grid(0.0, 1.0, 8))
+        with pytest.raises(ValueError, match="n_realizations"):
+            hs_moment_check(kernel, np.zeros(8), m, seed=1)
+
+    # rank r and span, the rows one draw call covers: 64 max(1, 4096 // (64 r));
+    # the fluctuation kernel's closed-form rank 7 clips to 6 on this grid
+    @pytest.mark.parametrize("case, rank, span", [
+        ("hadamard", 2, 2048), ("fluctuation", 6, 640), ("identity", 16, 256)])
+    @pytest.mark.parametrize("size", ["1", "63", "64", "65", "span-1", "span", "span+1",
+                                      "100001"])
+    def test_streamed_draw_equals_the_whole_draw(self, case, rank, span, size):
+        # chunks of whole row groups give the whole draw's phases, and so its bits
+        grid = make_grid(0.0, 1.0, 16 if case == "identity" else 8)
+        kernel = {"hadamard": lambda: build_hadamard(UNIT, grid),
+                  "fluctuation": lambda: fluctuation_kernel(0.5, build_hadamard(UNIT, grid)),
+                  "identity": lambda: KernelMatrix(grid, np.eye(16), SYMMETRIC)}[case]()
+        assert noise.psd_factor(kernel, noise.DEFAULT_CLIP_TOL).shape[1] == rank
+        m = span + {"span-1": -1, "span": 0, "span+1": 1}[size] if "span" in size else int(size)
+        v = np.linspace(0.2, -0.3, grid.n_points)
+        seed = derive_seed(3, 97)
+        assert hs_moment_check(kernel, v, m, seed) == hs_whole_draw_oracle(
+            kernel, v, m, seed, noise.DEFAULT_CLIP_TOL)
 
     @pytest.mark.parametrize("case", ["hadamard", "identity"])
     def test_equals_the_explicit_draw(self, case):
