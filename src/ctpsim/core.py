@@ -6,6 +6,7 @@ uniform :class:`TimeGrid`; reproducibility rests on :func:`derive_seed`.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -47,6 +48,9 @@ class TimeGrid:
 
     dt is always derived, never stored, so a grid can never be inconsistent.
     Instances are immutable; equal grids give equal times() bit for bit.
+    Too few points or a reversed or empty range is a ConfigError whose params
+    name the fields at fault, so a caller that configures the grid can name
+    its own keys.
     """
 
     t_start: float
@@ -55,11 +59,12 @@ class TimeGrid:
 
     def __post_init__(self):
         if self.n_points < 2:
-            raise ValueError(f"too few points: n_points={self.n_points}, need >= 2")
+            raise ConfigError(f"too few points: n_points={self.n_points}, need >= 2",
+                              ("n_points",))
         if not self.t_end > self.t_start:
-            raise ValueError(
-                f"invalid range: t_end={self.t_end} must exceed t_start={self.t_start}"
-            )
+            raise ConfigError(
+                f"invalid range: t_end={self.t_end} must exceed t_start={self.t_start}",
+                ("t_start", "t_end"))
 
     @property
     def dt(self) -> float:
@@ -109,11 +114,13 @@ def derive_seed(master_seed: int, index: int) -> int:
 
     splitmix64 applied to master_seed + (index+1)*gamma, mod 2^64: a pure
     function, stable across platforms, with distinct outputs for distinct
-    indices in any realistic ensemble size.  A master seed outside [0, 2^64)
-    is a ConfigError, not masked into range, so no two seeds alias.
+    indices in any realistic ensemble size.  A master seed that is not an
+    integer (a float, a bool) or lies outside [0, 2^64) is a ConfigError, not
+    truncated or masked into range, so no two seeds alias.
     """
-    if not 0 <= int(master_seed) <= _MASK64:
-        raise ConfigError(f"master_seed must be in [0, 2**64), got {master_seed}",
+    if (isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral)
+            or not 0 <= master_seed <= _MASK64):
+        raise ConfigError(f"master_seed must be an integer in [0, 2**64), got {master_seed!r}",
                           ("master_seed",))
     if index < 0:
         raise ValueError("index must be >= 0")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeGrid, derive_seed
+from .core import TimeGrid, derive_seed, require_memory
 from .kernels import KernelMatrix, psd_factor
 
 DEFAULT_CLIP_TOL = 1e-10
@@ -87,19 +87,6 @@ def white_source_bytes(n_realizations: int) -> tuple[int, str]:
     groups = -(-n_realizations // _GROUP_ROWS)
     return (1024 * groups + 8 * _DRAW_BLOCK_VALUES,
             f"{groups} row groups' generators and {_DRAW_BLOCK_VALUES} drawn normals")
-
-
-def hs_moment_bytes(n_realizations: int, rank: int) -> tuple[int, str]:
-    """Bytes :func:`hs_moment_check` holds for M rows of a rank-r kernel, and what they are.
-
-    Its (M,) phases and cos/sin buffer, and the (r, span) chunk of normals
-    one draw call fills; the call's temporary is left out, as in every
-    factor draw's budget.
-    """
-    chunk = rank * _factor_draw_groups(rank) * _GROUP_ROWS
-    return (8 * (2 * n_realizations + chunk),
-            f"Hubbard-Stratonovich phases and buffer ({n_realizations},) "
-            f"and {chunk} normals")
 
 
 def _group_generators(seed: int, n_realizations: int):
@@ -277,7 +264,10 @@ def hs_moment_check(kernel: KernelMatrix, v: np.ndarray, n_realizations: int,
     phases z_i . p in k order into its slice of one (M,) buffer, with
     elementwise operations as :func:`factor_source` sums the rows.  The
     phases and one cos/sin buffer stay whole, so each mean is one reduction
-    over M values.  It holds 2 values a row and the chunk (32 KB at r = 2).
+    over M values.  It holds 2 values a row and the chunk (32 KB at r = 2);
+    once the factor gives r, that peak is checked against physical memory
+    before any draw, a ConfigError naming n_realizations.  The draw call's
+    temporary is left out, as in every factor draw's budget.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
@@ -288,6 +278,9 @@ def hs_moment_check(kernel: KernelMatrix, v: np.ndarray, n_realizations: int,
     p = [np.add.reduce(column * v) for column in factor.T]
     groups = _factor_draw_groups(len(p))
     span = groups * _GROUP_ROWS
+    require_memory(8 * (2 * n_realizations + len(p) * span),
+                   f"Hubbard-Stratonovich phases and buffer ({n_realizations},) "
+                   f"and {len(p) * span} normals", ("n_realizations",))
     generator = (np.random.default_rng(derive_seed(seed, 0)),)
     chunk = np.empty((len(p), span))
     phases, term = np.zeros(n_realizations), np.empty(n_realizations)

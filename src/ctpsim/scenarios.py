@@ -87,11 +87,11 @@ class SSBConfig:
         if self.n_realizations < self.min_realizations:
             raise ConfigError(f"n_realizations must be >= {self.min_realizations}",
                               ("n_realizations",))
-        if self.noise_amplitude < 0:
+        if not self.noise_amplitude >= 0:
             raise ConfigError("noise_amplitude must be >= 0", ("noise_amplitude",))
-        if self.friction < 0:
+        if not self.friction >= 0:
             raise ConfigError("friction must be >= 0", ("friction",))
-        if self.gate_threshold is not None and self.gate_threshold <= 0:
+        if self.gate_threshold is not None and not self.gate_threshold > 0:
             raise ConfigError("gate_threshold must be positive", ("gate_threshold",))
         # the default gate threshold -2 m2 / lambda is a third of it
         if not math.isfinite(-6.0 * self.m2 / self.lam):

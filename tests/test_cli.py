@@ -293,7 +293,7 @@ class TestExitCodes:
          ["inflation.tail_fraction", "inflation.n_points"]),
         # a reversed or empty interval, in every subcommand that reads a grid
         *[(sub, {"t_start": 5.0, "t_end": t_end}, 1,
-           [f"{sub}.t_end {t_end!r} must exceed {sub}.t_start 5.0"])
+           ["invalid range", f"{sub}.t_start=5.0", f"{sub}.t_end={t_end!r}"])
           for sub in ("squeeze", "kernels", "noise", "langevin", "ssb", "bec", "inflation")
           for t_end in (2.0, 5.0)]])
     def test_out_of_range_config_names_its_key(self, tmp_path, capsys, sub, section, code,
@@ -914,6 +914,7 @@ class TestMemory:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert f"need {need} bytes" in err
+        assert err.endswith(f"(config keys: verify.hs_realizations={m})\n")
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "verify.json").exists()
         physical_memory(need)

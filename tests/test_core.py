@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -19,14 +20,16 @@ class TestMakeGrid:
         assert list(grid.times()) == [0.0, 1.0]
 
     def test_invalid_range_rejected(self):
-        with pytest.raises(ValueError, match="invalid range"):
-            make_grid(1.0, 0.0, 11)
-        with pytest.raises(ValueError, match="invalid range"):
-            make_grid(1.0, 1.0, 11)
+        # a ConfigError, which is a ValueError, naming the fields at fault
+        for t_end in (0.0, 1.0):
+            with pytest.raises(ValueError, match="invalid range") as err:
+                make_grid(1.0, t_end, 11)
+            assert err.value.params == ("t_start", "t_end")
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError, match="too few points"):
+        with pytest.raises(ValueError, match="too few points") as err:
             make_grid(0.0, 1.0, 1)
+        assert err.value.params == ("n_points",)
 
     def test_reconstruction_is_bit_stable(self):
         a = make_grid(-2.5, 7.25, 313)
@@ -79,6 +82,18 @@ class TestDeriveSeed:
         with pytest.raises(ConfigError, match="master_seed") as err:
             derive_seed(master, 0)
         assert err.value.params == ("master_seed",)
+
+    @pytest.mark.parametrize("master", [1.5, 1.0, True, np.float64(2.0), math.nan, math.inf,
+                                        -math.inf])
+    def test_master_seed_not_an_integer_rejected(self, master):
+        # a float is not truncated, nor a bool read as 0 or 1, into another seed's streams
+        with pytest.raises(ConfigError, match="master_seed") as err:
+            derive_seed(master, 0)
+        assert err.value.params == ("master_seed",)
+
+    def test_numpy_integer_master_seed_keeps_its_value(self):
+        assert derive_seed(np.uint64(2**64 - 1), 0) == derive_seed(2**64 - 1, 0)
+        assert derive_seed(np.int32(42), 3) == derive_seed(42, 3)
 
     def test_master_seed_range_ends_keep_their_values(self):
         # stream 0 of the range's two ends, as every artifact_version has derived it

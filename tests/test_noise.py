@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctpsim import noise
-from ctpsim.core import NumericalError, derive_seed, make_grid
+from ctpsim.core import ConfigError, NumericalError, derive_seed, make_grid
 from ctpsim.kernels import (SYMMETRIC, KernelMatrix, build_hadamard, fluctuation_kernel,
                             squeezed_factor)
 from ctpsim.langevin import _time_blocks
@@ -296,6 +296,20 @@ class TestHsMomentCheck:
         kernel = build_hadamard(UNIT, make_grid(0.0, 1.0, 8))
         with pytest.raises(ValueError, match="n_realizations"):
             hs_moment_check(kernel, np.zeros(8), m, seed=1)
+
+    def test_beyond_physical_memory_refused_before_any_draw(self, physical_memory,
+                                                            monkeypatch):
+        # its phases and cos/sin buffer, 2 values a row, and one (r, span) chunk of
+        # normals at the factor's rank, 2 here
+        kernel = build_hadamard(UNIT, make_grid(0.0, 1.0, 8))
+        m = 1000
+        need = 8 * (2 * m + 2 * 2048)
+        physical_memory(need - 1)
+        monkeypatch.setattr(noise, "_fill_normals",
+                            lambda *args: pytest.fail("the check drew its normals"))
+        with pytest.raises(ConfigError, match=f"need {need} bytes") as err:
+            hs_moment_check(kernel, np.zeros(8), m, seed=1)
+        assert err.value.params == ("n_realizations",)
 
     # rank r and span, the rows one draw call covers: 64 max(1, 4096 // (64 r));
     # the fluctuation kernel's closed-form rank 7 clips to 6 on this grid

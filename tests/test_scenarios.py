@@ -50,6 +50,13 @@ class TestConfigs:
         with pytest.raises(ValueError, match="gate_threshold"):
             ssb_config(gate_threshold=-1.0)
 
+    @pytest.mark.parametrize("field", ["noise_amplitude", "friction", "gate_threshold"])
+    def test_nan_field_refused(self, field):
+        # NaN passes a bare x < 0 check, and the run then blames dt for diverging
+        with pytest.raises(ValueError, match=field) as err:
+            ssb_config(**{field: math.nan})
+        assert err.value.params == (field,)
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="negative"):
             ssb_config(m2=1.0)
