@@ -22,11 +22,9 @@ from .noise import (NoiseEnsemble, draw_from_factor, hs_moment_check,
 from .scenarios import (BECConfig, BECReport, SSBConfig, SSBReport,
                         kuiper_statistic, recursion_probability, run_bec,
                         run_inflation, run_ssb, scenario_noise_kernel)
-from .squeeze import (BogolubovCoeffs, PairCoeffs, SqueezeParams,
-                      accumulate_coherent_shift, bogolubov_coefficients,
-                      coherent_overlap, coherent_particle_number,
-                      commutator_green, hadamard_green, mode_two_point,
-                      pair_normalization_check, particle_number,
-                      quadrature_variances)
+from .squeeze import (BogolubovCoeffs, SqueezeParams, accumulate_coherent_shift,
+                      bogolubov_coefficients, coherent_overlap,
+                      coherent_particle_number, commutator_green, hadamard_green,
+                      mode_two_point, particle_number, quadrature_variances)
 
 __version__ = "0.10.0"

@@ -134,11 +134,11 @@ class DeSitterParams:
     background: float  # field amplitude phi_0
 
     def __post_init__(self):
-        if self.hubble <= 0:
+        if not self.hubble > 0:
             raise ValueError("hubble rate must be positive")
-        if self.k <= 0:
+        if not self.k > 0:
             raise ValueError("wavenumber k must be positive")
-        if self.coupling < 0:
+        if not self.coupling >= 0:
             raise ValueError("coupling must be >= 0")
 
 

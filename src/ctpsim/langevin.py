@@ -95,7 +95,7 @@ class PotentialSpec:
 
     @classmethod
     def double_well(cls, m2: float, lam: float) -> "PotentialSpec":
-        if lam <= 0:
+        if not lam > 0:
             raise ValueError("double_well requires a positive quartic coupling")
         return cls("double_well", m2, lam / 6.0)
 

@@ -11,20 +11,20 @@ and :func:`factor_source` fill the next block of grid columns of every row
 into a time-major (w, M) buffer the caller reuses, with the bits of the
 whole draw.  Every normal of the package comes from this module, in row
 groups of 64 whose time-major blocks give row i column i mod 64 of its
-group's block.  The streamed white draw (:func:`_fill_normals`) keeps one
-generator per group, because it draws the grid block by block; a whole
-factor draw (:func:`_standard_normals`) takes the groups' blocks one after
-another from group 0's generator.
+group's block, by one of two rules, each coded once.  The white rule
+(:func:`_fill_normals`) keeps one generator per group, because it draws the
+grid block by block; the factor rule (:func:`_factor_normals`) takes the
+groups' blocks one after another from group 0's generator, and feeds both a
+whole factor draw (:func:`_standard_normals`) and :func:`hs_moment_check`.
 :func:`hs_moment_check` is the operational statement of the noise
 factorization: averaging exp(i xi . v) over the ensemble must reproduce
 exp(-v^T K v / 2); it forms only the projections xi . v = z . (F^T v) of the
-rows, never the rows, and draws their normals a chunk of row groups at a
-time, with the bits of the whole draw.
+rows, never the rows, and takes their normals a draw call at a time from the
+factor rule, with the bits of the whole draw.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +51,7 @@ class NoiseEnsemble:
     Regeneration from (seed, covariance_ref, grid) is bit-exact: realization i
     is column i mod 64 of row group i // 64's block of normals, a white row
     from that group's own generator (:func:`_fill_normals`), a factor row
-    from the group's place in one stream (:func:`_standard_normals`).  Either
+    from the group's place in one stream (:func:`_factor_normals`).  Either
     way row i depends only on (seed, i, k) for k normals per row, and growing
     M only appends rows.
 
@@ -89,77 +89,73 @@ def white_source_bytes(n_realizations: int) -> tuple[int, str]:
             f"{groups} row groups' generators and {_DRAW_BLOCK_VALUES} drawn normals")
 
 
-def _group_generators(seed: int, n_realizations: int):
-    """default_rng(derive_seed(seed, g)) for each row group g of M rows, built lazily."""
-    return (np.random.default_rng(derive_seed(seed, g))
-            for g in range(-(-n_realizations // _GROUP_ROWS)))
+def _fill_normals(rows: np.ndarray, generators) -> None:
+    """Fill each row of the time-major rows (w, M) with its next w normals: the white rule.
 
-
-def _fill_normals(rows: np.ndarray, generators, groups: int = 1) -> None:
-    """Fill each row of the time-major rows (w, M) with its next w normals: the draw rule.
-
-    Each group draws (c, 64) normals per call, c <= 256, into c time rows of
-    its 64 columns as they are; the last group's padding columns are
-    discarded.  So the t-th normal of row i is normal 64 t + (i mod 64) of
-    its group's stream, and any split of the w time rows gives the same bits
-    (numpy draws normals one after another).  Each generator serves that
-    many consecutive groups, whose (c, 64) blocks one call draws back to
-    back as (groups, c, 64) and writes through a (c, groups, 64) view of
-    rows; with groups > 1, c must be w and the groups whole.
+    Row group g draws from generators[g], (c, 64) normals per call with
+    c <= 256, into c time rows of its 64 columns; the last group's padding
+    columns are dropped.  So the t-th normal of row i is normal
+    64 t + (i mod 64) of its group's stream, and any split of the w time rows
+    gives the same bits (numpy draws normals one after another).
     """
     width, columns = rows.shape[0], _DRAW_BLOCK_VALUES // _GROUP_ROWS
-    span = groups * _GROUP_ROWS
-    for first, generator in zip(range(0, rows.shape[1], span), generators):
-        chunk = rows[:, first:first + span]
-        count = -(-chunk.shape[1] // _GROUP_ROWS)
+    for first, generator in zip(range(0, rows.shape[1], _GROUP_ROWS), generators):
+        group = rows[:, first:first + _GROUP_ROWS]
         for start in range(0, width, columns):
-            draws = generator.standard_normal((count, min(columns, width - start), _GROUP_ROWS))
-            # a lone last group may be narrower than 64
-            view = chunk[start:start + draws.shape[1]].reshape(draws.shape[1], count, -1)
-            view[...] = draws.transpose(1, 0, 2)[:, :, :view.shape[2]]
+            draws = generator.standard_normal((min(columns, width - start), _GROUP_ROWS))
+            group[start:start + draws.shape[0]] = draws[:, :group.shape[1]]
 
 
-def _whole_groups(n_realizations: int) -> int:
-    """Columns of M rows padded to whole row groups."""
-    return -(-n_realizations // _GROUP_ROWS) * _GROUP_ROWS
-
-
-def _factor_draw_groups(k: int) -> int:
-    """Row groups one call of a whole factor draw of k normals a row covers."""
-    return max(1, _FACTOR_DRAW_VALUES // (_GROUP_ROWS * max(k, 1)))
-
-
-def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
-    """(M, k) standard normals: the first k normals of each row by :func:`_fill_normals`.
+def _factor_normals(seed: int, n_realizations: int, k: int):
+    """Yield (first, z): the (k, w) normals of rows first .. first + w - 1, the factor rule.
 
     Every group draws from one generator, default_rng(derive_seed(seed, 0)),
     so the groups' (k, 64) blocks come one after another from its stream:
     rows 0-63 are those of one generator per group, and row i depends only on
-    (seed, i, k).  One call draws as many whole groups as _FACTOR_DRAW_VALUES
-    holds, so the time-major (k, M) array is padded to whole groups.  Returns
-    the transposed view of its first M columns, in which normal k of every
-    row is one contiguous line, as factor_source and run_inflation read them.
+    (seed, i, k).  Each chunk is one draw call of as many whole groups as
+    _FACTOR_DRAW_VALUES holds (a block with k > 256 is drawn in calls of 256
+    rows), the last group's padding dropped; its lines z[j] are contiguous.
     """
-    rows = np.empty((k, _whole_groups(n_realizations)))
-    _fill_normals(rows, itertools.repeat(np.random.default_rng(derive_seed(seed, 0))),
-                  _factor_draw_groups(k))
-    return rows[:, :n_realizations].T
+    generator = np.random.default_rng(derive_seed(seed, 0))
+    span = _GROUP_ROWS * max(1, _FACTOR_DRAW_VALUES // (_GROUP_ROWS * max(k, 1)))
+    columns = _DRAW_BLOCK_VALUES // _GROUP_ROWS
+    for first in range(0, n_realizations, span):
+        width = min(span, n_realizations - first)
+        count = -(-width // _GROUP_ROWS)
+        block = np.empty((count, k, _GROUP_ROWS))
+        for start in range(0, k, columns):  # count > 1 only where k <= 32: one call
+            generator.standard_normal(out=block[:, start:start + columns])
+        yield first, block.transpose(1, 0, 2).reshape(k, count * _GROUP_ROWS)[:, :width]
+
+
+def _standard_normals(seed: int, n_realizations: int, k: int) -> np.ndarray:
+    """(M, k) standard normals: the first k normals of each row by :func:`_factor_normals`.
+
+    Filled into a time-major (k, M) array and returned as its transposed
+    view, in which normal k of every row is one contiguous line, as
+    factor_source and run_inflation read them.
+    """
+    rows = np.empty((k, n_realizations))
+    for first, z in _factor_normals(seed, n_realizations, k):
+        rows[:, first:first + z.shape[1]] = z
+    return rows.T
 
 
 def white_source(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int):
     """fill(rows, start) writing the columns start.. of M white-noise rows into rows.
 
-    Row i is the n normals of :func:`_fill_normals`' row-group rule, one
+    Row i is the n normals of :func:`_fill_normals`' white rule, one
     generator per group, times sqrt(sigma2/dt).  rows is time-major, (w, M);
     successive calls continue each row's stream, so filling the columns of
     the grid block by block gives the bits of one whole draw.  The
     generators of the ceil(M/64) row groups are kept between calls.
     """
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    generators = list(_group_generators(seed, n_realizations))
+    generators = [np.random.default_rng(derive_seed(seed, g))
+                  for g in range(-(-n_realizations // _GROUP_ROWS))]
     scale = np.sqrt(sigma2 / grid.dt)
 
     def fill(rows: np.ndarray, start: int = 0) -> None:
@@ -258,16 +254,16 @@ def hs_moment_check(kernel: KernelMatrix, v: np.ndarray, n_realizations: int,
     quadratic term the noise was factored out of.
 
     The rows xi_i = F z_i of :func:`sample_colored` are not formed: xi_i . v
-    = z_i . p with p = F^T v.  The check draws the same rows' normals z as
-    :func:`_standard_normals`, from its one generator, a call's whole row
-    groups at a time into one reused (r, span) buffer, and sums each chunk's
-    phases z_i . p in k order into its slice of one (M,) buffer, with
-    elementwise operations as :func:`factor_source` sums the rows.  The
-    phases and one cos/sin buffer stay whole, so each mean is one reduction
-    over M values.  It holds 2 values a row and the chunk (32 KB at r = 2);
-    once the factor gives r, that peak is checked against physical memory
-    before any draw, a ConfigError naming n_realizations.  The draw call's
-    temporary is left out, as in every factor draw's budget.
+    = z_i . p with p = F^T v.  The check takes the same rows' normals z as
+    :func:`_standard_normals`, a chunk of :func:`_factor_normals` at a time,
+    and sums each chunk's phases z_i . p in k order into its slice of one
+    (M,) buffer, with elementwise operations as :func:`factor_source` sums
+    the rows.  The phases and one cos/sin buffer stay whole, so each mean is
+    one reduction over M values.  It holds 2 values a row and one chunk of
+    max(_FACTOR_DRAW_VALUES, 64 r) normals (32 KB at r = 2); once the factor
+    gives r, that peak is checked against physical memory before any draw, a
+    ConfigError naming n_realizations.  The draw call's temporary is left
+    out, as in every factor draw's budget.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
@@ -276,19 +272,14 @@ def hs_moment_check(kernel: KernelMatrix, v: np.ndarray, n_realizations: int,
         raise ValueError(f"v must have shape ({kernel.n},), got {v.shape}")
     factor = psd_factor(kernel, clip_tol)
     p = [np.add.reduce(column * v) for column in factor.T]
-    groups = _factor_draw_groups(len(p))
-    span = groups * _GROUP_ROWS
-    require_memory(8 * (2 * n_realizations + len(p) * span),
+    normals = max(_FACTOR_DRAW_VALUES, _GROUP_ROWS * len(p))
+    require_memory(8 * (2 * n_realizations + normals),
                    f"Hubbard-Stratonovich phases and buffer ({n_realizations},) "
-                   f"and {len(p) * span} normals", ("n_realizations",))
-    generator = (np.random.default_rng(derive_seed(seed, 0)),)
-    chunk = np.empty((len(p), span))
+                   f"and {normals} normals", ("n_realizations",))
     phases, term = np.zeros(n_realizations), np.empty(n_realizations)
-    for first in range(0, n_realizations, span):
-        rows, scratch = phases[first:first + span], term[first:first + span]
-        z = chunk[:, :_whole_groups(rows.shape[0])]
-        _fill_normals(z, generator, groups)
-        for z_k, p_k in zip(z[:, :rows.shape[0]], p):
+    for first, z in _factor_normals(seed, n_realizations, len(p)):
+        rows, scratch = phases[first:first + z.shape[1]], term[first:first + z.shape[1]]
+        for z_k, p_k in zip(z, p):
             rows += np.multiply(z_k, p_k, out=scratch)
     real = np.add.reduce(np.cos(phases, out=term)) / n_realizations
     imag = np.add.reduce(np.sin(phases, out=phases)) / n_realizations

@@ -78,9 +78,9 @@ class SSBConfig:
     min_realizations: ClassVar[int] = 1
 
     def __post_init__(self):
-        if self.m2 >= 0:
+        if not self.m2 < 0:
             raise ConfigError("m2 must be negative (tachyonic curvature)", ("m2",))
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ConfigError("lambda must be positive", ("lam",))
         if self.noise_kernel not in _NOISE_KERNELS:
             raise ConfigError(f"noise_kernel must be one of {_NOISE_KERNELS}", ("noise_kernel",))

@@ -33,11 +33,11 @@ class SqueezeParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise ValueError("mass must be positive")
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise ValueError("omega must be positive")
-        if self.hbar <= 0:
+        if not self.hbar > 0:
             raise ValueError("hbar must be positive")
 
     @property
@@ -59,14 +59,6 @@ class BogolubovCoeffs:
         return abs(self.u) ** 2 - abs(self.v) ** 2 - 1.0
 
 
-@dataclass(frozen=True)
-class PairCoeffs:
-    """Momentum-pair mixing coefficients (alpha_k, beta_k)."""
-
-    alpha_k: complex
-    beta_k: complex
-
-
 def bogolubov_coefficients(params: SqueezeParams, t: float) -> BogolubovCoeffs:
     """Mixing coefficients after squeezing for a time t >= 0.
 
@@ -85,11 +77,6 @@ def particle_number(params: SqueezeParams, t: float) -> float:
     if t < 0:
         raise ValueError("t must be >= 0")
     return math.sinh(params.omega * t) ** 2
-
-
-def pair_normalization_check(coeffs: PairCoeffs) -> float:
-    """Signed deviation |alpha_k|^2 - |beta_k|^2 - 1 from canonical normalization."""
-    return abs(coeffs.alpha_k) ** 2 - abs(coeffs.beta_k) ** 2 - 1.0
 
 
 def _dimensionless_second_moments(params: SqueezeParams, t: float) -> tuple[float, float, float]:

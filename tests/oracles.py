@@ -240,13 +240,29 @@ def aggregate_oracle(paths):
     return mean, variance
 
 
+def white_normals_oracle(seed, n_realizations, n):
+    """(M, n) normals by the white rule, one generator per row group.
+
+    Row i is column i mod 64 of default_rng(derive_seed(seed, i // 64))'s
+    (n, 64) standard normals, drawn in one call; noise._fill_normals draws
+    them in calls of at most 256 time rows, so an n > 256 also checks that
+    the split keeps the bits.
+    """
+    rows = np.empty((n_realizations, n))
+    for i in range(n_realizations):
+        if i % 64 == 0:
+            draws = np.random.default_rng(derive_seed(seed, i // 64)).standard_normal((n, 64))
+        rows[i] = draws[:, i % 64]
+    return rows
+
+
 def standard_normals_oracle(seed, n_realizations, k):
     """(M, k) normals by the row-group rule, the groups' blocks from one generator.
 
     Row group g takes the (k, 64) block after group g - 1's from
     default_rng(derive_seed(seed, 0)), each block one standard_normal call;
     rows [64 g, 64 g + 64) are its columns and the last group's padding is
-    dropped.  noise._standard_normals draws a block with k > 256 in calls of
+    dropped.  noise._factor_normals draws a block with k > 256 in calls of
     256 time rows, so a k > 256 also checks that the split keeps the bits.
     """
     generator = np.random.default_rng(derive_seed(seed, 0))

@@ -905,7 +905,7 @@ class TestMemory:
 
     def test_verify_beyond_physical_memory_exits_one(self, tmp_path, physical_memory, capsys):
         # 2 float64 values per Hubbard-Stratonovich realization and one chunk of
-        # (r, span) = (2, 2048) normals, checked before any draw
+        # max(4096, 64 r) = 4096 normals at r = 2, checked before any draw
         m = 1000
         need = 2 * m * 8 + 2 * 2048 * 8
         path = write_config(tmp_path, {"verify": {"hs_realizations": m}})

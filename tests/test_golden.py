@@ -16,7 +16,7 @@ gates in three to six different blocks, with many realizations latching in
 the same step as another.  Colored noise and the memory kernel pin the
 factor draw (``noise.factor_source``) on its own, and verify's
 Hubbard-Stratonovich check (300 rows, five groups) the factor normals
-(``noise._standard_normals``) through their projections.
+(``noise._factor_normals``) through their projections.
 
 The digests were recorded with numpy 2.4.6 at the artifact_version
 GOLDEN_VERSION; on another numpy the digest test is skipped, since numpy may

@@ -400,6 +400,16 @@ class TestDeSitterKernel:
         with pytest.raises(ValueError):
             DeSitterParams(hubble=1.0, k=-1.0, coupling=1.0, background=1.0)
 
+    @pytest.mark.parametrize("field, message", [
+        ("hubble", "hubble rate must be positive"),
+        ("k", "wavenumber k must be positive"),
+        ("coupling", "coupling must be >= 0")], ids=["hubble", "k", "coupling"])
+    def test_nan_params_refused(self, field, message):
+        # NaN passes a bare x <= 0 or x < 0 check
+        values = dict(hubble=1.0, k=2.0, coupling=1.0, background=1.0)
+        with pytest.raises(ValueError, match=message):
+            DeSitterParams(**{**values, field: math.nan})
+
     @pytest.mark.parametrize("hubble", [1.0, 2.0])
     @pytest.mark.parametrize("k", [0.5, 2.0, 15.8])
     def test_factor_is_the_symmetric_mode_kernel(self, k, hubble):

@@ -64,6 +64,11 @@ class TestPotentialSpec:
         with pytest.raises(ValueError, match="positive"):
             PotentialSpec.double_well(-1.0, 0.0)
 
+    def test_double_well_refuses_nan_coupling(self):
+        # NaN passes a bare lam <= 0 check
+        with pytest.raises(ValueError, match="positive quartic coupling"):
+            PotentialSpec.double_well(-1.0, math.nan)
+
     def test_double_well_minimum(self):
         dw = PotentialSpec.double_well(-1.0, 0.6)
         x_min = math.sqrt(10.0)

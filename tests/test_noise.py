@@ -1,5 +1,5 @@
+import ast
 import math
-import re
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +17,7 @@ from ctpsim.noise import NoiseEnsemble, hs_moment_check, sample_colored, sample_
 from ctpsim.squeeze import SqueezeParams
 
 from oracles import (factor_draw_oracle, hs_moment_oracle, hs_whole_draw_oracle,
-                     standard_normals_oracle)
+                     standard_normals_oracle, white_normals_oracle)
 
 UNIT = SqueezeParams()
 
@@ -98,12 +98,31 @@ class TestDrawFromFactor:
         assert rows.tobytes() == refined[:, ::2].tobytes()
 
 
+def _names(node):
+    """The names an ast node gives: identifiers, attributes, a.b pairs and imports."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+        if isinstance(node.value, ast.Name):
+            yield f"{node.value.id}.{node.attr}"
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        for alias in node.names:
+            yield alias.name
+            if isinstance(node, ast.ImportFrom):
+                yield f"{node.module}.{alias.name}"
+
+
 def test_only_the_noise_module_constructs_generators():
-    # every normal of the package comes from noise's two draw rules
-    constructor = re.compile(r"\b(default_rng|Generator|PCG64|SeedSequence)\(")
+    # every normal of the package comes from noise's two draw rules: no other
+    # module names a generator, a normal draw or numpy.random
+    forbidden = {"default_rng", "Generator", "PCG64", "SeedSequence", "standard_normal",
+                 "np.random", "numpy.random"}
     package = Path(noise.__file__).parent
     found = sorted(path.name for path in package.glob("*.py")
-                   if constructor.search(path.read_text()))
+                   if any(name in forbidden or name.startswith("numpy.random.")
+                          for node in ast.walk(ast.parse(path.read_text()))
+                          for name in _names(node)))
     assert found == ["noise.py"]
 
 
@@ -150,6 +169,21 @@ class TestSampleWhite:
         grid = make_grid(0.0, 1.0, 7)
         with pytest.raises(ValueError, match="sigma2"):
             sample_white(0.0, grid, seed=1, n_realizations=2)
+
+    @pytest.mark.parametrize("draw", [sample_white, noise.white_source])
+    def test_rejects_nan_intensity(self, draw):
+        # NaN passes a bare sigma2 <= 0 check, and every row is then NaN
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            draw(math.nan, make_grid(0.0, 1.0, 7), 1, 3)
+
+    @pytest.mark.parametrize("n", [2, 257, 600])
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+    def test_equals_the_white_rule(self, m, n):
+        # across row groups and across the 256-row draw calls of a group
+        grid = make_grid(0.0, 1.0, n)
+        ens = sample_white(0.7, grid, seed=19, n_realizations=m)
+        expected = np.sqrt(0.7 / grid.dt) * white_normals_oracle(19, m, n)
+        assert ens.realizations.tobytes() == expected.tobytes()
 
 
 class TestSampleColored:
@@ -299,13 +333,13 @@ class TestHsMomentCheck:
 
     def test_beyond_physical_memory_refused_before_any_draw(self, physical_memory,
                                                             monkeypatch):
-        # its phases and cos/sin buffer, 2 values a row, and one (r, span) chunk of
-        # normals at the factor's rank, 2 here
+        # its phases and cos/sin buffer, 2 values a row, and one chunk of
+        # max(4096, 64 r) normals at the factor's rank, 2 here
         kernel = build_hadamard(UNIT, make_grid(0.0, 1.0, 8))
         m = 1000
         need = 8 * (2 * m + 2 * 2048)
         physical_memory(need - 1)
-        monkeypatch.setattr(noise, "_fill_normals",
+        monkeypatch.setattr(noise, "_factor_normals",
                             lambda *args: pytest.fail("the check drew its normals"))
         with pytest.raises(ConfigError, match=f"need {need} bytes") as err:
             hs_moment_check(kernel, np.zeros(8), m, seed=1)

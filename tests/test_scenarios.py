@@ -50,9 +50,11 @@ class TestConfigs:
         with pytest.raises(ValueError, match="gate_threshold"):
             ssb_config(gate_threshold=-1.0)
 
-    @pytest.mark.parametrize("field", ["noise_amplitude", "friction", "gate_threshold"])
+    @pytest.mark.parametrize("field", ["noise_amplitude", "friction", "gate_threshold",
+                                       "m2", "lam"])
     def test_nan_field_refused(self, field):
         # NaN passes a bare x < 0 check, and the run then blames dt for diverging
+        # (m2 and lam: the radius check blames an overflow of sqrt(-6 m2 / lambda))
         with pytest.raises(ValueError, match=field) as err:
             ssb_config(**{field: math.nan})
         assert err.value.params == (field,)

@@ -6,18 +6,25 @@ import pytest
 from ctpsim.core import NumericalError, make_grid
 from ctpsim.kernels import KernelMatrix, build_hadamard, build_retarded
 from ctpsim.noise import sample_white
-from ctpsim.squeeze import (PairCoeffs, SqueezeParams,
+from ctpsim.squeeze import (BogolubovCoeffs, SqueezeParams,
                             accumulate_coherent_shift, bogolubov_coefficients,
                             coherent_overlap, coherent_particle_number,
                             commutator_green, hadamard_green, mode_two_point,
-                            pair_normalization_check, particle_number,
-                            quadrature_variances)
+                            particle_number, quadrature_variances)
 
 from oracles import (anticommutator_oracle, commutator_oracle,
                      rotated_variance_oracle)
 
 UNIT = SqueezeParams(mass=1.0, omega=1.0, hbar=1.0)
 ODD = SqueezeParams(mass=2.0, omega=1.3, phi=0.4, hbar=0.7)
+
+
+class TestSqueezeParams:
+    @pytest.mark.parametrize("field", ["mass", "omega", "hbar"])
+    def test_nan_refused(self, field):
+        # NaN passes a bare x <= 0 check
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            SqueezeParams(**{field: math.nan})
 
 
 class TestBogolubov:
@@ -63,16 +70,18 @@ class TestParticleNumber:
 
 
 class TestPairNormalization:
+    """|alpha_k|^2 - |beta_k|^2 - 1 of a momentum pair, by BogolubovCoeffs' defect."""
+
     def test_identity_pair(self):
-        assert pair_normalization_check(PairCoeffs(1.0, 0.0)) == 0.0
+        assert BogolubovCoeffs(1.0, 0.0).normalization_defect == 0.0
 
     def test_hyperbolic_pair(self):
         r = 0.7
-        dev = pair_normalization_check(PairCoeffs(math.cosh(r), math.sinh(r)))
+        dev = BogolubovCoeffs(math.cosh(r), math.sinh(r)).normalization_defect
         assert abs(dev) < 1e-14
 
     def test_violation_flagged(self):
-        assert pair_normalization_check(PairCoeffs(1.0, 1.0)) == -1.0
+        assert BogolubovCoeffs(1.0, 1.0).normalization_defect == -1.0
 
 
 class TestQuadratureVariances:
