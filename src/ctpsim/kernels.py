@@ -134,11 +134,11 @@ class DeSitterParams:
     background: float  # field amplitude phi_0
 
     def __post_init__(self):
-        if not self.hubble > 0:
+        if not 0 < self.hubble < math.inf:
             raise ValueError("hubble rate must be positive")
-        if not self.k > 0:
+        if not 0 < self.k < math.inf:
             raise ValueError("wavenumber k must be positive")
-        if not self.coupling >= 0:
+        if not 0 <= self.coupling < math.inf:
             raise ValueError("coupling must be >= 0")
 
 

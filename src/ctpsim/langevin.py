@@ -13,10 +13,12 @@ equation uses an exponential-integrator step that is exact for linear decay;
 it is linear in its drive, so inflation steps only its factor columns.
 
 Ensembles are stepped all realizations at once by :class:`SemiImplicitStepper`,
-one block of 128 grid columns at a time.  It applies the same elementwise
-operations in the same order as the single-path :func:`integrate_white`, so
-every row is bit-identical to the single-path result and does not depend on
-the ensemble size.  The runners stream (:func:`stream_blocks`): each block's
+one block of grid columns at a time, as many as :func:`_block_steps` gives
+for its M d values a column (128 up to M d = 200, 16 from M d = 1600 on).
+It applies the same elementwise operations in the same order as the
+single-path :func:`integrate_white`, so every row is bit-identical to the
+single-path result and depends neither on the ensemble size nor on the
+block width.  The runners stream (:func:`stream_blocks`): each block's
 noise is drawn into one reused time-major (w, M, d) buffer, stepped from it
 and its (w, M, d) paths reduced (:class:`ColumnMoments` for the pointwise
 statistics, summed over the realizations in their index order), so no array
@@ -42,11 +44,9 @@ from .noise import white_source, white_source_bytes
 #: abort a realization once |x| exceeds this many natural units
 DIVERGENCE_GUARD = 1e12
 
-#: grid columns per block of the ensemble pipeline, its steppers and its
-#: reductions; every block is time-major, one row per grid column.  No output
-#: depends on it: 128 is a measured compromise, as 64 steps bec faster still
-#: but runs the white-noise ensemble slower
-_BLOCK_STEPS = 128
+#: float64 values a (w, M, d) slab of the ensemble pipeline holds (200 KB),
+#: from which :func:`_block_steps` sizes its blocks
+_SLAB_VALUES = 25_600
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class PotentialSpec:
 
     @classmethod
     def double_well(cls, m2: float, lam: float) -> "PotentialSpec":
-        if not lam > 0:
+        if not 0 < lam < math.inf:
             raise ValueError("double_well requires a positive quartic coupling")
         return cls("double_well", m2, lam / 6.0)
 
@@ -240,22 +240,37 @@ def integrate_overdamped_mode(dp: DeSitterParams, noise_amp: float, grid: TimeGr
     return Trajectory(grid, phis, -a * (phis - drive))
 
 
-def _time_blocks(n: int) -> list[slice]:
-    """The column blocks of the pipeline: _BLOCK_STEPS columns, the last up to one more.
+def _block_steps(values: int) -> int:
+    """Grid steps per block of the pipeline whose grid columns hold values = M d values each.
+
+    The one block rule, which every stepper, stream, reduction and memory
+    check of the pipeline takes its width from: as many steps as fill a
+    _SLAB_VALUES slab, within [16, 128].  128 steps for langevin's M d of
+    200, 64 for ssb's 400, 32 for bec's 800 (perfbench's sizes) and 16 from
+    M d = 1600 on, so a slab stays at 200 KB, in cache, up to M d = 1600
+    and grows as 17 M d values beyond.  No output depends on it.
+    """
+    return min(128, max(16, _SLAB_VALUES // values))
+
+
+def _time_blocks(n: int, values: int) -> list[slice]:
+    """The column blocks of a pipeline of M d = values: _block_steps columns, the last up to one more.
 
     No block is one column wide unless n is 1: a last block of one column
     would take 0 steps in :meth:`SemiImplicitStepper.step`, whose divergence
     check cannot take the max of no positions, so a trailing one-column
     block joins the one before it.
     """
-    stops = list(range(_BLOCK_STEPS, n, _BLOCK_STEPS)) + [n]
+    steps = _block_steps(values)
+    stops = list(range(steps, n, steps)) + [n]
     if len(stops) > 1 and stops[-1] - stops[-2] == 1:
         del stops[-2]
     return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
-def _block_width(n: int) -> int:
-    return min(n, _BLOCK_STEPS + 1)
+def _block_width(n: int, values: int) -> int:
+    """The most columns a block of :func:`_time_blocks` (n, values) holds."""
+    return min(n, _block_steps(values) + 1)
 
 
 def _squared_norm(m: int, d: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -284,8 +299,10 @@ class SemiImplicitStepper:
     shape is (M, d, n).  :meth:`step` reads the noise of the grid columns
     cols from a time-major block (w, M, d) and returns their positions, a
     (w, M, d) view of ``xs`` valid until the next call: the entry state, then
-    one step from each column to the next.  The next call starts where the
-    last step ended, so the last column of the grid is never read as noise.
+    one step from each column to the next; ``vs[:w]`` holds their velocities
+    likewise.  Both hold the widest block of :func:`_time_blocks`.  The next
+    call starts where the last step ended, so the last column of the grid is
+    never read as noise.
     Each step is the scheme of :func:`integrate_white`, f = g xi_i - V'(x),
     v' = (v + dt f)/(1 + gamma dt), x' = x + dt v', as elementwise
     operations into reused buffers (dt (g xi - V') + v is v + dt (g xi - V')
@@ -334,8 +351,7 @@ class SemiImplicitStepper:
     ``close`` (M,) int64 holds each realization's close step, the first
     grid index at which its gate is 0, recorded when it latches, or -1
     while it is open (always, without a gate).
-    ``v_first`` (n, d) holds the velocities of realization 0 up to the last
-    block stepped.  A block in which some |x_a| exceeds DIVERGENCE_GUARD or
+    A block in which some |x_a| exceeds DIVERGENCE_GUARD or
     is not finite raises DivergenceError for the earliest such step and,
     among ties, the lowest realization index.
     """
@@ -352,7 +368,7 @@ class SemiImplicitStepper:
         self.c1 = np.array(pot.c1, dtype=float)
         self.c1_plus_zero = np.array(pot.c1 + 0.0, dtype=float)
         self.c3 = None if pot.c3 == 0.0 else np.array(pot.c3, dtype=float)
-        rows = _block_width(n)
+        rows = _block_width(n, m * d)
         # time-major buffers, each also as a list of its (M, d) rows; row 0
         # holds a block's entry state, copied from row carry where the last
         # block ended
@@ -365,7 +381,6 @@ class SemiImplicitStepper:
         self.f = np.empty((m, d))
         self.coefs = np.empty((m, d))
         self.close = np.full(m, -1, dtype=np.int64)
-        self.v_first = np.empty((n, d))
         self.norm = self.gate = None
         self.gate_open = True
         if gate_threshold is not None or self.c3 is not None:
@@ -434,7 +449,6 @@ class SemiImplicitStepper:
             raise DivergenceError(
                 f"realization {idx}: trajectory diverged at {_at_step(self.grid, step)}: "
                 f"|x| exceeded {DIVERGENCE_GUARD:g}", step=step, realization=idx)
-        self.v_first[cols] = vs[:width, 0]
         return xs[:width]
 
     def _latch(self, rest: np.ndarray, step: int) -> bool:
@@ -471,9 +485,9 @@ def stream_blocks(fill, stepper, reduce) -> None:
     drawn whole before any step.
     """
     m, d, n = stepper.shape
-    buffer = np.empty((_block_width(n), m, d))
+    buffer = np.empty((_block_width(n, m * d), m, d))
     rows = buffer.reshape(len(buffer), m * d)
-    blocks = _time_blocks(n)
+    blocks = _time_blocks(n, m * d)
     undrawn = []
     for b, cols in enumerate(blocks):
         width = cols.stop - cols.start
@@ -501,11 +515,12 @@ def require_pipeline(shape: tuple[int, int, int], extra_bytes: int = 0,
                      extra: str = "") -> None:
     """Check the peak of :func:`stream_blocks` on an (M, d, n) ensemble against physical memory.
 
-    The peak is _PIPELINE_SLABS (M, d, w) float64 slabs of block buffers
-    plus extra_bytes of what the run holds beside them, which extra names.
+    The peak is _PIPELINE_SLABS (M, d, w) float64 slabs of block buffers,
+    w = :func:`_block_width` (n, M d), plus extra_bytes of what the run
+    holds beside them, which extra names.
     """
     m, d, n = shape
-    width = _block_width(n)
+    width = _block_width(n, m * d)
     require_memory(8 * _PIPELINE_SLABS * m * d * width + extra_bytes,
                    f"block buffers ({m}, {d}, {width})" + (f" and {extra}" if extra else ""),
                    ("n_realizations", "grid"))
@@ -528,7 +543,7 @@ class ColumnMoments:
         self.mean = np.empty(n)
         self.variance = np.empty(n)
         self.finals = np.empty(m)
-        self.buffer = np.empty((_block_width(n), m))
+        self.buffer = np.empty((_block_width(n, m), m))
 
     def add(self, paths: np.ndarray, cols: slice) -> None:
         width, m = paths.shape
@@ -558,7 +573,7 @@ def aggregate_paths(grid: TimeGrid, paths: np.ndarray) -> EnsembleStats:
     if paths.ndim != 2 or paths.shape[1] != grid.n_points:
         raise ValueError(f"paths must be (M, {grid.n_points}), got {paths.shape}")
     moments = ColumnMoments(*paths.shape)
-    for cols in _time_blocks(paths.shape[1]):
+    for cols in _time_blocks(paths.shape[1], paths.shape[0]):
         moments.add(paths[:, cols].T, cols)
     return moments.stats()
 
@@ -578,15 +593,16 @@ def run_white_ensemble(pot: PotentialSpec, gamma: float, grid: TimeGrid, sigma2:
     require_pipeline((m, 1, n), 8 * 6 * n + draw_bytes, f"6 columns of {n} and {draw}")
     stepper = SemiImplicitStepper((m, 1, n), pot, gamma, grid, x0, v0)
     moments = ColumnMoments(m, n)
-    first = np.empty(n)
+    x_first, v_first = np.empty(n), np.empty(n)
 
     def reduce(paths, cols):
         x = paths[:, :, 0]
-        first[cols] = x[:, 0]
+        x_first[cols] = x[:, 0]
+        v_first[cols] = stepper.vs[:len(x), 0, 0]
         moments.add(x, cols)
 
     stream_blocks(white_source(sigma2, grid, seed, m), stepper, reduce)
-    return moments.stats(), Trajectory(grid, first, stepper.v_first[:, 0])
+    return moments.stats(), Trajectory(grid, x_first, v_first)
 
 
 def ensemble_run(run_one: Callable[[int], Trajectory], master_seed: int,

@@ -25,6 +25,7 @@ factor rule, with the bits of the whole draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +151,7 @@ def white_source(sigma2: float, grid: TimeGrid, seed: int, n_realizations: int):
     the grid block by block gives the bits of one whole draw.  The
     generators of the ceil(M/64) row groups are kept between calls.
     """
-    if not sigma2 > 0:
+    if not 0 < sigma2 < math.inf:
         raise ValueError("sigma2 must be positive")
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")

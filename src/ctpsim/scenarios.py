@@ -40,7 +40,8 @@ from .squeeze import SqueezeParams
 #: scaled Kuiper-statistic critical value at the 1 percent level
 KUIPER_CRIT_1PCT = 2.001
 
-_NOISE_KERNELS = ("hadamard", "fluctuation")
+#: the noise kernels, each with the most columns of its squeezed_factor
+_NOISE_KERNELS = {"hadamard": 2, "fluctuation": 7}
 
 #: |k eta| every inflation mode must be below where the tail window starts: its
 #: noise is then within about (k eta)^2 / 2 of the superhorizon amplitude
@@ -83,13 +84,14 @@ class SSBConfig:
         if not self.lam > 0:
             raise ConfigError("lambda must be positive", ("lam",))
         if self.noise_kernel not in _NOISE_KERNELS:
-            raise ConfigError(f"noise_kernel must be one of {_NOISE_KERNELS}", ("noise_kernel",))
+            raise ConfigError(f"noise_kernel must be one of {tuple(_NOISE_KERNELS)}",
+                              ("noise_kernel",))
         if self.n_realizations < self.min_realizations:
             raise ConfigError(f"n_realizations must be >= {self.min_realizations}",
                               ("n_realizations",))
-        if not self.noise_amplitude >= 0:
+        if not 0 <= self.noise_amplitude < math.inf:
             raise ConfigError("noise_amplitude must be >= 0", ("noise_amplitude",))
-        if not self.friction >= 0:
+        if not 0 <= self.friction < math.inf:
             raise ConfigError("friction must be >= 0", ("friction",))
         if self.gate_threshold is not None and not self.gate_threshold > 0:
             raise ConfigError("gate_threshold must be positive", ("gate_threshold",))
@@ -256,6 +258,26 @@ def _scenario_factor(cfg: SSBConfig) -> np.ndarray:
     return squeezed_factor(_squeeze_params(cfg), cfg.grid, coupling)
 
 
+def _require_run(cfg: SSBConfig, n_components: int, columns: int = 0) -> None:
+    """Check a scenario run's peak against physical memory before it allocates.
+
+    Beside the pipeline (:func:`ctpsim.langevin.require_pipeline`) the run
+    holds its result columns of n values and, at most, the build of its
+    rank-r noise factor: the grid, its w t, r columns and their (n, r)
+    stack, which :func:`ctpsim.noise.factor_source` keeps as a transposed
+    copy with its normals z (r, M d).  r is the kernel's largest rank.
+    What the run forms after its noise is freed, such as ssb's z-scores,
+    stays within these bytes.
+    """
+    m, n = cfg.n_realizations, cfg.grid.n_points
+    rank = _NOISE_KERNELS[cfg.noise_kernel]
+    held = f"{columns} result columns of {n}, " if columns else ""
+    require_pipeline((m, n_components, n), 8 * ((columns + 2 * rank + 2) * n
+                                                + rank * m * n_components),
+                     f"{held}the rank-{rank} noise factor's build ({2 * rank + 2} columns "
+                     f"of {n}) and its normals ({rank}, {m * n_components})")
+
+
 def _scaled(draw, amplitude: float):
     """fill(rows, start): the noise draw(rows, start) writes, times amplitude."""
     def fill(rows, start):
@@ -324,7 +346,7 @@ def run_ssb(cfg: SSBConfig) -> SSBReport:
     the recursion count and the finals are reduced block by block.
     """
     m, n = cfg.n_realizations, cfg.grid.n_points
-    require_pipeline((m, 1, n), 8 * 2 * n, f"mean and variance ({n},)")
+    _require_run(cfg, 1, columns=2)  # the mean and the variance
     moments = ColumnMoments(m, n)
     recursion = _RecursionCount(m, cfg.leave_radius, cfg.return_radius)
 
@@ -382,7 +404,7 @@ def run_bec(cfg: BECConfig) -> BECReport:
     uniform over the circle, which is the off-diagonal long-range order proxy
     emerging with no preferred phase.  Only the final (M, 2) slice is kept.
     """
-    require_pipeline((cfg.n_realizations, 2, cfg.grid.n_points))
+    _require_run(cfg, 2)
     final_vec = np.empty((cfg.n_realizations, 2))
 
     def reduce(paths, cols):
@@ -456,7 +478,7 @@ def recursion_probability(paths: np.ndarray, leave_radius: float,
     if not leave_radius > return_radius > 0:
         raise ValueError("need leave_radius > return_radius > 0")
     count = _RecursionCount(paths.shape[0], leave_radius, return_radius)
-    for cols in _time_blocks(paths.shape[1]):
+    for cols in _time_blocks(paths.shape[1], paths.shape[0]):
         count.add(paths[:, cols].T)
     return count.fraction()
 

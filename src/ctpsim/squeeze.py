@@ -33,11 +33,11 @@ class SqueezeParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.mass > 0:
+        if not 0 < self.mass < math.inf:
             raise ValueError("mass must be positive")
-        if not self.omega > 0:
+        if not 0 < self.omega < math.inf:
             raise ValueError("omega must be positive")
-        if not self.hbar > 0:
+        if not 0 < self.hbar < math.inf:
             raise ValueError("hbar must be positive")
 
     @property

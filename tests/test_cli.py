@@ -752,7 +752,7 @@ class TestMemory:
         return [sub, "--config", str(path), "--out", str(tmp_path / "out")]
 
     # in (M, d, n) arrays; the streamed runners' bounds sit about half an array above
-    # their traced peaks (measured: langevin 0.279, ssb 0.646, bec 0.435), so one
+    # their traced peaks (measured: langevin 0.279, ssb 0.592, bec 0.390), so one
     # more whole array, or for bec one (M, n) component of it, fails them
     @pytest.mark.parametrize("sub, n, d, bound", [
         ("langevin", 4001, 1, 0.8), ("ssb", 2001, 1, 1.2),
@@ -762,8 +762,9 @@ class TestMemory:
 
     # the streamed runners hold block buffers, not an (M, d, n) array: at M 400 the
     # budget they check covers the traced peak, which is below one array (measured:
-    # langevin 0.202, ssb 0.222, bec 0.154 of a (M, d, 3001) array).  Each bound sits
-    # below the peak of a pipeline of 256-column blocks (0.390, 0.399, 0.286)
+    # langevin 0.108, ssb 0.130, bec 0.053 of a (M, d, 3001) array, in blocks of 64,
+    # 64 and 32 steps).  Each bound sits below the peak of a pipeline of 256-column
+    # blocks (0.390, 0.399, 0.286)
     @pytest.mark.parametrize("sub, d, bound", [
         ("langevin", 1, 0.25), ("ssb", 1, 0.25), ("bec", 2, 0.18)])
     def test_traced_peak_is_block_buffers(self, tmp_path, sub, d, bound):
@@ -822,7 +823,7 @@ class TestMemory:
 
     @pytest.mark.parametrize("sub", ["langevin", "ssb", "bec", "inflation"])
     def test_traced_peak_does_not_grow_with_n(self, tmp_path, sub):
-        # doubling n adds result columns of n values (measured: 4.0 to 5.6, and 12.1
+        # doubling n adds result columns of n values (measured: 2.4 to 4.2, and 12.1
         # for inflation's factor, columns and float lists), never an ensemble array,
         # which at M 400 would add 400 values per grid point
         m, n = 400, 1501
@@ -845,11 +846,13 @@ class TestMemory:
     def _budget(sub, m, d, n) -> int:
         """The bytes a run checks against physical memory.
 
-        A streamed run holds 6 (M, d, w) float64 slabs of block buffers, w the
-        pipeline's block width (langevin._block_width), plus langevin 6 result
-        columns of n and ssb its mean and variance.  The white-noise run also
-        keeps a 1 KB generator per row group of 64 realizations and a (256, 64)
-        draw buffer.
+        A streamed run holds 6 (M, d, w) float64 slabs of block buffers, w one
+        more than the block rule's steps for M d (langevin._block_steps), plus
+        langevin 6 result columns of n and ssb its mean and variance.  The
+        white-noise run also keeps a 1 KB generator per row group of 64
+        realizations and a (256, 64) draw buffer.  ssb and bec also count the
+        build of their rank-2 hadamard noise factor, 6 values per grid point,
+        and its (2, M d) normals.
         inflation holds no block buffers: 14 values per grid point (its (n, 2)
         mode factor, two columns and two lists of Python floats at 5 values a
         point) and 6 per realization (z, its forms and their temporaries, and
@@ -857,9 +860,11 @@ class TestMemory:
         """
         if sub == "inflation":
             return (14 * n + 6 * m) * 8
-        slabs = 6 * m * d * langevin._block_width(n) * 8
+        slabs = 6 * m * d * min(n, langevin._block_steps(m * d) + 1) * 8
         draw = -(-m // 64) * 1024 + 256 * 64 * 8
-        return slabs + {"langevin": 6 * n * 8 + draw, "ssb": 2 * n * 8, "bec": 0}[sub]
+        factor = (6 * n + 2 * m * d) * 8
+        return slabs + {"langevin": 6 * n * 8 + draw, "ssb": 2 * n * 8 + factor,
+                        "bec": factor}[sub]
 
     # d: the components of the run's (M, d, n) ensemble
     @pytest.mark.parametrize("sub, d", [

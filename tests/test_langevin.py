@@ -69,6 +69,11 @@ class TestPotentialSpec:
         with pytest.raises(ValueError, match="positive quartic coupling"):
             PotentialSpec.double_well(-1.0, math.nan)
 
+    def test_double_well_refuses_inf_coupling(self):
+        # inf passes a bare lam > 0 check
+        with pytest.raises(ValueError, match="positive quartic coupling"):
+            PotentialSpec.double_well(-1.0, math.inf)
+
     def test_double_well_minimum(self):
         dw = PotentialSpec.double_well(-1.0, 0.6)
         x_min = math.sqrt(10.0)
@@ -422,8 +427,8 @@ class TestBatchedSteppers:
         # the stepper writes over its noise, and xi is the reference's
         paths = xi[:, None, :].copy()
         stepper = SemiImplicitStepper(paths.shape, pot, gamma, grid, x0, v0)
-        whole_array.step(stepper, paths)
-        close, v_first = stepper.close, stepper.v_first.T
+        v_first = whole_array.step(stepper, paths).T
+        close = stepper.close
         assert close.tobytes() == np.full(m, -1, dtype=np.int64).tobytes()
         for i in range(m):
             ref = integrate_white(pot, gamma, grid, xi[i], starts[i][0], starts[i][1])
@@ -441,8 +446,7 @@ class TestBatchedSteppers:
             xi = sample_white(1.0, grid, seed, m).realizations
             paths = xi[:, None, :].copy()
             stepper = SemiImplicitStepper(paths.shape, pot, 0.5, grid)
-            whole_array.step(stepper, paths)
-            runs.append((paths, stepper.v_first.T))
+            runs.append((paths, whole_array.step(stepper, paths).T))
         (small, v_small), (big, v_big) = runs
         assert big[:k].tobytes() == small.tobytes()
         assert v_big.tobytes() == v_small.tobytes()
@@ -516,7 +520,7 @@ class TestBatchedSteppers:
         stepper = SemiImplicitStepper(noise.shape, PotentialSpec.quadratic(1.0),
                                       0.5, grid, gate_threshold=threshold)
         # whole_array.step, checking the count of open gates after every block
-        for cols in langevin._time_blocks(n):
+        for cols in langevin._time_blocks(n, len(kicks) * d):
             block = noise[..., cols].transpose(2, 0, 1).copy()
             noise[..., cols] = stepper.step(block, cols).transpose(1, 2, 0)
             open_rows = stepper.gate.any(axis=1)
@@ -582,8 +586,29 @@ class TestBatchedSteppers:
 WIDTH_KICKS = [None, 128, 256, 300, 40, 129, 255, 384, 128]
 
 
+class TestBlockRule:
+    """One rule sizes every block of the pipeline: a 200 KB slab, 16 to 128 steps."""
+
+    @pytest.mark.parametrize("values, steps", [
+        (1, 128), (200, 128), (201, 127), (400, 64), (800, 32), (1600, 16), (100_000, 16)])
+    def test_steps_by_values_a_column(self, values, steps):
+        assert langevin._block_steps(values) == steps
+
+    @pytest.mark.parametrize("m, d", [(200, 1), (400, 2), (4000, 1)])
+    def test_pipeline_buffers_take_the_rule(self, m, d):
+        n = 3001
+        steps = langevin._block_steps(m * d)
+        blocks = langevin._time_blocks(n, m * d)
+        assert blocks[0] == slice(0, steps)
+        assert max(b.stop - b.start for b in blocks) <= steps + 1
+        stepper = SemiImplicitStepper((m, d, n), PotentialSpec.quadratic(1.0), 0.5,
+                                      make_grid(0.0, 1.0, n))
+        assert stepper.xs.shape == stepper.vs.shape == (steps + 1, m, d)
+        assert langevin.ColumnMoments(m * d, n).buffer.shape == (steps + 1, m * d)
+
+
 class TestStepperBlockWidth:
-    """The stepper's bits do not depend on the pipeline's block width (_BLOCK_STEPS).
+    """The stepper's bits do not depend on the pipeline's block width (_block_steps).
 
     Each step walks a block's noise row and its next position and velocity
     rows together; the latch takes its grid index from the step's count in
@@ -608,7 +633,7 @@ class TestStepperBlockWidth:
         cfg = SimpleNamespace(m2=1.0, lam=0.6, friction=0.5, gate=True,
                               gate_threshold_sq=threshold, grid=grid)
         ref_paths, ref_gates = gated_loop_oracle(cfg, noise)
-        monkeypatch.setattr(langevin, "_BLOCK_STEPS", width)
+        monkeypatch.setattr(langevin, "_block_steps", lambda values: width)
         stepper = SemiImplicitStepper(noise.shape, PotentialSpec.double_well(cfg.m2, cfg.lam),
                                       0.5, grid, gate_threshold=threshold)
         whole_array.step(stepper, noise)
@@ -625,15 +650,15 @@ class TestStepperBlockWidth:
         x0 = np.linspace(-1.5, 1.5, m)[:, None]
         v0 = np.linspace(0.5, -0.5, m)[:, None]
         paths = xi[:, None, :].copy()
-        monkeypatch.setattr(langevin, "_BLOCK_STEPS", width)
+        monkeypatch.setattr(langevin, "_block_steps", lambda values: width)
         stepper = SemiImplicitStepper(paths.shape, pot, 0.5, grid, x0, v0)
-        whole_array.step(stepper, paths)
+        v_first = whole_array.step(stepper, paths)
         assert stepper.close.tolist() == [-1] * m
         for i in range(m):
             ref = integrate_white(pot, 0.5, grid, xi[i], x0[i, 0], v0[i, 0])
             assert paths[i, 0].tobytes() == ref.x.tobytes()
             if i == 0:
-                assert stepper.v_first[:, 0].tobytes() == ref.xdot.tobytes()
+                assert v_first[:, 0].tobytes() == ref.xdot.tobytes()
 
 
 class TestBlockedAggregate:
@@ -646,8 +671,8 @@ class TestBlockedAggregate:
         paths = data.draw(hnp.arrays(float, (m, n), elements=st.one_of(
             st.just(-0.0), st.floats(-1e150, 1e150), st.floats(-1e-300, 1e-300))))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(langevin, "_BLOCK_STEPS", width)
-            assert len(langevin._time_blocks(n)) >= 3
+            mp.setattr(langevin, "_block_steps", lambda values: width)
+            assert len(langevin._time_blocks(n, m)) >= 3
             stats = aggregate_paths(make_grid(0.0, 1.0, n), paths)
         mean, variance = aggregate_oracle(paths.copy())
         assert stats.mean.tobytes() == mean.tobytes()
@@ -665,8 +690,8 @@ class TestBlockedAggregate:
         paths = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-150, 150, (m, n))
         paths[:, ::7] = -0.0
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(langevin, "_BLOCK_STEPS", values // m)
-            blocks = langevin._time_blocks(n)
+            mp.setattr(langevin, "_block_steps", lambda _: values // m)
+            blocks = langevin._time_blocks(n, m)
             assert len(blocks) >= 3
             assert min(b.stop - b.start for b in blocks) >= 2
             stats = aggregate_paths(make_grid(0.0, 1.0, n), paths)
@@ -684,7 +709,7 @@ class TestBlockedAggregate:
         rng = np.random.default_rng(m)
         paths = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3, (m, n))
         moments = langevin.ColumnMoments(m, n)
-        for cols in langevin._time_blocks(n):
+        for cols in langevin._time_blocks(n, m):
             block = np.empty((cols.stop - cols.start, m, 1))
             block[:, :, 0] = paths[:, cols].T
             moments.add(block[:, :, 0], cols)

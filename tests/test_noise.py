@@ -176,6 +176,12 @@ class TestSampleWhite:
         with pytest.raises(ValueError, match="sigma2 must be positive"):
             draw(math.nan, make_grid(0.0, 1.0, 7), 1, 3)
 
+    @pytest.mark.parametrize("draw", [sample_white, noise.white_source])
+    def test_rejects_infinite_intensity(self, draw):
+        # inf passes a bare sigma2 > 0 check, and every row is then +-inf
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            draw(math.inf, make_grid(0.0, 1.0, 7), 1, 3)
+
     @pytest.mark.parametrize("n", [2, 257, 600])
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
     def test_equals_the_white_rule(self, m, n):
@@ -264,7 +270,7 @@ class TestFactorTiles:
         fill = noise.factor_source(factor, values, m)  # draws z at the package's size
         monkeypatch.setattr(noise, "_DRAW_BLOCK_VALUES", values)
         block, got = np.empty((257, m)), np.empty((n, m))
-        for cols in _time_blocks(n):
+        for cols in _time_blocks(n, m):
             rows = block[:cols.stop - cols.start]
             fill(rows, cols.start)
             got[cols] = rows

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -57,6 +58,13 @@ class TestConfigs:
         # (m2 and lam: the radius check blames an overflow of sqrt(-6 m2 / lambda))
         with pytest.raises(ValueError, match=field) as err:
             ssb_config(**{field: math.nan})
+        assert err.value.params == (field,)
+
+    @pytest.mark.parametrize("field", ["noise_amplitude", "friction"])
+    def test_inf_field_refused(self, field):
+        # inf passes a bare x >= 0 check
+        with pytest.raises(ValueError, match=field) as err:
+            ssb_config(**{field: math.inf})
         assert err.value.params == (field,)
 
     def test_invariants_enforced(self):
@@ -183,6 +191,39 @@ class TestSSB:
         assert np.array_equal(a.stats.per_run_finals, b.stats.per_run_finals)
 
 
+class TestMemoryCheck:
+    """A scenario run's traced peak lies within the bytes its memory check names.
+
+    At M 2 and n 200,001 the noise factor's build is the peak (measured:
+    0.999 of the check under either kernel, where it was 4.0 and 390 times
+    the check of block buffers and result columns alone); at M 400 and 4000
+    the block buffers are.
+    """
+
+    @pytest.mark.parametrize("kernel", ["hadamard", "fluctuation"])
+    @pytest.mark.parametrize("m, n", [(2, 200_001), (400, 3001), (4000, 3001)])
+    @pytest.mark.parametrize("config, run", [(SSBConfig, run_ssb), (BECConfig, run_bec)],
+                             ids=["ssb", "bec"])
+    def test_traced_peak_within_checked_bytes(self, monkeypatch, config, run, m, n, kernel):
+        checked = []
+        require = langevin.require_memory
+
+        def recording(nbytes, what, params=()):
+            checked.append(nbytes)
+            require(nbytes, what, params)
+        monkeypatch.setattr(langevin, "require_memory", recording)
+        cfg = config(m2=-1.0, lam=0.6, grid=make_grid(0.0, 30.0, n), n_realizations=m,
+                     master_seed=3, noise_kernel=kernel)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(checked) == 1
+        assert peak <= checked[0]
+
+
 class TestRecursionProbability:
     def test_periodic_crossings_count_as_recursion(self):
         grid = make_grid(0.0, 20.0, 401)
@@ -203,7 +244,7 @@ class TestRecursionProbability:
         paths = paths.copy()
         paths[:damp] *= 0.5  # rows that never leave |x| > 2
         before = paths.tobytes()
-        with mock.patch.object(langevin, "_BLOCK_STEPS", block_steps):
+        with mock.patch.object(langevin, "_block_steps", lambda values: block_steps):
             got = recursion_probability(paths, 2.0, 0.5)
         assert got == recursion_loop_oracle(paths, 2.0, 0.5)
         assert paths.tobytes() == before

@@ -26,6 +26,12 @@ class TestSqueezeParams:
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             SqueezeParams(**{field: math.nan})
 
+    @pytest.mark.parametrize("field", ["mass", "omega", "hbar"])
+    def test_inf_refused(self, field):
+        # inf passes a bare x > 0 check; mass inf gave quadrature variances (0.0, 0.0)
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            SqueezeParams(**{field: math.inf})
+
 
 class TestBogolubov:
     def test_identity_at_t0(self):

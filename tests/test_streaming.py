@@ -8,6 +8,11 @@ n = 257 and 513 end in a one-column block that joins the block before it,
 n = 258 and 514 in a two-column one.
 """
 
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +20,7 @@ from hypothesis import strategies as st
 
 import whole_array
 from ctpsim import langevin, scenarios
+from ctpsim.cli import main
 from ctpsim.core import DivergenceError, make_grid
 from ctpsim.kernels import DeSitterParams
 from ctpsim.langevin import (PotentialSpec, SemiImplicitStepper, _time_blocks,
@@ -201,16 +207,18 @@ class TestDrawnBlocks:
         monkeypatch.setattr(module, "stream_blocks", spying)
         return seen
 
-    def all_starts(self):
-        return [cols.start for cols in _time_blocks(self.N)]
+    def all_starts(self, values):
+        """The first column of each block of a pipeline of M d = values."""
+        return [cols.start for cols in _time_blocks(self.N, values)]
 
     def assert_drawn_to_the_last_latch(self, seen):
-        close = seen["stepper"].close
-        assert close.min() >= 0
+        stepper = seen["stepper"]
+        m, d, _ = stepper.shape
+        assert stepper.close.min() >= 0
         # column close - 1 holds the last noise that an open gate passes
-        drawn = [start for start in self.all_starts() if start < close.max()]
+        drawn = [start for start in self.all_starts(m * d) if start < stepper.close.max()]
         assert seen["starts"] == drawn
-        assert len(drawn) < len(self.all_starts())
+        assert len(drawn) < len(self.all_starts(m * d))
 
     def test_gated_ssb_draws_to_the_last_latch(self, monkeypatch):
         cfg = scenario(SSBConfig, 64, self.N, 30.0, 5, "hadamard", True)
@@ -240,7 +248,7 @@ class TestDrawnBlocks:
         # NaN noise in every block that starts after the last latch changes no bit
         cfg = scenario(config, 64, self.N, 30.0, 5, "hadamard", True)
         paths, close = whole_array.integrate_gated(cfg, whole_array.scenario_noise(cfg, d))
-        start = min(s for s in self.all_starts() if s >= close.max())
+        start = min(s for s in self.all_starts(64 * d) if s >= close.max())
         noise = whole_array.scenario_noise(cfg, d)
         noise[..., start:] = np.nan
         got, got_close = whole_array.integrate_gated(cfg, noise)
@@ -269,10 +277,40 @@ class TestDrawnBlocks:
     def test_ungated_ssb_draws_every_block(self, monkeypatch):
         seen = self.spy(monkeypatch, scenarios)
         run_ssb(scenario(SSBConfig, 64, self.N, 10.0, 5, "hadamard", False))
-        assert seen["starts"] == self.all_starts()
+        assert seen["starts"] == self.all_starts(64)
 
     def test_white_ensemble_draws_every_block(self, monkeypatch):
         seen = self.spy(monkeypatch, langevin)
         run_white_ensemble(PotentialSpec.quadratic(1.0), 0.5, make_grid(0.0, 30.0, self.N),
                            1.0, 5, 64)
-        assert seen["starts"] == self.all_starts()
+        assert seen["starts"] == self.all_starts(64)
+
+
+def perfbench_digest(out: Path) -> str:
+    """perfbench's digest of every output under out, manifest.json without its wall time."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:  # its dataclasses look their module up there
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].digest_outputs(out)[0]
+
+
+class TestBlockWidthOutputs:
+    """Every output byte is the same under 128-step blocks as under the block rule."""
+
+    # at M 400 the rule steps langevin and ssb 64 columns a block and bec 32
+    @pytest.mark.parametrize("sub, d, steps", [("langevin", 1, 64), ("ssb", 1, 64),
+                                               ("bec", 2, 32)])
+    def test_cli_outputs_equal_under_128_step_blocks(self, tmp_path, monkeypatch, sub, d,
+                                                     steps):
+        m = 400
+        assert langevin._block_steps(m * d) == steps
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"master_seed": 3, "n_realizations": m}))
+        args = [sub, "--config", str(config), "--out"]
+        assert main([*args, str(tmp_path / "rule")]) == 0
+        monkeypatch.setattr(langevin, "_block_steps", lambda values: 128)
+        assert main([*args, str(tmp_path / "fixed")]) == 0
+        assert perfbench_digest(tmp_path / "rule") == perfbench_digest(tmp_path / "fixed")

@@ -27,11 +27,15 @@ def step(stepper, paths):
     """Write the paths of the whole (M, d, n) noise array over it, one pipeline block at a time.
 
     The stepper reads a time-major copy of each block and returns its paths
-    time-major, (w, M, d).
+    time-major, (w, M, d).  Returns realization 0's velocities (n, d).
     """
-    for cols in _time_blocks(paths.shape[2]):
+    m, d, n = paths.shape
+    v_first = np.empty((n, d))
+    for cols in _time_blocks(n, m * d):
         block = paths[..., cols].transpose(2, 0, 1).copy()
         paths[..., cols] = stepper.step(block, cols).transpose(1, 2, 0)
+        v_first[cols] = stepper.vs[:cols.stop - cols.start, 0]
+    return v_first
 
 
 def scenario_noise(cfg, n_components):
@@ -79,8 +83,8 @@ def langevin(pot, gamma, grid, sigma2, seed, m, x0, v0):
     """(stats, x and v of realization 0) of the white-noise ensemble."""
     paths = sample_white(sigma2, grid, seed, m).realizations.copy()
     stepper = SemiImplicitStepper((m, 1, grid.n_points), pot, gamma, grid, x0, v0)
-    step(stepper, paths[:, None, :])
-    return aggregate_paths(grid, paths), paths[0].copy(), stepper.v_first[:, 0].copy()
+    v_first = step(stepper, paths[:, None, :])
+    return aggregate_paths(grid, paths), paths[0].copy(), v_first[:, 0]
 
 
 def inflation(modes, grid, m, master_seed, tail_fraction=0.5):
